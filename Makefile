@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover bench-smoke bench-json bench benchtrend
+.PHONY: all build test check bench-record-smoke server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover bench-smoke bench-json bench benchtrend
 
 all: build
 
@@ -12,7 +12,8 @@ test:
 
 # check is the tier-1 gate: vet, an explicit daemon build, the full
 # suite under the race detector (including the server's concurrency
-# tests), a short native-fuzz burst, the coverage ratchet, a
+# tests), the benchmark of record's own vet and smoke test (a nested
+# module), a short native-fuzz burst, the coverage ratchet, a
 # one-iteration benchmark smoke so the perf harness can't rot, the
 # perf-trend gate over the checked-in BENCH snapshots, and the
 # provenance-trace smoke against the real daemon.
@@ -20,6 +21,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build -o /dev/null ./cmd/rcserved
 	$(GO) test -race ./...
+	$(MAKE) bench-record-smoke
 	$(MAKE) server-test
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover
@@ -31,6 +33,14 @@ check:
 	$(MAKE) snapshot-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) load-smoke
+
+# bench-record-smoke compiles and smoke-runs the benchmark of record.
+# benchmark/ is a nested module that `go test ./...` never sees, so
+# without this an API change in routing, dd or core could break the
+# benchmark unnoticed.
+bench-record-smoke:
+	$(GO) vet -C benchmark .
+	$(GO) test -C benchmark .
 
 # backend-smoke verifies the same snapshot under both model backends
 # through the real CLI and requires identical policy verdicts and FIB

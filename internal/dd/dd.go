@@ -29,12 +29,21 @@
 // any stratification bookkeeping: the scheduler simply runs iterations in
 // ascending order until no operator has pending work.
 //
+// # Storage
+//
+// Stateful operators keep, per key, one flat group: a slice of values
+// each carrying its per-iteration history, the history's first point
+// inline (see hist.go). Key maps hold slab indices, so with pointer-free
+// keys and values the garbage collector has nothing to trace in them.
+// Difference batches travel in buffers their producer reuses: a
+// subscriber must consume a batch before returning and never retain it.
+//
 // # Determinism
 //
 // Reduction functions must be order-independent (they receive the
-// accumulated group as a value-sorted slice). Under that contract the
-// accumulated contents of every collection are deterministic functions of
-// the input history.
+// accumulated group in unspecified order). Under that contract the
+// accumulated contents of every collection, and the work counted in
+// EpochStats, are deterministic functions of the input history.
 package dd
 
 import (
@@ -85,9 +94,13 @@ type Graph struct {
 	// resetters run at the start of every epoch, before inputs flush;
 	// outputs and detectors clear their per-epoch logs here.
 	resetters []func()
-	pending   map[int]*nodeSet // iteration -> pending node ids
-	iters     intHeap          // pending iterations, deduplicated
-	inHeap    map[int]struct{} // iterations currently in the heap
+	// trimmers run at the end of every epoch: operators release scratch
+	// buffers that a large epoch grew (see keepCap).
+	trimmers []func()
+
+	pending map[int]*nodeSet // iteration -> pending node ids
+	iters   intHeap          // pending iterations, deduplicated
+	inHeap  map[int]struct{} // iterations currently in the heap
 
 	// MaxIter bounds the number of loop iterations per epoch. A fixpoint
 	// that fails to converge within MaxIter iterations aborts the epoch
@@ -298,6 +311,9 @@ func (g *Graph) Advance() (EpochStats, error) {
 		g.tr.SpanAt(obs.TrackEngine, g.nodeKinds[id]+"#"+strconv.Itoa(id),
 			nt.startUS, nt.durUS,
 			ptrace.I("runs", int64(nt.runs)), ptrace.I("in", int64(nt.in)), ptrace.I("out", nt.out))
+	}
+	for _, t := range g.trimmers {
+		t()
 	}
 	g.epoch++
 	st := g.stats

@@ -17,12 +17,13 @@ func Join[K comparable, A comparable, B comparable, R comparable](
 	out, p := newCollection[R](g)
 	j := &joinNode[K, A, B, R]{
 		g: g, f: f, out: p,
-		arrA:  make(map[K]trace[A]),
-		arrB:  make(map[K]trace[B]),
+		arrA:  newArrangement[K, A](),
+		arrB:  newArrangement[K, B](),
 		pendA: make(map[int][]Entry[KV[K, A]]),
 		pendB: make(map[int][]Entry[KV[K, B]]),
 	}
 	j.id = g.addNode(j, "join")
+	g.trimmers = append(g.trimmers, func() { j.now = trim(j.now) })
 	a.p.subscribe(func(iter int, batch []Entry[KV[K, A]]) {
 		j.pendA[iter] = append(j.pendA[iter], batch...)
 		g.schedule(j.id, iter)
@@ -40,26 +41,48 @@ type joinNode[K comparable, A comparable, B comparable, R comparable] struct {
 	f   func(K, A, B) R
 	out *port[R]
 
-	arrA  map[K]trace[A]
-	arrB  map[K]trace[B]
+	arrA  arrangement[K, A]
+	arrB  arrangement[K, B]
 	pendA map[int][]Entry[KV[K, A]]
 	pendB map[int][]Entry[KV[K, B]]
+
+	// now collects the results landing at the iteration being processed
+	// (all of them, unless the other side has history at a later
+	// iteration); later collects the rest. Both are reused across
+	// activations (subscribers never retain a batch) and trimmed at the
+	// end of the epoch.
+	now   []Entry[R]
+	later []laterEntry[R]
+}
+
+// laterEntry is a join result placed at an iteration after the one that
+// produced it.
+type laterEntry[R comparable] struct {
+	at int
+	e  Entry[R]
+}
+
+// produce records one matched pair's result r, once per point of the
+// arranged side's history.
+func (j *joinNode[K, A, B, R]) produce(iter int, h *hist, r R, d Diff) {
+	j.place(iter, h.first, r, d)
+	for _, td := range h.more {
+		j.place(iter, td, r, d)
+	}
+}
+
+// place puts a result at the least upper bound of the two iterations
+// involved: the one being processed, or the history point's if later.
+func (j *joinNode[K, A, B, R]) place(iter int, td tdiff, r R, d Diff) {
+	e := Entry[R]{Val: r, Diff: d * td.diff}
+	if int(td.iter) <= iter {
+		j.now = append(j.now, e)
+	} else {
+		j.later = append(j.later, laterEntry[R]{at: int(td.iter), e: e})
+	}
 }
 
 func (j *joinNode[K, A, B, R]) process(iter int) {
-	produced := make(map[int]map[R]Diff)
-	add := func(at int, r R, d Diff) {
-		if d == 0 {
-			return
-		}
-		m := produced[at]
-		if m == nil {
-			m = make(map[R]Diff)
-			produced[at] = m
-		}
-		m[r] += d
-	}
-
 	// Drain side A: join each difference against B's arrangement, then
 	// merge it into A's arrangement. Doing A fully before B means the
 	// cross term (deltaA x deltaB) is produced exactly once, by B's pass.
@@ -67,26 +90,13 @@ func (j *joinNode[K, A, B, R]) process(iter int) {
 		delete(j.pendA, iter)
 		j.g.stats.Entries += len(batch)
 		for _, e := range batch {
-			if tb, ok := j.arrB[e.Val.K]; ok {
-				for bv, h := range tb {
-					for _, td := range h {
-						at := iter
-						if int(td.iter) > at {
-							at = int(td.iter)
-						}
-						add(at, j.f(e.Val.K, e.Val.V, bv), e.Diff*td.diff)
-					}
+			if gb := j.arrB.get(e.Val.K); gb != nil {
+				for i := range gb.ents {
+					be := &gb.ents[i]
+					j.produce(iter, &be.h, j.f(e.Val.K, e.Val.V, be.val), e.Diff)
 				}
 			}
-			ta := j.arrA[e.Val.K]
-			if ta == nil {
-				ta = make(trace[A])
-				j.arrA[e.Val.K] = ta
-			}
-			ta.add(e.Val.V, iter, e.Diff)
-			if len(ta) == 0 {
-				delete(j.arrA, e.Val.K)
-			}
+			j.arrA.add(e.Val.K, e.Val.V, iter, e.Diff)
 		}
 	}
 
@@ -94,48 +104,39 @@ func (j *joinNode[K, A, B, R]) process(iter int) {
 		delete(j.pendB, iter)
 		j.g.stats.Entries += len(batch)
 		for _, e := range batch {
-			if ta, ok := j.arrA[e.Val.K]; ok {
-				for av, h := range ta {
-					for _, td := range h {
-						at := iter
-						if int(td.iter) > at {
-							at = int(td.iter)
-						}
-						add(at, j.f(e.Val.K, av, e.Val.V), e.Diff*td.diff)
-					}
+			if ga := j.arrA.get(e.Val.K); ga != nil {
+				for i := range ga.ents {
+					ae := &ga.ents[i]
+					j.produce(iter, &ae.h, j.f(e.Val.K, ae.val, e.Val.V), e.Diff)
 				}
 			}
-			tb := j.arrB[e.Val.K]
-			if tb == nil {
-				tb = make(trace[B])
-				j.arrB[e.Val.K] = tb
-			}
-			tb.add(e.Val.V, iter, e.Diff)
-			if len(tb) == 0 {
-				delete(j.arrB, e.Val.K)
-			}
+			j.arrB.add(e.Val.K, e.Val.V, iter, e.Diff)
 		}
 	}
 
-	if len(produced) == 0 {
+	if len(j.now) > 0 {
+		j.g.emitted += int64(len(j.now))
+		j.out.emit(iter, j.now)
+		j.now = j.now[:0]
+	}
+	if len(j.later) == 0 {
 		return
 	}
-	at := make([]int, 0, len(produced))
-	for i := range produced {
-		at = append(at, i)
-	}
-	sort.Ints(at)
-	for _, i := range at {
-		m := produced[i]
-		batch := make([]Entry[R], 0, len(m))
-		for r, d := range m {
-			if d != 0 {
-				batch = append(batch, Entry[R]{Val: r, Diff: d})
-			}
+	// Rare path (a difference meeting history from a later iteration):
+	// emit in ascending iteration order, one batch per iteration.
+	sort.SliceStable(j.later, func(a, b int) bool { return j.later[a].at < j.later[b].at })
+	for lo := 0; lo < len(j.later); {
+		hi := lo
+		for hi < len(j.later) && j.later[hi].at == j.later[lo].at {
+			j.now = append(j.now, j.later[hi].e)
+			hi++
 		}
-		j.g.emitted += int64(len(batch))
-		j.out.emit(i, batch)
+		j.g.emitted += int64(len(j.now))
+		j.out.emit(j.later[lo].at, j.now)
+		j.now = j.now[:0]
+		lo = hi
 	}
+	j.later = j.later[:0]
 }
 
 // JoinKeys is Join retaining both values under their key.

@@ -4,17 +4,39 @@ package dd
 // transform difference batches synchronously and never appear as
 // scheduled graph nodes, so chains of Map/Filter cost a function call per
 // batch, not a scheduling round-trip.
+//
+// Each operator owns one output buffer that it refills per batch:
+// subscribers consume a batch before emit returns and never retain it
+// (stateful nodes copy into their pending queues, sinks fold it in), so
+// the buffer is free again by the time the operator sees its next batch.
+
+// keepCap is the largest scratch buffer (in elements) an operator keeps
+// from one epoch to the next. Within an epoch buffers only grow; at its
+// end the few huge ones of a full evaluation are released to the
+// collector and the small ones of incremental epochs stay for reuse.
+const keepCap = 1024
+
+// trim empties a scratch buffer at the end of an epoch, dropping an
+// oversized one.
+func trim[T any](buf []T) []T {
+	if cap(buf) > keepCap {
+		return nil
+	}
+	return buf[:0]
+}
 
 // Map transforms each element of c by f. f must be a pure function.
 func Map[T comparable, U comparable](c Collection[T], f func(T) U) Collection[U] {
 	out, p := newCollection[U](c.g)
+	var buf []Entry[U]
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		mapped := make([]Entry[U], len(batch))
-		for i, e := range batch {
-			mapped[i] = Entry[U]{Val: f(e.Val), Diff: e.Diff}
+		for _, e := range batch {
+			buf = append(buf, Entry[U]{Val: f(e.Val), Diff: e.Diff})
 		}
-		p.emit(iter, mapped)
+		p.emit(iter, buf)
+		buf = buf[:0]
 	})
+	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
 	return out
 }
 
@@ -22,30 +44,45 @@ func Map[T comparable, U comparable](c Collection[T], f func(T) U) Collection[U]
 // pure; the multiplicity of each produced element follows the source.
 func FlatMap[T comparable, U comparable](c Collection[T], f func(T) []U) Collection[U] {
 	out, p := newCollection[U](c.g)
+	var buf []Entry[U]
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		mapped := make([]Entry[U], 0, len(batch))
 		for _, e := range batch {
 			for _, u := range f(e.Val) {
-				mapped = append(mapped, Entry[U]{Val: u, Diff: e.Diff})
+				buf = append(buf, Entry[U]{Val: u, Diff: e.Diff})
 			}
 		}
-		p.emit(iter, mapped)
+		p.emit(iter, buf)
+		buf = buf[:0]
 	})
+	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
 	return out
 }
 
 // Filter keeps the elements for which pred returns true.
 func Filter[T comparable](c Collection[T], pred func(T) bool) Collection[T] {
 	out, p := newCollection[T](c.g)
+	var buf []Entry[T]
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		kept := make([]Entry[T], 0, len(batch))
-		for _, e := range batch {
+		// A batch that passes whole goes on as it is; copying starts at
+		// the first rejected element.
+		n := 0
+		for n < len(batch) && pred(batch[n].Val) {
+			n++
+		}
+		if n == len(batch) {
+			p.emit(iter, batch)
+			return
+		}
+		buf = append(buf, batch[:n]...)
+		for _, e := range batch[n+1:] {
 			if pred(e.Val) {
-				kept = append(kept, e)
+				buf = append(buf, e)
 			}
 		}
-		p.emit(iter, kept)
+		p.emit(iter, buf)
+		buf = buf[:0]
 	})
+	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
 	return out
 }
 
@@ -53,13 +90,15 @@ func Filter[T comparable](c Collection[T], pred func(T) bool) Collection[T] {
 // expresses subtraction.
 func Negate[T comparable](c Collection[T]) Collection[T] {
 	out, p := newCollection[T](c.g)
+	var buf []Entry[T]
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		neg := make([]Entry[T], len(batch))
-		for i, e := range batch {
-			neg[i] = Entry[T]{Val: e.Val, Diff: -e.Diff}
+		for _, e := range batch {
+			buf = append(buf, Entry[T]{Val: e.Val, Diff: -e.Diff})
 		}
-		p.emit(iter, neg)
+		p.emit(iter, buf)
+		buf = buf[:0]
 	})
+	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
 	return out
 }
 
@@ -82,7 +121,8 @@ func Concat[T comparable](cs ...Collection[T]) Collection[T] {
 }
 
 // Inspect invokes f on every difference batch flowing through c, for
-// debugging and instrumentation, and passes the batch on unchanged.
+// debugging and instrumentation, and passes the batch on unchanged. f
+// must not retain the batch: operators reuse their buffers.
 func Inspect[T comparable](c Collection[T], f func(iter int, batch []Entry[T])) Collection[T] {
 	out, p := newCollection[T](c.g)
 	c.p.subscribe(func(iter int, batch []Entry[T]) {

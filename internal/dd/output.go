@@ -13,20 +13,29 @@ func NewOutput[T comparable](c Collection[T]) *Output[T] {
 	o := &Output[T]{state: make(map[T]Diff), changes: make(map[T]Diff)}
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
 		for _, e := range batch {
-			o.changes[e.Val] += e.Diff
-			if o.changes[e.Val] == 0 {
+			if d := o.changes[e.Val] + e.Diff; d == 0 {
 				delete(o.changes, e.Val)
+			} else {
+				o.changes[e.Val] = d
 			}
-			o.state[e.Val] += e.Diff
-			if o.state[e.Val] == 0 {
+			if d := o.state[e.Val] + e.Diff; d == 0 {
 				delete(o.state, e.Val)
+			} else {
+				o.state[e.Val] = d
 			}
 		}
 	})
 	// Reset the change log at the start of every epoch, before inputs
 	// flush (flushing can synchronously deliver batches through fused
-	// stateless chains).
-	c.g.resetters = append(c.g.resetters, func() { o.changes = make(map[T]Diff) })
+	// stateless chains). A small log is cleared in place; a large one (a full
+	// evaluation's) is dropped so its buckets do not outlive the epoch.
+	c.g.resetters = append(c.g.resetters, func() {
+		if len(o.changes) > keepCap {
+			o.changes = make(map[T]Diff)
+		} else {
+			clear(o.changes)
+		}
+	})
 	return o
 }
 

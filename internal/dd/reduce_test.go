@@ -152,3 +152,109 @@ func seedColl(g *Graph) Collection[KV[int, int]] {
 	seedInputs[g] = in
 	return in.Collection()
 }
+
+// TestReduceResultMultisets drives a reduction that copies its group to
+// its output with the group's multiplicities (a value returned twice has
+// multiplicity two), through group sizes on both sides of linearMax, so
+// both the scanning and the hashed diff against the emitted output run.
+func TestReduceResultMultisets(t *testing.T) {
+	g := NewGraph()
+	in := NewInput[KV[string, int]](g)
+	out := NewOutput(Reduce(in.Collection(), func(_ string, group []Group[int]) []int {
+		var res []int
+		for _, e := range group {
+			for n := Diff(0); n < e.Count; n++ {
+				res = append(res, e.Val)
+			}
+		}
+		return res
+	}))
+	want := map[KV[string, int]]Diff{}
+	update := func(key string, v int, d Diff) {
+		in.Update(MkKV(key, v), d)
+		if want[MkKV(key, v)] += d; want[MkKV(key, v)] == 0 {
+			delete(want, MkKV(key, v))
+		}
+	}
+	// Small group with a repeated value.
+	update("small", 1, 2)
+	update("small", 2, 1)
+	g.MustAdvance()
+	expectState(t, out, want)
+	update("small", 1, -1)
+	update("small", 3, 3)
+	g.MustAdvance()
+	expectState(t, out, want)
+	// Grow past linearMax, with repeats, then shrink back and empty.
+	for v := 0; v < 3*linearMax; v++ {
+		update("big", v, Diff(1+v%2))
+	}
+	g.MustAdvance()
+	expectState(t, out, want)
+	for v := 0; v < 3*linearMax; v += 2 {
+		update("big", v, -1)
+		update("big", v+1, -1) // multiplicity two -> one
+	}
+	update("big", 1000, 2)
+	g.MustAdvance()
+	expectState(t, out, want)
+	for kv, d := range want {
+		in.Update(kv, -d)
+	}
+	want = map[KV[string, int]]Diff{}
+	g.MustAdvance()
+	expectState(t, out, want)
+	if out.Len() != 0 {
+		t.Fatalf("emptied reduction still holds %v", out.State())
+	}
+}
+
+func TestReduceMinAllKeepsWholeBestClass(t *testing.T) {
+	g := NewGraph()
+	in := NewInput[KV[string, KV[int, string]]](g) // key -> (cost, nexthop)
+	out := NewOutput(ReduceMinAll(in.Collection(), func(a, b KV[int, string]) bool { return a.K < b.K }))
+	in.Insert(MkKV("d", MkKV(2, "a")))
+	in.Insert(MkKV("d", MkKV(2, "b")))
+	in.Insert(MkKV("d", MkKV(5, "c")))
+	g.MustAdvance()
+	expectState(t, out, map[KV[string, KV[int, string]]]Diff{
+		MkKV("d", MkKV(2, "a")): 1,
+		MkKV("d", MkKV(2, "b")): 1,
+	})
+	in.Insert(MkKV("d", MkKV(1, "z")))
+	g.MustAdvance()
+	expectState(t, out, map[KV[string, KV[int, string]]]Diff{MkKV("d", MkKV(1, "z")): 1})
+}
+
+// TestLargeEpochReleasesScratch: buffers and the output change log that
+// a large epoch grew are dropped at its end, small ones are kept, and
+// either way the next epoch starts clean.
+func TestLargeEpochReleasesScratch(t *testing.T) {
+	g := NewGraph()
+	in := NewInput[int](g)
+	out := NewOutput(Filter(Map(in.Collection(), func(v int) int { return v + 1 }),
+		func(v int) bool { return v%2 == 0 }))
+	for v := 0; v < 4*keepCap; v++ {
+		in.Insert(v)
+	}
+	g.MustAdvance()
+	if out.Len() != 2*keepCap || len(out.Changes()) != 2*keepCap {
+		t.Fatalf("large epoch: %d values, %d changes", out.Len(), len(out.Changes()))
+	}
+	in.Delete(1)
+	g.MustAdvance()
+	if cl := out.ChangeList(); len(cl) != 1 || cl[0] != (Entry[int]{Val: 2, Diff: -1}) {
+		t.Fatalf("small epoch after a large one: changes = %v", cl)
+	}
+	in.Delete(3)
+	g.MustAdvance()
+	if cl := out.ChangeList(); len(cl) != 1 || cl[0] != (Entry[int]{Val: 4, Diff: -1}) {
+		t.Fatalf("second small epoch: changes = %v", cl)
+	}
+	if got := trim(make([]int, 5, keepCap+1)); got != nil {
+		t.Error("trim kept an oversized buffer")
+	}
+	if got := trim(make([]int, 5, keepCap)); got == nil || len(got) != 0 || cap(got) != keepCap {
+		t.Error("trim dropped a small buffer")
+	}
+}

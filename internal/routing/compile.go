@@ -9,46 +9,56 @@ import (
 	"realconfig/internal/netcfg"
 )
 
-// relations is the compiled form of a network: the tuples fed to the
-// dataflow inputs. Compilation is linear in configuration size and runs
-// on every SetNetwork; the expensive route computation stays incremental.
+// relations is the compiled form of a network: the interned tuples fed
+// to the dataflow inputs. Compilation is linear in configuration size and
+// runs on every SetNetwork; the expensive route computation stays
+// incremental.
 type relations struct {
-	ospfAdj     []dd.KV[string, ospfHop]
-	ospfSeeds   []dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]
-	bgpSess     []dd.KV[string, bgpSess]
-	bgpOrigins  []dd.KV[dataplane.RouteKey, dataplane.BGPRoute]
-	ribDirect   []dd.KV[dataplane.RouteKey, dataplane.RIBEntry]
-	ospfFromBGP []dd.KV[string, uint32]
-	bgpFromOSPF []dd.KV[string, struct{}]
-	bgpAgg      []dd.KV[string, netcfg.Prefix]
-	// filterDefs maps content-addressed keys referenced by bgpSess
-	// tuples to immutable prefix-list snapshots.
-	filterDefs map[string]*netcfg.PrefixList
+	ospfAdj     []dd.KV[sym, ospfHop]
+	ospfSeeds   []dd.KV[rkey, ospfRt]
+	bgpSess     []dd.KV[sym, bgpSess]
+	bgpOrigins  []dd.KV[rkey, bgpRt]
+	ribDirect   []dd.KV[rkey, ribEnt]
+	ospfFromBGP []dd.KV[sym, uint32]
+	bgpFromOSPF []dd.KV[sym, struct{}]
+	bgpAgg      []dd.KV[sym, netcfg.Prefix]
 }
 
-// filterKey returns a content-addressed key for a prefix list (the same
-// entries always produce the same key, independent of the list's name),
-// registering an immutable snapshot in defs. A nil list (dangling
-// reference) compiles to an empty list, which denies everything.
-func filterKey(pl *netcfg.PrefixList, defs map[string]*netcfg.PrefixList) string {
-	snapshot := &netcfg.PrefixList{}
-	if pl != nil {
-		snapshot.Entries = append([]netcfg.PrefixListEntry(nil), pl.Entries...)
-	}
+// filterID returns the content-addressed id of a prefix list (the same
+// entries always produce the same id, independent of the list's name),
+// registering an immutable snapshot on first sight and marking the id
+// live for the relations being compiled. A nil list (dangling reference)
+// compiles to an empty list, which denies everything.
+func (gen *Generator) filterID(pl *netcfg.PrefixList) uint32 {
 	var b strings.Builder
 	b.WriteString("pl:")
-	for _, e := range snapshot.Entries {
-		fmt.Fprintf(&b, "%d,%d,%08x/%d,%v;", e.Seq, e.Action, uint32(e.Prefix.Addr), e.Prefix.Len, e.Exact)
+	if pl != nil {
+		for _, e := range pl.Entries {
+			fmt.Fprintf(&b, "%d,%d,%08x/%d,%v;", e.Seq, e.Action, uint32(e.Prefix.Addr), e.Prefix.Len, e.Exact)
+		}
 	}
 	key := b.String()
-	if _, ok := defs[key]; !ok {
-		defs[key] = snapshot
+	id, ok := gen.filterIDs[key]
+	if !ok {
+		snapshot := &netcfg.PrefixList{}
+		if pl != nil {
+			snapshot.Entries = append([]netcfg.PrefixListEntry(nil), pl.Entries...)
+		}
+		gen.filterNext++
+		id = gen.filterNext
+		gen.filterIDs[key] = id
+		gen.filterDefs[id] = &filterDef{key: key, list: snapshot}
 	}
-	return key
+	gen.filterDefs[id].live = true
+	return id
 }
 
-func compile(net *netcfg.Network) relations {
-	rel := relations{filterDefs: make(map[string]*netcfg.PrefixList)}
+func (gen *Generator) compile(net *netcfg.Network) relations {
+	var rel relations
+	intern := gen.syms.intern
+	for _, def := range gen.filterDefs {
+		def.live = false
+	}
 	adjs := dataplane.Adjacencies(net)
 	connected := dataplane.ConnectedRoutes(net)
 	connByDev := make(map[string][]dataplane.ConnectedRoute)
@@ -58,31 +68,31 @@ func compile(net *netcfg.Network) relations {
 
 	// OSPF adjacency tuples, keyed by the advertising side.
 	for _, a := range dataplane.OSPFAdjacencies(net) {
-		rel.ospfAdj = append(rel.ospfAdj, dd.MkKV(a.Peer, ospfHop{
-			Dev:  a.Dev,
-			Intf: a.LocalIntf,
+		rel.ospfAdj = append(rel.ospfAdj, dd.MkKV(intern(a.Peer), ospfHop{
+			Dev:  intern(a.Dev),
+			Intf: intern(a.LocalIntf),
 			Cost: a.Cost,
 		}))
 	}
 
 	// BGP session tuples, keyed by the advertising side. Prefix-list
-	// references become content-addressed keys: only sessions whose
+	// references become content-addressed ids: only sessions whose
 	// filter CONTENT changes produce input differences.
 	for _, s := range dataplane.BGPSessions(net) {
 		t := bgpSess{
-			Dev:    s.Dev,
-			Intf:   s.LocalIntf,
+			Dev:    intern(s.Dev),
+			Intf:   intern(s.LocalIntf),
 			DevAS:  net.Devices[s.Dev].BGP.ASN,
 			PeerAS: s.PeerAS,
 			Pref:   s.LocalPref,
 		}
 		if s.FilterIn != nil || s.DenyIn {
-			t.FIn = filterKey(s.FilterIn, rel.filterDefs)
+			t.FIn = gen.filterID(s.FilterIn)
 		}
 		if s.FilterOut != nil || s.DenyOut {
-			t.FOut = filterKey(s.FilterOut, rel.filterDefs)
+			t.FOut = gen.filterID(s.FilterOut)
 		}
-		rel.bgpSess = append(rel.bgpSess, dd.MkKV(s.Peer, t))
+		rel.bgpSess = append(rel.bgpSess, dd.MkKV(intern(s.Peer), t))
 	}
 
 	// Static routes resolve at compile time.
@@ -108,12 +118,11 @@ func compile(net *netcfg.Network) relations {
 
 	ospfSeed := func(dev string, p netcfg.Prefix, metric uint32) {
 		rel.ospfSeeds = append(rel.ospfSeeds,
-			dd.MkKV(dataplane.RouteKey{Device: dev, Prefix: p}, dataplane.OSPFRoute{Dist: metric}))
+			dd.MkKV(rkey{Dev: intern(dev), Prefix: p}, ospfRt{Dist: metric}))
 	}
 	bgpOrigin := func(dev string, p netcfg.Prefix) {
 		rel.bgpOrigins = append(rel.bgpOrigins,
-			dd.MkKV(dataplane.RouteKey{Device: dev, Prefix: p},
-				dataplane.BGPRoute{LocalPref: netcfg.DefaultLocalPref}))
+			dd.MkKV(rkey{Dev: intern(dev), Prefix: p}, bgpRt{LocalPref: netcfg.DefaultLocalPref}))
 	}
 
 	for _, name := range net.DeviceNames() {
@@ -140,7 +149,7 @@ func compile(net *netcfg.Network) relations {
 						}
 					}
 				case netcfg.ProtoBGP:
-					rel.ospfFromBGP = append(rel.ospfFromBGP, dd.MkKV(name, r.Metric))
+					rel.ospfFromBGP = append(rel.ospfFromBGP, dd.MkKV(intern(name), r.Metric))
 				}
 			}
 		}
@@ -149,7 +158,7 @@ func compile(net *netcfg.Network) relations {
 				bgpOrigin(name, p)
 			}
 			for _, a := range b.Aggregates {
-				rel.bgpAgg = append(rel.bgpAgg, dd.MkKV(name, a))
+				rel.bgpAgg = append(rel.bgpAgg, dd.MkKV(intern(name), a))
 			}
 			for _, r := range b.Redistribute {
 				switch r.From {
@@ -164,7 +173,7 @@ func compile(net *netcfg.Network) relations {
 						}
 					}
 				case netcfg.ProtoOSPF:
-					rel.bgpFromOSPF = append(rel.bgpFromOSPF, dd.MkKV(name, struct{}{}))
+					rel.bgpFromOSPF = append(rel.bgpFromOSPF, dd.MkKV(intern(name), struct{}{}))
 				}
 			}
 		}
@@ -173,23 +182,22 @@ func compile(net *netcfg.Network) relations {
 	// Direct RIB entries: connected and static routes.
 	for _, c := range connected {
 		rel.ribDirect = append(rel.ribDirect, dd.MkKV(
-			dataplane.RouteKey{Device: c.Device, Prefix: c.Prefix},
-			dataplane.RIBEntry{
+			rkey{Dev: intern(c.Device), Prefix: c.Prefix},
+			ribEnt{
 				Proto: netcfg.ProtoConnected, AD: netcfg.ProtoConnected.AdminDistance(),
-				Action: dataplane.Deliver, OutIntf: c.Intf,
+				Action: dataplane.Deliver, OutIntf: intern(c.Intf),
 			}))
 	}
 	for _, s := range statics {
-		e := dataplane.RIBEntry{Proto: netcfg.ProtoStatic, AD: netcfg.ProtoStatic.AdminDistance()}
+		e := ribEnt{Proto: netcfg.ProtoStatic, AD: netcfg.ProtoStatic.AdminDistance()}
 		if s.drop {
 			e.Action = dataplane.Drop
 		} else {
 			e.Action = dataplane.Forward
-			e.NextHop = s.nextHop
-			e.OutIntf = s.outIntf
+			e.NextHop = intern(s.nextHop)
+			e.OutIntf = intern(s.outIntf)
 		}
-		rel.ribDirect = append(rel.ribDirect, dd.MkKV(
-			dataplane.RouteKey{Device: s.dev, Prefix: s.prefix}, e))
+		rel.ribDirect = append(rel.ribDirect, dd.MkKV(rkey{Dev: intern(s.dev), Prefix: s.prefix}, e))
 	}
 	return rel
 }

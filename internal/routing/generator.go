@@ -37,58 +37,82 @@ type Options struct {
 // Generator owns the dataflow graph computing a network's data plane.
 // Build one with New, load a network with SetNetwork, run epochs with
 // Step, and read the FIB and its per-epoch changes.
+//
+// Inside the graph every tuple is interned (see sym): names become
+// symbols on the way in (compile) and strings again only where results
+// leave (the FIB output's final Map, the OSPFBest/BGPBest accessors).
 type Generator struct {
-	g *dd.Graph
+	g    *dd.Graph
+	syms *symtab
 
 	// Inputs (compiled relations).
-	ospfAdj   *dd.Input[dd.KV[string, ospfHop]]
-	ospfSeeds *dd.Input[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]
-	bgpSess   *dd.Input[dd.KV[string, bgpSess]]
-	bgpOrigin *dd.Input[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]
-	ribDirect *dd.Input[dd.KV[dataplane.RouteKey, dataplane.RIBEntry]]
-	ospfFromB *dd.Input[dd.KV[string, uint32]]        // device -> metric (OSPF redistributes BGP)
-	bgpFromO  *dd.Input[dd.KV[string, struct{}]]      // device set (BGP redistributes OSPF)
-	bgpAgg    *dd.Input[dd.KV[string, netcfg.Prefix]] // device -> aggregate-address
+	ospfAdj   *dd.Input[dd.KV[sym, ospfHop]]
+	ospfSeeds *dd.Input[dd.KV[rkey, ospfRt]]
+	bgpSess   *dd.Input[dd.KV[sym, bgpSess]]
+	bgpOrigin *dd.Input[dd.KV[rkey, bgpRt]]
+	ribDirect *dd.Input[dd.KV[rkey, ribEnt]]
+	ospfFromB *dd.Input[dd.KV[sym, uint32]]        // device -> metric (OSPF redistributes BGP)
+	bgpFromO  *dd.Input[dd.KV[sym, struct{}]]      // device set (BGP redistributes OSPF)
+	bgpAgg    *dd.Input[dd.KV[sym, netcfg.Prefix]] // device -> aggregate-address
 
-	// filterDefs resolves content-addressed prefix-list keys used in
-	// session tuples. Entries are immutable once inserted (the key is a
-	// hash of the content), which preserves operator purity.
-	filterDefs map[string]*netcfg.PrefixList
+	// Prefix lists referenced by session tuples, content-addressed: the
+	// same entries always map to the same id while some session uses
+	// them. Definitions are immutable once registered, which preserves
+	// operator purity. compile marks the ones its relations reference;
+	// Step drops the rest once its epoch (which still evaluates
+	// retracted sessions against their old lists) is done, so the table
+	// stays at its live size however often a list is edited. Ids are
+	// never reused.
+	filterIDs  map[string]uint32
+	filterDefs map[uint32]*filterDef
+	filterNext uint32
 
 	// Outputs.
-	ospfBest *dd.Output[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]
-	bgpBest  *dd.Output[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]
+	ospfBest *dd.Output[dd.KV[rkey, ospfRt]]
+	bgpBest  *dd.Output[dd.KV[rkey, bgpRt]]
 	fib      *dd.Output[dataplane.Rule]
 
 	// Packet filters, extracted directly from configurations.
 	filters       map[dataplane.FilterRule]bool
 	filterChanges []dd.Entry[dataplane.FilterRule]
+
+	// Table-size gauges (nil until Instrument).
+	symbolsGauge    *obs.Gauge
+	filterDefsGauge *obs.Gauge
+}
+
+// filterDef is one registered prefix-list snapshot, the content key it
+// is registered under, and whether the relations compiled last use it.
+type filterDef struct {
+	key  string
+	list *netcfg.PrefixList
+	live bool
 }
 
 // ospfHop says: the keyed device (the advertiser) has a neighbor Dev that
 // can import its routes over interface Intf at link cost Cost.
 type ospfHop struct {
-	Dev  string
-	Intf string
+	Dev  sym
+	Intf sym
 	Cost uint32
 }
 
 // bgpSess says: the keyed device (the advertiser) has an established
 // session to Dev, which imports with local preference Pref; DevAS is the
 // importer's own AS (for loop rejection) and PeerAS the advertiser's.
-// FIn and FOut are content-addressed keys of the session's import and
-// export prefix lists ("" = none): because the key changes whenever the
+// FIn and FOut are content-addressed ids of the session's import and
+// export prefix lists (0 = none): because the id changes whenever the
 // referenced list's content changes, session tuples change too and the
 // dataflow recomputes exactly the affected candidates, keeping operator
 // functions pure.
 type bgpSess struct {
-	Dev    string
-	Intf   string
+	Dev    sym
+	Intf   sym
 	DevAS  uint32
 	PeerAS uint32
 	Pref   uint32
-	FIn    string
-	FOut   string
+	FIn    uint32
+	FOut   uint32
 }
 
 // maxOSPFDist caps accumulated OSPF distances, guarding against overflow
@@ -102,58 +126,61 @@ func New(opts Options) *Generator {
 	if opts.MaxIter > 0 {
 		g.MaxIter = opts.MaxIter
 	}
+	syms := newSymtab()
 	gen := &Generator{
 		g:          g,
-		ospfAdj:    dd.NewInput[dd.KV[string, ospfHop]](g),
-		ospfSeeds:  dd.NewInput[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]](g),
-		bgpSess:    dd.NewInput[dd.KV[string, bgpSess]](g),
-		bgpOrigin:  dd.NewInput[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]](g),
-		ribDirect:  dd.NewInput[dd.KV[dataplane.RouteKey, dataplane.RIBEntry]](g),
-		ospfFromB:  dd.NewInput[dd.KV[string, uint32]](g),
-		bgpFromO:   dd.NewInput[dd.KV[string, struct{}]](g),
-		bgpAgg:     dd.NewInput[dd.KV[string, netcfg.Prefix]](g),
-		filterDefs: make(map[string]*netcfg.PrefixList),
+		syms:       syms,
+		ospfAdj:    dd.NewInput[dd.KV[sym, ospfHop]](g),
+		ospfSeeds:  dd.NewInput[dd.KV[rkey, ospfRt]](g),
+		bgpSess:    dd.NewInput[dd.KV[sym, bgpSess]](g),
+		bgpOrigin:  dd.NewInput[dd.KV[rkey, bgpRt]](g),
+		ribDirect:  dd.NewInput[dd.KV[rkey, ribEnt]](g),
+		ospfFromB:  dd.NewInput[dd.KV[sym, uint32]](g),
+		bgpFromO:   dd.NewInput[dd.KV[sym, struct{}]](g),
+		bgpAgg:     dd.NewInput[dd.KV[sym, netcfg.Prefix]](g),
+		filterIDs:  make(map[string]uint32),
+		filterDefs: make(map[uint32]*filterDef),
 		filters:    make(map[dataplane.FilterRule]bool),
 	}
 
 	// The two protocol fixpoints feed each other through redistribution,
 	// so both loop variables are declared first and closed after.
-	ospfVar := dd.NewVar[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]](g)
-	bgpVar := dd.NewVar[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]](g)
+	ospfVar := dd.NewVar[dd.KV[rkey, ospfRt]](g)
+	bgpVar := dd.NewVar[dd.KV[rkey, bgpRt]](g)
 
 	// --- OSPF ------------------------------------------------------------
 	// Seeds: compiled announcements plus BGP bests redistributed into
 	// OSPF at devices configured to do so.
 	bgpByDev := dd.Map(bgpVar.Collection(),
-		func(kv dd.KV[dataplane.RouteKey, dataplane.BGPRoute]) dd.KV[string, netcfg.Prefix] {
-			return dd.MkKV(kv.K.Device, kv.K.Prefix)
+		func(kv dd.KV[rkey, bgpRt]) dd.KV[sym, netcfg.Prefix] {
+			return dd.MkKV(kv.K.Dev, kv.K.Prefix)
 		})
 	ospfRedistSeeds := dd.Join(bgpByDev, gen.ospfFromB.Collection(),
-		func(dev string, prefix netcfg.Prefix, metric uint32) dd.KV[dataplane.RouteKey, dataplane.OSPFRoute] {
-			return dd.MkKV(dataplane.RouteKey{Device: dev, Prefix: prefix}, dataplane.OSPFRoute{Dist: metric})
+		func(dev sym, prefix netcfg.Prefix, metric uint32) dd.KV[rkey, ospfRt] {
+			return dd.MkKV(rkey{Dev: dev, Prefix: prefix}, ospfRt{Dist: metric})
 		})
 	// Propagation: a route at device v reaches each OSPF neighbor u at
 	// cost(u->v) more.
 	ospfByDev := dd.Map(ospfVar.Collection(),
-		func(kv dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]) dd.KV[string, dd.KV[netcfg.Prefix, uint32]] {
-			return dd.MkKV(kv.K.Device, dd.MkKV(kv.K.Prefix, kv.V.Dist))
+		func(kv dd.KV[rkey, ospfRt]) dd.KV[sym, dd.KV[netcfg.Prefix, uint32]] {
+			return dd.MkKV(kv.K.Dev, dd.MkKV(kv.K.Prefix, kv.V.Dist))
 		})
 	ospfCands := dd.Join(ospfByDev, gen.ospfAdj.Collection(),
-		func(v string, pd dd.KV[netcfg.Prefix, uint32], hop ospfHop) dd.KV[dataplane.RouteKey, dataplane.OSPFRoute] {
+		func(v sym, pd dd.KV[netcfg.Prefix, uint32], hop ospfHop) dd.KV[rkey, ospfRt] {
 			return dd.MkKV(
-				dataplane.RouteKey{Device: hop.Dev, Prefix: pd.K},
-				dataplane.OSPFRoute{Dist: pd.V + hop.Cost, NextHop: v, OutIntf: hop.Intf},
+				rkey{Dev: hop.Dev, Prefix: pd.K},
+				ospfRt{Dist: pd.V + hop.Cost, NextHop: v, OutIntf: hop.Intf},
 			)
 		})
-	ospfCands = dd.Filter(ospfCands, func(kv dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]) bool {
+	ospfCands = dd.Filter(ospfCands, func(kv dd.KV[rkey, ospfRt]) bool {
 		return kv.V.Dist < maxOSPFDist
 	})
 	ospfAll := dd.Concat(gen.ospfSeeds.Collection(), ospfRedistSeeds, ospfCands)
-	var ospfBest dd.Collection[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]
+	var ospfBest dd.Collection[dd.KV[rkey, ospfRt]]
 	if opts.ECMP {
-		ospfBest = dd.ReduceMinAll(ospfAll, func(a, b dataplane.OSPFRoute) bool { return a.Dist < b.Dist })
+		ospfBest = dd.ReduceMinAll(ospfAll, func(a, b ospfRt) bool { return a.Dist < b.Dist })
 	} else {
-		ospfBest = dd.ReduceMin(ospfAll, func(a, b dataplane.OSPFRoute) bool { return a.Better(b) })
+		ospfBest = dd.ReduceMin(ospfAll, syms.ospfBetter)
 	}
 	ospfVar.Feedback(ospfBest)
 
@@ -161,67 +188,67 @@ func New(opts Options) *Generator {
 	// Origins: compiled network statements / compile-time redistributions
 	// plus OSPF bests redistributed into BGP.
 	ospfBestByDev := dd.Map(ospfVar.Collection(),
-		func(kv dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]) dd.KV[string, netcfg.Prefix] {
-			return dd.MkKV(kv.K.Device, kv.K.Prefix)
+		func(kv dd.KV[rkey, ospfRt]) dd.KV[sym, netcfg.Prefix] {
+			return dd.MkKV(kv.K.Dev, kv.K.Prefix)
 		})
 	bgpRedistOrigins := dd.Join(ospfBestByDev, gen.bgpFromO.Collection(),
-		func(dev string, prefix netcfg.Prefix, _ struct{}) dd.KV[dataplane.RouteKey, dataplane.BGPRoute] {
-			return dd.MkKV(dataplane.RouteKey{Device: dev, Prefix: prefix},
-				dataplane.BGPRoute{LocalPref: netcfg.DefaultLocalPref})
+		func(dev sym, prefix netcfg.Prefix, _ struct{}) dd.KV[rkey, bgpRt] {
+			return dd.MkKV(rkey{Dev: dev, Prefix: prefix}, bgpRt{LocalPref: netcfg.DefaultLocalPref})
 		})
 	// Propagation: the advertiser (keyed) prepends its AS; the importer
 	// rejects AS-path loops and over-long paths, and assigns the
 	// session's local preference.
 	bgpByAdvertiser := dd.Map(bgpVar.Collection(),
-		func(kv dd.KV[dataplane.RouteKey, dataplane.BGPRoute]) dd.KV[string, dd.KV[netcfg.Prefix, dd.KV[uint8, string]]] {
-			return dd.MkKV(kv.K.Device, dd.MkKV(kv.K.Prefix, dd.MkKV(kv.V.PathLen, kv.V.Path)))
+		func(kv dd.KV[rkey, bgpRt]) dd.KV[sym, dd.KV[netcfg.Prefix, dd.KV[uint8, sym]]] {
+			return dd.MkKV(kv.K.Dev, dd.MkKV(kv.K.Prefix, dd.MkKV(kv.V.PathLen, kv.V.Path)))
 		})
 	bgpCands := dd.Join(bgpByAdvertiser, gen.bgpSess.Collection(),
-		func(v string, adv dd.KV[netcfg.Prefix, dd.KV[uint8, string]], s bgpSess) dd.KV[dataplane.RouteKey, dataplane.BGPRoute] {
+		func(v sym, adv dd.KV[netcfg.Prefix, dd.KV[uint8, sym]], s bgpSess) dd.KV[rkey, bgpRt] {
 			pathLen, path := adv.V.K, adv.V.V
 			if pathLen+1 > dataplane.MaxASPathLen {
-				return dd.KV[dataplane.RouteKey, dataplane.BGPRoute]{} // filtered below
+				return dd.KV[rkey, bgpRt]{} // filtered below
 			}
 			if !gen.permits(s.FOut, adv.K) || !gen.permits(s.FIn, adv.K) {
-				return dd.KV[dataplane.RouteKey, dataplane.BGPRoute]{}
+				return dd.KV[rkey, bgpRt]{}
 			}
-			newPath := dataplane.PathPrepend(s.PeerAS, path)
-			if dataplane.PathContains(newPath, s.DevAS) {
-				return dd.KV[dataplane.RouteKey, dataplane.BGPRoute]{}
+			// Loop check on the prepended path, before interning it so
+			// rejected candidates leave nothing in the symbol table.
+			if s.PeerAS == s.DevAS || dataplane.PathContains(syms.name(path), s.DevAS) {
+				return dd.KV[rkey, bgpRt]{}
 			}
 			return dd.MkKV(
-				dataplane.RouteKey{Device: s.Dev, Prefix: adv.K},
-				dataplane.BGPRoute{
+				rkey{Dev: s.Dev, Prefix: adv.K},
+				bgpRt{
 					LocalPref: s.Pref,
 					PathLen:   pathLen + 1,
-					Path:      newPath,
+					Path:      syms.prepend(s.PeerAS, path),
 					PeerAS:    s.PeerAS,
 					NextHop:   v,
 					OutIntf:   s.Intf,
 				},
 			)
 		})
-	bgpCands = dd.Filter(bgpCands, func(kv dd.KV[dataplane.RouteKey, dataplane.BGPRoute]) bool {
-		return kv.K.Device != "" // drop the rejected sentinel
+	bgpCands = dd.Filter(bgpCands, func(kv dd.KV[rkey, bgpRt]) bool {
+		return kv.K.Dev != 0 // drop the rejected sentinel
 	})
 	// Aggregates: an aggregate-address originates (as a discard route)
 	// exactly while some strictly more-specific BGP route exists at the
 	// device; deriving it from the loop variable makes activation and
 	// deactivation fully incremental.
 	aggMatches := dd.Join(bgpByDev, gen.bgpAgg.Collection(),
-		func(dev string, p netcfg.Prefix, agg netcfg.Prefix) dd.KV[dataplane.RouteKey, bool] {
+		func(dev sym, p netcfg.Prefix, agg netcfg.Prefix) dd.KV[rkey, bool] {
 			ok := p != agg && agg.ContainsPrefix(p)
-			return dd.MkKV(dataplane.RouteKey{Device: dev, Prefix: agg}, ok)
+			return dd.MkKV(rkey{Dev: dev, Prefix: agg}, ok)
 		})
 	aggActive := dd.Distinct(dd.Map(
-		dd.Filter(aggMatches, func(kv dd.KV[dataplane.RouteKey, bool]) bool { return kv.V }),
-		func(kv dd.KV[dataplane.RouteKey, bool]) dataplane.RouteKey { return kv.K }))
-	aggOrigins := dd.Map(aggActive, func(k dataplane.RouteKey) dd.KV[dataplane.RouteKey, dataplane.BGPRoute] {
-		return dd.MkKV(k, dataplane.BGPRoute{LocalPref: netcfg.DefaultLocalPref, Discard: true})
+		dd.Filter(aggMatches, func(kv dd.KV[rkey, bool]) bool { return kv.V }),
+		func(kv dd.KV[rkey, bool]) rkey { return kv.K }))
+	aggOrigins := dd.Map(aggActive, func(k rkey) dd.KV[rkey, bgpRt] {
+		return dd.MkKV(k, bgpRt{LocalPref: netcfg.DefaultLocalPref, Discard: true})
 	})
 
 	bgpAll := dd.Concat(gen.bgpOrigin.Collection(), bgpRedistOrigins, aggOrigins, bgpCands)
-	bgpBest := dd.ReduceMin(bgpAll, func(a, b dataplane.BGPRoute) bool { return a.Better(b) })
+	bgpBest := dd.ReduceMin(bgpAll, syms.bgpBetter)
 	bgpVar.Feedback(bgpBest)
 
 	if opts.DetectOscillation {
@@ -230,14 +257,14 @@ func New(opts Options) *Generator {
 	}
 
 	// --- RIB / FIB ---------------------------------------------------------
-	ospfRIB := dd.Map(ospfBest, func(kv dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]) dd.KV[dataplane.RouteKey, dataplane.RIBEntry] {
-		e := dataplane.RIBEntry{
+	ospfRIB := dd.Map(ospfBest, func(kv dd.KV[rkey, ospfRt]) dd.KV[rkey, ribEnt] {
+		e := ribEnt{
 			Proto: netcfg.ProtoOSPF, AD: netcfg.ProtoOSPF.AdminDistance(), Metric: kv.V.Dist,
 			Action: dataplane.Forward, NextHop: kv.V.NextHop, OutIntf: kv.V.OutIntf,
 		}
-		if kv.V.NextHop == "" {
+		if kv.V.NextHop == 0 {
 			e.Action = dataplane.Deliver
-			e.OutIntf = ""
+			e.OutIntf = 0
 		}
 		return dd.MkKV(kv.K, e)
 	})
@@ -245,29 +272,30 @@ func New(opts Options) *Generator {
 	// never install: the origin routes the prefix via the source
 	// protocol, and the low BGP administrative distance would wrongly
 	// shadow it. Aggregates DO install, as discard routes.
-	bgpInstallable := dd.Filter(bgpBest, func(kv dd.KV[dataplane.RouteKey, dataplane.BGPRoute]) bool {
-		return kv.V.NextHop != "" || kv.V.Discard
+	bgpInstallable := dd.Filter(bgpBest, func(kv dd.KV[rkey, bgpRt]) bool {
+		return kv.V.NextHop != 0 || kv.V.Discard
 	})
-	bgpRIB := dd.Map(bgpInstallable, func(kv dd.KV[dataplane.RouteKey, dataplane.BGPRoute]) dd.KV[dataplane.RouteKey, dataplane.RIBEntry] {
-		e := dataplane.RIBEntry{
+	bgpRIB := dd.Map(bgpInstallable, func(kv dd.KV[rkey, bgpRt]) dd.KV[rkey, ribEnt] {
+		e := ribEnt{
 			Proto: netcfg.ProtoBGP, AD: netcfg.ProtoBGP.AdminDistance(),
 			Action: dataplane.Forward, NextHop: kv.V.NextHop, OutIntf: kv.V.OutIntf,
 		}
-		if kv.V.NextHop == "" {
-			e.OutIntf = ""
+		if kv.V.NextHop == 0 {
+			e.OutIntf = 0
 			e.Action = dataplane.Drop // aggregate null route at the origin
 		}
 		return dd.MkKV(kv.K, e)
 	})
 	rib := dd.Concat(gen.ribDirect.Collection(), ospfRIB, bgpRIB)
-	var fibBest dd.Collection[dd.KV[dataplane.RouteKey, dataplane.RIBEntry]]
+	var fibBest dd.Collection[dd.KV[rkey, ribEnt]]
 	if opts.ECMP {
-		fibBest = dd.ReduceMinAll(rib, func(a, b dataplane.RIBEntry) bool { return a.ClassBetter(b) })
+		fibBest = dd.ReduceMinAll(rib, syms.ribClassBetter)
 	} else {
-		fibBest = dd.ReduceMin(rib, func(a, b dataplane.RIBEntry) bool { return a.Better(b) })
+		fibBest = dd.ReduceMin(rib, syms.ribBetter)
 	}
-	rules := dd.Map(fibBest, func(kv dd.KV[dataplane.RouteKey, dataplane.RIBEntry]) dataplane.Rule {
-		return kv.V.Rule(kv.K.Device, kv.K.Prefix)
+	// The boundary: rules leave the graph with names.
+	rules := dd.Map(fibBest, func(kv dd.KV[rkey, ribEnt]) dataplane.Rule {
+		return syms.ribEntry(kv.V).Rule(syms.name(kv.K.Dev), kv.K.Prefix)
 	})
 
 	gen.ospfBest = dd.NewOutput(ospfBest)
@@ -281,12 +309,7 @@ func New(opts Options) *Generator {
 // recomputes incrementally on the next Step: loading a slightly changed
 // network costs work proportional to the change.
 func (gen *Generator) SetNetwork(net *netcfg.Network) {
-	rel := compile(net)
-	for key, pl := range rel.filterDefs {
-		if _, ok := gen.filterDefs[key]; !ok {
-			gen.filterDefs[key] = pl
-		}
-	}
+	rel := gen.compile(net)
 	gen.ospfAdj.Set(rel.ospfAdj)
 	gen.ospfSeeds.Set(rel.ospfSeeds)
 	gen.bgpSess.Set(rel.bgpSess)
@@ -313,8 +336,22 @@ func (gen *Generator) SetNetwork(net *netcfg.Network) {
 	gen.filters = next
 }
 
-// Instrument registers the underlying dataflow engine's counters on reg.
-func (gen *Generator) Instrument(reg *obs.Registry) { gen.g.Instrument(reg) }
+// Instrument registers the underlying dataflow engine's counters on reg,
+// plus gauges for the generator's two tables that only ever grow by
+// interning (symbols) or by compiling prefix lists (filter definitions).
+func (gen *Generator) Instrument(reg *obs.Registry) {
+	gen.g.Instrument(reg)
+	gen.symbolsGauge = reg.Gauge("realconfig_routing_symbols",
+		"Interned device names, interface names and BGP AS paths held by the data plane generator.", nil)
+	gen.filterDefsGauge = reg.Gauge("realconfig_routing_filter_defs",
+		"Prefix-list snapshots held by the data plane generator for BGP session filters.", nil)
+	gen.setGauges()
+}
+
+func (gen *Generator) setGauges() {
+	gen.symbolsGauge.Set(int64(len(gen.syms.names)))
+	gen.filterDefsGauge.Set(int64(len(gen.filterDefs)))
+}
 
 // SetTrace attaches a provenance trace to the underlying dataflow graph:
 // subsequent Steps record per-node epoch spans. Pass nil to detach.
@@ -322,7 +359,22 @@ func (gen *Generator) SetTrace(a *trace.Apply) { gen.g.SetTrace(a) }
 
 // Step runs one epoch, returning engine statistics. After an error the
 // generator must be discarded.
-func (gen *Generator) Step() (dd.EpochStats, error) { return gen.g.Advance() }
+func (gen *Generator) Step() (dd.EpochStats, error) {
+	st, err := gen.g.Advance()
+	if err != nil {
+		return st, err
+	}
+	// The epoch that retracted sessions using superseded prefix lists
+	// is over; nothing can evaluate those lists again.
+	for id, def := range gen.filterDefs {
+		if !def.live {
+			delete(gen.filterDefs, id)
+			delete(gen.filterIDs, def.key)
+		}
+	}
+	gen.setGauges()
+	return st, nil
+}
 
 // FIB returns the accumulated forwarding rules (live map, do not modify).
 func (gen *Generator) FIB() map[dataplane.Rule]dd.Diff { return gen.fib.State() }
@@ -343,30 +395,40 @@ func (gen *Generator) Filters() []dataplane.FilterRule {
 // SetNetwork (they take effect immediately; no Step needed).
 func (gen *Generator) FilterChanges() []dd.Entry[dataplane.FilterRule] { return gen.filterChanges }
 
-// OSPFBest returns the accumulated best OSPF routes.
+// OSPFBest returns the accumulated best OSPF routes, converted back to
+// names (a fresh map per call; this is an inspection accessor).
 func (gen *Generator) OSPFBest() map[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]dd.Diff {
-	return gen.ospfBest.State()
+	out := make(map[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]dd.Diff, gen.ospfBest.Len())
+	for kv, d := range gen.ospfBest.State() {
+		out[dd.MkKV(gen.syms.routeKey(kv.K), gen.syms.ospfRoute(kv.V))] = d
+	}
+	return out
 }
 
-// BGPBest returns the accumulated best BGP routes.
+// BGPBest returns the accumulated best BGP routes, converted back to
+// names (a fresh map per call; this is an inspection accessor).
 func (gen *Generator) BGPBest() map[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]dd.Diff {
-	return gen.bgpBest.State()
+	out := make(map[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]dd.Diff, gen.bgpBest.Len())
+	for kv, d := range gen.bgpBest.State() {
+		out[dd.MkKV(gen.syms.routeKey(kv.K), gen.syms.bgpRoute(kv.V))] = d
+	}
+	return out
 }
 
 // Stats returns the statistics of the last epoch.
 func (gen *Generator) Stats() dd.EpochStats { return gen.g.Stats() }
 
-// permits evaluates a content-addressed prefix-list key against a route
-// prefix. The empty key permits everything; a registered key applies its
-// list's first-match semantics (an empty list denies all, which is how
-// dangling references compile).
-func (gen *Generator) permits(key string, p netcfg.Prefix) bool {
-	if key == "" {
+// permits evaluates a content-addressed prefix-list id against a route
+// prefix. Id 0 permits everything; a registered id applies its list's
+// first-match semantics (an empty list denies all, which is how dangling
+// references compile).
+func (gen *Generator) permits(id uint32, p netcfg.Prefix) bool {
+	if id == 0 {
 		return true
 	}
-	pl, ok := gen.filterDefs[key]
+	def, ok := gen.filterDefs[id]
 	if !ok {
-		return false // unreachable: compile registers every key it emits
+		return false // unreachable: compile registers every id it emits
 	}
-	return pl.Permits(p)
+	return def.list.Permits(p)
 }
