@@ -68,6 +68,8 @@ type ecResult struct {
 	// successor (devices whose packets terminate locally are absent).
 	next  map[string]string
 	pairs map[Pair]struct{} // delivered pairs
+	// hdrs are the index entries whose header overlaps the EC.
+	hdrs []*hdrEntry
 }
 
 // Checker incrementally maintains forwarding outcomes and policy
@@ -75,9 +77,9 @@ type ecResult struct {
 type Checker struct {
 	model Model
 
-	// scope confines relevance tests and witnesses to a shard's slice of
-	// the destination space (scoped=false means the full space). Set via
-	// SetScope; requires a ScopedModel backend.
+	// scope confines index membership and witnesses to a shard's slice
+	// of the destination space (scoped=false means the full space). Set
+	// via SetScope; requires a ScopedModel backend.
 	scope  bdd.Node
 	scoped bool
 
@@ -91,6 +93,9 @@ type Checker struct {
 
 	policies map[string]Policy
 	verdicts map[string]bool
+	// index is the registration index: one entry per distinct policy
+	// header, holding its policies and the walked ECs overlapping it.
+	index map[dataplane.Match]*hdrEntry
 
 	// parallelism is the worker count for EC walks (<=1 = sequential).
 	parallelism int
@@ -150,18 +155,20 @@ func NewChecker(m Model) *Checker {
 		pairs:    make(map[Pair]map[bdd.Node]struct{}),
 		policies: make(map[string]Policy),
 		verdicts: make(map[string]bool),
+		index:    make(map[dataplane.Match]*hdrEntry),
 	}
 }
 
 // Model returns the backend the checker evaluates against.
 func (c *Checker) Model() Model { return c.model }
 
-// SetScope confines the checker's relevance tests and witnesses to a
+// SetScope confines the checker's index membership and witnesses to a
 // slice of the destination space, given as a predicate in the backend's
 // BDD table. The shard layer scopes each unit's checker to its slice so
 // a policy's header space only "registers" where it intersects the
-// slice. Panics if the backend does not support scoping (sharding is a
-// bdd-backend feature).
+// slice. Call it before the first Update or AddPolicy: memberships are
+// computed once. Panics if the backend does not support scoping
+// (sharding is a bdd-backend feature).
 func (c *Checker) SetScope(space bdd.Node) {
 	if _, ok := c.model.(ScopedModel); !ok {
 		panic("policy: SetScope requires a ScopedModel backend (sharding is bdd-only)")
@@ -289,6 +296,7 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	}
 	// ECs created by splits (present in the model, absent here) must be
 	// computed; vanished ECs (split away) must be retired.
+	pairs := make(map[Pair]struct{})
 	current := c.model.ECs()
 	for ec := range current {
 		if _, ok := c.ecs[ec]; !ok {
@@ -297,45 +305,74 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	}
 	for ec := range c.ecs {
 		if _, ok := current[ec]; !ok {
-			c.retire(ec, res)
+			c.retire(ec, pairs)
 		}
 	}
 	live := make([]bdd.Node, 0, len(affected))
+	var gone []bdd.Node // transferred, then split away within the batch
 	for ec := range affected {
 		if _, ok := current[ec]; ok {
 			live = append(live, ec)
-		} // else: transferred then split away within the batch
+		} else {
+			gone = append(gone, ec)
+		}
 	}
 	results := c.walkAll(live)
+	joined := make(map[*hdrEntry]struct{}) // entries a new EC joined
 	for i, ec := range live {
-		c.merge(ec, results[i], changedDevs[ec], res)
-		res.AffectedECs++
-	}
-
-	// Recheck policies registered on affected packets. Under tracing the
-	// loop runs in sorted name order and collects every relevant EC for
-	// the recheck event (the untraced scan early-breaks on the first).
-	check := func(name string, p Policy) {
-		var relECs []bdd.Node
-		relevant := false
-		for ec := range affected {
-			if p.Relevant(c, ec) {
-				relevant = true
-				if c.tr == nil {
-					break
-				}
-				relECs = append(relECs, ec)
+		isNew := c.ecs[ec] == nil
+		c.merge(ec, results[i], changedDevs[ec], pairs)
+		if isNew {
+			for _, e := range results[i].hdrs {
+				joined[e] = struct{}{}
 			}
 		}
-		if !relevant {
-			return
+		res.AffectedECs++
+	}
+	for e := range joined {
+		c.reconfirm(e)
+	}
+
+	// Recheck the policies registered on affected packets: the union of
+	// the affected ECs' index entries. A split-away EC's packets live on
+	// in new, affected ECs, so it only needs the direct overlap test to
+	// list itself in a traced recheck's ecs attribute.
+	touched := make(map[*hdrEntry][]bdd.Node)
+	for _, ec := range live {
+		for _, e := range c.ecs[ec].hdrs {
+			touched[e] = append(touched[e], ec)
 		}
+	}
+	if c.tr != nil {
+		for _, ec := range gone {
+			for _, e := range c.index {
+				if c.MatchOverlaps(e.hdr, ec) {
+					touched[e] = append(touched[e], ec)
+				}
+			}
+		}
+	}
+	type recheck struct {
+		name string
+		ecs  []bdd.Node // the affected ECs overlapping its header
+	}
+	var todo []recheck
+	for e, ecs := range touched {
+		for name := range e.names {
+			todo = append(todo, recheck{name, ecs})
+		}
+	}
+	if c.tr != nil {
+		// Sorted, so traced event sequences are deterministic.
+		sort.Slice(todo, func(i, j int) bool { return todo[i].name < todo[j].name })
+	}
+	for _, r := range todo {
 		res.PoliciesChecked++
-		now := p.Eval(c)
-		was, known := c.verdicts[name]
+		now := c.policies[r.name].Eval(c)
+		was, known := c.verdicts[r.name]
 		if !known || was != now {
-			c.verdicts[name] = now
-			res.Events = append(res.Events, PolicyEvent{Policy: name, Satisfied: now})
+			c.verdicts[r.name] = now
+			res.Events = append(res.Events, PolicyEvent{Policy: r.name, Satisfied: now})
 		}
 		if c.tr != nil {
 			from := "unchecked"
@@ -343,32 +380,12 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 				from = verdictStr(was)
 			}
 			c.tr.Event(obs.TrackPolicy, obs.EventPolicyRecheck,
-				trace.S("policy", name), trace.S("from", from), trace.S("to", verdictStr(now)),
-				trace.S("ecs", joinNodes(relECs)))
-		}
-	}
-	if c.tr != nil {
-		names := make([]string, 0, len(c.policies))
-		for name := range c.policies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			check(name, c.policies[name])
-		}
-	} else {
-		for name, p := range c.policies {
-			check(name, p)
+				trace.S("policy", r.name), trace.S("from", from), trace.S("to", verdictStr(now)),
+				trace.S("ecs", joinNodes(r.ecs)))
 		}
 	}
 	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].Policy < res.Events[j].Policy })
-	sort.Slice(res.AffectedPairs, func(i, j int) bool {
-		a, b := res.AffectedPairs[i], res.AffectedPairs[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
+	res.AffectedPairs = SortedPairs(pairs)
 	c.metrics.Updates.Inc()
 	c.metrics.PoliciesChecked.Add(uint64(res.PoliciesChecked))
 	c.metrics.AffectedECs.Add(uint64(res.AffectedECs))
@@ -377,31 +394,41 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	return res
 }
 
-// retire removes a vanished EC and its pair contributions.
-func (c *Checker) retire(ec bdd.Node, res *Result) {
+// retire removes a vanished EC, its pair contributions and its index
+// memberships, collecting the pairs it leaves.
+func (c *Checker) retire(ec bdd.Node, affected map[Pair]struct{}) {
 	r := c.ecs[ec]
 	if r == nil {
 		return
 	}
 	delete(c.ecs, ec)
+	for _, e := range r.hdrs {
+		delete(e.ecs, ec)
+	}
 	for p := range r.pairs {
 		if set := c.pairs[p]; set != nil {
 			delete(set, ec)
 			if len(set) == 0 {
 				delete(c.pairs, p)
 			}
-			res.AffectedPairs = appendPair(res.AffectedPairs, p)
+			affected[p] = struct{}{}
 		}
 	}
 }
 
-// merge installs a freshly walked result for an EC: it refreshes the
+// merge installs a freshly walked result for an EC: it carries over the
+// EC's index memberships (computing them for a new EC), refreshes the
 // pair map with the delta and collects the pairs whose paths were
 // modified — the end points of every old or new path traversing a device
 // whose behaviour for this EC changed.
-func (c *Checker) merge(ec bdd.Node, r *ecResult, devs map[string]struct{}, res *Result) {
+func (c *Checker) merge(ec bdd.Node, r *ecResult, devs map[string]struct{}, affected map[Pair]struct{}) {
 	old := c.ecs[ec]
 	c.ecs[ec] = r
+	if old == nil {
+		c.join(ec, r)
+	} else {
+		r.hdrs = old.hdrs
+	}
 	// Pair map maintenance (delivery-set delta).
 	for p := range r.pairs {
 		if old == nil || !contains(old.pairs, p) {
@@ -437,11 +464,11 @@ func (c *Checker) merge(ec bdd.Node, r *ecResult, devs map[string]struct{}, res 
 	for s := range sources {
 		if old != nil {
 			if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
-				res.AffectedPairs = appendPair(res.AffectedPairs, Pair{Src: s, Dst: o.At})
+				affected[Pair{Src: s, Dst: o.At}] = struct{}{}
 			}
 		}
 		if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
-			res.AffectedPairs = appendPair(res.AffectedPairs, Pair{Src: s, Dst: o.At})
+			affected[Pair{Src: s, Dst: o.At}] = struct{}{}
 		}
 	}
 }
@@ -480,19 +507,23 @@ func reverseReach(next map[string]string, targets map[string]struct{}, out map[s
 	}
 }
 
+// SortedPairs lists a pair set ordered by source, then destination (nil
+// when empty).
+func SortedPairs(set map[Pair]struct{}) []Pair {
+	var out []Pair
+	for p := range set {
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
+		}
+		return out[i].Dst < out[j].Dst
+	})
+	return out
+}
+
 func contains(set map[Pair]struct{}, p Pair) bool {
 	_, ok := set[p]
 	return ok
-}
-
-// appendPair appends p if not already the most recent entries;
-// deduplication is finalized by the caller's sort (duplicates are
-// removed below).
-func appendPair(list []Pair, p Pair) []Pair {
-	for _, ex := range list {
-		if ex == p {
-			return list
-		}
-	}
-	return append(list, p)
 }

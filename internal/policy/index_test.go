@@ -1,0 +1,554 @@
+package policy
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"realconfig/internal/apkeep"
+	"realconfig/internal/atom"
+	"realconfig/internal/bdd"
+	"realconfig/internal/dataplane"
+	"realconfig/internal/dd"
+	"realconfig/internal/netcfg"
+	"realconfig/internal/obs"
+	"realconfig/internal/trace"
+)
+
+// oracleModel is the backend surface the index oracle drives: both
+// apkeep.Model and atom.Model implement it.
+type oracleModel interface {
+	Model
+	ApplyBatch(changes []dd.Entry[dataplane.Rule], order apkeep.Order) (*apkeep.BatchResult, error)
+	UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error
+}
+
+// refScan is the relevance scan the registration index replaced, kept
+// here as its oracle: the ECs an Update must treat as affected (the
+// transferred ones resolved through merges, plus the classes the model
+// created), whether or not they survived the batch, and per EC the
+// devices whose behaviour for it changed.
+func refScan(before map[bdd.Node]*ecResult, m Model, br *apkeep.BatchResult) map[bdd.Node]map[string]struct{} {
+	alias := make(map[bdd.Node]bdd.Node)
+	for _, me := range br.Merges {
+		alias[me.A], alias[me.B] = me.Result, me.Result
+	}
+	resolve := func(ec bdd.Node) bdd.Node {
+		for {
+			next, ok := alias[ec]
+			if !ok {
+				return ec
+			}
+			ec = next
+		}
+	}
+	affected := make(map[bdd.Node]map[string]struct{})
+	mark := func(ec bdd.Node, dev string) {
+		if affected[ec] == nil {
+			affected[ec] = make(map[string]struct{})
+		}
+		if dev != "" {
+			affected[ec][dev] = struct{}{}
+		}
+	}
+	for _, t := range br.Transfers {
+		mark(resolve(t.EC), t.Device)
+	}
+	for _, t := range br.FilterTransfers {
+		mark(resolve(t.EC), t.Key.Device)
+	}
+	for ec := range m.ECs() {
+		if _, ok := before[ec]; !ok {
+			mark(ec, "")
+		}
+	}
+	return affected
+}
+
+// refPoliciesChecked counts, by brute force, the registered policies
+// whose header overlaps an affected EC.
+func refPoliciesChecked(c *Checker, affected map[bdd.Node]map[string]struct{}) int {
+	n := 0
+	for _, p := range c.policies {
+		for ec := range affected {
+			if c.MatchOverlaps(p.Header(), ec) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// refAffectedPairs replays the old append-and-scan pair accounting over
+// the checker's results before and after an Update.
+func refAffectedPairs(before map[bdd.Node]*ecResult, c *Checker, affected map[bdd.Node]map[string]struct{}) []Pair {
+	var list []Pair
+	appendPair := func(p Pair) {
+		for _, ex := range list {
+			if ex == p {
+				return
+			}
+		}
+		list = append(list, p)
+	}
+	for ec, r := range before {
+		if _, ok := c.ecs[ec]; !ok {
+			for p := range r.pairs {
+				appendPair(p)
+			}
+		}
+	}
+	for ec, devs := range affected {
+		r := c.ecs[ec]
+		if r == nil || len(devs) == 0 {
+			continue
+		}
+		old := before[ec]
+		sources := make(map[string]struct{})
+		if old != nil {
+			reverseReach(old.next, devs, sources)
+		}
+		reverseReach(r.next, devs, sources)
+		for s := range sources {
+			if old != nil {
+				if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
+					appendPair(Pair{Src: s, Dst: o.At})
+				}
+			}
+			if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
+				appendPair(Pair{Src: s, Dst: o.At})
+			}
+		}
+	}
+	return list
+}
+
+// checkIndex requires every entry to hold exactly the walked ECs that
+// overlap its header and exactly the policies registered on it, and
+// every EC result to list exactly its entries.
+func checkIndex(t *testing.T, where string, c *Checker) {
+	t.Helper()
+	names := make(map[dataplane.Match]map[string]struct{})
+	for name, p := range c.policies {
+		if names[p.Header()] == nil {
+			names[p.Header()] = make(map[string]struct{})
+		}
+		names[p.Header()][name] = struct{}{}
+	}
+	if len(names) != len(c.index) {
+		t.Fatalf("%s: %d index entries for %d distinct headers", where, len(c.index), len(names))
+	}
+	members := 0
+	for hdr, e := range c.index {
+		if !reflect.DeepEqual(e.names, names[hdr]) {
+			t.Fatalf("%s: entry %+v names %v, want %v", where, hdr, e.names, names[hdr])
+		}
+		if want := c.overlapping(hdr); !reflect.DeepEqual(e.ecs, want) {
+			t.Fatalf("%s: entry %+v holds %d ECs, want %d", where, hdr, len(e.ecs), len(want))
+		}
+		members += len(e.ecs)
+	}
+	for ec, r := range c.ecs {
+		for _, e := range r.hdrs {
+			if _, ok := e.ecs[ec]; !ok || c.index[e.hdr] != e {
+				t.Fatalf("%s: EC %d lists a stale entry %+v", where, ec, e.hdr)
+			}
+		}
+		members -= len(r.hdrs)
+	}
+	if members != 0 {
+		t.Fatalf("%s: entry and EC memberships disagree by %d", where, members)
+	}
+}
+
+// oraclePolicies is the registered mix: all four kinds, every reach
+// mode, many policies sharing one header, MatchAll and the tcp/22
+// match.
+func oraclePolicies(devs []string) []Policy {
+	shared := dataplane.Match{Dst: netcfg.MustPrefix("10.0.0.0/24")}
+	ssh := dataplane.Match{Proto: netcfg.ProtoTCP, DstPortLo: 22, DstPortHi: 22}
+	ps := []Policy{
+		LoopFree{PolicyName: "loop-all", Scope: dataplane.MatchAll},
+		LoopFree{PolicyName: "loop-ssh", Scope: ssh},
+		BlackholeFree{PolicyName: "bh-10", Scope: dataplane.Match{Dst: netcfg.MustPrefix("10.0.0.0/8")}},
+		BlackholeFree{PolicyName: "bh-192", Scope: dataplane.Match{Dst: netcfg.MustPrefix("192.168.0.0/16")}},
+		Waypoint{PolicyName: "wp-shared", Src: devs[0], Dst: devs[2], Via: devs[1], Hdr: shared},
+		Waypoint{PolicyName: "wp-ssh", Src: devs[3], Dst: devs[1], Via: devs[2], Hdr: ssh},
+		Reachability{PolicyName: "reach-any", Src: devs[1], Dst: devs[4], Hdr: dataplane.MatchAll, Mode: ReachSome},
+		Reachability{PolicyName: "reach-ssh", Src: devs[2], Dst: devs[0], Hdr: ssh, Mode: ReachNone},
+		Reachability{PolicyName: "reach-1", Src: devs[4], Dst: devs[3], Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.0.1.0/24")}, Mode: ReachAll},
+	}
+	modes := []ReachMode{ReachAll, ReachSome, ReachNone}
+	for i, dst := range devs {
+		for j, mode := range modes {
+			ps = append(ps, Reachability{
+				PolicyName: fmt.Sprintf("shared-%s-%d", dst, j),
+				Src:        devs[(i+j+1)%len(devs)], Dst: dst, Hdr: shared, Mode: mode,
+			})
+		}
+	}
+	return ps
+}
+
+// churn draws one random rule/filter batch the way
+// TestCheckerIncrementalEqualsRebuild does, updating the installed sets.
+func churn(rng *rand.Rand, devs []string, filtersOK bool, rules map[dataplane.Rule]bool, filters map[dataplane.FilterRule]bool) ([]dd.Entry[dataplane.Rule], []dd.Entry[dataplane.FilterRule]) {
+	var rb []dd.Entry[dataplane.Rule]
+	var fb []dd.Entry[dataplane.FilterRule]
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		if rng.Intn(4) == 0 {
+			if !filtersOK {
+				continue
+			}
+			f := randomFilter(rng, devs)
+			if filters[f] {
+				fb = append(fb, dd.Entry[dataplane.FilterRule]{Val: f, Diff: -1})
+				delete(filters, f)
+			} else {
+				fb = append(fb, dd.Entry[dataplane.FilterRule]{Val: f, Diff: 1})
+				filters[f] = true
+			}
+			continue
+		}
+		r := randomRule(rng, devs)
+		if rules[r] {
+			rb = append(rb, dd.Entry[dataplane.Rule]{Val: r, Diff: -1})
+			delete(rules, r)
+			continue
+		}
+		conflict := false
+		for ex := range rules {
+			if ex.Device == r.Device && ex.Prefix == r.Prefix {
+				conflict = true
+			}
+		}
+		if !conflict {
+			rb = append(rb, dd.Entry[dataplane.Rule]{Val: r, Diff: 1})
+			rules[r] = true
+		}
+	}
+	return rb, fb
+}
+
+// oracleCase is one configuration the index oracle runs under.
+type oracleCase struct {
+	name string
+	// newModel builds an empty backend; scope, if set, is the slice the
+	// checker is confined to, in that backend's table.
+	newModel func() oracleModel
+	scope    func(m oracleModel) bdd.Node
+	// filtersOK churns ACL lines too; the atom backend rejects the
+	// tcp/22 ones.
+	filtersOK bool
+}
+
+// TestIndexOracle churns seeded rule/filter batches through a checker
+// with a registered policy mix and, after every batch, requires the
+// verdicts of a freshly built checker, the brute-force recheck count,
+// and the old append-and-scan affected-pair set.
+func TestIndexOracle(t *testing.T) {
+	bddModel := func(autoMerge bool) func() oracleModel {
+		return func() oracleModel {
+			m := apkeep.New()
+			m.AutoMerge = autoMerge
+			return m
+		}
+	}
+	cases := []oracleCase{
+		{name: "automerge", newModel: bddModel(true), filtersOK: true},
+		{name: "no-automerge", newModel: bddModel(false), filtersOK: true},
+		{name: "scoped", newModel: bddModel(true), filtersOK: true, scope: func(m oracleModel) bdd.Node {
+			return m.(*apkeep.Model).Pred(dataplane.Match{Dst: netcfg.MustPrefix("10.0.0.0/23")})
+		}},
+		// Atoms keep the lower half of a split under the old id, so an EC
+		// can shrink out of a header.
+		{name: "atom", newModel: func() oracleModel { return atom.New() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) { runIndexOracle(t, tc) })
+	}
+}
+
+func runIndexOracle(t *testing.T, tc oracleCase) {
+	rng := rand.New(rand.NewSource(123))
+	devs := []string{"a", "b", "c", "d", "e"}
+	adjs := ringAdjs(devs)
+	build := func(m oracleModel) *Checker {
+		c := NewChecker(m)
+		if tc.scope != nil {
+			c.SetScope(tc.scope(m))
+		}
+		c.SetTopology(devs, adjs)
+		return c
+	}
+
+	model := tc.newModel()
+	inc := build(model)
+	inc.Update(nil, nil)
+	for _, p := range oraclePolicies(devs) {
+		inc.AddPolicy(p)
+	}
+	installedRules := map[dataplane.Rule]bool{}
+	installedFilters := map[dataplane.FilterRule]bool{}
+
+	for step := 0; step < 40; step++ {
+		where := fmt.Sprintf("step %d", step)
+		switch step {
+		case 12: // re-register under an existing name, onto a new header
+			inc.AddPolicy(Reachability{PolicyName: "shared-a-0", Src: "b", Dst: "a",
+				Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.0.2.0/24")}, Mode: ReachSome})
+		case 20: // drop the only policy on a header, then one of many
+			inc.RemovePolicy("bh-192")
+			inc.RemovePolicy("shared-b-1")
+		case 28: // re-register onto the shared header, vacating 10.0.2.0/24
+			inc.AddPolicy(Reachability{PolicyName: "shared-a-0", Src: "c", Dst: "a",
+				Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.0.0.0/24")}, Mode: ReachAll})
+		}
+		checkIndex(t, where+" (registration)", inc)
+
+		rules, filters := churn(rng, devs, tc.filtersOK, installedRules, installedFilters)
+		before := make(map[bdd.Node]*ecResult, len(inc.ecs))
+		for ec, r := range inc.ecs {
+			before[ec] = r
+		}
+		if err := model.UpdateFilters(filters); err != nil {
+			t.Fatal(err)
+		}
+		br, err := model.ApplyBatch(rules, apkeep.InsertFirst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := inc.Update(br.Transfers, br.FilterTransfers, br.Merges...)
+		checkIndex(t, where, inc)
+
+		affected := refScan(before, model, br)
+		if want := refPoliciesChecked(inc, affected); res.PoliciesChecked != want {
+			t.Fatalf("%s: PoliciesChecked = %d, brute force %d", where, res.PoliciesChecked, want)
+		}
+		for i := 1; i < len(res.AffectedPairs); i++ {
+			a, b := res.AffectedPairs[i-1], res.AffectedPairs[i]
+			if a.Src > b.Src || (a.Src == b.Src && a.Dst >= b.Dst) {
+				t.Fatalf("%s: AffectedPairs not sorted and duplicate-free: %v", where, res.AffectedPairs)
+			}
+		}
+		want := refAffectedPairs(before, inc, affected)
+		got := make(map[Pair]struct{}, len(res.AffectedPairs))
+		for _, p := range res.AffectedPairs {
+			got[p] = struct{}{}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d affected pairs, append-and-scan %d", where, len(got), len(want))
+		}
+		for _, p := range want {
+			if _, ok := got[p]; !ok {
+				t.Fatalf("%s: append-and-scan pair %v missing", where, p)
+			}
+		}
+
+		fmodel := tc.newModel()
+		var frules []dd.Entry[dataplane.Rule]
+		for r := range installedRules {
+			frules = append(frules, dd.Entry[dataplane.Rule]{Val: r, Diff: 1})
+		}
+		var ffilters []dd.Entry[dataplane.FilterRule]
+		for f := range installedFilters {
+			ffilters = append(ffilters, dd.Entry[dataplane.FilterRule]{Val: f, Diff: 1})
+		}
+		if err := fmodel.UpdateFilters(ffilters); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmodel.ApplyBatch(frules, apkeep.InsertFirst); err != nil {
+			t.Fatal(err)
+		}
+		fresh := build(fmodel)
+		fresh.Update(nil, nil)
+		for _, p := range inc.Policies() {
+			fresh.AddPolicy(p)
+		}
+		if got, want := inc.Verdicts(), fresh.Verdicts(); !reflect.DeepEqual(got, want) {
+			for name, v := range want {
+				if got[name] != v {
+					t.Errorf("%s: %s incremental %v, fresh %v", where, name, got[name], v)
+				}
+			}
+			t.FailNow()
+		}
+	}
+}
+
+// TestAtomSplitLeavesHeader pins the case the index must reconfirm: an
+// atom covering a header splits, its old id keeps only the lower half
+// (outside the header), and the header's verdict must follow the new
+// upper atom alone.
+func TestAtomSplitLeavesHeader(t *testing.T) {
+	m := atom.New()
+	agg := netcfg.MustPrefix("10.0.0.0/16")
+	host := netcfg.MustPrefix("10.0.1.0/24")
+	if _, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{
+		{Val: dataplane.Rule{Device: "a", Prefix: agg, Action: dataplane.Drop}, Diff: 1},
+		{Val: dataplane.Rule{Device: "b", Prefix: agg, Action: dataplane.Deliver, OutIntf: "lo0"}, Diff: 1},
+	}, apkeep.InsertFirst); err != nil {
+		t.Fatal(err)
+	}
+	c := NewChecker(m)
+	c.SetTopology([]string{"a", "b"}, []dataplane.Adjacency{{Dev: "a", LocalIntf: "r", Peer: "b", PeerIntf: "l"}})
+	c.Update(nil, nil)
+	if c.AddPolicy(Reachability{PolicyName: "host", Src: "a", Dst: "b", Hdr: dataplane.Match{Dst: host}, Mode: ReachAll}) {
+		t.Fatal("a drops the aggregate, yet host reachability holds")
+	}
+	br, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{
+		{Val: dataplane.Rule{Device: "a", Prefix: host, Action: dataplane.Forward, NextHop: "b", OutIntf: "r"}, Diff: 1},
+	}, apkeep.InsertFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.Update(br.Transfers, br.FilterTransfers, br.Merges...)
+	if v, _ := c.Verdict("host"); !v || len(res.Events) != 1 {
+		t.Fatalf("host verdict %v, events %v; want satisfied after the split", v, res.Events)
+	}
+	checkIndex(t, "after split", c)
+}
+
+// TestTracedRecheckMatchesScan runs a traced Update whose batch
+// transfers an EC and then splits it away, and requires the recheck
+// events in sorted policy order, each listing exactly the affected ECs
+// the relevance scan found overlapping its header.
+func TestTracedRecheckMatchesScan(t *testing.T) {
+	m, c := lineModel(t)
+	c.Update(nil, nil)
+	ps := []Policy{
+		Reachability{PolicyName: "z-whole", Src: "a", Dst: "c", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/24")}, Mode: ReachAll},
+		Reachability{PolicyName: "m-low", Src: "a", Dst: "c", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/25")}, Mode: ReachSome},
+		Waypoint{PolicyName: "b-high", Src: "a", Dst: "c", Via: "b", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.128/25")}},
+		LoopFree{PolicyName: "a-loops", Scope: dataplane.MatchAll},
+		Reachability{PolicyName: "q-elsewhere", Src: "a", Dst: "c", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("172.16.0.0/12")}, Mode: ReachNone},
+	}
+	for _, p := range ps {
+		c.AddPolicy(p)
+	}
+	before := make(map[bdd.Node]*ecResult, len(c.ecs))
+	for ec, r := range c.ecs {
+		before[ec] = r
+	}
+
+	// Delete-first: removing b's /24 transfers the /24 EC to drop at b,
+	// then b's new /25 splits that EC away.
+	fwd := dataplane.Rule{Device: "b", Prefix: netcfg.MustPrefix("10.9.0.0/24"), Action: dataplane.Forward, NextHop: "c", OutIntf: "eth1"}
+	low := fwd
+	low.Prefix = netcfg.MustPrefix("10.9.0.0/25")
+	br, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{{Val: fwd, Diff: -1}, {Val: low, Diff: 1}}, apkeep.DeleteFirst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affected := refScan(before, m, br)
+	gone := 0
+	for ec := range affected {
+		if _, ok := m.ECs()[ec]; !ok {
+			gone++
+		}
+	}
+	if gone == 0 {
+		t.Fatal("batch split no transferred EC away; the test needs one")
+	}
+
+	rec := trace.NewRecorder(4)
+	a := rec.Begin("apply")
+	c.SetTrace(a)
+	c.Update(br.Transfers, br.FilterTransfers, br.Merges...)
+	c.SetTrace(nil)
+
+	type recheck struct{ policy, ecs string }
+	var want []recheck
+	for _, p := range c.Policies() {
+		var rel []bdd.Node
+		for ec := range affected {
+			if c.MatchOverlaps(p.Header(), ec) {
+				rel = append(rel, ec)
+			}
+		}
+		if len(rel) > 0 {
+			want = append(want, recheck{p.Name(), joinNodes(rel)})
+		}
+	}
+	var got []recheck
+	for _, ev := range a.Events {
+		if ev.Kind != obs.EventPolicyRecheck {
+			continue
+		}
+		name, _ := trace.Get(ev.Attrs, "policy")
+		ecs, _ := trace.Get(ev.Attrs, "ecs")
+		got = append(got, recheck{name, ecs})
+	}
+	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].policy < got[j].policy }) {
+		t.Errorf("rechecks not in sorted policy order: %v", got)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("rechecks = %v\nscan    = %v", got, want)
+	}
+}
+
+// TestExplainDeterministic repeats each Explain case 20 times: when
+// several ECs in the header fail, the lowest-id one is reported, and a
+// header overlapping no EC gets its own message.
+func TestExplainDeterministic(t *testing.T) {
+	m, c := lineModel(t)
+	// c delivers each /26 of 10.9.0.0/24 on its own interface (four
+	// ECs), and b stops forwarding the /24: every one fails at b.
+	batch := []dd.Entry[dataplane.Rule]{{Val: dataplane.Rule{Device: "b", Prefix: netcfg.MustPrefix("10.9.0.0/24"),
+		Action: dataplane.Forward, NextHop: "c", OutIntf: "eth1"}, Diff: -1}}
+	for i, p := range []string{"10.9.0.0/26", "10.9.0.64/26", "10.9.0.128/26", "10.9.0.192/26"} {
+		batch = append(batch, dd.Entry[dataplane.Rule]{Val: dataplane.Rule{Device: "c", Prefix: netcfg.MustPrefix(p),
+			Action: dataplane.Deliver, OutIntf: fmt.Sprintf("lo%d", i+1)}, Diff: 1})
+	}
+	if _, err := m.ApplyBatch(batch, apkeep.InsertFirst); err != nil {
+		t.Fatal(err)
+	}
+	c.Update(nil, nil)
+	whole := dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/24")}
+	upper := dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.128/25")}
+	c.AddPolicy(Reachability{PolicyName: "whole", Src: "a", Dst: "c", Hdr: whole, Mode: ReachAll})
+	// lowest renders the account of the lowest-id EC overlapping hdr.
+	lowest := func(hdr dataplane.Match) string {
+		var ids []bdd.Node
+		for ec := range c.overlapping(hdr) {
+			ids = append(ids, ec)
+		}
+		if len(ids) < 2 {
+			t.Fatalf("%+v overlaps %d ECs; the test needs several failing", hdr, len(ids))
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		pkt, _ := c.WitnessIn(hdr, ids[0])
+		return fmt.Sprintf("packet %v: dropped at b (path [a b])", pkt)
+	}
+
+	_, healthy := lineModel(t)
+	healthy.Update(nil, nil)
+	// A shard-scoped checker whose slice misses the header.
+	sm := apkeep.New()
+	scoped := NewChecker(sm)
+	scoped.SetScope(sm.Pred(dataplane.Match{Dst: netcfg.MustPrefix("192.168.0.0/16")}))
+	scoped.SetTopology([]string{"a", "c"}, nil)
+	scoped.Update(nil, nil)
+
+	cases := []struct {
+		name string
+		c    *Checker
+		hdr  dataplane.Match
+		want string
+	}{
+		{"registered", c, whole, lowest(whole)},
+		{"unregistered", c, upper, lowest(upper)},
+		{"delivered", healthy, whole, "all packets delivered"},
+		{"no-ecs", scoped, whole, "no packets in the header space"},
+	}
+	for _, tc := range cases {
+		for i := 0; i < 20; i++ {
+			if got := tc.c.Explain("a", "c", tc.hdr); got != tc.want {
+				t.Fatalf("%s: run %d Explain = %q, want %q", tc.name, i, got, tc.want)
+			}
+		}
+	}
+}

@@ -28,7 +28,7 @@ type Model interface {
 	WitnessIn(m dataplane.Match, ec bdd.Node) (bdd.Packet, bool)
 }
 
-// ScopedModel is the optional extension sharding needs: relevance and
+// ScopedModel is the optional extension sharding needs: overlap tests and
 // witnessing confined to a shard's slice of the destination space,
 // expressed as a predicate in the backend's own BDD table. Only the BDD
 // backend implements it — sharding stays a bdd-only feature.

@@ -9,23 +9,31 @@ import (
 )
 
 // Policy is a forwarding property registered with the checker. Policies
-// declare which packets they "register" on via Relevant, so the checker
-// can skip them when unrelated ECs change — the key to incremental
-// policy checking. Header spaces are dataplane.Match values (the zero
-// value matches everything), so policies carry no backend-specific
-// handles and transfer between verifiers and backends as plain values.
+// declare the packets they "register" on via Header, and the checker
+// indexes them by it, so a change rechecks only the policies whose
+// header meets an affected EC — the key to incremental policy checking.
+// Header spaces are dataplane.Match values (the zero value matches
+// everything), so policies carry no backend-specific handles and
+// transfer between verifiers, backends and shards as plain values.
 type Policy interface {
 	Name() string
-	// Relevant reports whether a change to ec can affect this policy.
-	Relevant(c *Checker, ec bdd.Node) bool
+	// Header returns the packet space the policy registers on.
+	Header() dataplane.Match
+	// Join says how the policy's per-shard verdicts recombine when the
+	// destination space is partitioned across shards.
+	Join() JoinMode
 	// Eval computes the policy's satisfaction from the checker state.
 	Eval(c *Checker) bool
 }
 
-// AddPolicy registers a policy and evaluates it immediately, returning
-// the initial verdict.
+// AddPolicy registers a policy (replacing any registered under its
+// name) and evaluates it immediately, returning the initial verdict.
 func (c *Checker) AddPolicy(p Policy) bool {
+	if old, ok := c.policies[p.Name()]; ok {
+		c.unregister(old.Name(), old.Header())
+	}
 	c.policies[p.Name()] = p
+	c.register(p.Name(), p.Header())
 	v := p.Eval(c)
 	c.verdicts[p.Name()] = v
 	c.metrics.Policies.Set(int64(len(c.policies)))
@@ -34,6 +42,9 @@ func (c *Checker) AddPolicy(p Policy) bool {
 
 // RemovePolicy unregisters a policy by name.
 func (c *Checker) RemovePolicy(name string) {
+	if p, ok := c.policies[name]; ok {
+		c.unregister(name, p.Header())
+	}
 	delete(c.policies, name)
 	delete(c.verdicts, name)
 	c.metrics.Policies.Set(int64(len(c.policies)))
@@ -92,16 +103,10 @@ type Reachability struct {
 // Name implements Policy.
 func (p Reachability) Name() string { return p.PolicyName }
 
-// Relevant implements Policy.
-func (p Reachability) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Hdr, ec) }
-
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
 	delivered, total := 0, 0
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(p.Hdr, ec) {
-			continue
-		}
+	for ec := range c.headerECs(p.Hdr) {
 		total++
 		if o, ok := c.OutcomeOf(ec, p.Src); ok && o.Kind == Delivered && o.At == p.Dst {
 			delivered++
@@ -129,15 +134,9 @@ type Waypoint struct {
 // Name implements Policy.
 func (p Waypoint) Name() string { return p.PolicyName }
 
-// Relevant implements Policy.
-func (p Waypoint) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Hdr, ec) }
-
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(p.Hdr, ec) {
-			continue
-		}
+	for ec := range c.headerECs(p.Hdr) {
 		o, ok := c.OutcomeOf(ec, p.Src)
 		if !ok || o.Kind != Delivered || o.At != p.Dst {
 			continue
@@ -166,16 +165,10 @@ type LoopFree struct {
 // Name implements Policy.
 func (p LoopFree) Name() string { return p.PolicyName }
 
-// Relevant implements Policy.
-func (p LoopFree) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Scope, ec) }
-
 // Eval implements Policy.
 func (p LoopFree) Eval(c *Checker) bool {
-	for ec, r := range c.ecs {
-		if !c.MatchOverlaps(p.Scope, ec) {
-			continue
-		}
-		for _, o := range r.outcomes {
+	for ec := range c.headerECs(p.Scope) {
+		for _, o := range c.ecs[ec].outcomes {
 			if o.Kind == Looped {
 				return false
 			}
@@ -194,16 +187,10 @@ type BlackholeFree struct {
 // Name implements Policy.
 func (p BlackholeFree) Name() string { return p.PolicyName }
 
-// Relevant implements Policy.
-func (p BlackholeFree) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Scope, ec) }
-
 // Eval implements Policy.
 func (p BlackholeFree) Eval(c *Checker) bool {
-	for ec, r := range c.ecs {
-		if !c.MatchOverlaps(p.Scope, ec) {
-			continue
-		}
-		for _, o := range r.outcomes {
+	for ec := range c.headerECs(p.Scope) {
+		for _, o := range c.ecs[ec].outcomes {
 			if o.Kind == Dropped {
 				return false
 			}
@@ -213,22 +200,29 @@ func (p BlackholeFree) Eval(c *Checker) bool {
 }
 
 // Explain renders a human-readable account of why a reachability-style
-// check currently fails between src and dst for packets in hdr.
+// check currently fails between src and dst for packets in hdr. When
+// several ECs in the header fail, the one with the lowest id is
+// reported, so the account is deterministic.
 func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(hdr, ec) {
-			continue
-		}
+	set := c.headerECs(hdr)
+	if len(set) == 0 {
+		return "no packets in the header space"
+	}
+	ecs := make([]bdd.Node, 0, len(set))
+	for ec := range set {
+		ecs = append(ecs, ec)
+	}
+	sort.Slice(ecs, func(i, j int) bool { return ecs[i] < ecs[j] })
+	for _, ec := range ecs {
 		o, ok := c.OutcomeOf(ec, src)
 		if ok && o.Kind == Delivered && o.At == dst {
 			continue
 		}
 		pkt, _ := c.WitnessIn(hdr, ec)
-		path := c.TracePath(ec, src)
 		if !ok {
 			return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
 		}
-		return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, path)
+		return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, c.TracePath(ec, src))
 	}
 	return "all packets delivered"
 }

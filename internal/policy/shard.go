@@ -3,7 +3,7 @@ package policy
 import "realconfig/internal/dataplane"
 
 // JoinMode says how per-shard verdicts of a destination-partitioned
-// policy combine into the global verdict. The shard layer scopes each
+// policy combine into the global verdict (Policy.Join). The shard layer scopes each
 // unit's checker to that unit's slice of the destination space; because
 // the slices partition the full space and equivalence classes refine
 // packet behaviour, evaluating the policy under the per-unit scopes and
@@ -25,21 +25,6 @@ const (
 	// delivered, so an empty registration set cannot hold.
 	JoinAllWitness
 )
-
-// Sharded is implemented by policies that can be partitioned across
-// destination-space shards. Header exposes the policy's packet space so
-// the shard layer can skip units whose slice it misses entirely; Join
-// says how the per-shard verdicts recombine. Policies are plain values
-// with Match-based headers, so the same value registers on every unit —
-// each unit's scoped checker confines evaluation to its own slice.
-type Sharded interface {
-	Policy
-	// Header returns the packet space the policy registers on (the zero
-	// Match means the full space).
-	Header() dataplane.Match
-	// Join returns the policy's verdict combination mode.
-	Join() JoinMode
-}
 
 // JoinVerdicts folds per-shard verdicts under mode. verdicts holds one
 // entry per shard the policy registered on (possibly none).
@@ -67,10 +52,10 @@ func JoinVerdicts(mode JoinMode, verdicts []bool) bool {
 	}
 }
 
-// Header implements Sharded.
+// Header implements Policy.
 func (p Reachability) Header() dataplane.Match { return p.Hdr }
 
-// Join implements Sharded. ReachAll needs a delivery witness (total > 0
+// Join implements Policy. ReachAll needs a delivery witness (total > 0
 // in at least one shard); ReachSome is existential; ReachNone is
 // universal isolation.
 func (p Reachability) Join() JoinMode {
@@ -84,20 +69,20 @@ func (p Reachability) Join() JoinMode {
 	}
 }
 
-// Header implements Sharded.
+// Header implements Policy.
 func (p Waypoint) Header() dataplane.Match { return p.Hdr }
 
-// Join implements Sharded.
+// Join implements Policy.
 func (p Waypoint) Join() JoinMode { return JoinAll }
 
-// Header implements Sharded.
+// Header implements Policy.
 func (p LoopFree) Header() dataplane.Match { return p.Scope }
 
-// Join implements Sharded.
+// Join implements Policy.
 func (p LoopFree) Join() JoinMode { return JoinAll }
 
-// Header implements Sharded.
+// Header implements Policy.
 func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
 
-// Join implements Sharded.
+// Join implements Policy.
 func (p BlackholeFree) Join() JoinMode { return JoinAll }

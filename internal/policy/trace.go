@@ -12,9 +12,10 @@ import (
 // Provenance tracing for the checker. When a trace is attached, every
 // policy re-check records an event on the policy track carrying the
 // verdict transition and the affected ECs that made the policy relevant
-// — the last link of the config change → rule → EC → verdict chain.
-// Tracing switches the recheck loop to sorted policy order so event
-// sequences are deterministic; untraced checks pay one nil test.
+// (those overlapping its header, including ECs split away within the
+// batch) — the last link of the config change → rule → EC → verdict
+// chain. Tracing switches the recheck loop to sorted policy order so
+// event sequences are deterministic; untraced checks pay one nil test.
 
 // SetTrace attaches a provenance trace to subsequent Update calls.
 // Pass nil to detach.

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -62,17 +61,10 @@ func (s *Set) Units() []*Unit { return s.units }
 // evaluation to its own slice. Units whose slice misses the header space
 // entirely are skipped — essential for the join semantics, since a
 // JoinAllWitness policy registered vacuously would count as satisfied.
-// Policies that cannot shard (no policy.Sharded implementation) are a
-// programming error: every policy the specification language produces
-// shards.
 func (s *Set) AddPolicy(p policy.Policy) bool {
-	sp, ok := p.(policy.Sharded)
-	if !ok {
-		panic(fmt.Sprintf("shard: policy %q (%T) does not implement policy.Sharded", p.Name(), p))
-	}
-	r := setReg{mode: sp.Join()}
+	r := setReg{mode: p.Join()}
 	var per []bool
-	hdr := sp.Header()
+	hdr := p.Header()
 	for i, u := range s.units {
 		if u.H.And(u.Model.Pred(hdr), u.Space) == bdd.False {
 			continue
@@ -186,16 +178,7 @@ func (s *Set) Apply(rules []dd.Entry[dataplane.Rule], filters []dd.Entry[datapla
 			checkDur = r.checkDur
 		}
 	}
-	for p := range pairs {
-		check.AffectedPairs = append(check.AffectedPairs, p)
-	}
-	sort.Slice(check.AffectedPairs, func(i, j int) bool {
-		a, b := check.AffectedPairs[i], check.AffectedPairs[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
+	check.AffectedPairs = policy.SortedPairs(pairs)
 	check.Events = s.rejoin()
 	return batch, check, modelDur, checkDur, nil
 }

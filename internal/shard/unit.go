@@ -40,7 +40,7 @@ func newUnit(idx int, part Partition, parallel int) *Unit {
 	c.SetParallelism(parallel)
 	space := part.SpaceOn(m.H, idx)
 	// Scope the checker to the unit's slice: policies carry global Match
-	// headers, and the scope confines their relevance tests and witnesses
+	// headers, and the scope confines their index membership and witnesses
 	// to the destinations this unit owns.
 	c.SetScope(space)
 	return &Unit{
