@@ -23,9 +23,8 @@ type ShardRow struct {
 	Shards   int
 	Policies int
 	Applies  int
-	// Model and Check sum the slowest unit's stage times over the
-	// applies (the parallel critical path); Wall sums the end-to-end
-	// Set.Apply time, including routing and joining.
+	// Model and Check sum the wall times of the Set.UpdateModel and
+	// Set.Check fan-outs over the applies; Wall sums both.
 	Model time.Duration
 	Check time.Duration
 	Wall  time.Duration
@@ -132,9 +131,11 @@ func RunShard(k int, counts []int, repeat, perPrefix int) ([]ShardRow, error) {
 		set := shard.NewSet(n, 0)
 		// Warm exactly like an engine: load the base FIB, then register
 		// the policies (untimed).
-		if _, _, _, _, err := set.Apply(baseRules, nil, apkeep.InsertFirst, devices, adjs); err != nil {
+		batch, err := set.UpdateModel(baseRules, nil, apkeep.InsertFirst)
+		if err != nil {
 			return nil, err
 		}
+		set.Check(batch, devices, adjs)
 		suite := shardPolicies(net, perPrefix)
 		for _, p := range suite {
 			set.AddPolicy(p)
@@ -143,13 +144,16 @@ func RunShard(k int, counts []int, repeat, perPrefix int) ([]ShardRow, error) {
 		for r := 0; r < repeat; r++ {
 			for _, delta := range deltas {
 				t0 := time.Now()
-				_, _, modelDur, checkDur, err := set.Apply(delta, nil, apkeep.InsertFirst, devices, adjs)
+				batch, err := set.UpdateModel(delta, nil, apkeep.InsertFirst)
 				if err != nil {
 					return nil, err
 				}
-				row.Wall += time.Since(t0)
-				row.Model += modelDur
-				row.Check += checkDur
+				t1 := time.Now()
+				set.Check(batch, devices, adjs)
+				t2 := time.Now()
+				row.Wall += t2.Sub(t0)
+				row.Model += t1.Sub(t0)
+				row.Check += t2.Sub(t1)
 				row.Applies++
 			}
 		}

@@ -60,11 +60,10 @@ type Options struct {
 // once, then Apply changes; each call re-verifies incrementally and
 // returns a Report.
 type Verifier struct {
-	opts    Options
-	gen     *routing.Generator
-	model   Model
-	checker *policy.Checker
-	cur     *netcfg.Network
+	opts   Options
+	gen    *routing.Generator
+	stages Stages
+	cur    *netcfg.Network
 
 	// metrics are the verifier's own instruments (nil until Instrument;
 	// nil-safe). Stage histograms are indexed like Timing.Stages().
@@ -74,7 +73,8 @@ type Verifier struct {
 	// when Options.TraceApplies is 0; all methods nil-safe).
 	rec *trace.Recorder
 	// nextReqID/nextSeq are the serving-layer context stamped onto the
-	// next verification's trace (see SetTraceContext).
+	// next verification's trace (see SetTraceContext); every Apply and
+	// SetNetwork takes and clears them, whether or not it succeeds.
 	nextReqID string
 	nextSeq   uint64
 }
@@ -91,8 +91,8 @@ type verifierMetrics struct {
 
 // Instrument registers the whole pipeline's metrics on reg: the
 // verifier's per-stage wall-clock histograms and verification counters,
-// plus the generator's dataflow engine, the data plane model and the
-// policy checker. One call wires all four stages; components left
+// plus the generator's dataflow engine and the back half's model and
+// checker metrics. One call wires all four stages; components left
 // uninstrumented pay only nil checks.
 func (v *Verifier) Instrument(reg *obs.Registry) {
 	stages := make(map[string]*obs.Histogram, 4)
@@ -108,8 +108,7 @@ func (v *Verifier) Instrument(reg *obs.Registry) {
 		filterChanges: reg.Counter("realconfig_filter_changes_total", "Packet-filter rule changes across all verifications.", nil),
 	}
 	v.gen.Instrument(reg)
-	v.model.Instrument(reg)
-	v.checker.Instrument(reg)
+	v.stages.Instrument(reg)
 }
 
 // Timing breaks a verification down by stage.
@@ -118,15 +117,17 @@ type Timing struct {
 	// computing data plane (FIB) changes.
 	Generate time.Duration
 	// ModelUpdate is the batch update of the EC model (Table 3's T1).
+	// On a sharded back half it is the wall time of the fan-out.
 	ModelUpdate time.Duration
 	// PolicyCheck is the incremental policy recheck (Table 3's T2).
+	// On a sharded back half it is the wall time of the fan-out.
 	PolicyCheck time.Duration
 	// Total is the whole verification.
 	Total time.Duration
 }
 
 // StageTiming pairs a canonical stage name (obs.Stage*) with its wall
-// time: the unit shared by CLI output, rcbench JSON and live metrics.
+// time: the unit shared by CLI output, reports and live metrics.
 type StageTiming struct {
 	Stage string
 	D     time.Duration
@@ -208,10 +209,13 @@ func (r *Report) Repaired() []string {
 // New creates an empty verifier on the backend named by opts.Backend
 // (empty = bdd). Validate names from user input with ValidateBackend
 // first; an unknown name panics.
-func New(opts Options) *Verifier {
-	model := newModel(opts.Backend)
-	checker := policy.NewChecker(model)
-	checker.SetParallelism(opts.Parallel)
+func New(opts Options) *Verifier { return NewOn(opts, newMonolith(opts)) }
+
+// NewOn creates an empty verifier whose model-update and policy-check
+// stages run on the given back half (e.g. a shard.Set). The generator,
+// reports, metrics and traces are the same as New's; opts.Backend and
+// opts.Parallel are the caller's to apply when building stages.
+func NewOn(opts Options, stages Stages) *Verifier {
 	var rec *trace.Recorder
 	if opts.TraceApplies > 0 {
 		rec = trace.NewRecorder(opts.TraceApplies)
@@ -222,9 +226,8 @@ func New(opts Options) *Verifier {
 			MaxIter:           opts.MaxIter,
 			DetectOscillation: opts.DetectOscillation,
 		}),
-		model:   model,
-		checker: checker,
-		rec:     rec,
+		stages: stages,
+		rec:    rec,
 	}
 }
 
@@ -233,11 +236,19 @@ func New(opts Options) *Verifier {
 func (v *Verifier) Recorder() *trace.Recorder { return v.rec }
 
 // SetTraceContext stamps the serving-layer request id and sequence
-// number onto the NEXT verification's trace, then clears them. Callers
-// (the daemon's apply goroutine) invoke it immediately before
-// Apply/SetNetwork; with tracing disabled it is a no-op.
+// number onto the NEXT verification's trace. Callers (the daemon's
+// apply goroutine) invoke it immediately before Apply/SetNetwork, which
+// consume it even when they fail, so a rejected change never lends its
+// context to a later verification. With tracing disabled it is a no-op.
 func (v *Verifier) SetTraceContext(reqID string, seq uint64) {
 	v.nextReqID, v.nextSeq = reqID, seq
+}
+
+// takeTraceContext returns and clears the pending trace context.
+func (v *Verifier) takeTraceContext() (string, uint64) {
+	reqID, seq := v.nextReqID, v.nextSeq
+	v.nextReqID, v.nextSeq = "", 0
+	return reqID, seq
 }
 
 // ErrNotLoaded is returned by operations that need a verified network
@@ -250,6 +261,7 @@ func (v *Verifier) Load(net *netcfg.Network) (*Report, error) { return v.SetNetw
 // Apply applies typed configuration changes to the current network and
 // re-verifies incrementally.
 func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
+	reqID, seq := v.takeTraceContext()
 	if v.cur == nil {
 		return nil, ErrNotLoaded
 	}
@@ -259,13 +271,20 @@ func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 			return nil, err
 		}
 	}
-	return v.SetNetwork(next)
+	return v.verify(next, reqID, seq)
 }
 
 // SetNetwork verifies an arbitrary new snapshot, reusing all state valid
 // since the previous one: the cost is proportional to the semantic
 // change, not the network size.
 func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
+	reqID, seq := v.takeTraceContext()
+	return v.verify(net, reqID, seq)
+}
+
+// verify is the one pipeline: diff, generate, model update, policy
+// check, report, metrics, and the trace stamped with reqID and seq.
+func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
 	start := time.Now()
 	label := "apply"
 	if v.cur == nil {
@@ -273,16 +292,14 @@ func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	}
 	tr := v.rec.Begin(label)
 	if tr != nil {
-		tr.SetReqID(v.nextReqID)
+		tr.SetReqID(reqID)
 		// Components record into the apply's trace; detach on every exit
 		// so a published (immutable) trace is never written again.
 		v.gen.SetTrace(tr)
-		v.model.SetTrace(tr)
-		v.checker.SetTrace(tr)
+		v.stages.SetTrace(tr)
 		defer func() {
 			v.gen.SetTrace(nil)
-			v.model.SetTrace(nil)
-			v.checker.SetTrace(nil)
+			v.stages.SetTrace(nil)
 		}()
 	}
 	rep := &Report{}
@@ -327,10 +344,7 @@ func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	// Stage 2: incremental data plane model update.
 	t0 = time.Now()
 	s0 = tr.Now()
-	if err := v.model.UpdateFilters(filterChanges); err != nil {
-		return nil, fmt.Errorf("core: %s backend rejected filter changes: %w", v.model.Backend(), err)
-	}
-	rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
+	rep.Model, err = v.stages.UpdateModel(ruleChanges, filterChanges, v.opts.Order)
 	if err != nil {
 		// The generator only retracts rules it previously emitted, so an
 		// absent-rule delete here is model/generator state divergence (a
@@ -346,14 +360,13 @@ func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 			trace.I("transfers", int64(len(rep.Model.Transfers))),
 			trace.I("filter_transfers", int64(len(rep.Model.FilterTransfers))),
 			trace.I("merges", int64(len(rep.Model.Merges))),
-			trace.I("ecs", int64(v.model.NumECs())))
+			trace.I("ecs", int64(v.stages.NumECs())))
 	}
 
 	// Stage 3: incremental policy checking.
 	t0 = time.Now()
 	s0 = tr.Now()
-	v.checker.SetTopology(deviceNames(net), dataplane.Adjacencies(net))
-	rep.Check = v.checker.Update(rep.Model.Transfers, rep.Model.FilterTransfers, rep.Model.Merges...)
+	rep.Check = v.stages.Check(rep.Model, net.DeviceNames(), dataplane.Adjacencies(net))
 	rep.Timing.PolicyCheck = time.Since(t0)
 	if tr != nil {
 		tr.Span(obs.TrackPipeline, obs.StagePolicyCheck, s0,
@@ -374,8 +387,7 @@ func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	v.metrics.filterChanges.Add(uint64(rep.FilterChanges))
 	if tr != nil {
 		rep.TraceID = tr.ID
-		tr.Finish(v.nextSeq)
-		v.nextReqID, v.nextSeq = "", 0
+		tr.Finish(seq)
 	}
 	return rep, nil
 }
@@ -407,8 +419,6 @@ func recordDiff(tr *trace.Apply, diff *netcfg.NetworkDiff) {
 			trace.S("detail", fmt.Sprintf("%s %v", lc.Op, lc.Link)))
 	}
 }
-
-func deviceNames(net *netcfg.Network) []string { return net.DeviceNames() }
 
 // Options returns the verifier's configuration, so callers (what-if
 // sessions, journal replay) can build an equivalently configured fork.
@@ -447,13 +457,15 @@ func (v *Verifier) ForkSame() (*Verifier, error) {
 // registers this verifier's compiled policies. Benchmarks use it to
 // price a from-scratch verification of an arbitrary intermediate state,
 // and the planner uses it to build a tracing fork positioned at a
-// counterexample prefix.
+// counterexample prefix. Forks are always monolithic, whatever this
+// verifier's back half: speculative runs are one-shot, so shard warm-up
+// would cost more than it saves.
 func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, error) {
 	fork := New(opts)
 	if _, err := fork.Load(net); err != nil {
 		return nil, err
 	}
-	for _, p := range v.checker.Policies() {
+	for _, p := range v.stages.Policies() {
 		fork.AddPolicy(p)
 	}
 	return fork, nil
@@ -490,13 +502,13 @@ func (v *Verifier) Network() *netcfg.Network {
 
 // AddPolicy registers a policy with the checker and returns its initial
 // verdict. Policies can be added before or after Load.
-func (v *Verifier) AddPolicy(p policy.Policy) bool { return v.checker.AddPolicy(p) }
+func (v *Verifier) AddPolicy(p policy.Policy) bool { return v.stages.AddPolicy(p) }
 
 // RemovePolicy unregisters a policy.
-func (v *Verifier) RemovePolicy(name string) { v.checker.RemovePolicy(name) }
+func (v *Verifier) RemovePolicy(name string) { v.stages.RemovePolicy(name) }
 
 // Verdicts returns the current satisfaction of every registered policy.
-func (v *Verifier) Verdicts() map[string]bool { return v.checker.Verdicts() }
+func (v *Verifier) Verdicts() map[string]bool { return v.stages.Verdicts() }
 
 // FIB returns a copy of the accumulated forwarding rules. Callers may
 // mutate the returned map freely; verifier state is unaffected.
@@ -510,29 +522,33 @@ func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff {
 }
 
 // Model exposes the data plane model backend (ECs, ports) for
-// inspection, behind the backend-neutral interface.
-func (v *Verifier) Model() Model { return v.model }
+// inspection, behind the backend-neutral interface. Nil unless the
+// verifier was built by New.
+func (v *Verifier) Model() Model {
+	if m, ok := v.stages.(*monolith); ok {
+		return m.model
+	}
+	return nil
+}
 
 // Checker exposes the policy checker for advanced queries (path traces,
-// pair maps, explanations).
-func (v *Verifier) Checker() *policy.Checker { return v.checker }
+// pair maps, explanations). Nil unless the verifier was built by New.
+func (v *Verifier) Checker() *policy.Checker {
+	if m, ok := v.stages.(*monolith); ok {
+		return m.checker
+	}
+	return nil
+}
 
 // Generator exposes the data plane generator (per-protocol bests).
 func (v *Verifier) Generator() *routing.Generator { return v.gen }
 
-// ParsePolicyText parses a policy specification into registrable
-// policies. Part of the engine interface shared with the shard
-// coordinator (policies are backend-neutral values, so no per-verifier
-// state is involved anymore).
-func (v *Verifier) ParsePolicyText(text string) ([]policy.Policy, error) {
-	return ParsePolicies(text)
-}
+// NumECs returns the current number of packet equivalence classes
+// (summed over shards, which hold overlapping slices).
+func (v *Verifier) NumECs() int { return v.stages.NumECs() }
 
-// NumECs returns the current number of packet equivalence classes.
-func (v *Verifier) NumECs() int { return v.model.NumECs() }
-
-// NumPairs returns the checker's maintained (EC, device) pair count.
-func (v *Verifier) NumPairs() int { return v.checker.NumPairs() }
+// NumPairs returns the maintained (EC, device) pair count.
+func (v *Verifier) NumPairs() int { return v.stages.NumPairs() }
 
 // NumFIBRules returns the number of live forwarding rules.
 func (v *Verifier) NumFIBRules() int {

@@ -236,6 +236,35 @@ func TestVerifierApplyErrorLeavesStateIntact(t *testing.T) {
 	}
 }
 
+// TestFailedApplyConsumesTraceContext: a rejected change must not lend
+// its request id and sequence to the next verification, which in the
+// daemon is a snapshot-install Load that never sets a context itself.
+func TestFailedApplyConsumesTraceContext(t *testing.T) {
+	net, err := topology.Line(2, topology.OSPF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{TraceApplies: 4})
+	if _, err := v.Load(net.Network.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	v.SetTraceContext("req-dead", 7)
+	if _, err := v.Apply(netcfg.ShutdownInterface{Device: "ghost", Intf: "x", Shutdown: true}); err == nil {
+		t.Fatal("bad change applied")
+	}
+	rep, err := v.Load(net.Network.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := v.Recorder().Get(rep.TraceID)
+	if tr == nil {
+		t.Fatal("load recorded no trace")
+	}
+	if tr.ReqID != "" || tr.Seq != 0 {
+		t.Errorf("load trace inherited context reqID=%q seq=%d, want empty and 0", tr.ReqID, tr.Seq)
+	}
+}
+
 func TestVerifierOscillationDetection(t *testing.T) {
 	// Static route pair causing a forwarding loop is fine (loops are a
 	// data plane property), but a BGP dispute requires crafted policies

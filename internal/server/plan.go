@@ -122,7 +122,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer func() { t.m.planSeconds.ObserveDuration(time.Since(t0)) }()
 
 	capRes, err := t.do(ctx, func() (any, error) {
-		return whatIfCapture{net: t.eng.Network(), policy: t.policyText(), opts: t.eng.Options(), seq: t.seq}, nil
+		return whatIfCapture{net: t.verifier.Network(), policy: t.policyText(), opts: t.verifier.Options(), seq: t.seq}, nil
 	})
 	if err != nil {
 		t.m.planErrors.Inc()
@@ -140,7 +140,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Workers:   req.Workers,
 		MaxProbes: req.MaxProbes,
 		Metrics:   t.planM,
-		Recorder:  t.eng.Recorder(),
+		Recorder:  t.verifier.Recorder(),
 		ReqID:     rid,
 		Seq:       wc.seq,
 	})

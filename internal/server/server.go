@@ -379,7 +379,7 @@ func (s *Server) Handler() http.Handler { return s.h }
 
 // Recorder exposes the default tenant's provenance-trace ring (nil when
 // tracing is disabled); /v1/applies serves it.
-func (s *Server) Recorder() *trace.Recorder { return s.def.eng.Recorder() }
+func (s *Server) Recorder() *trace.Recorder { return s.def.verifier.Recorder() }
 
 // Close stops every tenant's apply goroutine and closes the journals.
 // In-flight requests fail with a shutdown error; queued jobs are
@@ -790,8 +790,8 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		if t.applyDelay > 0 {
 			time.Sleep(t.applyDelay) // fault injection (Config.ApplyDelay)
 		}
-		t.eng.SetTraceContext(rid, t.seq+1)
-		rep, err := t.eng.Apply(changes...)
+		t.verifier.SetTraceContext(rid, t.seq+1)
+		rep, err := t.verifier.Apply(changes...)
 		if err != nil {
 			return nil, err
 		}
@@ -855,7 +855,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	// Capture on the apply goroutine (cheap: a network clone), then run
 	// the speculative verification here, off the write path.
 	res, err := t.do(ctx, func() (any, error) {
-		return whatIfCapture{net: t.eng.Network(), policy: t.policyText(), opts: t.eng.Options(), seq: t.seq}, nil
+		return whatIfCapture{net: t.verifier.Network(), policy: t.policyText(), opts: t.verifier.Options(), seq: t.seq}, nil
 	})
 	if err != nil {
 		writeError(w, r, err)
@@ -925,7 +925,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 		adds := make([]add, 0, len(req.Add))
 		for _, line := range req.Add {
 			line = strings.TrimSpace(line)
-			ps, err := t.eng.ParsePolicyText(line)
+			ps, err := core.ParsePolicies(line)
 			if err != nil {
 				return nil, err
 			}
@@ -944,7 +944,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 			adds = append(adds, add{p: ps[0], line: line})
 		}
 		for _, name := range req.Remove {
-			t.eng.RemovePolicy(name)
+			t.verifier.RemovePolicy(name)
 			i := t.findPolicy(name)
 			t.policies = append(t.policies[:i], t.policies[i+1:]...)
 			if t.journal != nil {
@@ -955,7 +955,7 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 			t.seq++
 		}
 		for _, a := range adds {
-			t.eng.AddPolicy(a.p)
+			t.verifier.AddPolicy(a.p)
 			t.policies = append(t.policies, policyEntry{name: a.p.Name(), line: a.line})
 			if t.journal != nil {
 				if err := t.journal.append(Entry{Op: opPolicyAdd, Line: a.line}); err != nil {
@@ -1021,10 +1021,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), t.applyTimeout)
 	defer cancel()
 	res, err := t.do(ctx, func() (any, error) {
-		if net := t.eng.Network(); net == nil || net.Devices[src] == nil {
+		if net := t.verifier.Network(); net == nil || net.Devices[src] == nil {
 			return nil, fmt.Errorf("no device %q", src)
 		}
-		return t.eng.Trace(src, pkt), nil
+		return t.verifier.Trace(src, pkt), nil
 	})
 	if err != nil {
 		writeError(w, r, err)
@@ -1050,7 +1050,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleApplies serves the provenance-trace ring index: one summary row
 // per retained apply, newest first.
 func (s *Server) handleApplies(w http.ResponseWriter, r *http.Request) {
-	rec := s.tenantFrom(r).eng.Recorder()
+	rec := s.tenantFrom(r).verifier.Recorder()
 	if rec == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: "provenance tracing disabled (core.Options.TraceApplies = 0)",
@@ -1069,7 +1069,7 @@ func (s *Server) handleApplies(w http.ResponseWriter, r *http.Request) {
 // {id} is a numeric apply id or "latest"; ?format=chrome exports the
 // Chrome trace-event JSON form (loadable in Perfetto / chrome://tracing).
 func (s *Server) handleApplyTrace(w http.ResponseWriter, r *http.Request) {
-	rec := s.tenantFrom(r).eng.Recorder()
+	rec := s.tenantFrom(r).verifier.Recorder()
 	if rec == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: "provenance tracing disabled (core.Options.TraceApplies = 0)",

@@ -113,8 +113,8 @@ func TestTenantDetailEndpoint(t *testing.T) {
 		t.Errorf("POST tenant detail: status %d, want 405", status)
 	}
 
-	if eng := srv.tenants["acme"].Engine(); eng == nil {
-		t.Error("tenant engine accessor returned nil")
+	if v := srv.tenants["acme"].Verifier(); v == nil {
+		t.Error("tenant verifier accessor returned nil")
 	}
 }
 

@@ -86,10 +86,10 @@ type Snapshot struct {
 	LastReport *ReportJSON `json:"lastReport"`
 }
 
-// buildSnapshot captures the engine's current state. Must run on the
-// owning tenant's apply goroutine (it reads live engine state).
-func buildSnapshot(eng Engine, seq uint64, rep *ReportJSON) *Snapshot {
-	verdicts := eng.Verdicts()
+// buildSnapshot captures the verifier's current state. Must run on the
+// owning tenant's apply goroutine (it reads live verifier state).
+func buildSnapshot(v *core.Verifier, seq uint64, rep *ReportJSON) *Snapshot {
+	verdicts := v.Verdicts()
 	names := make([]string, 0, len(verdicts))
 	for name := range verdicts {
 		names = append(names, name)
@@ -98,14 +98,14 @@ func buildSnapshot(eng Engine, seq uint64, rep *ReportJSON) *Snapshot {
 	s := &Snapshot{
 		Seq:        seq,
 		Policies:   len(verdicts),
-		ECs:        eng.NumECs(),
-		Pairs:      eng.NumPairs(),
-		FIBRules:   eng.NumFIBRules(),
+		ECs:        v.NumECs(),
+		Pairs:      v.NumPairs(),
+		FIBRules:   v.NumFIBRules(),
 		Verdicts:   make([]Verdict, 0, len(names)),
 		Violations: []string{},
 		LastReport: rep,
 	}
-	if net := eng.Network(); net != nil {
+	if net := v.Network(); net != nil {
 		s.Devices = len(net.Devices)
 	}
 	for _, name := range names {

@@ -16,6 +16,7 @@ import (
 	"realconfig/internal/obs"
 	"realconfig/internal/plan"
 	"realconfig/internal/repl"
+	"realconfig/internal/shard"
 	"realconfig/internal/snap"
 )
 
@@ -112,7 +113,7 @@ type Tenant struct {
 	// newTenant returns. lastSnapSeq/snapMark are the automatic snapshot
 	// triggers' reference points (sequence and journal-byte odometer at
 	// the last capture).
-	eng         Engine
+	verifier    *core.Verifier
 	policies    []policyEntry
 	seq         uint64
 	journal     *journal
@@ -147,7 +148,13 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	if tc.Shards > 1 && vopts.Backend == core.BackendAtom {
 		return nil, fmt.Errorf("server: tenant %q: the atom backend cannot shard (destination partitioning needs BDD space predicates); use shards=1 or the bdd backend", tc.ID)
 	}
-	t.eng = newEngine(vopts, tc.Shards)
+	// Shards <= 1 keeps the plain verifier, byte-identical to a daemon
+	// predating sharding; more runs the same pipeline on a shard set.
+	if tc.Shards > 1 {
+		t.verifier = core.NewOn(vopts, shard.NewSet(tc.Shards, vopts.Parallel))
+	} else {
+		t.verifier = core.New(vopts)
+	}
 	t.instrument(reg) // before Load, so the initial full verification is measured too
 	t.snapEvery = opts.snapEvery
 	t.snapBytesEvery = opts.snapBytes
@@ -184,7 +191,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	}
 	var lastReport *ReportJSON
 	if man != nil {
-		if backend := t.eng.Options().ModelBackend(); man.Backend != backend {
+		if backend := t.verifier.Options().ModelBackend(); man.Backend != backend {
 			t.log.Warn("snapshot was captured under a different model backend",
 				"recorded", man.Backend, "configured", backend)
 		}
@@ -193,7 +200,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 			j.close()
 			return nil, fmt.Errorf("server: tenant %q: restoring snapshot: %w", tc.ID, nerr)
 		}
-		rep, lerr := t.eng.Load(net)
+		rep, lerr := t.verifier.Load(net)
 		if lerr != nil {
 			j.close()
 			return nil, fmt.Errorf("server: tenant %q: loading snapshot network: %w", tc.ID, lerr)
@@ -240,7 +247,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		t.log.Info("restored from snapshot",
 			"path", tc.JournalPath, "seq", man.Seq, "tail_entries", len(entries))
 	} else {
-		rep, lerr := t.eng.Load(tc.Net)
+		rep, lerr := t.verifier.Load(tc.Net)
 		if lerr != nil {
 			if j != nil {
 				j.close()
@@ -264,7 +271,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		if prev, ok, err := readMetaFile(metaPath(tc.JournalPath)); err != nil {
 			j.close()
 			return nil, err
-		} else if backend := t.eng.Options().ModelBackend(); !ok || prev.Backend != backend {
+		} else if backend := t.verifier.Options().ModelBackend(); !ok || prev.Backend != backend {
 			if ok {
 				t.log.Warn("journal was recorded under a different model backend",
 					"path", tc.JournalPath, "recorded", prev.Backend, "configured", backend)
@@ -309,7 +316,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 				"seq", t.seq, "elapsed_ms", time.Since(t0).Milliseconds())
 		}
 	}
-	t.snap.Store(buildSnapshot(t.eng, t.seq, lastReport))
+	t.snap.Store(buildSnapshot(t.verifier, t.seq, lastReport))
 	t.m.snapshotPublishes.Inc()
 	go t.applyLoop()
 	// Leaders are ready the moment replay finishes; followers stay
@@ -429,7 +436,7 @@ func (t *Tenant) applyReplicated(ctx context.Context, rec repl.Record) error {
 // instrument wires the tenant's instruments on reg: the engine
 // registers every pipeline stage, then the serving-layer metrics.
 func (t *Tenant) instrument(reg *obs.Registry) {
-	t.eng.Instrument(reg)
+	t.verifier.Instrument(reg)
 	t.planM = plan.NewMetrics(reg)
 	t.m = serverMetrics{
 		applySeconds:      reg.Histogram("realconfig_server_apply_seconds", "POST /v1/changes latency (queueing, verification, journaling).", nil, nil),
@@ -462,7 +469,7 @@ func (t *Tenant) instrument(reg *obs.Registry) {
 // addPolicyText parses and registers a multi-line policy specification,
 // recording each policy's source line for forks and removals.
 func (t *Tenant) addPolicyText(text string) error {
-	ps, err := t.eng.ParsePolicyText(text)
+	ps, err := core.ParsePolicies(text)
 	if err != nil {
 		return err
 	}
@@ -474,7 +481,7 @@ func (t *Tenant) addPolicyText(text string) error {
 		if t.findPolicy(p.Name()) >= 0 {
 			return fmt.Errorf("server: duplicate policy %q", p.Name())
 		}
-		t.eng.AddPolicy(p)
+		t.verifier.AddPolicy(p)
 		t.policies = append(t.policies, policyEntry{name: p.Name(), line: lines[i]})
 	}
 	return nil
@@ -510,7 +517,7 @@ func (t *Tenant) applyEntry(e Entry) (*ReportJSON, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := t.eng.Apply(changes...)
+		rep, err := t.verifier.Apply(changes...)
 		if err != nil {
 			return nil, err
 		}
@@ -522,7 +529,7 @@ func (t *Tenant) applyEntry(e Entry) (*ReportJSON, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("no policy %q", e.Name)
 		}
-		t.eng.RemovePolicy(e.Name)
+		t.verifier.RemovePolicy(e.Name)
 		t.policies = append(t.policies[:i], t.policies[i+1:]...)
 		return nil, nil
 	case opPlan:
@@ -599,15 +606,15 @@ func (t *Tenant) publish(rep *ReportJSON) {
 	if rep == nil {
 		rep = t.snap.Load().LastReport
 	}
-	t.snap.Store(buildSnapshot(t.eng, t.seq, rep))
+	t.snap.Store(buildSnapshot(t.verifier, t.seq, rep))
 	t.m.snapshotPublishes.Inc()
 }
 
 // Snapshot returns the tenant's current published snapshot (never nil).
 func (t *Tenant) Snapshot() *Snapshot { return t.snap.Load() }
 
-// Engine returns the tenant's verification backend.
-func (t *Tenant) Engine() Engine { return t.eng }
+// Verifier returns the tenant's verifier.
+func (t *Tenant) Verifier() *core.Verifier { return t.verifier }
 
 // close stops the replication loop (if any), then the apply goroutine,
 // then closes the journal (which ends any attached replica streams).

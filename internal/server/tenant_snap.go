@@ -79,7 +79,7 @@ func (t *Tenant) takeSnapshot() (snapshotResult, error) {
 		}
 		lastReport = b
 	}
-	m := snap.Capture(t.eng.Network(), t.policyLineList(), t.eng.Options().ModelBackend(), t.seq, epoch, lastReport)
+	m := snap.Capture(t.verifier.Network(), t.policyLineList(), t.verifier.Options().ModelBackend(), t.seq, epoch, lastReport)
 	path, size, err := snap.WriteFile(t.journal.path, m)
 	if err != nil {
 		return snapshotResult{}, err
@@ -163,7 +163,7 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 		if man.Seq <= t.seq {
 			return nil, nil // already at or past the snapshot; resume by stream
 		}
-		if backend := t.eng.Options().ModelBackend(); man.Backend != backend {
+		if backend := t.verifier.Options().ModelBackend(); man.Backend != backend {
 			t.log.Warn("leader snapshot was captured under a different model backend",
 				"leader", man.Backend, "local", backend)
 		}
@@ -183,10 +183,10 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 			}
 		}
 		for _, e := range t.policies {
-			t.eng.RemovePolicy(e.name)
+			t.verifier.RemovePolicy(e.name)
 		}
 		t.policies = nil
-		rep, err := t.eng.Load(net)
+		rep, err := t.verifier.Load(net)
 		if err != nil {
 			return nil, err
 		}

@@ -138,9 +138,10 @@ func TestSetDifferential(t *testing.T) {
 				// Load-before-AddPolicy order every engine follows) so
 				// its checkers hold outcomes like the oracle's.
 				set := NewSet(n, 0)
-				if _, _, _, _, err := set.Apply(nil, nil, apkeep.InsertFirst, devs, adjs); err != nil {
+				if _, err := set.UpdateModel(nil, nil, apkeep.InsertFirst); err != nil {
 					t.Fatal(err)
 				}
+				set.Check(nil, devs, adjs)
 				for _, p := range diffPolicies(devs) {
 					set.AddPolicy(p)
 				}
@@ -191,10 +192,11 @@ func TestSetDifferential(t *testing.T) {
 					}
 					ores := oc.Update(br.Transfers, br.FilterTransfers, br.Merges...)
 
-					_, sres, _, _, err := set.Apply(rules, filters, apkeep.InsertFirst, devs, adjs)
+					sbatch, err := set.UpdateModel(rules, filters, apkeep.InsertFirst)
 					if err != nil {
 						t.Fatal(err)
 					}
+					sres := set.Check(sbatch, devs, adjs)
 
 					if got, want := set.Verdicts(), oc.Verdicts(); !reflect.DeepEqual(got, want) {
 						t.Fatalf("step %d: verdicts = %v, want %v", step, got, want)

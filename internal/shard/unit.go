@@ -1,12 +1,8 @@
 package shard
 
 import (
-	"time"
-
 	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
-	"realconfig/internal/dataplane"
-	"realconfig/internal/dd"
 	"realconfig/internal/policy"
 )
 
@@ -50,33 +46,4 @@ func newUnit(idx int, part Partition, parallel int) *Unit {
 		Checker: c,
 		Space:   space,
 	}
-}
-
-// unitResult is one shard's contribution to an apply.
-type unitResult struct {
-	batch    *apkeep.BatchResult
-	check    *policy.Result
-	modelDur time.Duration
-	checkDur time.Duration
-	err      error
-}
-
-// apply runs the unit's slice of a batch through its model and checker.
-func (u *Unit) apply(rules []dd.Entry[dataplane.Rule], filters []dd.Entry[dataplane.FilterRule],
-	order apkeep.Order, devices []string, adjs []dataplane.Adjacency) unitResult {
-	var r unitResult
-	t0 := time.Now()
-	if r.err = u.Model.UpdateFilters(filters); r.err != nil {
-		return r
-	}
-	r.batch, r.err = u.Model.ApplyBatch(rules, order)
-	r.modelDur = time.Since(t0)
-	if r.err != nil {
-		return r
-	}
-	t0 = time.Now()
-	u.Checker.SetTopology(devices, adjs)
-	r.check = u.Checker.Update(r.batch.Transfers, r.batch.FilterTransfers, r.batch.Merges...)
-	r.checkDur = time.Since(t0)
-	return r
 }
