@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench-record-smoke server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover bench-smoke bench-json bench benchtrend
+.PHONY: all build test check server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover cover-update bench-smoke bench
 
 all: build
 
@@ -11,36 +11,27 @@ test:
 	$(GO) test ./...
 
 # check is the tier-1 gate: vet, an explicit daemon build, the full
-# suite under the race detector (including the server's concurrency
-# tests), the benchmark of record's own vet and smoke test (a nested
-# module), a short native-fuzz burst, the coverage ratchet, a
-# one-iteration benchmark smoke so the perf harness can't rot, the
-# perf-trend gate over the checked-in BENCH snapshots, and the
-# provenance-trace smoke against the real daemon.
+# suite under the race detector (which also vets and smoke-tests the
+# benchmark of record, a nested module, via TestBenchmarkModule), the
+# server's concurrency tests, a short native-fuzz burst, the coverage
+# ratchet, a one-iteration smoke of the paper-table benchmarks, the
+# provenance-trace smoke against the real daemon, the planner's CLI/daemon
+# agreement, the replica and snapshot lifecycles, backend agreement, and
+# the p99 SLO gate.
 check:
 	$(GO) vet ./...
 	$(GO) build -o /dev/null ./cmd/rcserved
 	$(GO) test -race ./...
-	$(MAKE) bench-record-smoke
 	$(MAKE) server-test
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover
 	$(MAKE) bench-smoke
-	$(MAKE) benchtrend
 	$(MAKE) trace-smoke
 	$(MAKE) plan-smoke
 	$(MAKE) replica-smoke
 	$(MAKE) snapshot-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) load-smoke
-
-# bench-record-smoke compiles and smoke-runs the benchmark of record.
-# benchmark/ is a nested module that `go test ./...` never sees, so
-# without this an API change in routing, dd or core could break the
-# benchmark unnoticed.
-bench-record-smoke:
-	$(GO) vet -C benchmark .
-	$(GO) test -C benchmark .
 
 # backend-smoke verifies the same snapshot under both model backends
 # through the real CLI and requires identical policy verdicts and FIB
@@ -269,23 +260,15 @@ snapshot-smoke:
 load-smoke:
 	./scripts/loadgate.sh
 
-# bench-smoke runs every benchmark once — not for numbers, just to prove
-# they still build and complete.
+# bench-smoke runs the paper-table benchmarks and the apkeep/bdd
+# micro-benchmarks once — not for numbers, just to prove they still
+# build and complete.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Table3' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Table2|Table3|SpecMining' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/apkeep ./internal/bdd
 
-# bench-json writes the next machine-readable perf snapshot tracked in
-# git (BENCH_%04d.json, never overwriting an earlier one); benchtrend
-# compares the two newest snapshots and fails on a >20% regression in
-# any table they share.
-bench-json:
-	$(GO) run ./cmd/rcbench -table all -k 6 -json auto
-
-benchtrend:
-	./scripts/benchtrend.sh
-
-# bench reports real numbers for the hot paths.
+# bench reports real numbers for the hot paths and the paper's tables
+# (REALCONFIG_BENCH_K=12 for the paper's scale).
 bench:
 	$(GO) test -run '^$$' -bench '.' -benchtime 2s ./internal/apkeep ./internal/bdd
-	$(GO) test -run '^$$' -bench 'Table3' .
+	$(GO) test -run '^$$' -bench 'Table2|Table3|SpecMining' .

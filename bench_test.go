@@ -14,8 +14,7 @@
 //
 // The topology is the paper's fat-tree; arity defaults to 6 (45 nodes)
 // so the suite stays fast, and REALCONFIG_BENCH_K=12 reproduces the
-// paper's 180-node / 864-link scale. cmd/rcbench prints the same
-// measurements formatted like the paper's tables.
+// paper's 180-node / 864-link scale.
 package realconfig_test
 
 import (
@@ -231,6 +230,7 @@ func benchModelUpdate(b *testing.B, change string, order apkeep.Order) {
 			b.ReportMetric(float64(res.AffectedECs()), "ECs")
 			b.ReportMetric(float64(res.Inserted), "ins")
 			b.ReportMetric(float64(res.Deleted), "del")
+			b.ReportMetric(float64(len(f.base)), "rules_total")
 		}
 		b.StopTimer()
 		if _, err := m.ApplyBatch(rev, order); err != nil {
@@ -259,6 +259,7 @@ func benchPolicyCheck(b *testing.B, change string) {
 	checker := policy.NewChecker(m)
 	checker.SetTopology(f.net.DeviceNames(), dataplane.Adjacencies(f.net.Network))
 	checker.Update(nil, nil)
+	pairsTotal := checker.NumPairs()
 	rev := f.undo()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -271,6 +272,7 @@ func benchPolicyCheck(b *testing.B, change string) {
 		cres := checker.Update(res.Transfers, res.FilterTransfers)
 		if i == 0 {
 			b.ReportMetric(float64(len(cres.AffectedPairs)), "pairs")
+			b.ReportMetric(float64(pairsTotal), "pairs_total")
 		}
 		b.StopTimer()
 		res, err = m.ApplyBatch(rev, apkeep.InsertFirst)

@@ -4,7 +4,7 @@
 // re-verifying incrementally, and reverting — exploiting the similarity
 // between conditions instead of recomputing each data plane from
 // scratch (the paper measures this ~20x faster than non-incremental
-// generation; see cmd/rcbench -table mining).
+// generation; see BenchmarkSpecMining_* in the root bench_test.go).
 //
 //	go run ./examples/specmining [-k 6] [-failures 24]
 package main

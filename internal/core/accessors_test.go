@@ -60,3 +60,22 @@ func TestAccessorsReturnCopies(t *testing.T) {
 	}
 	crossCheck(t, v, v.Network())
 }
+
+// TestDeviceAccessors checks NumDevices and HasDevice before Load and
+// against the campus fixture's six devices after it.
+func TestDeviceAccessors(t *testing.T) {
+	v := New(Options{})
+	if n, ok := v.NumDevices(), v.HasDevice("border"); n != 0 || ok {
+		t.Errorf("before Load: NumDevices() = %d, HasDevice(border) = %v; want 0, false", n, ok)
+	}
+	v, _ = loadCampus(t)
+	if n := v.NumDevices(); n != 6 {
+		t.Errorf("NumDevices() = %d, want 6", n)
+	}
+	if !v.HasDevice("border") {
+		t.Error("HasDevice(border) = false, want true")
+	}
+	if v.HasDevice("ghost") {
+		t.Error("HasDevice(ghost) = true, want false")
+	}
+}

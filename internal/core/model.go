@@ -55,9 +55,6 @@ const (
 	BackendAtom = "atom"
 )
 
-// Backends lists the selectable model backends.
-func Backends() []string { return []string{BackendBDD, BackendAtom} }
-
 // ModelBackend returns the effective backend name: Options.Backend with
 // the empty string resolved to the default, bdd.
 func (o Options) ModelBackend() string {

@@ -500,6 +500,21 @@ func (v *Verifier) Network() *netcfg.Network {
 	return v.cur.Clone()
 }
 
+// NumDevices returns the verified snapshot's device count (0 before
+// Load) without copying it.
+func (v *Verifier) NumDevices() int {
+	if v.cur == nil {
+		return 0
+	}
+	return len(v.cur.Devices)
+}
+
+// HasDevice reports whether the verified snapshot has the named device
+// (false before Load).
+func (v *Verifier) HasDevice(name string) bool {
+	return v.cur != nil && v.cur.Devices[name] != nil
+}
+
 // AddPolicy registers a policy with the checker and returns its initial
 // verdict. Policies can be added before or after Load.
 func (v *Verifier) AddPolicy(p policy.Policy) bool { return v.stages.AddPolicy(p) }

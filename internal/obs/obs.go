@@ -12,8 +12,9 @@
 //     with the apply goroutine; every value is read with an atomic load,
 //     so a scrape observes each instrument at some real point in time.
 //   - One vocabulary. Stage names (StageGenerate etc.) are shared by the
-//     live metrics, the CLI's timing lines and rcbench's JSON reports,
-//     so a BENCH_*.json field and a histogram label mean the same thing.
+//     live metrics, the CLI's timing lines and the span names of the
+//     benchmark of record's traced run, so a per-layer benchmark metric
+//     and a histogram label mean the same thing.
 //
 // Metric names follow Prometheus conventions: counters end in _total,
 // durations are histograms in seconds named *_seconds.
@@ -34,8 +35,8 @@ import (
 )
 
 // Canonical pipeline stage names: the label values of
-// realconfig_stage_seconds, the keys of rcbench's stage timings, and the
-// names printed by "realconfig verify/check".
+// realconfig_stage_seconds, the stage span names of the benchmark of
+// record's traced run, and the names printed by "realconfig verify/check".
 const (
 	StageGenerate    = "generate"     // incremental data plane generation (dd/routing)
 	StageModelUpdate = "model_update" // EC model batch update (apkeep, Table 3's T1)

@@ -57,12 +57,6 @@ type Options struct {
 	Workers int
 	// MaxProbes bounds the number of oracle probes (0 = DefaultMaxProbes).
 	MaxProbes int
-	// FullVerify switches the oracle to naive mode: every probe builds a
-	// fresh verifier and fully re-verifies the probed state from
-	// scratch. The search is otherwise identical (same memoization, same
-	// trajectory), so benchmarks can isolate the cost of incremental vs
-	// full probing. Not for production use.
-	FullVerify bool
 	// Metrics receives the planner's instruments (nil = uninstrumented).
 	Metrics *Metrics
 	// Recorder, when set, records one "plan" trace per search: a search

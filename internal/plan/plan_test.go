@@ -201,25 +201,6 @@ func TestSearchRing(t *testing.T) {
 	}
 }
 
-// TestSearchFullVerify checks the naive oracle reaches the same plan
-// while paying a full rebuild per probe.
-func TestSearchFullVerify(t *testing.T) {
-	v, batch := diamondFixture(t)
-	res, err := plan.Search(v, batch, plan.Options{FullVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan == nil {
-		t.Fatalf("no plan found: %v", res.Counterexample)
-	}
-	if got := wavesOf(res.Plan); !sameWaves(got, [][]int{{1}, {0}}) {
-		t.Fatalf("waves = %v, want [[1] [0]]", got)
-	}
-	if res.Stats.Rebuilds != res.Stats.Probes {
-		t.Fatalf("naive mode rebuilt %d of %d probes, want all", res.Stats.Rebuilds, res.Stats.Probes)
-	}
-}
-
 // TestSearchBudget checks probe-budget exhaustion is a loud error.
 func TestSearchBudget(t *testing.T) {
 	net, err := topology.Ring(6, topology.OSPF)

@@ -62,16 +62,12 @@ func newPool(s *searcher, n int) (*pool, error) {
 	opts := s.base.Options()
 	opts.TraceApplies = 0 // probe forks are disposable; don't trace them
 	for i := 0; i < n; i++ {
-		w := &worker{s: s, opts: opts}
-		if !s.opts.FullVerify {
-			fork, err := s.base.ForkSameAt(s.baseNet.Clone(), opts)
-			if err != nil {
-				close(p.jobs)
-				return nil, fmt.Errorf("plan: forking probe worker: %w", err)
-			}
-			w.fork = fork
-			w.at = []int{}
+		fork, err := s.base.ForkSameAt(s.baseNet.Clone(), opts)
+		if err != nil {
+			close(p.jobs)
+			return nil, fmt.Errorf("plan: forking probe worker: %w", err)
 		}
+		w := &worker{s: s, opts: opts, fork: fork, at: []int{}}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -94,16 +90,12 @@ type worker struct {
 	opts core.Options
 	// fork is the worker's warm verifier; at is the sorted change set it
 	// currently sits on (nil marks the fork broken, forcing a rebuild).
-	// Unused in FullVerify mode, where every probe builds afresh.
 	fork *core.Verifier
 	at   []int
 }
 
 // probe answers whether the candidate is safe at the state.
 func (w *worker) probe(job probeJob) (probeResult, bool, error) {
-	if w.s.opts.FullVerify {
-		return w.probeFull(job)
-	}
 	rebuilt := false
 	if w.fork == nil || !sameSet(w.at, job.state) {
 		if err := w.reposition(job.state); err != nil {
@@ -159,25 +151,6 @@ func (w *worker) reposition(state []int) error {
 	}
 	w.at = append([]int(nil), state...)
 	return nil
-}
-
-// probeFull is the naive oracle: verify state+cand from scratch.
-func (w *worker) probeFull(job probeJob) (probeResult, bool, error) {
-	net, err := canonicalNet(w.s.baseNet, w.s.batch, job.state)
-	if err != nil {
-		return probeResult{}, false, err
-	}
-	if err := w.s.batch[job.cand].Apply(net); err != nil {
-		return probeResult{applyErr: err.Error()}, false, nil
-	}
-	fork, err := w.s.base.ForkSameAt(net, w.opts)
-	if err != nil {
-		return probeResult{applyErr: err.Error()}, false, nil
-	}
-	w.fork = fork
-	res := w.evaluate()
-	w.fork = nil
-	return res, true, nil
 }
 
 // evaluate compares the fork's verdicts to the base state's: the probe

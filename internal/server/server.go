@@ -1021,7 +1021,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), t.applyTimeout)
 	defer cancel()
 	res, err := t.do(ctx, func() (any, error) {
-		if net := t.verifier.Network(); net == nil || net.Devices[src] == nil {
+		if !t.verifier.HasDevice(src) {
 			return nil, fmt.Errorf("no device %q", src)
 		}
 		return t.verifier.Trace(src, pkt), nil

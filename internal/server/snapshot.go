@@ -101,12 +101,10 @@ func buildSnapshot(v *core.Verifier, seq uint64, rep *ReportJSON) *Snapshot {
 		ECs:        v.NumECs(),
 		Pairs:      v.NumPairs(),
 		FIBRules:   v.NumFIBRules(),
+		Devices:    v.NumDevices(),
 		Verdicts:   make([]Verdict, 0, len(names)),
 		Violations: []string{},
 		LastReport: rep,
-	}
-	if net := v.Network(); net != nil {
-		s.Devices = len(net.Devices)
 	}
 	for _, name := range names {
 		sat := verdicts[name]
