@@ -11,6 +11,7 @@ package policy
 
 import (
 	"sort"
+	"time"
 
 	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
@@ -33,6 +34,10 @@ const (
 	Filtered
 	// Looped: it entered a forwarding loop.
 	Looped
+
+	// notWalked marks, in an ecResult, a device the EC was not walked
+	// from. It never leaves the package.
+	notWalked
 )
 
 func (k Kind) String() string {
@@ -61,15 +66,36 @@ type Pair struct {
 	Src, Dst string
 }
 
-// ecResult caches one EC's forwarding behaviour.
+// ecResult caches one EC's forwarding behaviour, indexed by device id.
+// Both slices are as long as the symbol table was when the EC was
+// walked; a device interned later reads as not walked.
 type ecResult struct {
-	outcomes map[string]Outcome
-	// next is the EC's functional forwarding graph: each device's
-	// successor (devices whose packets terminate locally are absent).
-	next  map[string]string
-	pairs map[Pair]struct{} // delivered pairs
+	// outcomes[id] is the fate of the EC's packets injected at device
+	// id (Kind notWalked where the walk neither started nor passed).
+	outcomes []Outcome
+	// next is the EC's functional forwarding graph: next[id] is the
+	// device the packet moves on to from id, or -1 where the walk ends
+	// at id. The EC's delivered pairs are read off outcomes.
+	next []int32
 	// hdrs are the index entries whose header overlaps the EC.
 	hdrs []*hdrEntry
+}
+
+// outcome returns the fate of the EC's packets injected at device id
+// (an id of -1, or one interned after the walk, reads as not walked).
+func (r *ecResult) outcome(id int32) Outcome {
+	if id < 0 || int(id) >= len(r.outcomes) {
+		return Outcome{Kind: notWalked}
+	}
+	return r.outcomes[id]
+}
+
+// link is one of a device's egress interfaces and the neighbor and
+// ingress interface it leads to.
+type link struct {
+	intf     string
+	peer     int32
+	peerIntf string
 }
 
 // Checker incrementally maintains forwarding outcomes and policy
@@ -83,10 +109,23 @@ type Checker struct {
 	scope  bdd.Node
 	scoped bool
 
-	devices []string
-	// ingress maps (device, egress interface) to the neighbor and its
-	// ingress interface, for ACL lookups along walks.
-	ingress map[[2]string][2]string
+	// names and ids intern device names append-only: a device's id
+	// never changes, so cached ecResults stay valid across SetTopology.
+	names []string
+	ids   map[string]int32
+	// order lists the live devices' ids sorted by name, the order walks
+	// start in. moved lists the ids that joined or left the live set
+	// since the last Update, which re-walks every cached EC for them.
+	order []int32
+	moved []int32
+	// links[id] lists device id's adjacencies, for ACL lookups along
+	// walks (a device has a handful, so a scan beats a hash).
+	links [][]link
+
+	// scratch is the sequential walk's scratch; reach is merge's. Both
+	// are reused across batches (merge runs sequentially).
+	scratch walkScratch
+	reach   reach
 
 	ecs   map[bdd.Node]*ecResult
 	pairs map[Pair]map[bdd.Node]struct{}
@@ -123,9 +162,33 @@ type CheckerMetrics struct {
 	// (src, dst) pairs with at least one deliverable EC.
 	Policies *obs.Gauge
 	Pairs    *obs.Gauge
+	// RecheckSeconds times each policy re-evaluation in Update, by
+	// policy kind (kindOf); a kind without an entry is not timed.
+	RecheckSeconds map[string]*obs.Histogram
 }
 
-// Instrument registers the checker's counters and gauges on reg.
+// policyKinds are the kind label values of
+// realconfig_policy_recheck_seconds.
+var policyKinds = []string{"reach", "waypoint", "loopfree", "blackholefree"}
+
+// kindOf names a policy's kind for metrics ("" for a kind defined
+// outside this package).
+func kindOf(p Policy) string {
+	switch p.(type) {
+	case Reachability:
+		return "reach"
+	case Waypoint:
+		return "waypoint"
+	case LoopFree:
+		return "loopfree"
+	case BlackholeFree:
+		return "blackholefree"
+	}
+	return ""
+}
+
+// Instrument registers the checker's counters, gauges and histograms on
+// reg.
 func (c *Checker) Instrument(reg *obs.Registry) {
 	c.metrics = CheckerMetrics{
 		Updates:         reg.Counter("realconfig_policy_updates_total", "Incremental policy-check batches processed.", nil),
@@ -134,6 +197,11 @@ func (c *Checker) Instrument(reg *obs.Registry) {
 		AffectedPairs:   reg.Counter("realconfig_policy_affected_pairs_total", "(src, dst) pairs whose deliverable-EC set changed.", nil),
 		Policies:        reg.Gauge("realconfig_policy_policies", "Registered policies.", nil),
 		Pairs:           reg.Gauge("realconfig_policy_pairs", "(src, dst) pairs with at least one deliverable EC.", nil),
+		RecheckSeconds:  make(map[string]*obs.Histogram, len(policyKinds)),
+	}
+	for _, kind := range policyKinds {
+		c.metrics.RecheckSeconds[kind] = reg.Histogram("realconfig_policy_recheck_seconds",
+			"Wall-clock time of one policy re-evaluation in an incremental check, by policy kind.", nil, obs.Labels{"kind": kind})
 	}
 	c.metrics.Policies.Set(int64(len(c.policies)))
 	c.metrics.Pairs.Set(int64(len(c.pairs)))
@@ -150,7 +218,7 @@ func (c *Checker) SetParallelism(n int) { c.parallelism = n }
 func NewChecker(m Model) *Checker {
 	return &Checker{
 		model:    m,
-		ingress:  make(map[[2]string][2]string),
+		ids:      make(map[string]int32),
 		ecs:      make(map[bdd.Node]*ecResult),
 		pairs:    make(map[Pair]map[bdd.Node]struct{}),
 		policies: make(map[string]Policy),
@@ -196,21 +264,88 @@ func (c *Checker) WitnessIn(m dataplane.Match, ec bdd.Node) (bdd.Packet, bool) {
 }
 
 // SetTopology installs the device list and adjacency view used for walks
-// and filter lookups. Call again whenever the topology changes.
+// and filter lookups. Call again whenever the topology changes. When the
+// set of devices changes, the next Update re-walks every cached EC, so
+// each EC has an outcome at exactly the live devices.
 func (c *Checker) SetTopology(devices []string, adjs []dataplane.Adjacency) {
-	c.devices = append([]string(nil), devices...)
-	sort.Strings(c.devices)
-	c.ingress = make(map[[2]string][2]string, len(adjs))
-	for _, a := range adjs {
-		c.ingress[[2]string{a.Dev, a.LocalIntf}] = [2]string{a.Peer, a.PeerIntf}
+	prev := c.order
+	c.order = make([]int32, len(devices))
+	for i, d := range devices {
+		c.order[i] = c.intern(d)
 	}
+	sort.Slice(c.order, func(i, j int) bool { return c.names[c.order[i]] < c.names[c.order[j]] })
+	// Both lists are sorted by name: merge them to find the ids in one.
+	i, j := 0, 0
+	for i < len(prev) && j < len(c.order) {
+		a, b := prev[i], c.order[j]
+		switch {
+		case a == b:
+			i++
+			j++
+		case c.names[a] < c.names[b]:
+			c.moved = append(c.moved, a)
+			i++
+		default:
+			c.moved = append(c.moved, b)
+			j++
+		}
+	}
+	c.moved = append(append(c.moved, prev[i:]...), c.order[j:]...)
+
+	for id := range c.links {
+		c.links[id] = c.links[id][:0]
+	}
+	for _, a := range adjs {
+		dev, peer := c.intern(a.Dev), c.intern(a.Peer)
+		for len(c.links) < len(c.names) {
+			c.links = append(c.links, nil)
+		}
+		c.links[dev] = append(c.links[dev], link{intf: a.LocalIntf, peer: peer, peerIntf: a.PeerIntf})
+	}
+}
+
+// ingress resolves device id's egress interface to the link it is on.
+// A later adjacency for the same interface overrides an earlier one.
+func (c *Checker) ingress(dev int32, intf string) (link, bool) {
+	if dev >= 0 && int(dev) < len(c.links) {
+		ls := c.links[dev]
+		for i := len(ls) - 1; i >= 0; i-- {
+			if ls[i].intf == intf {
+				return ls[i], true
+			}
+		}
+	}
+	return link{}, false
+}
+
+// intern returns a device name's id, assigning the next one on first
+// sight.
+func (c *Checker) intern(name string) int32 {
+	id, ok := c.ids[name]
+	if !ok {
+		id = int32(len(c.names))
+		c.names = append(c.names, name)
+		c.ids[name] = id
+	}
+	return id
+}
+
+// idOf returns a device's id, or -1 for a name never in the topology.
+func (c *Checker) idOf(name string) int32 {
+	if id, ok := c.ids[name]; ok {
+		return id
+	}
+	return -1
 }
 
 // Ingress resolves a (device, egress interface) to the neighbor and its
 // ingress interface, per the installed topology.
 func (c *Checker) Ingress(dev, outIntf string) ([2]string, bool) {
-	in, ok := c.ingress[[2]string{dev, outIntf}]
-	return in, ok
+	l, ok := c.ingress(c.idOf(dev), outIntf)
+	if !ok {
+		return [2]string{}, false
+	}
+	return [2]string{c.names[l.peer], l.peerIntf}, true
 }
 
 // PairECs returns the ECs deliverable from src to dst (live; do not
@@ -229,8 +364,10 @@ func (c *Checker) OutcomeOf(ec bdd.Node, src string) (Outcome, bool) {
 	if r == nil {
 		return Outcome{}, false
 	}
-	o, ok := r.outcomes[src]
-	return o, ok
+	if o := r.outcome(c.idOf(src)); o.Kind != notWalked {
+		return o, true
+	}
+	return Outcome{}, false
 }
 
 // PolicyEvent reports a policy whose satisfaction flipped.
@@ -277,16 +414,14 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	affected := make(map[bdd.Node]struct{})
 	// changedDevs tracks, per EC, the devices whose behaviour for that
 	// EC changed; paths through them are the "modified paths" whose end
-	// points define the affected pairs (the paper's #Pairs metric).
-	changedDevs := make(map[bdd.Node]map[string]struct{})
+	// points define the affected pairs (the paper's #Pairs metric). A
+	// device outside the topology has no id and no path through it.
+	changedDevs := make(map[bdd.Node][]int32)
 	mark := func(ec bdd.Node, dev string) {
 		affected[ec] = struct{}{}
-		set := changedDevs[ec]
-		if set == nil {
-			set = make(map[string]struct{})
-			changedDevs[ec] = set
+		if id, ok := c.ids[dev]; ok {
+			changedDevs[ec] = append(changedDevs[ec], id)
 		}
-		set[dev] = struct{}{}
 	}
 	for _, t := range transfers {
 		mark(resolve(t.EC), t.Device)
@@ -295,7 +430,9 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 		mark(resolve(t.EC), t.Key.Device)
 	}
 	// ECs created by splits (present in the model, absent here) must be
-	// computed; vanished ECs (split away) must be retired.
+	// computed; vanished ECs (split away) must be retired; and when
+	// devices joined or left the topology, every other EC is re-walked
+	// with them as its changed devices.
 	pairs := make(map[Pair]struct{})
 	current := c.model.ECs()
 	for ec := range current {
@@ -306,8 +443,14 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	for ec := range c.ecs {
 		if _, ok := current[ec]; !ok {
 			c.retire(ec, pairs)
+			continue
+		}
+		if len(c.moved) > 0 {
+			affected[ec] = struct{}{}
+			changedDevs[ec] = append(changedDevs[ec], c.moved...)
 		}
 	}
+	c.moved = c.moved[:0]
 	live := make([]bdd.Node, 0, len(affected))
 	var gone []bdd.Node // transferred, then split away within the batch
 	for ec := range affected {
@@ -368,7 +511,16 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	}
 	for _, r := range todo {
 		res.PoliciesChecked++
-		now := c.policies[r.name].Eval(c)
+		p := c.policies[r.name]
+		h := c.metrics.RecheckSeconds[kindOf(p)]
+		var start time.Time
+		if h != nil {
+			start = time.Now()
+		}
+		now := p.Eval(c)
+		if h != nil {
+			h.ObserveDuration(time.Since(start))
+		}
 		was, known := c.verdicts[r.name]
 		if !known || was != now {
 			c.verdicts[r.name] = now
@@ -405,106 +557,166 @@ func (c *Checker) retire(ec bdd.Node, affected map[Pair]struct{}) {
 	for _, e := range r.hdrs {
 		delete(e.ecs, ec)
 	}
-	for p := range r.pairs {
-		if set := c.pairs[p]; set != nil {
-			delete(set, ec)
-			if len(set) == 0 {
-				delete(c.pairs, p)
-			}
+	for id, o := range r.outcomes {
+		if o.Kind == Delivered {
+			p := Pair{Src: c.names[id], Dst: o.At}
+			c.dropPair(p, ec)
 			affected[p] = struct{}{}
 		}
 	}
 }
+
+// addPair and dropPair maintain the pair map: ec is deliverable along p.
+func (c *Checker) addPair(p Pair, ec bdd.Node) {
+	set := c.pairs[p]
+	if set == nil {
+		set = make(map[bdd.Node]struct{})
+		c.pairs[p] = set
+	}
+	set[ec] = struct{}{}
+}
+
+func (c *Checker) dropPair(p Pair, ec bdd.Node) {
+	if set := c.pairs[p]; set != nil {
+		delete(set, ec)
+		if len(set) == 0 {
+			delete(c.pairs, p)
+		}
+	}
+}
+
+// unwalked stands in for the previous result of a new EC.
+var unwalked = &ecResult{}
 
 // merge installs a freshly walked result for an EC: it carries over the
 // EC's index memberships (computing them for a new EC), refreshes the
 // pair map with the delta and collects the pairs whose paths were
 // modified — the end points of every old or new path traversing a device
 // whose behaviour for this EC changed.
-func (c *Checker) merge(ec bdd.Node, r *ecResult, devs map[string]struct{}, affected map[Pair]struct{}) {
+func (c *Checker) merge(ec bdd.Node, r *ecResult, devs []int32, affected map[Pair]struct{}) {
 	old := c.ecs[ec]
 	c.ecs[ec] = r
 	if old == nil {
 		c.join(ec, r)
+		old = unwalked
 	} else {
 		r.hdrs = old.hdrs
 	}
-	// Pair map maintenance (delivery-set delta).
-	for p := range r.pairs {
-		if old == nil || !contains(old.pairs, p) {
-			set := c.pairs[p]
-			if set == nil {
-				set = make(map[bdd.Node]struct{})
-				c.pairs[p] = set
-			}
-			set[ec] = struct{}{}
+	// Pair map maintenance: a device's delivered pair can change only
+	// where its outcome did.
+	for id := range max(len(old.outcomes), len(r.outcomes)) {
+		was, now := old.outcome(int32(id)), r.outcome(int32(id))
+		if was == now {
+			continue
 		}
-	}
-	if old != nil {
-		for p := range old.pairs {
-			if !contains(r.pairs, p) {
-				if set := c.pairs[p]; set != nil {
-					delete(set, ec)
-					if len(set) == 0 {
-						delete(c.pairs, p)
-					}
-				}
-			}
+		if was.Kind == Delivered {
+			c.dropPair(Pair{Src: c.names[id], Dst: was.At}, ec)
+		}
+		if now.Kind == Delivered {
+			c.addPair(Pair{Src: c.names[id], Dst: now.At}, ec)
 		}
 	}
 	if len(devs) == 0 {
 		return // pure split: behaviour unchanged, no modified paths
 	}
 	// Sources whose old or new walk traverses a changed device.
-	sources := make(map[string]struct{}, len(devs))
-	if old != nil {
-		reverseReach(old.next, devs, sources)
-	}
-	reverseReach(r.next, devs, sources)
-	for s := range sources {
-		if old != nil {
-			if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
-				affected[Pair{Src: s, Dst: o.At}] = struct{}{}
-			}
+	for _, s := range c.reach.sources(devs, old.next, r.next) {
+		if o := old.outcome(s); o.Kind == Delivered {
+			affected[Pair{Src: c.names[s], Dst: o.At}] = struct{}{}
 		}
-		if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
-			affected[Pair{Src: s, Dst: o.At}] = struct{}{}
+		if o := r.outcome(s); o.Kind == Delivered {
+			affected[Pair{Src: c.names[s], Dst: o.At}] = struct{}{}
 		}
 	}
 }
 
-// reverseReach adds to out every device that reaches one of the targets
-// by following next pointers (targets included).
-func reverseReach(next map[string]string, targets map[string]struct{}, out map[string]struct{}) {
-	rev := make(map[string][]string, len(next))
-	for s, d := range next {
-		rev[d] = append(rev[d], s)
+// reach finds the devices whose walk traverses a changed device, by a
+// reverse traversal of each EC forwarding graph over a CSR (compressed
+// sparse row) reverse adjacency. Its slices are scratch, reused from
+// call to call.
+type reach struct {
+	// pred[off[d]:off[d+1]] are the devices whose next is d.
+	off, pred []int32
+	seen      []bool // visited in the current graph
+	in        []bool // in out
+	stack     []int32
+	out       []int32
+}
+
+// sources returns every device that reaches one of targets by following
+// next in any of graphs, targets included. The slice is valid until the
+// next call.
+func (s *reach) sources(targets []int32, graphs ...[]int32) []int32 {
+	for _, id := range s.out {
+		s.in[id] = false
 	}
-	var stack []string
-	for d := range targets {
-		if _, ok := out[d]; !ok {
-			out[d] = struct{}{}
-		}
-		stack = append(stack, d)
+	s.out = s.out[:0]
+	for _, t := range targets {
+		s.add(t)
 	}
-	// BFS over reverse edges; out doubles as the visited set, so callers
-	// accumulating across graphs must pass a fresh set per EC.
-	seen := make(map[string]struct{}, len(targets))
-	for d := range targets {
-		seen[d] = struct{}{}
-	}
-	for len(stack) > 0 {
-		d := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, s := range rev[d] {
-			if _, ok := seen[s]; ok {
-				continue
+	for _, next := range graphs {
+		n := len(next)
+		s.off = zeroed(s.off, n+1)
+		for _, d := range next {
+			if d >= 0 {
+				s.off[d]++
 			}
-			seen[s] = struct{}{}
-			out[s] = struct{}{}
-			stack = append(stack, s)
+		}
+		for d := 1; d <= n; d++ {
+			s.off[d] += s.off[d-1]
+		}
+		// off[d] now ends d's run; filling each run backwards leaves it
+		// at the run's start.
+		s.pred = zeroed(s.pred, int(s.off[n]))
+		for v, d := range next {
+			if d >= 0 {
+				s.off[d]--
+				s.pred[s.off[d]] = int32(v)
+			}
+		}
+		s.seen = zeroed(s.seen, n)
+		s.stack = s.stack[:0]
+		for _, t := range targets {
+			if int(t) < n && !s.seen[t] {
+				s.seen[t] = true
+				s.stack = append(s.stack, t)
+			}
+		}
+		for len(s.stack) > 0 {
+			d := s.stack[len(s.stack)-1]
+			s.stack = s.stack[:len(s.stack)-1]
+			for _, v := range s.pred[s.off[d]:s.off[d+1]] {
+				if !s.seen[v] {
+					s.seen[v] = true
+					s.add(v)
+					s.stack = append(s.stack, v)
+				}
+			}
 		}
 	}
+	return s.out
+}
+
+// add puts a device in out once.
+func (s *reach) add(id int32) {
+	if int(id) >= len(s.in) {
+		s.in = append(s.in, make([]bool, int(id)+1-len(s.in))...)
+	}
+	if !s.in[id] {
+		s.in[id] = true
+		s.out = append(s.out, id)
+	}
+}
+
+// zeroed returns buf resized to n zero elements, reusing its array when
+// it is large enough.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // SortedPairs lists a pair set ordered by source, then destination (nil
@@ -521,9 +733,4 @@ func SortedPairs(set map[Pair]struct{}) []Pair {
 		return out[i].Dst < out[j].Dst
 	})
 	return out
-}
-
-func contains(set map[Pair]struct{}, p Pair) bool {
-	_, ok := set[p]
-	return ok
 }

@@ -82,8 +82,66 @@ func refPoliciesChecked(c *Checker, affected map[bdd.Node]map[string]struct{}) i
 	return n
 }
 
+// nameView renders an EC result as the name-keyed maps the checker kept
+// before device ids: walked outcomes, next hops and delivered pairs.
+func nameView(c *Checker, r *ecResult) (outcomes map[string]Outcome, next map[string]string, pairs map[Pair]struct{}) {
+	outcomes = make(map[string]Outcome)
+	next = make(map[string]string)
+	pairs = make(map[Pair]struct{})
+	for id, o := range r.outcomes {
+		if o.Kind == notWalked {
+			continue
+		}
+		outcomes[c.names[id]] = o
+		if o.Kind == Delivered {
+			pairs[Pair{Src: c.names[id], Dst: o.At}] = struct{}{}
+		}
+	}
+	for id, d := range r.next {
+		if d >= 0 {
+			next[c.names[id]] = c.names[d]
+		}
+	}
+	return outcomes, next, pairs
+}
+
+// refReverseReach is the map-based reverse reach the CSR traversal
+// replaced: it adds to out every device that reaches one of the targets
+// by following next pointers (targets included).
+func refReverseReach(next map[string]string, targets map[string]struct{}, out map[string]struct{}) {
+	rev := make(map[string][]string, len(next))
+	for s, d := range next {
+		rev[d] = append(rev[d], s)
+	}
+	var stack []string
+	for d := range targets {
+		if _, ok := out[d]; !ok {
+			out[d] = struct{}{}
+		}
+		stack = append(stack, d)
+	}
+	// BFS over reverse edges; out doubles as the visited set, so callers
+	// accumulating across graphs must pass a fresh set per EC.
+	seen := make(map[string]struct{}, len(targets))
+	for d := range targets {
+		seen[d] = struct{}{}
+	}
+	for len(stack) > 0 {
+		d := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range rev[d] {
+			if _, ok := seen[s]; ok {
+				continue
+			}
+			seen[s] = struct{}{}
+			out[s] = struct{}{}
+			stack = append(stack, s)
+		}
+	}
+}
+
 // refAffectedPairs replays the old append-and-scan pair accounting over
-// the checker's results before and after an Update.
+// name-keyed views of the checker's results before and after an Update.
 func refAffectedPairs(before map[bdd.Node]*ecResult, c *Checker, affected map[bdd.Node]map[string]struct{}) []Pair {
 	var list []Pair
 	appendPair := func(p Pair) {
@@ -96,7 +154,8 @@ func refAffectedPairs(before map[bdd.Node]*ecResult, c *Checker, affected map[bd
 	}
 	for ec, r := range before {
 		if _, ok := c.ecs[ec]; !ok {
-			for p := range r.pairs {
+			_, _, pairs := nameView(c, r)
+			for p := range pairs {
 				appendPair(p)
 			}
 		}
@@ -106,19 +165,20 @@ func refAffectedPairs(before map[bdd.Node]*ecResult, c *Checker, affected map[bd
 		if r == nil || len(devs) == 0 {
 			continue
 		}
-		old := before[ec]
 		sources := make(map[string]struct{})
-		if old != nil {
-			reverseReach(old.next, devs, sources)
+		var oldOutcomes map[string]Outcome
+		if old := before[ec]; old != nil {
+			var oldNext map[string]string
+			oldOutcomes, oldNext, _ = nameView(c, old)
+			refReverseReach(oldNext, devs, sources)
 		}
-		reverseReach(r.next, devs, sources)
+		outcomes, next, _ := nameView(c, r)
+		refReverseReach(next, devs, sources)
 		for s := range sources {
-			if old != nil {
-				if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
-					appendPair(Pair{Src: s, Dst: o.At})
-				}
+			if o, ok := oldOutcomes[s]; ok && o.Kind == Delivered {
+				appendPair(Pair{Src: s, Dst: o.At})
 			}
-			if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
+			if o, ok := outcomes[s]; ok && o.Kind == Delivered {
 				appendPair(Pair{Src: s, Dst: o.At})
 			}
 		}

@@ -91,7 +91,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		}
 		for dev, o := range r.outcomes {
 			if pr.outcomes[dev] != o {
-				t.Errorf("outcome(%v, %s): seq %+v, par %+v", ec, dev, o, pr.outcomes[dev])
+				t.Errorf("outcome(%v, %d): seq %+v, par %+v", ec, dev, o, pr.outcomes[dev])
 			}
 		}
 	}

@@ -105,10 +105,11 @@ func (p Reachability) Name() string { return p.PolicyName }
 
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
+	src := c.idOf(p.Src)
 	delivered, total := 0, 0
 	for ec := range c.headerECs(p.Hdr) {
 		total++
-		if o, ok := c.OutcomeOf(ec, p.Src); ok && o.Kind == Delivered && o.At == p.Dst {
+		if o := c.ecs[ec].outcome(src); o.Kind == Delivered && o.At == p.Dst {
 			delivered++
 		}
 	}
@@ -136,9 +137,9 @@ func (p Waypoint) Name() string { return p.PolicyName }
 
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
+	src := c.idOf(p.Src)
 	for ec := range c.headerECs(p.Hdr) {
-		o, ok := c.OutcomeOf(ec, p.Src)
-		if !ok || o.Kind != Delivered || o.At != p.Dst {
+		if o := c.ecs[ec].outcome(src); o.Kind != Delivered || o.At != p.Dst {
 			continue
 		}
 		through := false

@@ -15,7 +15,7 @@ func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 	results := make([]*ecResult, len(ecs))
 	if c.parallelism <= 1 || len(ecs) < 2*c.parallelism {
 		for i, ec := range ecs {
-			results[i] = c.walk(ec)
+			results[i] = c.walk(ec, &c.scratch)
 		}
 		return results
 	}
@@ -25,8 +25,9 @@ func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s walkScratch
 			for i := range next {
-				results[i] = c.walk(ecs[i])
+				results[i] = c.walk(ecs[i], &s)
 			}
 		}()
 	}
@@ -38,79 +39,88 @@ func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 	return results
 }
 
+// walkScratch is one worker's traversal state, reused from walk to walk.
+// Between walks onChain is all false.
+type walkScratch struct {
+	onChain []bool // devices on the chain being traversed
+	chain   []int32
+}
+
 // walk computes the EC's fate from every device by traversing its
 // functional forwarding graph once, with memoization: each device has at
 // most one successor for a given EC, so every node on a traversal chain
 // shares the chain's terminal outcome, and chains that close on
-// themselves (or join an in-progress chain) are loops.
-func (c *Checker) walk(ec bdd.Node) *ecResult {
-	r := &ecResult{
-		outcomes: make(map[string]Outcome, len(c.devices)),
-		next:     make(map[string]string, len(c.devices)),
-		pairs:    make(map[Pair]struct{}),
+// themselves (or join an in-progress chain) are loops. A next hop
+// outside the topology ends the walk as a drop at that name.
+func (c *Checker) walk(ec bdd.Node, s *walkScratch) *ecResult {
+	n := len(c.names)
+	r := &ecResult{outcomes: make([]Outcome, n), next: make([]int32, n)}
+	for id := range r.outcomes {
+		r.outcomes[id].Kind = notWalked
+		r.next[id] = -1
 	}
-	const (
-		unvisited = 0
-		inChain   = 1
-		done      = 2
-	)
-	state := make(map[string]uint8, len(c.devices))
+	if len(s.onChain) < n {
+		s.onChain = make([]bool, n)
+	}
 
-	for _, start := range c.devices {
-		if state[start] == done {
+	for _, start := range c.order {
+		if r.outcomes[start].Kind != notWalked {
 			continue
 		}
-		var chain []string
+		chain := s.chain[:0]
 		cur := start
 		var terminal Outcome
 	traverse:
 		for {
-			switch state[cur] {
-			case done:
-				terminal = r.outcomes[cur]
-				break traverse
-			case inChain:
-				terminal = Outcome{Kind: Looped, At: cur}
+			if o := r.outcomes[cur]; o.Kind != notWalked {
+				terminal = o
 				break traverse
 			}
-			state[cur] = inChain
+			if s.onChain[cur] {
+				terminal = Outcome{Kind: Looped, At: c.names[cur]}
+				break traverse
+			}
+			s.onChain[cur] = true
 			chain = append(chain, cur)
 
-			port := c.model.PortOf(cur, ec)
+			dev := c.names[cur]
+			port := c.model.PortOf(dev, ec)
 			switch port.Action {
 			case dataplane.Deliver:
-				terminal = Outcome{Kind: Delivered, At: cur}
+				terminal = Outcome{Kind: Delivered, At: dev}
 				break traverse
 			case dataplane.Drop:
-				terminal = Outcome{Kind: Dropped, At: cur}
+				terminal = Outcome{Kind: Dropped, At: dev}
 				break traverse
 			}
 			// Forward: check the egress filter here and the ingress
 			// filter at the neighbor.
-			if c.model.Blocked(cur, port.OutIntf, dataplane.Out, ec) {
-				terminal = Outcome{Kind: Filtered, At: cur}
+			if c.model.Blocked(dev, port.OutIntf, dataplane.Out, ec) {
+				terminal = Outcome{Kind: Filtered, At: dev}
 				break traverse
 			}
-			next := port.NextHop
-			if in, ok := c.ingress[[2]string{cur, port.OutIntf}]; ok {
-				next = in[0]
-				r.next[cur] = next // the packet reaches next's door
-				if c.model.Blocked(in[0], in[1], dataplane.In, ec) {
-					terminal = Outcome{Kind: Filtered, At: in[0]}
+			if l, ok := c.ingress(cur, port.OutIntf); ok {
+				r.next[cur] = l.peer // the packet reaches the neighbor's door
+				if c.model.Blocked(c.names[l.peer], l.peerIntf, dataplane.In, ec) {
+					terminal = Outcome{Kind: Filtered, At: c.names[l.peer]}
 					break traverse
 				}
-			} else {
-				r.next[cur] = next
+				cur = l.peer
+				continue
 			}
+			next, ok := c.ids[port.NextHop]
+			if !ok {
+				terminal = Outcome{Kind: Dropped, At: port.NextHop}
+				break traverse
+			}
+			r.next[cur] = next
 			cur = next
 		}
-		for _, dev := range chain {
-			state[dev] = done
-			r.outcomes[dev] = terminal
-			if terminal.Kind == Delivered {
-				r.pairs[Pair{Src: dev, Dst: terminal.At}] = struct{}{}
-			}
+		for _, id := range chain {
+			s.onChain[id] = false
+			r.outcomes[id] = terminal
 		}
+		s.chain = chain
 	}
 	return r
 }
@@ -133,7 +143,7 @@ func (c *Checker) TracePath(ec bdd.Node, src string) []string {
 			return path
 		}
 		next := port.NextHop
-		if in, ok := c.ingress[[2]string{cur, port.OutIntf}]; ok {
+		if in, ok := c.Ingress(cur, port.OutIntf); ok {
 			if c.model.Blocked(in[0], in[1], dataplane.In, ec) {
 				return append(path, in[0])
 			}
