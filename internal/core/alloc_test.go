@@ -1,0 +1,72 @@
+package core
+
+import (
+	"testing"
+
+	"realconfig/internal/netcfg"
+	"realconfig/internal/topology"
+)
+
+// staticEdit loads FatTree(k,BGP) and returns the verifier with an
+// add/remove pair of one drop static route on its first switch: the
+// acl-static-edits workload's static half, one route at a time.
+func staticEdit(tb testing.TB, k int) (*Verifier, [2]netcfg.Change) {
+	tb.Helper()
+	net, err := topology.FatTree(k, topology.BGP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := New(Options{})
+	if _, err := v.Load(net.Network); err != nil {
+		tb.Fatal(err)
+	}
+	dev := net.NodeNames[0]
+	r := netcfg.StaticRoute{Prefix: netcfg.MustPrefix("10.250.0.0/24"), Drop: true}
+	return v, [2]netcfg.Change{
+		netcfg.AddStaticRoute{Device: dev, Route: r},
+		netcfg.RemoveStaticRoute{Device: dev, Route: r},
+	}
+}
+
+// applyPair applies the edit and then its undo, one Apply each.
+func applyPair(tb testing.TB, v *Verifier, edit [2]netcfg.Change) {
+	for _, ch := range edit {
+		rep, err := v.Apply(ch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.RulesInserted+rep.RulesDeleted != 1 {
+			tb.Fatalf("%v changed %d rules, want 1", ch, rep.RulesInserted+rep.RulesDeleted)
+		}
+	}
+}
+
+func BenchmarkApplyStaticEdit(b *testing.B) {
+	v, edit := staticEdit(b, 6)
+	applyPair(b, v, edit) // warm both directions once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		applyPair(b, v, edit)
+	}
+}
+
+// TestApplyAllocationCeilings pins the heap allocations of one
+// add-static/remove-static Apply pair on FatTree(6,BGP), 45 devices.
+// Before copy-on-write applies, each Apply cloned every device, formatted
+// and diffed every device on both sides, and cloned the network again:
+//
+//	static add + remove: 19120 allocs before, 994 after
+//
+// The ceiling is the "after" figure plus 20 %; the whole-network path
+// exceeds it sixteenfold.
+func TestApplyAllocationCeilings(t *testing.T) {
+	const pairCeiling = 1193
+	v, edit := staticEdit(t, 6)
+	applyPair(t, v, edit)
+	perPair := testing.AllocsPerRun(10, func() { applyPair(t, v, edit) })
+	t.Logf("allocs: static add + remove Apply pair %.0f", perPair)
+	if perPair > pairCeiling {
+		t.Errorf("static add + remove Apply pair allocates %.0f objects, ceiling %d", perPair, pairCeiling)
+	}
+}

@@ -105,6 +105,8 @@ func (c aclBind) Apply(n *netcfg.Network) error {
 }
 func (c aclBind) String() string { return fmt.Sprintf("%s: bind acl %s on %s", c.dev, c.name, c.intf) }
 
+func (c aclBind) Touches() ([]string, bool) { return []string{c.dev}, false }
+
 type aclUnbind struct{ dev, intf, name string }
 
 func (c aclUnbind) Apply(n *netcfg.Network) error {
@@ -114,6 +116,8 @@ func (c aclUnbind) Apply(n *netcfg.Network) error {
 	return netcfg.SetACL{Device: c.dev, Name: c.name, Lines: nil}.Apply(n)
 }
 func (c aclUnbind) String() string { return fmt.Sprintf("%s: unbind acl %s", c.dev, c.name) }
+
+func (c aclUnbind) Touches() ([]string, bool) { return []string{c.dev}, false }
 
 // compareBackendReports checks the two backends produced the same
 // verdict deltas and final verdicts for one apply.

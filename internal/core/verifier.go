@@ -15,6 +15,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -63,7 +64,11 @@ type Verifier struct {
 	opts   Options
 	gen    *routing.Generator
 	stages Stages
-	cur    *netcfg.Network
+	// cur is the verified network. Successive networks share every
+	// *Config and the *Topology that no change touched, so the verifier
+	// never mutates a *Config or *Topology it holds, and hands callers
+	// deep copies only (Network, Fork, ForkSame).
+	cur *netcfg.Network
 
 	// metrics are the verifier's own instruments (nil until Instrument;
 	// nil-safe). Stage histograms are indexed like Timing.Stages().
@@ -256,34 +261,62 @@ func (v *Verifier) takeTraceContext() (string, uint64) {
 var ErrNotLoaded = errors.New("core: no network loaded (call Load first)")
 
 // Load performs the initial full verification of a network snapshot.
+// The verifier keeps a copy of net, so the caller may go on using it.
 func (v *Verifier) Load(net *netcfg.Network) (*Report, error) { return v.SetNetwork(net) }
 
 // Apply applies typed configuration changes to the current network and
-// re-verifies incrementally.
+// re-verifies incrementally. The next network is built copy-on-write
+// (see applyShared), so neither building nor diffing it costs more than
+// the devices the changes touch. A batch that fails leaves the verifier
+// unchanged.
 func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
 	if v.cur == nil {
 		return nil, ErrNotLoaded
 	}
-	next := v.cur.Clone()
-	for _, ch := range changes {
-		if err := ch.Apply(next); err != nil {
-			return nil, err
-		}
+	next, err := applyShared(v.cur, changes)
+	if err != nil {
+		return nil, err
 	}
 	return v.verify(next, reqID, seq)
 }
 
+// applyShared returns cur with changes applied, sharing with cur every
+// *Config no change touches and the *Topology unless one edits links.
+// Each touched device is cloned once, before the first change that
+// touches it; cur itself is never written.
+func applyShared(cur *netcfg.Network, changes []netcfg.Change) (*netcfg.Network, error) {
+	next := &netcfg.Network{Devices: maps.Clone(cur.Devices), Topology: cur.Topology}
+	for _, ch := range changes {
+		devs, links := ch.Touches()
+		for _, d := range devs {
+			if cfg := next.Devices[d]; cfg != nil && cfg == cur.Devices[d] {
+				next.Devices[d] = cfg.Clone()
+			}
+		}
+		if links && next.Topology == cur.Topology {
+			next.Topology = cur.Topology.Clone()
+		}
+		if err := ch.Apply(next); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
+}
+
 // SetNetwork verifies an arbitrary new snapshot, reusing all state valid
 // since the previous one: the cost is proportional to the semantic
-// change, not the network size.
+// change, not the network size. The verifier keeps a copy of net, so the
+// caller may go on using it.
 func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
-	return v.verify(net, reqID, seq)
+	return v.verify(net.Clone(), reqID, seq)
 }
 
 // verify is the one pipeline: diff, generate, model update, policy
-// check, report, metrics, and the trace stamped with reqID and seq.
+// check, report, metrics, and the trace stamped with reqID and seq. On
+// success it adopts net as the current network, so net must be the
+// verifier's alone (see the invariant on Verifier.cur).
 func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
 	start := time.Now()
 	label := "apply"
@@ -376,7 +409,7 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 			trace.I("events", int64(len(rep.Check.Events))))
 	}
 
-	v.cur = net.Clone()
+	v.cur = net
 	rep.Timing.Total = time.Since(start)
 	for _, st := range rep.Timing.Stages() {
 		v.metrics.stages[st.Stage].ObserveDuration(st.D)
@@ -434,7 +467,7 @@ func (v *Verifier) Fork(policyText string) (*Verifier, error) {
 	if v.cur == nil {
 		return nil, ErrNotLoaded
 	}
-	fork, _, err := Bootstrap(v.opts, v.cur.Clone(), policyText)
+	fork, _, err := Bootstrap(v.opts, v.cur, policyText) // Load copies it
 	return fork, err
 }
 
@@ -449,12 +482,12 @@ func (v *Verifier) ForkSame() (*Verifier, error) {
 	if v.cur == nil {
 		return nil, ErrNotLoaded
 	}
-	return v.ForkSameAt(v.cur.Clone(), v.opts)
+	return v.ForkSameAt(v.cur, v.opts) // Load copies it
 }
 
-// ForkSameAt is ForkSame generalized: the fork loads the given network
-// snapshot (used directly, not cloned) under the given options, then
-// registers this verifier's compiled policies. Benchmarks use it to
+// ForkSameAt is ForkSame generalized: the fork loads a copy of the given
+// network snapshot under the given options, then registers this
+// verifier's compiled policies. Benchmarks use it to
 // price a from-scratch verification of an arbitrary intermediate state,
 // and the planner uses it to build a tracing fork positioned at a
 // counterexample prefix. Forks are always monolithic, whatever this
@@ -473,8 +506,8 @@ func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, err
 
 // Bootstrap builds a verifier over a network snapshot with policies
 // parsed from a specification text: the construction path shared by
-// daemon startup, journal replay and what-if forks. The network is used
-// directly (not cloned); pass a copy if the caller retains it.
+// daemon startup, journal replay and what-if forks. Like Load, it keeps
+// a copy of the network, so the caller may go on using it.
 func Bootstrap(opts Options, net *netcfg.Network, policyText string) (*Verifier, *Report, error) {
 	v := New(opts)
 	rep, err := v.Load(net)
@@ -566,12 +599,4 @@ func (v *Verifier) NumECs() int { return v.stages.NumECs() }
 func (v *Verifier) NumPairs() int { return v.stages.NumPairs() }
 
 // NumFIBRules returns the number of live forwarding rules.
-func (v *Verifier) NumFIBRules() int {
-	n := 0
-	for _, d := range v.gen.FIB() {
-		if d > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (v *Verifier) NumFIBRules() int { return v.gen.NumFIBRules() }

@@ -12,12 +12,19 @@ func expectState[T comparable](t *testing.T, o *Output[T], want map[T]Diff) {
 			t.Errorf("state[%v] = %d, want %d", v, got, d)
 		}
 	}
+	live := 0
 	for v, d := range o.State() {
 		if d != 0 {
 			if _, ok := want[v]; !ok {
 				t.Errorf("unexpected state[%v] = %d", v, d)
 			}
 		}
+		if d > 0 {
+			live++
+		}
+	}
+	if o.Live() != live {
+		t.Errorf("Live = %d, %d values have positive multiplicity", o.Live(), live)
 	}
 }
 

@@ -6,6 +6,7 @@ package dd
 type Output[T comparable] struct {
 	state   map[T]Diff
 	changes map[T]Diff // net change during the current/last epoch
+	live    int        // values in state with positive multiplicity
 }
 
 // NewOutput attaches a materializing sink to c.
@@ -18,10 +19,18 @@ func NewOutput[T comparable](c Collection[T]) *Output[T] {
 			} else {
 				o.changes[e.Val] = d
 			}
-			if d := o.state[e.Val] + e.Diff; d == 0 {
+			was := o.state[e.Val]
+			now := was + e.Diff
+			if now == 0 {
 				delete(o.state, e.Val)
 			} else {
-				o.state[e.Val] = d
+				o.state[e.Val] = now
+			}
+			switch {
+			case was <= 0 && now > 0:
+				o.live++
+			case was > 0 && now <= 0:
+				o.live--
 			}
 		}
 	})
@@ -45,6 +54,10 @@ func (o *Output[T]) State() map[T]Diff { return o.state }
 
 // Contains reports whether val is present (multiplicity > 0).
 func (o *Output[T]) Contains(val T) bool { return o.state[val] > 0 }
+
+// Live returns the number of values with positive multiplicity, kept as
+// diffs cross zero, so it costs nothing to read.
+func (o *Output[T]) Live() int { return o.live }
 
 // Len returns the number of distinct present values.
 func (o *Output[T]) Len() int { return len(o.state) }

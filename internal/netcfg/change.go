@@ -9,6 +9,12 @@ import "fmt"
 type Change interface {
 	// Apply mutates the network in place.
 	Apply(n *Network) error
+	// Touches names everything Apply may mutate: the devices whose
+	// configuration it edits, and whether it edits the topology's links.
+	// Apply must leave every other device's Config and, unless links is
+	// true, the Topology untouched. Copy-on-write appliers rely on it to
+	// clone only what a change writes.
+	Touches() (devices []string, links bool)
 	// String describes the change for logs and reports.
 	String() string
 }
@@ -29,6 +35,9 @@ func (c ShutdownInterface) Apply(n *Network) error {
 	i.Shutdown = c.Shutdown
 	return nil
 }
+
+// Touches implements Change.
+func (c ShutdownInterface) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c ShutdownInterface) String() string {
 	verb := "no shutdown"
@@ -54,6 +63,9 @@ func (c SetOSPFCost) Apply(n *Network) error {
 	i.OSPFCost = c.Cost
 	return nil
 }
+
+// Touches implements Change.
+func (c SetOSPFCost) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c SetOSPFCost) String() string {
 	return fmt.Sprintf("%s: interface %s ip ospf cost %d", c.Device, c.Intf, c.Cost)
@@ -81,6 +93,9 @@ func (c SetLocalPref) Apply(n *Network) error {
 	return nil
 }
 
+// Touches implements Change.
+func (c SetLocalPref) Touches() ([]string, bool) { return []string{c.Device}, false }
+
 func (c SetLocalPref) String() string {
 	return fmt.Sprintf("%s: neighbor %s local-preference %d", c.Device, c.Neighbor, c.LocalPref)
 }
@@ -105,6 +120,9 @@ func (c AddStaticRoute) Apply(n *Network) error {
 	cfg.StaticRoutes = append(cfg.StaticRoutes, c.Route)
 	return nil
 }
+
+// Touches implements Change.
+func (c AddStaticRoute) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c AddStaticRoute) String() string {
 	if c.Route.Drop {
@@ -133,6 +151,9 @@ func (c RemoveStaticRoute) Apply(n *Network) error {
 	}
 	return fmt.Errorf("netcfg: %s has no route %v", c.Device, c.Route)
 }
+
+// Touches implements Change.
+func (c RemoveStaticRoute) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c RemoveStaticRoute) String() string {
 	return fmt.Sprintf("%s: no ip route %s", c.Device, c.Route.Prefix)
@@ -168,6 +189,9 @@ func (c SetACL) Apply(n *Network) error {
 	return nil
 }
 
+// Touches implements Change.
+func (c SetACL) Touches() ([]string, bool) { return []string{c.Device}, false }
+
 func (c SetACL) String() string {
 	if c.Lines == nil {
 		return fmt.Sprintf("%s: no access-list %s", c.Device, c.Name)
@@ -196,6 +220,9 @@ func (c BindACL) Apply(n *Network) error {
 	}
 	return nil
 }
+
+// Touches implements Change.
+func (c BindACL) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c BindACL) String() string {
 	dir := "out"
@@ -236,6 +263,9 @@ func (c SetPrefixList) Apply(n *Network) error {
 	return nil
 }
 
+// Touches implements Change.
+func (c SetPrefixList) Touches() ([]string, bool) { return []string{c.Device}, false }
+
 func (c SetPrefixList) String() string {
 	if c.Entries == nil {
 		return fmt.Sprintf("%s: no prefix-list %s", c.Device, c.Name)
@@ -269,6 +299,9 @@ func (c BindNeighborFilter) Apply(n *Network) error {
 	}
 	return nil
 }
+
+// Touches implements Change.
+func (c BindNeighborFilter) Touches() ([]string, bool) { return []string{c.Device}, false }
 
 func (c BindNeighborFilter) String() string {
 	dir := "out"
@@ -310,6 +343,9 @@ func (c SetAggregate) Apply(n *Network) error {
 	return nil
 }
 
+// Touches implements Change.
+func (c SetAggregate) Touches() ([]string, bool) { return []string{c.Device}, false }
+
 func (c SetAggregate) String() string {
 	if c.Remove {
 		return fmt.Sprintf("%s: no aggregate-address %s", c.Device, c.Prefix)
@@ -326,6 +362,9 @@ func (c AddLink) Apply(n *Network) error {
 	return nil
 }
 
+// Touches implements Change.
+func (c AddLink) Touches() ([]string, bool) { return nil, true }
+
 func (c AddLink) String() string { return "add " + c.Link.String() }
 
 // RemoveLink removes a physical link.
@@ -338,6 +377,9 @@ func (c RemoveLink) Apply(n *Network) error {
 	}
 	return nil
 }
+
+// Touches implements Change.
+func (c RemoveLink) Touches() ([]string, bool) { return nil, true }
 
 func (c RemoveLink) String() string { return "remove " + c.Link.String() }
 

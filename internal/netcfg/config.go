@@ -333,6 +333,14 @@ func (c *Config) Neighbor(addr Addr) *Neighbor {
 
 // Network is a complete network: device configurations plus the physical
 // topology connecting them.
+//
+// Networks may share structure. A copy-on-write successor is a fresh
+// Devices map that holds the predecessor's *Config pointers, with clones
+// in place of only the devices some Change touches (Change.Touches), and
+// the predecessor's *Topology unless a change edits links. That is sound
+// only while no holder mutates a shared *Config or *Topology: whoever
+// keeps a network that others may share treats it as immutable and hands
+// out deep copies (Clone) to callers that may write.
 type Network struct {
 	Devices  map[string]*Config
 	Topology *Topology
@@ -344,7 +352,7 @@ func NewNetwork() *Network {
 }
 
 // Clone deep-copies the network, so a change plan can be applied
-// speculatively.
+// speculatively. The copy shares nothing with n.
 func (n *Network) Clone() *Network {
 	out := NewNetwork()
 	for name, c := range n.Devices {

@@ -37,8 +37,20 @@ func (c LineChange) String() string { return fmt.Sprintf("%s %s", c.Op, c.Line) 
 // is irrelevant). Blank and separator ('!') lines are ignored, matching
 // how Parse treats them.
 func DiffLines(oldText, newText string) []LineChange {
+	if oldText == newText {
+		return nil
+	}
 	a := significantLines(oldText)
 	b := significantLines(newText)
+	// The traceback below matches equal lines first, so it walks a common
+	// leading run without output; dropping the run leaves the output
+	// unchanged. A common trailing run is kept: the traceback prefers
+	// deletions on ties, and trimming it could reorder the output.
+	p := 0
+	for p < len(a) && p < len(b) && a[p] == b[p] {
+		p++
+	}
+	a, b = a[p:], b[p:]
 	// lcs[i][j] = LCS length of a[i:], b[j:].
 	lcs := make([][]int, len(a)+1)
 	for i := range lcs {
@@ -119,29 +131,36 @@ func (d *NetworkDiff) LineCount() int {
 	return n
 }
 
-// DiffNetworks diffs old against new.
+// DiffNetworks diffs old against new. A device whose *Config is the
+// same object on both sides, and the topology when its *Topology is, is
+// skipped without formatting: the same object has the same content.
+// Networks built copy-on-write from one another (see Network) share
+// everything a change did not touch, so diffing them costs what the
+// change touched.
 func DiffNetworks(oldNet, newNet *Network) *NetworkDiff {
 	d := &NetworkDiff{Devices: make(map[string][]LineChange)}
-	seen := make(map[string]bool)
 	for name, oldCfg := range oldNet.Devices {
-		seen[name] = true
 		newCfg, ok := newNet.Devices[name]
-		if !ok {
-			if ch := DiffLines(oldCfg.Format(), ""); len(ch) > 0 {
-				d.Devices[name] = ch
-			}
+		if ok && newCfg == oldCfg {
 			continue
 		}
-		if ch := DiffLines(oldCfg.Format(), newCfg.Format()); len(ch) > 0 {
+		newText := ""
+		if ok {
+			newText = newCfg.Format()
+		}
+		if ch := DiffLines(oldCfg.Format(), newText); len(ch) > 0 {
 			d.Devices[name] = ch
 		}
 	}
 	for name, newCfg := range newNet.Devices {
-		if !seen[name] {
+		if _, ok := oldNet.Devices[name]; !ok {
 			if ch := DiffLines("", newCfg.Format()); len(ch) > 0 {
 				d.Devices[name] = ch
 			}
 		}
+	}
+	if oldNet.Topology == newNet.Topology {
+		return d
 	}
 	oldLinks := make(map[Link]bool)
 	for _, l := range oldNet.Topology.Links {

@@ -1,6 +1,9 @@
 package netcfg
 
 import (
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -175,5 +178,89 @@ func TestChangesErrors(t *testing.T) {
 	}
 	if err := (AddStaticRoute{Device: "r1", Route: r}).Apply(n); err == nil {
 		t.Error("duplicate static route accepted")
+	}
+}
+
+// refDiffLines is DiffLines as it was before the common leading lines
+// were trimmed: the whole LCS table over every significant line. The
+// property test holds the trimmed version to it byte for byte.
+func refDiffLines(oldText, newText string) []LineChange {
+	a := significantLines(oldText)
+	b := significantLines(newText)
+	// lcs[i][j] = LCS length of a[i:], b[j:].
+	lcs := make([][]int, len(a)+1)
+	for i := range lcs {
+		lcs[i] = make([]int, len(b)+1)
+	}
+	for i := len(a) - 1; i >= 0; i-- {
+		for j := len(b) - 1; j >= 0; j-- {
+			if a[i] == b[j] {
+				lcs[i][j] = lcs[i+1][j+1] + 1
+			} else if lcs[i+1][j] >= lcs[i][j+1] {
+				lcs[i][j] = lcs[i+1][j]
+			} else {
+				lcs[i][j] = lcs[i][j+1]
+			}
+		}
+	}
+	var out []LineChange
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			i++
+			j++
+		case lcs[i+1][j] >= lcs[i][j+1]:
+			out = append(out, LineChange{Op: LineDelete, Line: a[i]})
+			i++
+		default:
+			out = append(out, LineChange{Op: LineInsert, Line: b[j]})
+			j++
+		}
+	}
+	for ; i < len(a); i++ {
+		out = append(out, LineChange{Op: LineDelete, Line: a[i]})
+	}
+	for ; j < len(b); j++ {
+		out = append(out, LineChange{Op: LineInsert, Line: b[j]})
+	}
+	return out
+}
+
+// TestDiffLinesMatchesReference compares DiffLines with refDiffLines on
+// seeded random text pairs: an old text drawn from a few repeated lines
+// (so ties in the LCS are common), a separator and a trailing blank, and
+// a new text made from it by random inserts, deletes and rewrites. About
+// one pair in sixty tells trimming a common trailing run from not
+// trimming it.
+func TestDiffLinesMatchesReference(t *testing.T) {
+	vocab := []string{"a", "b", "c", "a", "b", " shutdown", "!", "b "}
+	for seed := int64(1); seed <= 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		old := make([]string, rng.Intn(12))
+		for i := range old {
+			old[i] = vocab[rng.Intn(len(vocab))]
+		}
+		next := append([]string(nil), old...)
+		for e := 1 + rng.Intn(5); e > 0; e-- {
+			at := rng.Intn(len(next) + 1)
+			switch line := vocab[rng.Intn(len(vocab))]; rng.Intn(3) {
+			case 0:
+				next = append(next[:at], append([]string{line}, next[at:]...)...)
+			case 1:
+				if at < len(next) {
+					next = append(next[:at], next[at+1:]...)
+				}
+			default:
+				if at < len(next) {
+					next[at] = line
+				}
+			}
+		}
+		oldText, newText := strings.Join(old, "\n"), strings.Join(next, "\n")
+		got, want := DiffLines(oldText, newText), refDiffLines(oldText, newText)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: DiffLines(%q, %q)\n got  %v\n want %v", seed, oldText, newText, got, want)
+		}
 	}
 }

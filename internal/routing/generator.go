@@ -379,6 +379,10 @@ func (gen *Generator) Step() (dd.EpochStats, error) {
 // FIB returns the accumulated forwarding rules (live map, do not modify).
 func (gen *Generator) FIB() map[dataplane.Rule]dd.Diff { return gen.fib.State() }
 
+// NumFIBRules returns the number of live forwarding rules (those with
+// positive multiplicity in FIB) without scanning it.
+func (gen *Generator) NumFIBRules() int { return gen.fib.Live() }
+
 // FIBChanges returns the net FIB rule changes of the last Step.
 func (gen *Generator) FIBChanges() []dd.Entry[dataplane.Rule] { return gen.fib.ChangeList() }
 

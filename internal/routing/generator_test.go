@@ -66,11 +66,22 @@ func checkAgainstSimulator(t *testing.T, gen *Generator, net *netcfg.Network) {
 	}
 }
 
+// loadAndStep loads net and runs an epoch, then checks the maintained
+// live-rule count against a scan of the FIB.
 func loadAndStep(t *testing.T, gen *Generator, net *netcfg.Network) {
 	t.Helper()
 	gen.SetNetwork(net)
 	if _, err := gen.Step(); err != nil {
 		t.Fatalf("Step: %v", err)
+	}
+	live := 0
+	for _, d := range gen.FIB() {
+		if d > 0 {
+			live++
+		}
+	}
+	if got := gen.NumFIBRules(); got != live {
+		t.Fatalf("NumFIBRules = %d, FIB scan counts %d", got, live)
 	}
 }
 
