@@ -35,9 +35,7 @@
 // seq S makes sealed segments entirely <= S deletable, keeping the
 // newest -journal-retain segments as a resume floor for lagging
 // replicas. Restarts restore the newest snapshot and replay only the
-// journal tail. With -shards N the verifier is
-// partitioned across N destination-space shards that verify each apply
-// concurrently. With -pprof, net/http/pprof profiling endpoints are
+// journal tail. With -pprof, net/http/pprof profiling endpoints are
 // mounted under /debug/pprof/.
 //
 // With -follow <leader-url>, the daemon runs as a read replica: it
@@ -52,7 +50,7 @@
 // Multi-tenancy: each repeatable -tenant flag adds an isolated named
 // verifier served under /v1/tenants/{id}/... (same endpoints), e.g.
 //
-//	rcserved -net base/ -tenant id=acme,net=acme/,policies=acme.pol,journal=acme.j,shards=4
+//	rcserved -net base/ -tenant id=acme,net=acme/,policies=acme.pol,journal=acme.j,backend=atom
 //
 // The unprefixed routes remain the default tenant; GET /v1/tenants
 // lists all of them.
@@ -69,7 +67,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -87,8 +84,8 @@ func (t *tenantFlags) Set(s string) error {
 }
 
 // parseTenant decodes one -tenant value
-// (id=NAME,net=DIR[,policies=FILE][,journal=FILE][,shards=N]) into a
-// TenantConfig, loading the network and policy files.
+// (id=NAME,net=DIR[,policies=FILE][,journal=FILE][,backend=bdd|atom])
+// into a TenantConfig, loading the network and policy files.
 func parseTenant(spec string) (server.TenantConfig, error) {
 	var tc server.TenantConfig
 	for _, field := range strings.Split(spec, ",") {
@@ -113,19 +110,13 @@ func parseTenant(spec string) (server.TenantConfig, error) {
 			tc.PolicyText = string(text)
 		case "journal":
 			tc.JournalPath = v
-		case "shards":
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return tc, fmt.Errorf("-tenant %q: bad shards %q", spec, v)
-			}
-			tc.Shards = n
 		case "backend":
 			if err := core.ValidateBackend(v); err != nil {
 				return tc, fmt.Errorf("-tenant %q: %w", spec, err)
 			}
 			tc.Backend = v
 		default:
-			return tc, fmt.Errorf("-tenant %q: unknown key %q (want id, net, policies, journal, shards, backend)", spec, k)
+			return tc, fmt.Errorf("-tenant %q: unknown key %q (want id, net, policies, journal, backend)", spec, k)
 		}
 	}
 	if tc.ID == "" || tc.Net == nil {
@@ -151,10 +142,9 @@ func run(args []string, out *os.File) error {
 	snapBytes := fs.Int64("snapshot-bytes", 0, "capture a snapshot once this many bytes were appended to the journal since the last one (0 = off)")
 	journalRetain := fs.Int("journal-retain", 2, "sealed journal segments always kept through compaction (resume floor for lagging replicas)")
 	follow := fs.String("follow", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8080)")
-	shards := fs.Int("shards", 1, "destination-space verifier shards for the default tenant (<=1 = monolithic)")
 	backend := fs.String("backend", "", "model backend: bdd (default) or atom; per-tenant backend= overrides")
 	var tenants tenantFlags
-	fs.Var(&tenants, "tenant", "add a named tenant: id=NAME,net=DIR[,policies=FILE][,journal=FILE][,shards=N][,backend=bdd|atom] (repeatable)")
+	fs.Var(&tenants, "tenant", "add a named tenant: id=NAME,net=DIR[,policies=FILE][,journal=FILE][,backend=bdd|atom] (repeatable)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	parallel := fs.Int("parallel", 0, "policy-checker worker count (<=1 = sequential)")
 	queue := fs.Int("queue", 64, "apply queue depth (writes beyond it get 503)")
@@ -223,7 +213,6 @@ func run(args []string, out *os.File) error {
 			Backend:           *backend,
 		},
 		JournalPath:         *journalPath,
-		Shards:              *shards,
 		JournalSegmentBytes: *segBytes,
 		SnapshotEvery:       *snapEvery,
 		SnapshotBytes:       *snapBytes,
@@ -251,7 +240,7 @@ func run(args []string, out *os.File) error {
 		"addr", ln.Addr().String(), "devices", snap.Devices,
 		"policies", snap.Policies, "ecs", snap.ECs, "seq", snap.Seq,
 		"trace_ring", *traceRing, "journal", *journalPath,
-		"shards", *shards, "tenants", 1+len(tcs), "follow", *follow,
+		"tenants", 1+len(tcs), "follow", *follow,
 		"backend", core.Options{Backend: *backend}.ModelBackend())
 	return http.Serve(ln, srv.Handler())
 }

@@ -25,6 +25,37 @@ func TestRunRejectsBadFlag(t *testing.T) {
 	}
 }
 
+// TestParseTenant: every accepted -tenant key parses, and a key or flag
+// the daemon no longer has (shards) fails startup instead of being
+// ignored.
+func TestParseTenant(t *testing.T) {
+	const campus = "../../testdata/campus"
+	tc, err := parseTenant("id=acme,net=" + campus + ",policies=" + campus + "/policies.txt,journal=acme.j,backend=atom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tc.ID != "acme" || tc.Net == nil || len(tc.Net.Devices) == 0 || tc.PolicyText == "" ||
+		tc.JournalPath != "acme.j" || tc.Backend != "atom" {
+		t.Errorf("parsed tenant = %+v", tc)
+	}
+
+	for _, c := range []struct{ spec, want string }{
+		{"id=acme,net=" + campus + ",shards=4", `unknown key "shards"`},
+		{"id=acme,net=" + campus + ",backend=quantum", "quantum"},
+		{"net=" + campus, "id= and net= are required"},
+		{"id=acme,net", "not key=value"},
+	} {
+		if _, err := parseTenant(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("parseTenant(%q) = %v, want an error containing %q", c.spec, err, c.want)
+		}
+	}
+
+	err = run([]string{"-net", campus, "-shards", "4"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("run() with -shards: got %v, want an unknown-flag error", err)
+	}
+}
+
 func TestRunRejectsNegativeSegmentBytes(t *testing.T) {
 	err := run([]string{"-net", "x", "-journal-segment-bytes", "-5"}, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "-journal-segment-bytes") {

@@ -5,7 +5,7 @@ import (
 	"realconfig/internal/dataplane"
 )
 
-// This file is the model's policy.Model / policy.ScopedModel surface:
+// This file is the model's policy.Model surface:
 // backend-neutral match predicates evaluated symbolically in the model's
 // own BDD table.
 
@@ -33,22 +33,12 @@ func (m *Model) MatchOverlaps(match dataplane.Match, ec bdd.Node) bool {
 	return m.H.Overlaps(m.Pred(match), ec)
 }
 
-// MatchOverlapsIn implements policy.ScopedModel: match ∧ space ∧ ec ≠ ∅.
-func (m *Model) MatchOverlapsIn(match dataplane.Match, space bdd.Node, ec bdd.Node) bool {
-	return m.H.Overlaps(m.H.And(m.Pred(match), space), ec)
-}
-
 // Witness implements policy.Model.
 func (m *Model) Witness(ec bdd.Node) (bdd.Packet, bool) { return m.H.Witness(ec) }
 
 // WitnessIn implements policy.Model.
 func (m *Model) WitnessIn(match dataplane.Match, ec bdd.Node) (bdd.Packet, bool) {
 	return m.H.Witness(m.H.And(m.Pred(match), ec))
-}
-
-// WitnessInScope implements policy.ScopedModel.
-func (m *Model) WitnessInScope(match dataplane.Match, space bdd.Node, ec bdd.Node) (bdd.Packet, bool) {
-	return m.H.Witness(m.H.And(m.H.And(m.Pred(match), space), ec))
 }
 
 // ContainsPacket reports whether pkt belongs to ec.

@@ -68,17 +68,9 @@ func ruleText(r dataplane.Rule) string {
 // Trace follows a concrete packet injected at src through the verified
 // data plane, recording the matched rule at every hop and any filter
 // that discards it. It reads the maintained state only; no recomputation
-// happens. On a sharded back half the packet is followed through the
-// shard owning its destination, whose forwarding is exact for it.
+// happens.
 func (v *Verifier) Trace(src string, pkt bdd.Packet) Trace {
-	model, checker := v.stages.Locate(pkt)
-	return tracePacket(model, checker, v.gen.FIB(), src, pkt)
-}
-
-// tracePacket follows a concrete packet through a maintained model and
-// checker pair, using fib (rule -> multiplicity) for per-hop
-// longest-prefix matching.
-func tracePacket(model Model, checker *policy.Checker, fib map[dataplane.Rule]dd.Diff, src string, pkt bdd.Packet) Trace {
+	model, checker, fib := v.model, v.checker, v.gen.FIB()
 	tr := Trace{Packet: pkt}
 	// The EC containing the packet determines outcomes; the concrete
 	// rules are recovered per hop by longest-prefix match over the FIB.

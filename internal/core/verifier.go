@@ -61,9 +61,10 @@ type Options struct {
 // once, then Apply changes; each call re-verifies incrementally and
 // returns a Report.
 type Verifier struct {
-	opts   Options
-	gen    *routing.Generator
-	stages Stages
+	opts    Options
+	gen     *routing.Generator
+	model   Model
+	checker *policy.Checker
 	// cur is the verified network. Successive networks share every
 	// *Config and the *Topology that no change touched, so the verifier
 	// never mutates a *Config or *Topology it holds, and hands callers
@@ -96,8 +97,8 @@ type verifierMetrics struct {
 
 // Instrument registers the whole pipeline's metrics on reg: the
 // verifier's per-stage wall-clock histograms and verification counters,
-// plus the generator's dataflow engine and the back half's model and
-// checker metrics. One call wires all four stages; components left
+// plus the generator's dataflow engine and the model and checker
+// metrics. One call wires all four stages; components left
 // uninstrumented pay only nil checks.
 func (v *Verifier) Instrument(reg *obs.Registry) {
 	stages := make(map[string]*obs.Histogram, 4)
@@ -113,7 +114,8 @@ func (v *Verifier) Instrument(reg *obs.Registry) {
 		filterChanges: reg.Counter("realconfig_filter_changes_total", "Packet-filter rule changes across all verifications.", nil),
 	}
 	v.gen.Instrument(reg)
-	v.stages.Instrument(reg)
+	v.model.Instrument(reg)
+	v.checker.Instrument(reg)
 }
 
 // Timing breaks a verification down by stage.
@@ -122,10 +124,8 @@ type Timing struct {
 	// computing data plane (FIB) changes.
 	Generate time.Duration
 	// ModelUpdate is the batch update of the EC model (Table 3's T1).
-	// On a sharded back half it is the wall time of the fan-out.
 	ModelUpdate time.Duration
 	// PolicyCheck is the incremental policy recheck (Table 3's T2).
-	// On a sharded back half it is the wall time of the fan-out.
 	PolicyCheck time.Duration
 	// Total is the whole verification.
 	Total time.Duration
@@ -214,25 +214,23 @@ func (r *Report) Repaired() []string {
 // New creates an empty verifier on the backend named by opts.Backend
 // (empty = bdd). Validate names from user input with ValidateBackend
 // first; an unknown name panics.
-func New(opts Options) *Verifier { return NewOn(opts, newMonolith(opts)) }
-
-// NewOn creates an empty verifier whose model-update and policy-check
-// stages run on the given back half (e.g. a shard.Set). The generator,
-// reports, metrics and traces are the same as New's; opts.Backend and
-// opts.Parallel are the caller's to apply when building stages.
-func NewOn(opts Options, stages Stages) *Verifier {
+func New(opts Options) *Verifier {
 	var rec *trace.Recorder
 	if opts.TraceApplies > 0 {
 		rec = trace.NewRecorder(opts.TraceApplies)
 	}
+	model := newModel(opts.Backend)
+	checker := policy.NewChecker(model)
+	checker.SetParallelism(opts.Parallel)
 	return &Verifier{
 		opts: opts,
 		gen: routing.New(routing.Options{
 			MaxIter:           opts.MaxIter,
 			DetectOscillation: opts.DetectOscillation,
 		}),
-		stages: stages,
-		rec:    rec,
+		model:   model,
+		checker: checker,
+		rec:     rec,
 	}
 }
 
@@ -329,10 +327,12 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 		// Components record into the apply's trace; detach on every exit
 		// so a published (immutable) trace is never written again.
 		v.gen.SetTrace(tr)
-		v.stages.SetTrace(tr)
+		v.model.SetTrace(tr)
+		v.checker.SetTrace(tr)
 		defer func() {
 			v.gen.SetTrace(nil)
-			v.stages.SetTrace(nil)
+			v.model.SetTrace(nil)
+			v.checker.SetTrace(nil)
 		}()
 	}
 	rep := &Report{}
@@ -377,7 +377,10 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 	// Stage 2: incremental data plane model update.
 	t0 = time.Now()
 	s0 = tr.Now()
-	rep.Model, err = v.stages.UpdateModel(ruleChanges, filterChanges, v.opts.Order)
+	if err := v.model.UpdateFilters(filterChanges); err != nil {
+		return nil, fmt.Errorf("core: %s backend rejected filter changes: %w", v.model.Backend(), err)
+	}
+	rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
 	if err != nil {
 		// The generator only retracts rules it previously emitted, so an
 		// absent-rule delete here is model/generator state divergence (a
@@ -393,13 +396,14 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 			trace.I("transfers", int64(len(rep.Model.Transfers))),
 			trace.I("filter_transfers", int64(len(rep.Model.FilterTransfers))),
 			trace.I("merges", int64(len(rep.Model.Merges))),
-			trace.I("ecs", int64(v.stages.NumECs())))
+			trace.I("ecs", int64(v.model.NumECs())))
 	}
 
 	// Stage 3: incremental policy checking.
 	t0 = time.Now()
 	s0 = tr.Now()
-	rep.Check = v.stages.Check(rep.Model, net.DeviceNames(), dataplane.Adjacencies(net))
+	v.checker.SetTopology(net.DeviceNames(), dataplane.Adjacencies(net))
+	rep.Check = v.checker.Update(rep.Model.Transfers, rep.Model.FilterTransfers, rep.Model.Merges...)
 	rep.Timing.PolicyCheck = time.Since(t0)
 	if tr != nil {
 		tr.Span(obs.TrackPipeline, obs.StagePolicyCheck, s0,
@@ -490,15 +494,13 @@ func (v *Verifier) ForkSame() (*Verifier, error) {
 // verifier's compiled policies. Benchmarks use it to
 // price a from-scratch verification of an arbitrary intermediate state,
 // and the planner uses it to build a tracing fork positioned at a
-// counterexample prefix. Forks are always monolithic, whatever this
-// verifier's back half: speculative runs are one-shot, so shard warm-up
-// would cost more than it saves.
+// counterexample prefix.
 func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, error) {
 	fork := New(opts)
 	if _, err := fork.Load(net); err != nil {
 		return nil, err
 	}
-	for _, p := range v.stages.Policies() {
+	for _, p := range v.checker.Policies() {
 		fork.AddPolicy(p)
 	}
 	return fork, nil
@@ -550,13 +552,13 @@ func (v *Verifier) HasDevice(name string) bool {
 
 // AddPolicy registers a policy with the checker and returns its initial
 // verdict. Policies can be added before or after Load.
-func (v *Verifier) AddPolicy(p policy.Policy) bool { return v.stages.AddPolicy(p) }
+func (v *Verifier) AddPolicy(p policy.Policy) bool { return v.checker.AddPolicy(p) }
 
 // RemovePolicy unregisters a policy.
-func (v *Verifier) RemovePolicy(name string) { v.stages.RemovePolicy(name) }
+func (v *Verifier) RemovePolicy(name string) { v.checker.RemovePolicy(name) }
 
 // Verdicts returns the current satisfaction of every registered policy.
-func (v *Verifier) Verdicts() map[string]bool { return v.stages.Verdicts() }
+func (v *Verifier) Verdicts() map[string]bool { return v.checker.Verdicts() }
 
 // FIB returns a copy of the accumulated forwarding rules. Callers may
 // mutate the returned map freely; verifier state is unaffected.
@@ -570,33 +572,21 @@ func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff {
 }
 
 // Model exposes the data plane model backend (ECs, ports) for
-// inspection, behind the backend-neutral interface. Nil unless the
-// verifier was built by New.
-func (v *Verifier) Model() Model {
-	if m, ok := v.stages.(*monolith); ok {
-		return m.model
-	}
-	return nil
-}
+// inspection, behind the backend-neutral interface.
+func (v *Verifier) Model() Model { return v.model }
 
 // Checker exposes the policy checker for advanced queries (path traces,
-// pair maps, explanations). Nil unless the verifier was built by New.
-func (v *Verifier) Checker() *policy.Checker {
-	if m, ok := v.stages.(*monolith); ok {
-		return m.checker
-	}
-	return nil
-}
+// pair maps, explanations).
+func (v *Verifier) Checker() *policy.Checker { return v.checker }
 
 // Generator exposes the data plane generator (per-protocol bests).
 func (v *Verifier) Generator() *routing.Generator { return v.gen }
 
-// NumECs returns the current number of packet equivalence classes
-// (summed over shards, which hold overlapping slices).
-func (v *Verifier) NumECs() int { return v.stages.NumECs() }
+// NumECs returns the current number of packet equivalence classes.
+func (v *Verifier) NumECs() int { return v.model.NumECs() }
 
 // NumPairs returns the maintained (EC, device) pair count.
-func (v *Verifier) NumPairs() int { return v.stages.NumPairs() }
+func (v *Verifier) NumPairs() int { return v.checker.NumPairs() }
 
 // NumFIBRules returns the number of live forwarding rules.
 func (v *Verifier) NumFIBRules() int { return v.gen.NumFIBRules() }

@@ -57,9 +57,9 @@ func TestWithLabelsView(t *testing.T) {
 	}
 
 	// Stacked views merge bases; the inner view wins collisions.
-	shard := acme.WithLabels(Labels{"shard": "0"})
-	shard.Counter("splits_total", "splits", nil).Inc()
-	if got := root.Snapshot()[`splits_total{shard="0",tenant="acme"}`]; got != 1 {
+	backend := acme.WithLabels(Labels{"backend": "atom"})
+	backend.Counter("splits_total", "splits", nil).Inc()
+	if got := root.Snapshot()[`splits_total{backend="atom",tenant="acme"}`]; got != 1 {
 		t.Errorf("stacked view series missing: %v", root.Snapshot())
 	}
 	override := acme.WithLabels(Labels{"tenant": "globex"})

@@ -103,12 +103,6 @@ type link struct {
 type Checker struct {
 	model Model
 
-	// scope confines index membership and witnesses to a shard's slice
-	// of the destination space (scoped=false means the full space). Set
-	// via SetScope; requires a ScopedModel backend.
-	scope  bdd.Node
-	scoped bool
-
 	// names and ids intern device names append-only: a device's id
 	// never changes, so cached ecResults stay valid across SetTopology.
 	names []string
@@ -229,39 +223,6 @@ func NewChecker(m Model) *Checker {
 
 // Model returns the backend the checker evaluates against.
 func (c *Checker) Model() Model { return c.model }
-
-// SetScope confines the checker's index membership and witnesses to a
-// slice of the destination space, given as a predicate in the backend's
-// BDD table. The shard layer scopes each unit's checker to its slice so
-// a policy's header space only "registers" where it intersects the
-// slice. Call it before the first Update or AddPolicy: memberships are
-// computed once. Panics if the backend does not support scoping
-// (sharding is a bdd-backend feature).
-func (c *Checker) SetScope(space bdd.Node) {
-	if _, ok := c.model.(ScopedModel); !ok {
-		panic("policy: SetScope requires a ScopedModel backend (sharding is bdd-only)")
-	}
-	c.scope = space
-	c.scoped = true
-}
-
-// MatchOverlaps reports whether m's packet space intersects ec, confined
-// to the checker's scope when one is set.
-func (c *Checker) MatchOverlaps(m dataplane.Match, ec bdd.Node) bool {
-	if c.scoped {
-		return c.model.(ScopedModel).MatchOverlapsIn(m, c.scope, ec)
-	}
-	return c.model.MatchOverlaps(m, ec)
-}
-
-// WitnessIn returns a concrete packet in the intersection of m and ec,
-// confined to the checker's scope when one is set.
-func (c *Checker) WitnessIn(m dataplane.Match, ec bdd.Node) (bdd.Packet, bool) {
-	if c.scoped {
-		return c.model.(ScopedModel).WitnessInScope(m, c.scope, ec)
-	}
-	return c.model.WitnessIn(m, ec)
-}
 
 // SetTopology installs the device list and adjacency view used for walks
 // and filter lookups. Call again whenever the topology changes. When the
@@ -489,7 +450,7 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	if c.tr != nil {
 		for _, ec := range gone {
 			for _, e := range c.index {
-				if c.MatchOverlaps(e.hdr, ec) {
+				if c.model.MatchOverlaps(e.hdr, ec) {
 					touched[e] = append(touched[e], ec)
 				}
 			}
@@ -537,7 +498,7 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 		}
 	}
 	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].Policy < res.Events[j].Policy })
-	res.AffectedPairs = SortedPairs(pairs)
+	res.AffectedPairs = sortedPairs(pairs)
 	c.metrics.Updates.Inc()
 	c.metrics.PoliciesChecked.Add(uint64(res.PoliciesChecked))
 	c.metrics.AffectedECs.Add(uint64(res.AffectedECs))
@@ -719,9 +680,9 @@ func zeroed[T any](buf []T, n int) []T {
 	return buf
 }
 
-// SortedPairs lists a pair set ordered by source, then destination (nil
+// sortedPairs lists a pair set ordered by source, then destination (nil
 // when empty).
-func SortedPairs(set map[Pair]struct{}) []Pair {
+func sortedPairs(set map[Pair]struct{}) []Pair {
 	var out []Pair
 	for p := range set {
 		out = append(out, p)

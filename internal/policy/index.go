@@ -25,7 +25,7 @@ type hdrEntry struct {
 func (c *Checker) overlapping(hdr dataplane.Match) map[bdd.Node]struct{} {
 	out := make(map[bdd.Node]struct{})
 	for ec := range c.ecs {
-		if c.MatchOverlaps(hdr, ec) {
+		if c.model.MatchOverlaps(hdr, ec) {
 			out[ec] = struct{}{}
 		}
 	}
@@ -76,7 +76,7 @@ func (c *Checker) unregister(name string, hdr dataplane.Match) {
 // join computes a newly walked EC's memberships.
 func (c *Checker) join(ec bdd.Node, r *ecResult) {
 	for _, e := range c.index {
-		if c.MatchOverlaps(e.hdr, ec) {
+		if c.model.MatchOverlaps(e.hdr, ec) {
 			e.ecs[ec] = struct{}{}
 			r.hdrs = append(r.hdrs, e)
 		}
@@ -91,7 +91,7 @@ func (c *Checker) join(ec bdd.Node, r *ecResult) {
 // that new ECs joined restores exact membership.
 func (c *Checker) reconfirm(e *hdrEntry) {
 	for ec := range e.ecs {
-		if !c.MatchOverlaps(e.hdr, ec) {
+		if !c.model.MatchOverlaps(e.hdr, ec) {
 			delete(e.ecs, ec)
 			r := c.ecs[ec]
 			r.hdrs = dropEntry(r.hdrs, e)

@@ -73,7 +73,7 @@ func refPoliciesChecked(c *Checker, affected map[bdd.Node]map[string]struct{}) i
 	n := 0
 	for _, p := range c.policies {
 		for ec := range affected {
-			if c.MatchOverlaps(p.Header(), ec) {
+			if c.model.MatchOverlaps(p.Header(), ec) {
 				n++
 				break
 			}
@@ -296,10 +296,8 @@ func churn(rng *rand.Rand, devs []string, filtersOK bool, rules map[dataplane.Ru
 // oracleCase is one configuration the index oracle runs under.
 type oracleCase struct {
 	name string
-	// newModel builds an empty backend; scope, if set, is the slice the
-	// checker is confined to, in that backend's table.
+	// newModel builds an empty backend.
 	newModel func() oracleModel
-	scope    func(m oracleModel) bdd.Node
 	// filtersOK churns ACL lines too; the atom backend rejects the
 	// tcp/22 ones.
 	filtersOK bool
@@ -320,9 +318,6 @@ func TestIndexOracle(t *testing.T) {
 	cases := []oracleCase{
 		{name: "automerge", newModel: bddModel(true), filtersOK: true},
 		{name: "no-automerge", newModel: bddModel(false), filtersOK: true},
-		{name: "scoped", newModel: bddModel(true), filtersOK: true, scope: func(m oracleModel) bdd.Node {
-			return m.(*apkeep.Model).Pred(dataplane.Match{Dst: netcfg.MustPrefix("10.0.0.0/23")})
-		}},
 		// Atoms keep the lower half of a split under the old id, so an EC
 		// can shrink out of a header.
 		{name: "atom", newModel: func() oracleModel { return atom.New() }},
@@ -338,9 +333,6 @@ func runIndexOracle(t *testing.T, tc oracleCase) {
 	adjs := ringAdjs(devs)
 	build := func(m oracleModel) *Checker {
 		c := NewChecker(m)
-		if tc.scope != nil {
-			c.SetScope(tc.scope(m))
-		}
 		c.SetTopology(devs, adjs)
 		return c
 	}
@@ -525,7 +517,7 @@ func TestTracedRecheckMatchesScan(t *testing.T) {
 	for _, p := range c.Policies() {
 		var rel []bdd.Node
 		for ec := range affected {
-			if c.MatchOverlaps(p.Header(), ec) {
+			if c.model.MatchOverlaps(p.Header(), ec) {
 				rel = append(rel, ec)
 			}
 		}
@@ -580,18 +572,16 @@ func TestExplainDeterministic(t *testing.T) {
 			t.Fatalf("%+v overlaps %d ECs; the test needs several failing", hdr, len(ids))
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		pkt, _ := c.WitnessIn(hdr, ids[0])
+		pkt, _ := c.model.WitnessIn(hdr, ids[0])
 		return fmt.Sprintf("packet %v: dropped at b (path [a b])", pkt)
 	}
 
 	_, healthy := lineModel(t)
 	healthy.Update(nil, nil)
-	// A shard-scoped checker whose slice misses the header.
-	sm := apkeep.New()
-	scoped := NewChecker(sm)
-	scoped.SetScope(sm.Pred(dataplane.Match{Dst: netcfg.MustPrefix("192.168.0.0/16")}))
-	scoped.SetTopology([]string{"a", "c"}, nil)
-	scoped.Update(nil, nil)
+	// A checker before its first Update caches no EC, so none overlaps
+	// the header.
+	empty := NewChecker(apkeep.New())
+	empty.SetTopology([]string{"a", "c"}, nil)
 
 	cases := []struct {
 		name string
@@ -602,7 +592,7 @@ func TestExplainDeterministic(t *testing.T) {
 		{"registered", c, whole, lowest(whole)},
 		{"unregistered", c, upper, lowest(upper)},
 		{"delivered", healthy, whole, "all packets delivered"},
-		{"no-ecs", scoped, whole, "no packets in the header space"},
+		{"no-ecs", empty, whole, "no packets in the header space"},
 	}
 	for _, tc := range cases {
 		for i := 0; i < 20; i++ {

@@ -27,15 +27,3 @@ type Model interface {
 	// WitnessIn returns a concrete packet in the intersection of m and ec.
 	WitnessIn(m dataplane.Match, ec bdd.Node) (bdd.Packet, bool)
 }
-
-// ScopedModel is the optional extension sharding needs: overlap tests and
-// witnessing confined to a shard's slice of the destination space,
-// expressed as a predicate in the backend's own BDD table. Only the BDD
-// backend implements it — sharding stays a bdd-only feature.
-type ScopedModel interface {
-	Model
-	// MatchOverlapsIn reports whether m ∧ space ∧ ec is non-empty.
-	MatchOverlapsIn(m dataplane.Match, space bdd.Node, ec bdd.Node) bool
-	// WitnessInScope returns a packet in m ∧ space ∧ ec.
-	WitnessInScope(m dataplane.Match, space bdd.Node, ec bdd.Node) (bdd.Packet, bool)
-}

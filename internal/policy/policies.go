@@ -14,14 +14,11 @@ import (
 // header meets an affected EC — the key to incremental policy checking.
 // Header spaces are dataplane.Match values (the zero value matches
 // everything), so policies carry no backend-specific handles and
-// transfer between verifiers, backends and shards as plain values.
+// transfer between verifiers and backends as plain values.
 type Policy interface {
 	Name() string
 	// Header returns the packet space the policy registers on.
 	Header() dataplane.Match
-	// Join says how the policy's per-shard verdicts recombine when the
-	// destination space is partitioned across shards.
-	Join() JoinMode
 	// Eval computes the policy's satisfaction from the checker state.
 	Eval(c *Checker) bool
 }
@@ -103,6 +100,9 @@ type Reachability struct {
 // Name implements Policy.
 func (p Reachability) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p Reachability) Header() dataplane.Match { return p.Hdr }
+
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
 	src := c.idOf(p.Src)
@@ -135,6 +135,9 @@ type Waypoint struct {
 // Name implements Policy.
 func (p Waypoint) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p Waypoint) Header() dataplane.Match { return p.Hdr }
+
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
 	src := c.idOf(p.Src)
@@ -166,6 +169,9 @@ type LoopFree struct {
 // Name implements Policy.
 func (p LoopFree) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p LoopFree) Header() dataplane.Match { return p.Scope }
+
 // Eval implements Policy.
 func (p LoopFree) Eval(c *Checker) bool {
 	for ec := range c.headerECs(p.Scope) {
@@ -187,6 +193,9 @@ type BlackholeFree struct {
 
 // Name implements Policy.
 func (p BlackholeFree) Name() string { return p.PolicyName }
+
+// Header implements Policy.
+func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
 
 // Eval implements Policy.
 func (p BlackholeFree) Eval(c *Checker) bool {
@@ -219,7 +228,7 @@ func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
 		if ok && o.Kind == Delivered && o.At == dst {
 			continue
 		}
-		pkt, _ := c.WitnessIn(hdr, ec)
+		pkt, _ := c.model.WitnessIn(hdr, ec)
 		if !ok {
 			return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
 		}

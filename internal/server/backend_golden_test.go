@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -210,7 +211,8 @@ func TestBackendMetaSidecar(t *testing.T) {
 
 // TestTenantBackendSelection covers the per-tenant backend override:
 // a valid atom tenant runs alongside the bdd default, an unknown
-// backend name and an atom tenant with shards both fail startup.
+// backend name fails startup, and an atom default runs alongside a
+// journaled bdd tenant.
 func TestTenantBackendSelection(t *testing.T) {
 	net, policyText := ringFixture(t)
 	srv, err := New(Config{
@@ -243,13 +245,40 @@ func TestTenantBackendSelection(t *testing.T) {
 	}); err == nil || !strings.Contains(err.Error(), "quantum") {
 		t.Errorf("unknown tenant backend accepted: %v", err)
 	}
-	if _, err := New(Config{
-		Net: net.Network.Clone(),
+
+	// The reverse: an atom default tenant starts next to a journaled bdd
+	// tenant, and both reach the same verdicts.
+	dir := t.TempDir()
+	mixed, err := New(Config{
+		Net:         net.Network.Clone(),
+		PolicyText:  policyText,
+		Options:     core.Options{DetectOscillation: true, Backend: core.BackendAtom},
+		JournalPath: filepath.Join(dir, "default.journal"),
 		Tenants: []TenantConfig{{
-			ID: "bad", Net: net.Network.Clone(), Backend: core.BackendAtom, Shards: 2,
+			ID:          "classic",
+			Net:         net.Network.Clone(),
+			PolicyText:  policyText,
+			JournalPath: filepath.Join(dir, "classic.journal"),
+			Backend:     core.BackendBDD,
 		}},
-	}); err == nil || !strings.Contains(err.Error(), "shard") {
-		t.Errorf("atom+shards tenant accepted: %v", err)
+	})
+	if err != nil {
+		t.Fatalf("atom tenant beside a bdd tenant: %v", err)
+	}
+	defer mixed.Close()
+	tsMixed := httptest.NewServer(mixed.Handler())
+	defer tsMixed.Close()
+	_, atomBody := get(t, tsMixed, "/v1/verdicts")
+	_, bddBody := get(t, tsMixed, "/v1/tenants/classic/verdicts")
+	var atomVR, bddVR verdictsResponse
+	if err := json.Unmarshal(atomBody, &atomVR); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(bddBody, &bddVR); err != nil {
+		t.Fatal(err)
+	}
+	if len(atomVR.Verdicts) == 0 || !reflect.DeepEqual(atomVR.Verdicts, bddVR.Verdicts) {
+		t.Errorf("atom default verdicts %+v, bdd tenant %+v", atomVR.Verdicts, bddVR.Verdicts)
 	}
 }
 

@@ -217,44 +217,6 @@ func TestReplicaRestartResumes(t *testing.T) {
 	_ = reportL
 }
 
-// TestReplicaShardedParity: replication replays through whatever engine
-// the replica runs, so a sharded replica of a monolithic leader still
-// converges to identical verdicts.
-func TestReplicaShardedParity(t *testing.T) {
-	srvL, tsL := newCampusServer(t, filepath.Join(t.TempDir(), "leader.journal"))
-	for _, w := range replicaWrites[:3] {
-		if status, body := post(t, tsL, w.path, w.body); status != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", w.path, status, body)
-		}
-	}
-	net, policyText := campusConfig(t)
-	srvF, err := New(Config{
-		Net:            net,
-		PolicyText:     policyText,
-		Options:        core.Options{DetectOscillation: true},
-		Shards:         2,
-		FollowURL:      tsL.URL,
-		ReplBackoff:    5 * time.Millisecond,
-		ReplMaxBackoff: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsF := httptest.NewServer(srvF.Handler())
-	t.Cleanup(func() {
-		tsF.Close()
-		srvF.Close()
-	})
-	replWait(t, "sharded catch-up", func() bool { return srvF.Snapshot().Seq == srvL.Snapshot().Seq })
-	_, verdictsL := get(t, tsL, "/v1/verdicts")
-	_, verdictsF := get(t, tsF, "/v1/verdicts")
-	for _, name := range []string{"campus-to-isp", "no-external-ssh", "no-loops"} {
-		if a, b := verdictOf(t, verdictsL, name), verdictOf(t, verdictsF, name); a != b {
-			t.Errorf("verdict %q: leader %v, sharded replica %v", name, a, b)
-		}
-	}
-}
-
 // TestJournalStreamRequiresJournal: a leader without a journal cannot
 // serve replication and says so, rather than hanging or panicking.
 func TestJournalStreamRequiresJournal(t *testing.T) {

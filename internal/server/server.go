@@ -73,9 +73,6 @@ type Config struct {
 	// JournalPath enables the default tenant's append-only change
 	// journal ("" = none).
 	JournalPath string
-	// Shards splits the default tenant's verifier across
-	// destination-space shards (<= 1 = monolithic core.Verifier).
-	Shards int
 	// JournalSegmentBytes seals a journal file into a numbered segment
 	// once an append pushes it past this size (0 = one unbounded file).
 	// Applies to every tenant's journal. Negative values are rejected.
@@ -109,7 +106,7 @@ type Config struct {
 	// segment a snapshot covers is deletable).
 	JournalRetain int
 	// Tenants declares additional named tenants, each with its own
-	// network, policies, journal and shard count.
+	// network, policies, journal and backend.
 	Tenants []TenantConfig
 	// QueueDepth bounds each tenant's apply queue (0 = 64). Writes
 	// beyond it are rejected with 503 instead of queueing without bound.
@@ -273,7 +270,6 @@ func New(cfg Config) (*Server, error) {
 		Net:         cfg.Net,
 		PolicyText:  cfg.PolicyText,
 		JournalPath: cfg.JournalPath,
-		Shards:      cfg.Shards,
 	}, opts, s.reg)
 	if err != nil {
 		return nil, err

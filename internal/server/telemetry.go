@@ -13,7 +13,7 @@ import (
 
 // Per-endpoint HTTP telemetry. Two views of the same measurement,
 // registered per tenant so the series compose with the existing
-// tenant/shard/backend labels:
+// tenant label:
 //
 //   - realconfig_server_request_duration_seconds{route,method,code} —
 //     fixed-bucket histograms, one series per endpoint outcome, the form

@@ -16,7 +16,6 @@ import (
 	"realconfig/internal/obs"
 	"realconfig/internal/plan"
 	"realconfig/internal/repl"
-	"realconfig/internal/shard"
 	"realconfig/internal/snap"
 )
 
@@ -38,9 +37,6 @@ type TenantConfig struct {
 	// JournalPath enables the tenant's append-only journal ("" = none).
 	// Tenants must not share a journal file.
 	JournalPath string
-	// Shards splits the tenant's verifier across destination-space
-	// shards (<= 1 = monolithic).
-	Shards int
 	// Backend overrides the model backend for this tenant ("" = the
 	// server-wide Options.Backend). Validated at startup; recorded in
 	// the journal's .meta sidecar so replay and replicas know which
@@ -145,16 +141,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	if err := core.ValidateBackend(vopts.Backend); err != nil {
 		return nil, fmt.Errorf("server: tenant %q: %w", tc.ID, err)
 	}
-	if tc.Shards > 1 && vopts.Backend == core.BackendAtom {
-		return nil, fmt.Errorf("server: tenant %q: the atom backend cannot shard (destination partitioning needs BDD space predicates); use shards=1 or the bdd backend", tc.ID)
-	}
-	// Shards <= 1 keeps the plain verifier, byte-identical to a daemon
-	// predating sharding; more runs the same pipeline on a shard set.
-	if tc.Shards > 1 {
-		t.verifier = core.NewOn(vopts, shard.NewSet(tc.Shards, vopts.Parallel))
-	} else {
-		t.verifier = core.New(vopts)
-	}
+	t.verifier = core.New(vopts)
 	t.instrument(reg) // before Load, so the initial full verification is measured too
 	t.snapEvery = opts.snapEvery
 	t.snapBytesEvery = opts.snapBytes

@@ -58,7 +58,6 @@ func newTwoTenantServer(t *testing.T, dir string, segBytes int64) (*Server, *htt
 			Net:         net.Clone(),
 			PolicyText:  policyText,
 			JournalPath: filepath.Join(dir, "acme.journal"),
-			Shards:      2,
 		}},
 	})
 	if err != nil {
@@ -182,9 +181,6 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	if got := m[`realconfig_server_applies_total{tenant="acme"}`]; got != 5 {
 		t.Errorf(`applies_total{tenant="acme"} = %v, want 5`, got)
-	}
-	if got := m[`realconfig_shard_count{tenant="acme"}`]; got != 2 {
-		t.Errorf(`shard_count{tenant="acme"} = %v, want 2`, got)
 	}
 
 	// Listing and detail endpoints.
