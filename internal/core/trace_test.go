@@ -6,8 +6,10 @@ import (
 
 	"realconfig/internal/bdd"
 	"realconfig/internal/netcfg"
+	"realconfig/internal/obs"
 	"realconfig/internal/policy"
 	"realconfig/internal/topology"
+	"realconfig/internal/trace"
 )
 
 func TestTraceDeliveredPath(t *testing.T) {
@@ -140,5 +142,44 @@ func TestTraceLPMPicksMostSpecificRule(t *testing.T) {
 	other := v.Trace("r00", bdd.Packet{Dst: netcfg.MustAddr("8.8.8.8")})
 	if other.Hops[0].Rule == nil || other.Hops[0].Rule.Prefix.Len != 0 {
 		t.Errorf("matched rule = %+v, want /0", other.Hops[0].Rule)
+	}
+}
+
+// TestGenerateSpanCountsUnits: the generate span's units_compiled says
+// how far a change's compile reached, every device on a load and the
+// changed device plus its link neighbours on an apply.
+func TestGenerateSpanCountsUnits(t *testing.T) {
+	net, err := topology.Line(4, topology.OSPF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{TraceApplies: 4})
+	units := func(rep *Report) string {
+		t.Helper()
+		for _, s := range v.Recorder().Get(rep.TraceID).Spans {
+			if s.Name == obs.StageGenerate {
+				n, _ := trace.Get(s.Attrs, "units_compiled")
+				return n
+			}
+		}
+		t.Fatal("no generate span")
+		return ""
+	}
+	rep, err := v.Load(net.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := units(rep); got != "4" {
+		t.Errorf("load compiled %s units, want 4", got)
+	}
+	drop := netcfg.StaticRoute{Prefix: netcfg.MustPrefix("198.18.0.0/24"), Drop: true}
+	for dev, want := range map[string]string{"r01": "3", "r03": "2"} {
+		rep, err := v.Apply(netcfg.AddStaticRoute{Device: dev, Route: drop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := units(rep); got != want {
+			t.Errorf("static route on %s compiled %s units, want %s", dev, got, want)
+		}
 	}
 }

@@ -348,7 +348,7 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 	// Stage 1: incremental data plane generation.
 	t0 := time.Now()
 	s0 := tr.Now()
-	v.gen.SetNetwork(net)
+	compiled := v.gen.SetNetworkDelta(net, changedDevices(v.cur, net, rep.Diff.Links))
 	stats, err := v.gen.Step()
 	if err != nil {
 		return nil, err
@@ -370,6 +370,7 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 			trace.I("rules_inserted", int64(rep.RulesInserted)),
 			trace.I("rules_deleted", int64(rep.RulesDeleted)),
 			trace.I("filter_changes", int64(rep.FilterChanges)),
+			trace.I("units_compiled", int64(compiled.Units)),
 			trace.I("entries", int64(stats.Entries)),
 			trace.I("iterations", int64(stats.Iterations)))
 	}
@@ -402,7 +403,9 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 	// Stage 3: incremental policy checking.
 	t0 = time.Now()
 	s0 = tr.Now()
-	v.checker.SetTopology(net.DeviceNames(), dataplane.Adjacencies(net))
+	if compiled.TopologyChanged {
+		v.checker.SetTopology(net.DeviceNames(), dataplane.Adjacencies(net))
+	}
 	rep.Check = v.checker.Update(rep.Model.Transfers, rep.Model.FilterTransfers, rep.Model.Merges...)
 	rep.Timing.PolicyCheck = time.Since(t0)
 	if tr != nil {
@@ -427,6 +430,32 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 		tr.Finish(seq)
 	}
 	return rep, nil
+}
+
+// changedDevices names the devices whose compile units an apply from
+// cur to next must recompile before their link neighbours: every device
+// whose *Config differs by pointer (added and removed ones included)
+// and both endpoints of every added or removed link. Under the
+// invariant on Verifier.cur, a shared *Config is an unchanged one. cur
+// is nil on the initial load, when every device of next is changed.
+func changedDevices(cur, next *netcfg.Network, links []netcfg.LinkChange) []string {
+	var out []string
+	for name, cfg := range next.Devices {
+		if cur == nil || cur.Devices[name] != cfg {
+			out = append(out, name)
+		}
+	}
+	if cur != nil {
+		for name := range cur.Devices {
+			if next.Devices[name] == nil {
+				out = append(out, name)
+			}
+		}
+	}
+	for _, lc := range links {
+		out = append(out, lc.Link.DevA, lc.Link.DevB)
+	}
+	return out
 }
 
 // recordDiff emits one config_change event per changed device (sorted)

@@ -12,27 +12,52 @@ type Adjacency struct {
 	PeerIntf  string
 }
 
-// Adjacencies derives all directed adjacencies of a network.
+// Adjacencies derives all directed adjacencies of a network, both
+// directions of each usable link in link order.
 func Adjacencies(net *netcfg.Network) []Adjacency {
 	var out []Adjacency
 	for _, l := range net.Topology.Links {
-		ca, cb := net.Devices[l.DevA], net.Devices[l.DevB]
-		if ca == nil || cb == nil {
-			continue
+		if ab, ba, ok := linkAdjacencies(net, l); ok {
+			out = append(out, ab, ba)
 		}
-		ia, ib := ca.Intf(l.IntfA), cb.Intf(l.IntfB)
-		if !intfUsable(ia) || !intfUsable(ib) {
-			continue
-		}
-		if ia.Addr.Prefix() != ib.Addr.Prefix() {
-			continue // misconfigured link: no shared subnet
-		}
-		out = append(out,
-			Adjacency{Dev: l.DevA, LocalIntf: l.IntfA, Peer: l.DevB, PeerIntf: l.IntfB},
-			Adjacency{Dev: l.DevB, LocalIntf: l.IntfB, Peer: l.DevA, PeerIntf: l.IntfA},
-		)
 	}
 	return out
+}
+
+// AppendDeviceAdjacencies appends to dst the adjacencies from dev (those
+// with Dev == dev) over links, in link order. links is normally dev's
+// incident links; the result is then Adjacencies(net) filtered to dev.
+func AppendDeviceAdjacencies(dst []Adjacency, net *netcfg.Network, dev string, links []netcfg.Link) []Adjacency {
+	for _, l := range links {
+		ab, ba, ok := linkAdjacencies(net, l)
+		if !ok {
+			continue
+		}
+		if ab.Dev == dev {
+			dst = append(dst, ab)
+		}
+		if ba.Dev == dev {
+			dst = append(dst, ba)
+		}
+	}
+	return dst
+}
+
+// linkAdjacencies returns both directions of a link when it is usable.
+func linkAdjacencies(net *netcfg.Network, l netcfg.Link) (ab, ba Adjacency, ok bool) {
+	ca, cb := net.Devices[l.DevA], net.Devices[l.DevB]
+	if ca == nil || cb == nil {
+		return ab, ba, false
+	}
+	ia, ib := ca.Intf(l.IntfA), cb.Intf(l.IntfB)
+	if !intfUsable(ia) || !intfUsable(ib) {
+		return ab, ba, false
+	}
+	if ia.Addr.Prefix() != ib.Addr.Prefix() {
+		return ab, ba, false // misconfigured link: no shared subnet
+	}
+	return Adjacency{Dev: l.DevA, LocalIntf: l.IntfA, Peer: l.DevB, PeerIntf: l.IntfB},
+		Adjacency{Dev: l.DevB, LocalIntf: l.IntfB, Peer: l.DevA, PeerIntf: l.IntfA}, true
 }
 
 func intfUsable(i *netcfg.Interface) bool {
@@ -51,15 +76,22 @@ type OSPFAdjacency struct {
 func OSPFAdjacencies(net *netcfg.Network) []OSPFAdjacency {
 	var out []OSPFAdjacency
 	for _, adj := range Adjacencies(net) {
-		cfg := net.Devices[adj.Dev]
-		peer := net.Devices[adj.Peer]
-		li := cfg.Intf(adj.LocalIntf)
-		pi := peer.Intf(adj.PeerIntf)
-		if cfg.OSPF.Enabled(li.Addr) && peer.OSPF.Enabled(pi.Addr) {
-			out = append(out, OSPFAdjacency{Adjacency: adj, Cost: li.CostOrDefault()})
+		if o, ok := OSPFAdjacencyOf(net, adj); ok {
+			out = append(out, o)
 		}
 	}
 	return out
+}
+
+// OSPFAdjacencyOf returns adj as an OSPF hop when both ends run OSPF on
+// the connecting interfaces.
+func OSPFAdjacencyOf(net *netcfg.Network, adj Adjacency) (OSPFAdjacency, bool) {
+	cfg, peer := net.Devices[adj.Dev], net.Devices[adj.Peer]
+	li, pi := cfg.Intf(adj.LocalIntf), peer.Intf(adj.PeerIntf)
+	if cfg.OSPF.Enabled(li.Addr) && peer.OSPF.Enabled(pi.Addr) {
+		return OSPFAdjacency{Adjacency: adj, Cost: li.CostOrDefault()}, true
+	}
+	return OSPFAdjacency{}, false
 }
 
 // BGPSession is an established directed eBGP session: Dev imports routes
@@ -104,44 +136,52 @@ func (s BGPSession) PermitsOut(p netcfg.Prefix) bool {
 func BGPSessions(net *netcfg.Network) []BGPSession {
 	var out []BGPSession
 	for _, adj := range Adjacencies(net) {
-		cfg := net.Devices[adj.Dev]
-		peer := net.Devices[adj.Peer]
-		if cfg.BGP == nil || peer.BGP == nil {
-			continue
+		if s, ok := BGPSessionOf(net, adj); ok {
+			out = append(out, s)
 		}
-		pi := peer.Intf(adj.PeerIntf)
-		li := cfg.Intf(adj.LocalIntf)
-		// Dev must configure the peer's address with the peer's AS...
-		nb := cfg.Neighbor(pi.Addr.Addr)
-		if nb == nil || nb.RemoteAS != peer.BGP.ASN {
-			continue
-		}
-		// ... and the peer must configure Dev back (session is mutual).
-		rnb := peer.Neighbor(li.Addr.Addr)
-		if rnb == nil || rnb.RemoteAS != cfg.BGP.ASN {
-			continue
-		}
-		s := BGPSession{
-			Dev:       adj.Dev,
-			LocalIntf: adj.LocalIntf,
-			Peer:      adj.Peer,
-			PeerAS:    peer.BGP.ASN,
-			LocalPref: nb.PrefOrDefault(),
-		}
-		// Dev's import filter; Peer's export filter toward Dev.
-		if nb.FilterIn != "" {
-			if s.FilterIn = cfg.PrefixList(nb.FilterIn); s.FilterIn == nil {
-				s.DenyIn = true
-			}
-		}
-		if rnb.FilterOut != "" {
-			if s.FilterOut = peer.PrefixList(rnb.FilterOut); s.FilterOut == nil {
-				s.DenyOut = true
-			}
-		}
-		out = append(out, s)
 	}
 	return out
+}
+
+// BGPSessionOf returns the session over adj (Dev importing from Peer),
+// if one is established.
+func BGPSessionOf(net *netcfg.Network, adj Adjacency) (BGPSession, bool) {
+	cfg := net.Devices[adj.Dev]
+	peer := net.Devices[adj.Peer]
+	if cfg.BGP == nil || peer.BGP == nil {
+		return BGPSession{}, false
+	}
+	pi := peer.Intf(adj.PeerIntf)
+	li := cfg.Intf(adj.LocalIntf)
+	// Dev must configure the peer's address with the peer's AS...
+	nb := cfg.Neighbor(pi.Addr.Addr)
+	if nb == nil || nb.RemoteAS != peer.BGP.ASN {
+		return BGPSession{}, false
+	}
+	// ... and the peer must configure Dev back (session is mutual).
+	rnb := peer.Neighbor(li.Addr.Addr)
+	if rnb == nil || rnb.RemoteAS != cfg.BGP.ASN {
+		return BGPSession{}, false
+	}
+	s := BGPSession{
+		Dev:       adj.Dev,
+		LocalIntf: adj.LocalIntf,
+		Peer:      adj.Peer,
+		PeerAS:    peer.BGP.ASN,
+		LocalPref: nb.PrefOrDefault(),
+	}
+	// Dev's import filter; Peer's export filter toward Dev.
+	if nb.FilterIn != "" {
+		if s.FilterIn = cfg.PrefixList(nb.FilterIn); s.FilterIn == nil {
+			s.DenyIn = true
+		}
+	}
+	if rnb.FilterOut != "" {
+		if s.FilterOut = peer.PrefixList(rnb.FilterOut); s.FilterOut == nil {
+			s.DenyOut = true
+		}
+	}
+	return s, true
 }
 
 // ConnectedRoute is a directly attached subnet of an up interface.
@@ -155,13 +195,19 @@ type ConnectedRoute struct {
 func ConnectedRoutes(net *netcfg.Network) []ConnectedRoute {
 	var out []ConnectedRoute
 	for _, name := range net.DeviceNames() {
-		for _, i := range net.Devices[name].Interfaces {
-			if intfUsable(i) {
-				out = append(out, ConnectedRoute{Device: name, Intf: i.Name, Prefix: i.Addr.Prefix()})
-			}
-		}
+		out = AppendConnectedRoutes(out, name, net.Devices[name])
 	}
 	return out
+}
+
+// AppendConnectedRoutes appends one device's connected subnets to dst.
+func AppendConnectedRoutes(dst []ConnectedRoute, name string, cfg *netcfg.Config) []ConnectedRoute {
+	for _, i := range cfg.Interfaces {
+		if intfUsable(i) {
+			dst = append(dst, ConnectedRoute{Device: name, Intf: i.Name, Prefix: i.Addr.Prefix()})
+		}
+	}
+	return dst
 }
 
 // ResolveStatic resolves a static route's next-hop address to the

@@ -116,32 +116,40 @@ func (f FilterRule) String() string {
 func ExtractFilters(net *netcfg.Network) []FilterRule {
 	var out []FilterRule
 	for _, name := range net.DeviceNames() {
-		cfg := net.Devices[name]
-		for _, intf := range cfg.Interfaces {
-			for dir, aclName := range map[Direction]string{In: intf.ACLIn, Out: intf.ACLOut} {
-				if aclName == "" {
-					continue
-				}
-				acl := cfg.ACL(aclName)
-				if acl == nil {
-					continue // dangling reference: implicit deny-all stands
-				}
-				for _, l := range acl.Lines {
-					out = append(out, FilterRule{
-						Device: name,
-						Intf:   intf.Name,
-						Dir:    dir,
-						Seq:    l.Seq,
-						Action: l.Action,
-						Match: Match{
-							Proto:     l.Proto,
-							Src:       l.Src,
-							Dst:       l.Dst,
-							DstPortLo: l.DstPortLo,
-							DstPortHi: l.DstPortHi,
-						},
-					})
-				}
+		out = append(out, ExtractDeviceFilters(name, net.Devices[name])...)
+	}
+	return out
+}
+
+// ExtractDeviceFilters derives one device's filter rules, in interface
+// order, inbound before outbound, then ACL line order. They depend on
+// nothing but the device's own configuration.
+func ExtractDeviceFilters(name string, cfg *netcfg.Config) []FilterRule {
+	var out []FilterRule
+	for _, intf := range cfg.Interfaces {
+		for dir, aclName := range [...]string{In: intf.ACLIn, Out: intf.ACLOut} {
+			if aclName == "" {
+				continue
+			}
+			acl := cfg.ACL(aclName)
+			if acl == nil {
+				continue // dangling reference: implicit deny-all stands
+			}
+			for _, l := range acl.Lines {
+				out = append(out, FilterRule{
+					Device: name,
+					Intf:   intf.Name,
+					Dir:    Direction(dir),
+					Seq:    l.Seq,
+					Action: l.Action,
+					Match: Match{
+						Proto:     l.Proto,
+						Src:       l.Src,
+						Dst:       l.Dst,
+						DstPortLo: l.DstPortLo,
+						DstPortHi: l.DstPortHi,
+					},
+				})
 			}
 		}
 	}

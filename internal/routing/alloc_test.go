@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"maps"
 	"testing"
 
 	"realconfig/internal/netcfg"
@@ -67,7 +68,7 @@ func BenchmarkGeneratorLinkFlap(b *testing.B) {
 	}
 }
 
-// TestGeneratorAllocationCeilings pins heap allocations of the two hot
+// TestGeneratorAllocationCeilings pins heap allocations of the hot
 // paths independently of this box's clock. On FatTree(4,OSPF) this test
 // measured, with the map-based traces and string-keyed tuples of the
 // commit before the flat storage, and with it:
@@ -77,11 +78,14 @@ func BenchmarkGeneratorLinkFlap(b *testing.B) {
 //
 // The ceilings sit below half of the "before" column, with room above
 // the "after" column for runtime and map-growth differences between Go
-// releases.
+// releases. With per-device compile units the SetNetwork flap measured
+// 135, and the same flap through SetNetworkDelta, naming the one
+// changed device, 134; its ceiling is that figure plus 20 %.
 func TestGeneratorAllocationCeilings(t *testing.T) {
 	const (
-		fullLoadCeiling = 10000
-		linkFlapCeiling = 600
+		fullLoadCeiling  = 10000
+		linkFlapCeiling  = 600
+		deltaFlapCeiling = 161
 	)
 	net, flap := fatTreeOSPF(t, 4)
 	full := testing.AllocsPerRun(5, func() { fullLoad(t, net.Network) })
@@ -92,11 +96,36 @@ func TestGeneratorAllocationCeilings(t *testing.T) {
 		down = !down
 		flapOnce(t, gen, net.Network, flap, down)
 	})
-	t.Logf("allocs: full load %.0f, link-flap epoch %.0f", full, perFlap)
+
+	// The delta path, as core.Verifier drives it: the flap alternates
+	// between two networks that share every configuration but the
+	// flapped device's.
+	fresh, _ := fatTreeOSPF(t, 4)
+	up := fresh.Network
+	downNet := &netcfg.Network{Devices: maps.Clone(up.Devices), Topology: up.Topology}
+	downNet.Devices[flap.Device] = up.Devices[flap.Device].Clone()
+	flap.Shutdown = true
+	if err := flap.Apply(downNet); err != nil {
+		t.Fatal(err)
+	}
+	gen = fullLoad(t, up)
+	sides := [2]*netcfg.Network{downNet, up}
+	flips := 0
+	perDeltaFlap := testing.AllocsPerRun(20, func() {
+		gen.SetNetworkDelta(sides[flips%2], []string{flap.Device})
+		if _, err := gen.Step(); err != nil {
+			t.Fatal(err)
+		}
+		flips++
+	})
+	t.Logf("allocs: full load %.0f, link-flap epoch %.0f, delta link-flap epoch %.0f", full, perFlap, perDeltaFlap)
 	if full > fullLoadCeiling {
 		t.Errorf("full load allocates %.0f objects, ceiling %d", full, fullLoadCeiling)
 	}
 	if perFlap > linkFlapCeiling {
 		t.Errorf("link-flap epoch allocates %.0f objects, ceiling %d", perFlap, linkFlapCeiling)
+	}
+	if perDeltaFlap > deltaFlapCeiling {
+		t.Errorf("delta link-flap epoch allocates %.0f objects, ceiling %d", perDeltaFlap, deltaFlapCeiling)
 	}
 }

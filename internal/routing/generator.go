@@ -35,12 +35,13 @@ type Options struct {
 }
 
 // Generator owns the dataflow graph computing a network's data plane.
-// Build one with New, load a network with SetNetwork, run epochs with
-// Step, and read the FIB and its per-epoch changes.
+// Build one with New, load a network with SetNetwork or SetNetworkDelta,
+// run epochs with Step, and read the FIB and its per-epoch changes.
 //
 // Inside the graph every tuple is interned (see sym): names become
-// symbols on the way in (compile) and strings again only where results
-// leave (the FIB output's final Map, the OSPFBest/BGPBest accessors).
+// symbols on the way in (the compile units) and strings again only
+// where results leave (the FIB output's final Map, the OSPFBest/BGPBest
+// accessors).
 type Generator struct {
 	g    *dd.Graph
 	syms *symtab
@@ -58,14 +59,31 @@ type Generator struct {
 	// Prefix lists referenced by session tuples, content-addressed: the
 	// same entries always map to the same id while some session uses
 	// them. Definitions are immutable once registered, which preserves
-	// operator purity. compile marks the ones its relations reference;
-	// Step drops the rest once its epoch (which still evaluates
-	// retracted sessions against their old lists) is done, so the table
-	// stays at its live size however often a list is edited. Ids are
-	// never reused.
+	// operator purity. Each counts the staged session tuples that use
+	// it; Step drops the unused ones once its epoch (which still
+	// evaluates retracted sessions against their old lists) is done, so
+	// the table stays at its live size however often a list is edited.
+	// Ids are never reused.
 	filterIDs  map[string]uint32
 	filterDefs map[uint32]*filterDef
 	filterNext uint32
+
+	// Compile units by device name, and the incident links of topo, the
+	// topology they were compiled against.
+	units    map[string]*unit
+	topo     *netcfg.Topology
+	incident map[string][]netcfg.Link
+
+	// Scratch reused across compiles: the unit being compiled, its
+	// connected routes and redistributable static prefixes, the dirty
+	// closure and its sorted order, and the filter deletions staged
+	// after the insertions.
+	scratch    unit
+	conns      []dataplane.ConnectedRoute
+	statics    []netcfg.Prefix
+	dirty      map[string]bool
+	order      []string
+	filterDels []dd.Entry[dataplane.FilterRule]
 
 	// Outputs.
 	ospfBest *dd.Output[dd.KV[rkey, ospfRt]]
@@ -82,11 +100,11 @@ type Generator struct {
 }
 
 // filterDef is one registered prefix-list snapshot, the content key it
-// is registered under, and whether the relations compiled last use it.
+// is registered under, and how many staged session tuples use it.
 type filterDef struct {
 	key  string
 	list *netcfg.PrefixList
-	live bool
+	refs int
 }
 
 // ospfHop says: the keyed device (the advertiser) has a neighbor Dev that
@@ -141,6 +159,9 @@ func New(opts Options) *Generator {
 		filterIDs:  make(map[string]uint32),
 		filterDefs: make(map[uint32]*filterDef),
 		filters:    make(map[dataplane.FilterRule]bool),
+		units:      make(map[string]*unit),
+		incident:   make(map[string][]netcfg.Link),
+		dirty:      make(map[string]bool),
 	}
 
 	// The two protocol fixpoints feed each other through redistribution,
@@ -307,33 +328,36 @@ func New(opts Options) *Generator {
 // SetNetwork compiles the network into relation tuples and stages the
 // difference against the currently loaded relations. The dataflow then
 // recomputes incrementally on the next Step: loading a slightly changed
-// network costs work proportional to the change.
+// network costs work proportional to the change. It is SetNetworkDelta
+// with every device of the previous and the new network marked changed,
+// so net may be the previously loaded network, edited in place.
 func (gen *Generator) SetNetwork(net *netcfg.Network) {
-	rel := gen.compile(net)
-	gen.ospfAdj.Set(rel.ospfAdj)
-	gen.ospfSeeds.Set(rel.ospfSeeds)
-	gen.bgpSess.Set(rel.bgpSess)
-	gen.bgpOrigin.Set(rel.bgpOrigins)
-	gen.ribDirect.Set(rel.ribDirect)
-	gen.ospfFromB.Set(rel.ospfFromBGP)
-	gen.bgpFromO.Set(rel.bgpFromOSPF)
-	gen.bgpAgg.Set(rel.bgpAgg)
+	changed := make([]string, 0, len(net.Devices))
+	for name := range net.Devices {
+		changed = append(changed, name)
+	}
+	for name := range gen.units {
+		if net.Devices[name] == nil {
+			changed = append(changed, name)
+		}
+	}
+	gen.indexLinks(net.Topology)
+	gen.compileDelta(net, changed)
+}
 
-	// Packet filters: direct extraction and set-difference.
-	gen.filterChanges = gen.filterChanges[:0]
-	next := make(map[dataplane.FilterRule]bool)
-	for _, f := range dataplane.ExtractFilters(net) {
-		next[f] = true
-		if !gen.filters[f] {
-			gen.filterChanges = append(gen.filterChanges, dd.Entry[dataplane.FilterRule]{Val: f, Diff: 1})
-		}
+// SetNetworkDelta is SetNetwork for a network that differs from the
+// previously loaded one only in the changed devices: those whose
+// configuration differs (added and removed devices included) and both
+// endpoints of every added or removed link. It recompiles their compile
+// units and those of their link neighbours, and stages only the
+// difference. Configurations outside changed, and the topology when it
+// is the same *Topology as last time, must not have been modified since
+// they were loaded.
+func (gen *Generator) SetNetworkDelta(net *netcfg.Network, changed []string) CompileStats {
+	if net.Topology != gen.topo {
+		gen.indexLinks(net.Topology)
 	}
-	for f := range gen.filters {
-		if !next[f] {
-			gen.filterChanges = append(gen.filterChanges, dd.Entry[dataplane.FilterRule]{Val: f, Diff: -1})
-		}
-	}
-	gen.filters = next
+	return gen.compileDelta(net, changed)
 }
 
 // Instrument registers the underlying dataflow engine's counters on reg,
@@ -367,7 +391,7 @@ func (gen *Generator) Step() (dd.EpochStats, error) {
 	// The epoch that retracted sessions using superseded prefix lists
 	// is over; nothing can evaluate those lists again.
 	for id, def := range gen.filterDefs {
-		if !def.live {
+		if def.refs == 0 {
 			delete(gen.filterDefs, id)
 			delete(gen.filterIDs, def.key)
 		}
@@ -396,7 +420,8 @@ func (gen *Generator) Filters() []dataplane.FilterRule {
 }
 
 // FilterChanges returns the filter rule changes staged by the last
-// SetNetwork (they take effect immediately; no Step needed).
+// SetNetwork or SetNetworkDelta, insertions before deletions (they take
+// effect immediately; no Step needed).
 func (gen *Generator) FilterChanges() []dd.Entry[dataplane.FilterRule] { return gen.filterChanges }
 
 // OSPFBest returns the accumulated best OSPF routes, converted back to

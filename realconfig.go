@@ -39,8 +39,9 @@
 // The subpackages under internal/ carry the implementation: dd (the
 // differential dataflow engine), netcfg (configuration model and text
 // format), routing (control plane programs), simulate (from-scratch
-// baseline/oracle), bdd and apkeep (data plane model), policy (checker),
-// topology (synthetic networks) and bench (the paper's experiments).
+// baseline/oracle), bdd and apkeep (data plane model), policy (checker)
+// and topology (synthetic networks). The paper's experiments are Go
+// benchmarks in this package's bench_test.go.
 package realconfig
 
 import (
