@@ -65,31 +65,6 @@ func TestFlatMapAndNegateConcat(t *testing.T) {
 	expectState(t, out, map[int]Diff{107: 1}) // 7 cancels with its negation
 }
 
-func TestInputSetComputesMinimalDelta(t *testing.T) {
-	g := NewGraph()
-	in := NewInput[string](g)
-	out := NewOutput(in.Collection())
-
-	in.Set([]string{"a", "b", "c"})
-	g.MustAdvance()
-	expectState(t, out, map[string]Diff{"a": 1, "b": 1, "c": 1})
-
-	in.Set([]string{"b", "c", "d"})
-	g.MustAdvance()
-	expectState(t, out, map[string]Diff{"b": 1, "c": 1, "d": 1})
-	ch := out.Changes()
-	if len(ch) != 2 || ch["a"] != -1 || ch["d"] != 1 {
-		t.Errorf("changes = %v, want {a:-1 d:+1}", ch)
-	}
-
-	// Setting to the same contents is a no-op epoch.
-	in.Set([]string{"d", "c", "b"})
-	st := g.MustAdvance()
-	if st.Entries != 0 {
-		t.Errorf("no-op Set processed %d entries, want 0", st.Entries)
-	}
-}
-
 func TestInputStateHelpers(t *testing.T) {
 	g := NewGraph()
 	in := NewInput[int](g)
