@@ -50,7 +50,7 @@
 // Multi-tenancy: each repeatable -tenant flag adds an isolated named
 // verifier served under /v1/tenants/{id}/... (same endpoints), e.g.
 //
-//	rcserved -net base/ -tenant id=acme,net=acme/,policies=acme.pol,journal=acme.j,backend=atom
+//	rcserved -net base/ -tenant id=acme,net=acme/,policies=acme.pol,journal=acme.j
 //
 // The unprefixed routes remain the default tenant; GET /v1/tenants
 // lists all of them.
@@ -84,7 +84,7 @@ func (t *tenantFlags) Set(s string) error {
 }
 
 // parseTenant decodes one -tenant value
-// (id=NAME,net=DIR[,policies=FILE][,journal=FILE][,backend=bdd|atom])
+// (id=NAME,net=DIR[,policies=FILE][,journal=FILE])
 // into a TenantConfig, loading the network and policy files.
 func parseTenant(spec string) (server.TenantConfig, error) {
 	var tc server.TenantConfig
@@ -110,13 +110,8 @@ func parseTenant(spec string) (server.TenantConfig, error) {
 			tc.PolicyText = string(text)
 		case "journal":
 			tc.JournalPath = v
-		case "backend":
-			if err := core.ValidateBackend(v); err != nil {
-				return tc, fmt.Errorf("-tenant %q: %w", spec, err)
-			}
-			tc.Backend = v
 		default:
-			return tc, fmt.Errorf("-tenant %q: unknown key %q (want id, net, policies, journal, backend)", spec, k)
+			return tc, fmt.Errorf("-tenant %q: unknown key %q (want id, net, policies, journal)", spec, k)
 		}
 	}
 	if tc.ID == "" || tc.Net == nil {
@@ -142,9 +137,8 @@ func run(args []string, out *os.File) error {
 	snapBytes := fs.Int64("snapshot-bytes", 0, "capture a snapshot once this many bytes were appended to the journal since the last one (0 = off)")
 	journalRetain := fs.Int("journal-retain", 2, "sealed journal segments always kept through compaction (resume floor for lagging replicas)")
 	follow := fs.String("follow", "", "run as a read replica of the leader at this base URL (e.g. http://leader:8080)")
-	backend := fs.String("backend", "", "model backend: bdd (default) or atom; per-tenant backend= overrides")
 	var tenants tenantFlags
-	fs.Var(&tenants, "tenant", "add a named tenant: id=NAME,net=DIR[,policies=FILE][,journal=FILE][,backend=bdd|atom] (repeatable)")
+	fs.Var(&tenants, "tenant", "add a named tenant: id=NAME,net=DIR[,policies=FILE][,journal=FILE] (repeatable)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	parallel := fs.Int("parallel", 0, "policy-checker worker count (<=1 = sequential)")
 	queue := fs.Int("queue", 64, "apply queue depth (writes beyond it get 503)")
@@ -168,9 +162,6 @@ func run(args []string, out *os.File) error {
 	logger := slog.New(handler)
 	if *netDir == "" {
 		return fmt.Errorf("-net is required")
-	}
-	if err := core.ValidateBackend(*backend); err != nil {
-		return fmt.Errorf("-backend: %w", err)
 	}
 	if *segBytes < 0 {
 		return fmt.Errorf("-journal-segment-bytes must be >= 0, got %d", *segBytes)
@@ -210,7 +201,6 @@ func run(args []string, out *os.File) error {
 			DetectOscillation: true,
 			Parallel:          *parallel,
 			TraceApplies:      *traceRing,
-			Backend:           *backend,
 		},
 		JournalPath:         *journalPath,
 		JournalSegmentBytes: *segBytes,
@@ -240,7 +230,6 @@ func run(args []string, out *os.File) error {
 		"addr", ln.Addr().String(), "devices", snap.Devices,
 		"policies", snap.Policies, "ecs", snap.ECs, "seq", snap.Seq,
 		"trace_ring", *traceRing, "journal", *journalPath,
-		"tenants", 1+len(tcs), "follow", *follow,
-		"backend", core.Options{Backend: *backend}.ModelBackend())
+		"tenants", 1+len(tcs), "follow", *follow)
 	return http.Serve(ln, srv.Handler())
 }

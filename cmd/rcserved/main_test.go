@@ -26,22 +26,23 @@ func TestRunRejectsBadFlag(t *testing.T) {
 }
 
 // TestParseTenant: every accepted -tenant key parses, and a key or flag
-// the daemon no longer has (shards) fails startup instead of being
-// ignored.
+// the daemon no longer has (shards, backend) fails startup instead of
+// being ignored.
 func TestParseTenant(t *testing.T) {
 	const campus = "../../testdata/campus"
-	tc, err := parseTenant("id=acme,net=" + campus + ",policies=" + campus + "/policies.txt,journal=acme.j,backend=atom")
+	tc, err := parseTenant("id=acme,net=" + campus + ",policies=" + campus + "/policies.txt,journal=acme.j")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc.ID != "acme" || tc.Net == nil || len(tc.Net.Devices) == 0 || tc.PolicyText == "" ||
-		tc.JournalPath != "acme.j" || tc.Backend != "atom" {
+		tc.JournalPath != "acme.j" {
 		t.Errorf("parsed tenant = %+v", tc)
 	}
 
 	for _, c := range []struct{ spec, want string }{
 		{"id=acme,net=" + campus + ",shards=4", `unknown key "shards"`},
-		{"id=acme,net=" + campus + ",backend=quantum", "quantum"},
+		{"id=acme,net=" + campus + ",backend=atom", `unknown key "backend"`},
+		{"id=acme,net=" + campus + ",backend=bdd", `unknown key "backend"`},
 		{"net=" + campus, "id= and net= are required"},
 		{"id=acme,net", "not key=value"},
 	} {
@@ -50,9 +51,11 @@ func TestParseTenant(t *testing.T) {
 		}
 	}
 
-	err = run([]string{"-net", campus, "-shards", "4"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
-		t.Errorf("run() with -shards: got %v, want an unknown-flag error", err)
+	for _, args := range [][]string{{"-shards", "4"}, {"-backend", "atom"}} {
+		err = run(append([]string{"-net", campus}, args...), os.Stdout)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("run() with %s: got %v, want an unknown-flag error", args[0], err)
+		}
 	}
 }
 

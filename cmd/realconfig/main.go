@@ -154,7 +154,6 @@ func cmdVerify(args []string) error {
 	polFile := fs.String("policies", "", "policy specification file")
 	showFIB := fs.Bool("fib", false, "print the computed FIB")
 	deleteFirst := fs.Bool("delete-first", false, "apply deletions before insertions in model updates")
-	backend := fs.String("backend", "", "data plane model backend: bdd or atom")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -165,10 +164,7 @@ func cmdVerify(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := options(*deleteFirst, *backend)
-	if err != nil {
-		return err
-	}
+	opts := options(*deleteFirst)
 	v := core.New(opts)
 	rep, err := v.Load(net)
 	if err != nil {
@@ -190,7 +186,6 @@ func cmdCheck(args []string) error {
 	netDir := fs.String("net", "", "base snapshot directory (required)")
 	polFile := fs.String("policies", "", "policy specification file")
 	deleteFirst := fs.Bool("delete-first", false, "apply deletions before insertions in model updates")
-	backend := fs.String("backend", "", "data plane model backend: bdd or atom")
 	tracePath := fs.String("trace", "", "export every step's provenance trace as Chrome trace-event JSON to this file")
 	explain := fs.String("explain", "", "after all steps, explain this policy's latest verdict flip (change -> rules -> ECs)")
 	if err := fs.Parse(args); err != nil {
@@ -207,10 +202,7 @@ func cmdCheck(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := options(*deleteFirst, *backend)
-	if err != nil {
-		return err
-	}
+	opts := options(*deleteFirst)
 	if *tracePath != "" || *explain != "" {
 		opts.TraceApplies = len(steps) + 1 // retain the load and every step
 	}
@@ -266,7 +258,6 @@ func cmdPlan(args []string) error {
 	workers := fs.Int("workers", 0, "probe worker-pool size (0 = min(4, GOMAXPROCS))")
 	maxProbes := fs.Int("max-probes", 0, "probe budget (0 = default)")
 	deleteFirst := fs.Bool("delete-first", false, "apply deletions before insertions in model updates")
-	backend := fs.String("backend", "", "data plane model backend: bdd or atom")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -281,10 +272,7 @@ func cmdPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := options(*deleteFirst, *backend)
-	if err != nil {
-		return err
-	}
+	opts := options(*deleteFirst)
 	v := core.New(opts)
 	if _, err := v.Load(net); err != nil {
 		return err
@@ -375,15 +363,12 @@ func writeChromeTrace(v *core.Verifier, path string) error {
 	return f.Close()
 }
 
-func options(deleteFirst bool, backend string) (core.Options, error) {
-	if err := core.ValidateBackend(backend); err != nil {
-		return core.Options{}, err
-	}
-	opts := core.Options{DetectOscillation: true, Backend: backend}
+func options(deleteFirst bool) core.Options {
+	opts := core.Options{DetectOscillation: true}
 	if deleteFirst {
 		opts.Order = apkeep.DeleteFirst
 	}
-	return opts, nil
+	return opts
 }
 
 func addPolicies(v *core.Verifier, file string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"realconfig/internal/core"
@@ -141,5 +142,23 @@ func TestCLIErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("zorp\n"), 0o644)
 	if err := run([]string{"verify", "-net", good, "-policies", bad}); err == nil {
 		t.Error("bad policy file accepted")
+	}
+}
+
+// TestBackendFlagRemoved: the model is not selectable, so an old
+// -backend flag fails startup instead of being ignored.
+func TestBackendFlagRemoved(t *testing.T) {
+	net, _ := topology.Line(2, topology.OSPF)
+	dir := t.TempDir()
+	writeSnapshot(t, net.Network, dir)
+	for _, args := range [][]string{
+		{"verify", "-net", dir, "-backend", "atom"},
+		{"check", "-net", dir, "-backend", "bdd", dir},
+		{"plan", "-net", dir, "-changes", "batch.json", "-backend", "atom"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -backend") {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
+		}
 	}
 }

@@ -58,9 +58,8 @@ func (m *Model) FilterKeys() []FilterKey {
 // UpdateFilters applies filter rule changes (insertions and deletions of
 // ACL lines at bindings) and refreshes the affected bindings' EC status.
 // A binding whose last line disappears is removed entirely (interface
-// without ACL permits everything). The BDD backend supports every filter
-// match, so the error is always nil; the signature carries the error so
-// backends with a restricted match fragment (atom) can reject.
+// without ACL permits everything). Every filter match is expressible as
+// a BDD, so the error is always nil today; callers still check it.
 func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 	touched := make(map[FilterKey]bool)
 	for _, e := range changes {

@@ -18,9 +18,9 @@ import (
 //	loopfree <name> <prefix|any>
 //	blackholefree <name> <prefix|any>
 //
-// Header spaces are backend-neutral dataplane.Match values, so the
-// parsed policies register on any verifier regardless of its model
-// backend. Blank lines and '#' comments are ignored.
+// Header spaces are plain dataplane.Match values, so the parsed
+// policies register on any verifier. Blank lines and '#' comments are
+// ignored.
 func ParsePolicies(text string) ([]policy.Policy, error) {
 	var out []policy.Policy
 	names := make(map[string]bool)

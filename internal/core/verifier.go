@@ -50,11 +50,6 @@ type Options struct {
 	// bounded ring of the last TraceApplies applies. 0 disables tracing
 	// — the pipeline then pays only nil checks on its hot paths.
 	TraceApplies int
-	// Backend selects the data plane model implementation: "" or "bdd"
-	// for the APKeep-style BDD backend, "atom" for the Delta-net-style
-	// destination-interval backend. Forks inherit it via Options, so
-	// what-if sessions and planner probes stay on the same backend.
-	Backend string
 }
 
 // Verifier is an incremental configuration verifier. Load a network
@@ -63,7 +58,7 @@ type Options struct {
 type Verifier struct {
 	opts    Options
 	gen     *routing.Generator
-	model   Model
+	model   *apkeep.Model
 	checker *policy.Checker
 	// cur is the verified network. Successive networks share every
 	// *Config and the *Topology that no change touched, so the verifier
@@ -211,15 +206,14 @@ func (r *Report) Repaired() []string {
 	return out
 }
 
-// New creates an empty verifier on the backend named by opts.Backend
-// (empty = bdd). Validate names from user input with ValidateBackend
-// first; an unknown name panics.
+// New creates an empty verifier.
 func New(opts Options) *Verifier {
 	var rec *trace.Recorder
 	if opts.TraceApplies > 0 {
 		rec = trace.NewRecorder(opts.TraceApplies)
 	}
-	model := newModel(opts.Backend)
+	model := apkeep.New()
+	model.AutoMerge = true // keep the EC partition minimal, as APKeep does
 	checker := policy.NewChecker(model)
 	checker.SetParallelism(opts.Parallel)
 	return &Verifier{
@@ -379,7 +373,7 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 	t0 = time.Now()
 	s0 = tr.Now()
 	if err := v.model.UpdateFilters(filterChanges); err != nil {
-		return nil, fmt.Errorf("core: %s backend rejected filter changes: %w", v.model.Backend(), err)
+		return nil, fmt.Errorf("core: model rejected filter changes: %w", err)
 	}
 	rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
 	if err != nil {
@@ -506,7 +500,7 @@ func (v *Verifier) Fork(policyText string) (*Verifier, error) {
 
 // ForkSame builds an independent verifier over a copy of the current
 // network, reusing the already-compiled policy set: policies are plain
-// values with backend-neutral Match headers, so they register on the
+// values with model-independent Match headers, so they register on the
 // fork directly, skipping the specification re-parse that Fork pays.
 // Unlike Fork it also carries policies that were registered
 // programmatically and never had a source line. Planner probes use it
@@ -600,9 +594,8 @@ func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff {
 	return out
 }
 
-// Model exposes the data plane model backend (ECs, ports) for
-// inspection, behind the backend-neutral interface.
-func (v *Verifier) Model() Model { return v.model }
+// Model exposes the data plane model (ECs, ports) for inspection.
+func (v *Verifier) Model() *apkeep.Model { return v.model }
 
 // Checker exposes the policy checker for advanced queries (path traces,
 // pair maps, explanations).

@@ -57,9 +57,9 @@ func TestWithLabelsView(t *testing.T) {
 	}
 
 	// Stacked views merge bases; the inner view wins collisions.
-	backend := acme.WithLabels(Labels{"backend": "atom"})
-	backend.Counter("splits_total", "splits", nil).Inc()
-	if got := root.Snapshot()[`splits_total{backend="atom",tenant="acme"}`]; got != 1 {
+	region := acme.WithLabels(Labels{"region": "eu"})
+	region.Counter("splits_total", "splits", nil).Inc()
+	if got := root.Snapshot()[`splits_total{region="eu",tenant="acme"}`]; got != 1 {
 		t.Errorf("stacked view series missing: %v", root.Snapshot())
 	}
 	override := acme.WithLabels(Labels{"tenant": "globex"})

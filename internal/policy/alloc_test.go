@@ -29,7 +29,7 @@ func newFlapNet(tb testing.TB, k int) *flapNet {
 		tb.Fatal(err)
 	}
 	f := &flapNet{net: net, gen: routing.New(routing.Options{}), model: apkeep.New()}
-	f.model.AutoMerge = true // as the verifier configures the bdd backend
+	f.model.AutoMerge = true // as the verifier configures its model
 	f.c = NewChecker(f.model)
 	f.update(tb, f.epoch(tb))
 	for _, p := range sparseSuite(net, k) {

@@ -99,9 +99,9 @@ type link struct {
 }
 
 // Checker incrementally maintains forwarding outcomes and policy
-// verdicts over a data plane model backend.
+// verdicts over an APKeep data plane model.
 type Checker struct {
-	model Model
+	model *apkeep.Model
 
 	// names and ids intern device names append-only: a device's id
 	// never changes, so cached ecResults stay valid across SetTopology.
@@ -207,9 +207,9 @@ func (c *Checker) Instrument(reg *obs.Registry) {
 // results are merged sequentially, keeping output deterministic.
 func (c *Checker) SetParallelism(n int) { c.parallelism = n }
 
-// NewChecker creates a checker over a model backend. Call SetTopology
-// before the first Update.
-func NewChecker(m Model) *Checker {
+// NewChecker creates a checker over a data plane model. Call
+// SetTopology before the first Update.
+func NewChecker(m *apkeep.Model) *Checker {
 	return &Checker{
 		model:    m,
 		ids:      make(map[string]int32),
@@ -221,8 +221,8 @@ func NewChecker(m Model) *Checker {
 	}
 }
 
-// Model returns the backend the checker evaluates against.
-func (c *Checker) Model() Model { return c.model }
+// Model returns the data plane model the checker evaluates against.
+func (c *Checker) Model() *apkeep.Model { return c.model }
 
 // SetTopology installs the device list and adjacency view used for walks
 // and filter lookups. Call again whenever the topology changes. When the
@@ -422,19 +422,9 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 		}
 	}
 	results := c.walkAll(live)
-	joined := make(map[*hdrEntry]struct{}) // entries a new EC joined
 	for i, ec := range live {
-		isNew := c.ecs[ec] == nil
 		c.merge(ec, results[i], changedDevs[ec], pairs)
-		if isNew {
-			for _, e := range results[i].hdrs {
-				joined[e] = struct{}{}
-			}
-		}
 		res.AffectedECs++
-	}
-	for e := range joined {
-		c.reconfirm(e)
 	}
 
 	// Recheck the policies registered on affected packets: the union of

@@ -197,11 +197,8 @@ func compareOutcomesByPacket(t *testing.T, trial, step int, a, b *Checker, devs 
 
 // ecContaining finds the checker's EC containing a concrete packet.
 func ecContaining(c *Checker, pkt bdd.Packet) bdd.Node {
-	m := c.model.(interface {
-		ContainsPacket(ec bdd.Node, pkt bdd.Packet) bool
-	})
 	for cand := range c.model.ECs() {
-		if m.ContainsPacket(cand, pkt) {
+		if c.model.ContainsPacket(cand, pkt) {
 			return cand
 		}
 	}

@@ -83,22 +83,6 @@ func (c *Checker) join(ec bdd.Node, r *ecResult) {
 	}
 }
 
-// reconfirm drops the members of e that no longer overlap its header.
-// An EC handle's packet set is fixed on the BDD backend, but the atom
-// backend keeps the lower half of a split under the old handle, so a
-// surviving EC can shrink out of a header. Its lost packets went to new
-// ECs in the same batch, which joined e — so reconfirming the entries
-// that new ECs joined restores exact membership.
-func (c *Checker) reconfirm(e *hdrEntry) {
-	for ec := range e.ecs {
-		if !c.model.MatchOverlaps(e.hdr, ec) {
-			delete(e.ecs, ec)
-			r := c.ecs[ec]
-			r.hdrs = dropEntry(r.hdrs, e)
-		}
-	}
-}
-
 // dropEntry removes e from hdrs in place.
 func dropEntry(hdrs []*hdrEntry, e *hdrEntry) []*hdrEntry {
 	for i, h := range hdrs {

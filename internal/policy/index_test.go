@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"realconfig/internal/apkeep"
-	"realconfig/internal/atom"
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/dd"
@@ -17,20 +16,12 @@ import (
 	"realconfig/internal/trace"
 )
 
-// oracleModel is the backend surface the index oracle drives: both
-// apkeep.Model and atom.Model implement it.
-type oracleModel interface {
-	Model
-	ApplyBatch(changes []dd.Entry[dataplane.Rule], order apkeep.Order) (*apkeep.BatchResult, error)
-	UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error
-}
-
 // refScan is the relevance scan the registration index replaced, kept
 // here as its oracle: the ECs an Update must treat as affected (the
 // transferred ones resolved through merges, plus the classes the model
 // created), whether or not they survived the batch, and per EC the
 // devices whose behaviour for it changed.
-func refScan(before map[bdd.Node]*ecResult, m Model, br *apkeep.BatchResult) map[bdd.Node]map[string]struct{} {
+func refScan(before map[bdd.Node]*ecResult, m *apkeep.Model, br *apkeep.BatchResult) map[bdd.Node]map[string]struct{} {
 	alias := make(map[bdd.Node]bdd.Node)
 	for _, me := range br.Merges {
 		alias[me.A], alias[me.B] = me.Result, me.Result
@@ -255,14 +246,11 @@ func oraclePolicies(devs []string) []Policy {
 
 // churn draws one random rule/filter batch the way
 // TestCheckerIncrementalEqualsRebuild does, updating the installed sets.
-func churn(rng *rand.Rand, devs []string, filtersOK bool, rules map[dataplane.Rule]bool, filters map[dataplane.FilterRule]bool) ([]dd.Entry[dataplane.Rule], []dd.Entry[dataplane.FilterRule]) {
+func churn(rng *rand.Rand, devs []string, rules map[dataplane.Rule]bool, filters map[dataplane.FilterRule]bool) ([]dd.Entry[dataplane.Rule], []dd.Entry[dataplane.FilterRule]) {
 	var rb []dd.Entry[dataplane.Rule]
 	var fb []dd.Entry[dataplane.FilterRule]
 	for n := 1 + rng.Intn(3); n > 0; n-- {
 		if rng.Intn(4) == 0 {
-			if !filtersOK {
-				continue
-			}
 			f := randomFilter(rng, devs)
 			if filters[f] {
 				fb = append(fb, dd.Entry[dataplane.FilterRule]{Val: f, Diff: -1})
@@ -296,11 +284,8 @@ func churn(rng *rand.Rand, devs []string, filtersOK bool, rules map[dataplane.Ru
 // oracleCase is one configuration the index oracle runs under.
 type oracleCase struct {
 	name string
-	// newModel builds an empty backend.
-	newModel func() oracleModel
-	// filtersOK churns ACL lines too; the atom backend rejects the
-	// tcp/22 ones.
-	filtersOK bool
+	// newModel builds an empty model.
+	newModel func() *apkeep.Model
 }
 
 // TestIndexOracle churns seeded rule/filter batches through a checker
@@ -308,19 +293,16 @@ type oracleCase struct {
 // verdicts of a freshly built checker, the brute-force recheck count,
 // and the old append-and-scan affected-pair set.
 func TestIndexOracle(t *testing.T) {
-	bddModel := func(autoMerge bool) func() oracleModel {
-		return func() oracleModel {
+	bddModel := func(autoMerge bool) func() *apkeep.Model {
+		return func() *apkeep.Model {
 			m := apkeep.New()
 			m.AutoMerge = autoMerge
 			return m
 		}
 	}
 	cases := []oracleCase{
-		{name: "automerge", newModel: bddModel(true), filtersOK: true},
-		{name: "no-automerge", newModel: bddModel(false), filtersOK: true},
-		// Atoms keep the lower half of a split under the old id, so an EC
-		// can shrink out of a header.
-		{name: "atom", newModel: func() oracleModel { return atom.New() }},
+		{name: "automerge", newModel: bddModel(true)},
+		{name: "no-automerge", newModel: bddModel(false)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runIndexOracle(t, tc) })
@@ -331,7 +313,7 @@ func runIndexOracle(t *testing.T, tc oracleCase) {
 	rng := rand.New(rand.NewSource(123))
 	devs := []string{"a", "b", "c", "d", "e"}
 	adjs := ringAdjs(devs)
-	build := func(m oracleModel) *Checker {
+	build := func(m *apkeep.Model) *Checker {
 		c := NewChecker(m)
 		c.SetTopology(devs, adjs)
 		return c
@@ -361,7 +343,7 @@ func runIndexOracle(t *testing.T, tc oracleCase) {
 		}
 		checkIndex(t, where+" (registration)", inc)
 
-		rules, filters := churn(rng, devs, tc.filtersOK, installedRules, installedFilters)
+		rules, filters := churn(rng, devs, installedRules, installedFilters)
 		before := make(map[bdd.Node]*ecResult, len(inc.ecs))
 		for ec, r := range inc.ecs {
 			before[ec] = r
@@ -429,39 +411,6 @@ func runIndexOracle(t *testing.T, tc oracleCase) {
 			t.FailNow()
 		}
 	}
-}
-
-// TestAtomSplitLeavesHeader pins the case the index must reconfirm: an
-// atom covering a header splits, its old id keeps only the lower half
-// (outside the header), and the header's verdict must follow the new
-// upper atom alone.
-func TestAtomSplitLeavesHeader(t *testing.T) {
-	m := atom.New()
-	agg := netcfg.MustPrefix("10.0.0.0/16")
-	host := netcfg.MustPrefix("10.0.1.0/24")
-	if _, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{
-		{Val: dataplane.Rule{Device: "a", Prefix: agg, Action: dataplane.Drop}, Diff: 1},
-		{Val: dataplane.Rule{Device: "b", Prefix: agg, Action: dataplane.Deliver, OutIntf: "lo0"}, Diff: 1},
-	}, apkeep.InsertFirst); err != nil {
-		t.Fatal(err)
-	}
-	c := NewChecker(m)
-	c.SetTopology([]string{"a", "b"}, []dataplane.Adjacency{{Dev: "a", LocalIntf: "r", Peer: "b", PeerIntf: "l"}})
-	c.Update(nil, nil)
-	if c.AddPolicy(Reachability{PolicyName: "host", Src: "a", Dst: "b", Hdr: dataplane.Match{Dst: host}, Mode: ReachAll}) {
-		t.Fatal("a drops the aggregate, yet host reachability holds")
-	}
-	br, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{
-		{Val: dataplane.Rule{Device: "a", Prefix: host, Action: dataplane.Forward, NextHop: "b", OutIntf: "r"}, Diff: 1},
-	}, apkeep.InsertFirst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := c.Update(br.Transfers, br.FilterTransfers, br.Merges...)
-	if v, _ := c.Verdict("host"); !v || len(res.Events) != 1 {
-		t.Fatalf("host verdict %v, events %v; want satisfied after the split", v, res.Events)
-	}
-	checkIndex(t, "after split", c)
 }
 
 // TestTracedRecheckMatchesScan runs a traced Update whose batch

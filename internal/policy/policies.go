@@ -13,8 +13,8 @@ import (
 // indexes them by it, so a change rechecks only the policies whose
 // header meets an affected EC — the key to incremental policy checking.
 // Header spaces are dataplane.Match values (the zero value matches
-// everything), so policies carry no backend-specific handles and
-// transfer between verifiers and backends as plain values.
+// everything), so policies carry no model-specific handles and
+// transfer between verifiers as plain values.
 type Policy interface {
 	Name() string
 	// Header returns the packet space the policy registers on.

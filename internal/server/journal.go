@@ -774,59 +774,6 @@ func (j *journal) resetTo(seq uint64) error {
 	return nil
 }
 
-// ---- backend metadata ----
-
-// metaPath is the sidecar file recording which model backend produced
-// the journal's reports (see TenantConfig.Backend).
-func metaPath(journalPath string) string { return journalPath + ".meta" }
-
-// journalMeta is the .meta sidecar's JSON body.
-type journalMeta struct {
-	Backend string `json:"backend"`
-}
-
-// readMetaFile loads a persisted journal meta sidecar (ok=false if the
-// file does not exist).
-func readMetaFile(path string) (journalMeta, bool, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return journalMeta{}, false, nil
-	}
-	if err != nil {
-		return journalMeta{}, false, err
-	}
-	var m journalMeta
-	if err := json.Unmarshal(b, &m); err != nil || m.Backend == "" {
-		return journalMeta{}, false, fmt.Errorf("journal meta file %s: bad contents %q", path, bytes.TrimSpace(b))
-	}
-	return m, true, nil
-}
-
-// writeMetaFile persists the meta sidecar durably (write, sync, rename).
-func writeMetaFile(path string, m journalMeta) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // ---- epoch persistence ----
 
 // epochPath is the sidecar file holding the journal's lineage id.

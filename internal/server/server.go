@@ -106,7 +106,7 @@ type Config struct {
 	// segment a snapshot covers is deletable).
 	JournalRetain int
 	// Tenants declares additional named tenants, each with its own
-	// network, policies, journal and backend.
+	// network, policies and journal.
 	Tenants []TenantConfig
 	// QueueDepth bounds each tenant's apply queue (0 = 64). Writes
 	// beyond it are rejected with 503 instead of queueing without bound.

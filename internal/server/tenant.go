@@ -37,11 +37,6 @@ type TenantConfig struct {
 	// JournalPath enables the tenant's append-only journal ("" = none).
 	// Tenants must not share a journal file.
 	JournalPath string
-	// Backend overrides the model backend for this tenant ("" = the
-	// server-wide Options.Backend). Validated at startup; recorded in
-	// the journal's .meta sidecar so replay and replicas know which
-	// backend produced the journaled reports.
-	Backend string
 }
 
 // Tenant is one isolated verification domain inside the daemon: its own
@@ -134,14 +129,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		log:          opts.log.With("tenant", tc.ID),
 		reg:          reg,
 	}
-	vopts := opts.verifier
-	if tc.Backend != "" {
-		vopts.Backend = tc.Backend
-	}
-	if err := core.ValidateBackend(vopts.Backend); err != nil {
-		return nil, fmt.Errorf("server: tenant %q: %w", tc.ID, err)
-	}
-	t.verifier = core.New(vopts)
+	t.verifier = core.New(opts.verifier)
 	t.instrument(reg) // before Load, so the initial full verification is measured too
 	t.snapEvery = opts.snapEvery
 	t.snapBytesEvery = opts.snapBytes
@@ -178,10 +166,6 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	}
 	var lastReport *ReportJSON
 	if man != nil {
-		if backend := t.verifier.Options().ModelBackend(); man.Backend != backend {
-			t.log.Warn("snapshot was captured under a different model backend",
-				"recorded", man.Backend, "configured", backend)
-		}
 		net, nerr := man.Network()
 		if nerr != nil {
 			j.close()
@@ -250,24 +234,6 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		}
 	}
 	if j != nil {
-		// Stamp (or verify) the backend sidecar: the journal's entries are
-		// backend-neutral configuration changes, but the reports clients
-		// saw were produced by a specific backend, so the lineage records
-		// it. A replay under a different backend is allowed — verdicts are
-		// proven equal — but announced, since EC counts can differ.
-		if prev, ok, err := readMetaFile(metaPath(tc.JournalPath)); err != nil {
-			j.close()
-			return nil, err
-		} else if backend := t.verifier.Options().ModelBackend(); !ok || prev.Backend != backend {
-			if ok {
-				t.log.Warn("journal was recorded under a different model backend",
-					"path", tc.JournalPath, "recorded", prev.Backend, "configured", backend)
-			}
-			if err := writeMetaFile(metaPath(tc.JournalPath), journalMeta{Backend: backend}); err != nil {
-				j.close()
-				return nil, err
-			}
-		}
 		j.appends = t.m.journalAppends
 		j.appendSeconds = t.m.journalAppendSeconds
 		j.fsyncSeconds = t.m.journalFsyncSeconds

@@ -79,7 +79,7 @@ func (t *Tenant) takeSnapshot() (snapshotResult, error) {
 		}
 		lastReport = b
 	}
-	m := snap.Capture(t.verifier.Network(), t.policyLineList(), t.verifier.Options().ModelBackend(), t.seq, epoch, lastReport)
+	m := snap.Capture(t.verifier.Network(), t.policyLineList(), t.seq, epoch, lastReport)
 	path, size, err := snap.WriteFile(t.journal.path, m)
 	if err != nil {
 		return snapshotResult{}, err
@@ -162,10 +162,6 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 	_, err = t.doBlocking(ctx, func() (any, error) {
 		if man.Seq <= t.seq {
 			return nil, nil // already at or past the snapshot; resume by stream
-		}
-		if backend := t.verifier.Options().ModelBackend(); man.Backend != backend {
-			t.log.Warn("leader snapshot was captured under a different model backend",
-				"leader", man.Backend, "local", backend)
 		}
 		net, err := man.Network()
 		if err != nil {

@@ -1,8 +1,8 @@
 // Package snap is RealConfig's durable state-snapshot format: a
 // versioned, checksummed, deterministic serialization of one tenant's
 // engine state — the network configuration, the registered policy
-// lines, the model backend, and the journal position (sequence number
-// plus epoch) the state corresponds to.
+// lines, and the journal position (sequence number plus epoch) the
+// state corresponds to.
 //
 // A snapshot is the "base" half of checkpoint-plus-log recovery. The
 // journal replay golden tests prove a tenant's observable state is a
@@ -77,7 +77,9 @@ type Manifest struct {
 	// journal never minted one). A follower restoring the snapshot
 	// adopts it, so the epoch fence still holds after a bootstrap.
 	Epoch uint64 `json:"epoch,omitempty"`
-	// Backend is the model backend that produced the recorded reports.
+	// Backend is always "bdd" and is never read back: it stays in the
+	// format so snapshots are byte-identical across versions. Older
+	// versions could name a second model here, since removed.
 	Backend string `json:"backend"`
 	// Policies are the registered policy lines in registration order
 	// (the journal-replay input form).
@@ -95,13 +97,13 @@ type Manifest struct {
 // Capture builds a manifest from live state. policies are the
 // registered policy lines in registration order; lastReport is the
 // current report's wire JSON (may be nil).
-func Capture(net *netcfg.Network, policies []string, backend string, seq, epoch uint64, lastReport json.RawMessage) *Manifest {
+func Capture(net *netcfg.Network, policies []string, seq, epoch uint64, lastReport json.RawMessage) *Manifest {
 	m := &Manifest{
 		Format:     format,
 		Version:    Version,
 		Seq:        seq,
 		Epoch:      epoch,
-		Backend:    backend,
+		Backend:    "bdd",
 		Policies:   append([]string(nil), policies...),
 		LastReport: lastReport,
 	}

@@ -17,7 +17,7 @@ func testNet(t *testing.T) *Manifest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Capture(net, []string{"reach a edge1 edge2 10.10.2.0/24 all"}, "bdd", 7, 42,
+	return Capture(net, []string{"reach a edge1 edge2 10.10.2.0/24 all"}, 7, 42,
 		json.RawMessage(`{"linesChanged":3}`))
 }
 
@@ -60,7 +60,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Restored state re-captures to identical bytes: the round trip
 	// loses nothing the format carries.
-	again, err := Encode(Capture(net, got.Policies, got.Backend, got.Seq, got.Epoch, got.LastReport))
+	again, err := Encode(Capture(net, got.Policies, got.Seq, got.Epoch, got.LastReport))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,14 +73,6 @@ const (
 	DeleteFirst = apkeep.DeleteFirst
 )
 
-// Model backends (Options.Backend): "bdd" is the APKeep-style BDD
-// equivalence-class model, "atom" the Delta-net-style destination
-// interval model. The empty string selects "bdd".
-const (
-	BackendBDD  = core.BackendBDD
-	BackendAtom = core.BackendAtom
-)
-
 // Configuration model.
 type (
 	// Network is a set of device configurations plus the physical topology.
@@ -146,8 +138,8 @@ type (
 // Packet is a concrete packet for traces and witnesses.
 type Packet = bdd.Packet
 
-// Match is a backend-neutral packet-header space; the zero value
-// matches every packet. Policy headers and scopes are Match values.
+// Match is a packet-header space; the zero value matches every packet.
+// Policy headers and scopes are Match values.
 type Match = dataplane.Match
 
 // MatchAll is the full header space.
