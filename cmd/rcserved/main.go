@@ -144,7 +144,6 @@ func run(args []string, out *os.File) error {
 	queue := fs.Int("queue", 64, "apply queue depth (writes beyond it get 503)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request apply deadline")
 	traceRing := fs.Int("trace-ring", 64, "provenance traces retained for /v1/applies (0 disables tracing)")
-	slowApply := fs.Duration("slow-apply", 0, "inject an artificial sleep into every apply (fault injection for SLO-gate testing; 0 = off)")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
@@ -211,7 +210,6 @@ func run(args []string, out *os.File) error {
 		Tenants:             tcs,
 		QueueDepth:          *queue,
 		ApplyTimeout:        *timeout,
-		ApplyDelay:          *slowApply,
 		EnablePprof:         *pprofOn,
 		Logger:              logger,
 	})

@@ -26,8 +26,7 @@ func TestRunRejectsBadFlag(t *testing.T) {
 }
 
 // TestParseTenant: every accepted -tenant key parses, and a key or flag
-// the daemon no longer has (shards, backend) fails startup instead of
-// being ignored.
+// the daemon no longer has fails startup instead of being ignored.
 func TestParseTenant(t *testing.T) {
 	const campus = "../../testdata/campus"
 	tc, err := parseTenant("id=acme,net=" + campus + ",policies=" + campus + "/policies.txt,journal=acme.j")
@@ -51,7 +50,7 @@ func TestParseTenant(t *testing.T) {
 		}
 	}
 
-	for _, args := range [][]string{{"-shards", "4"}, {"-backend", "atom"}} {
+	for _, args := range [][]string{{"-shards", "4"}, {"-backend", "atom"}, {"-slow-apply", "300ms"}} {
 		err = run(append([]string{"-net", campus}, args...), os.Stdout)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("run() with %s: got %v, want an unknown-flag error", args[0], err)

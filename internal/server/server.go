@@ -114,10 +114,6 @@ type Config struct {
 	// ApplyTimeout bounds how long a request waits for its job (queueing
 	// plus verification; 0 = 30s).
 	ApplyTimeout time.Duration
-	// ApplyDelay injects an artificial sleep into every change apply.
-	// Fault injection only: scripts/loadgate.sh uses it to prove the p99
-	// SLO gate trips when the apply path slows down. 0 in production.
-	ApplyDelay time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
 	// default: profiling endpoints are opt-in on a daemon).
 	EnablePprof bool
@@ -131,7 +127,6 @@ type serverOptions struct {
 	verifier        core.Options
 	queueDepth      int
 	applyTimeout    time.Duration
-	applyDelay      time.Duration
 	journalSegBytes int64
 	snapEvery       int
 	snapBytes       int64
@@ -251,7 +246,6 @@ func New(cfg Config) (*Server, error) {
 		verifier:        cfg.Options,
 		queueDepth:      cfg.QueueDepth,
 		applyTimeout:    cfg.ApplyTimeout,
-		applyDelay:      cfg.ApplyDelay,
 		journalSegBytes: cfg.JournalSegmentBytes,
 		snapEvery:       cfg.SnapshotEvery,
 		snapBytes:       cfg.SnapshotBytes,
@@ -684,7 +678,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleReadyz is the readiness half of the health split: it answers
 // 200 only once the tenant serves warmed-up state (journal replay done;
 // followers caught up to the leader at least once), and 503 with
-// "ready":false while warming — so load balancers and rcload never
+// "ready":false while warming — so load balancers and clients never
 // measure a daemon that is still rebuilding state. handleHealthz stays
 // pure liveness: it answers 200 whenever the process serves requests.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
@@ -783,9 +777,6 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	t0 := time.Now()
 	res, err := t.do(ctx, func() (any, error) {
-		if t.applyDelay > 0 {
-			time.Sleep(t.applyDelay) // fault injection (Config.ApplyDelay)
-		}
 		t.verifier.SetTraceContext(rid, t.seq+1)
 		rep, err := t.verifier.Apply(changes...)
 		if err != nil {

@@ -20,8 +20,7 @@ import (
 //     a Prometheus server aggregates across daemons.
 //   - realconfig_server_request_latency_seconds{route} — streaming
 //     summaries (obs.Summary), so p50/p95/p99 per endpoint are readable
-//     straight off one /v1/metrics scrape with no query engine. rcload
-//     and scripts/loadgate.sh gate on these.
+//     straight off one /v1/metrics scrape with no query engine.
 //
 // Plus realconfig_server_requests_in_flight (gauge) and the Go runtime
 // series (goroutines, heap, GC) registered once per daemon.

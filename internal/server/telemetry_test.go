@@ -153,26 +153,6 @@ func TestReadyzFollower(t *testing.T) {
 	_ = srvL
 }
 
-// TestApplyDelayInjection: Config.ApplyDelay stretches the apply path —
-// the knob scripts/loadgate.sh uses to prove the p99 gate trips.
-func TestApplyDelayInjection(t *testing.T) {
-	net1, pol := campusConfig(t)
-	srv, err := New(Config{Net: net1, PolicyText: pol, ApplyDelay: 60 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	t0 := time.Now()
-	if status, body := post(t, ts, "/v1/changes", shutdownBorderUplink); status != http.StatusOK {
-		t.Fatalf("apply: status %d: %s", status, body)
-	}
-	if d := time.Since(t0); d < 60*time.Millisecond {
-		t.Errorf("apply with 60ms injected delay finished in %s", d)
-	}
-}
-
 // containsJSON reports whether a response body contains the literal
 // fragment (the bodies here are small, flat JSON objects).
 func containsJSON(body []byte, fragment string) bool {

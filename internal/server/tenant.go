@@ -49,9 +49,6 @@ type Tenant struct {
 	ID string
 
 	applyTimeout time.Duration
-	// applyDelay injects an artificial sleep into every change apply
-	// (fault injection for load-testing the SLO gate; 0 in production).
-	applyDelay time.Duration
 
 	jobs chan *job
 	quit chan struct{}
@@ -122,7 +119,6 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	t := &Tenant{
 		ID:           tc.ID,
 		applyTimeout: opts.applyTimeout,
-		applyDelay:   opts.applyDelay,
 		jobs:         make(chan *job, opts.queueDepth),
 		quit:         make(chan struct{}),
 		done:         make(chan struct{}),
