@@ -116,16 +116,7 @@ func (m *Model) refreshFilter(k FilterKey) {
 		return
 	}
 	sort.Slice(fs.lines, func(i, j int) bool { return fs.lines[i].Seq < fs.lines[j].Seq })
-	allow := bdd.False
-	covered := bdd.False
-	for _, l := range fs.lines {
-		match := m.H.Match(l.Match)
-		eff := m.H.Diff(match, covered)
-		covered = m.H.Or(covered, match)
-		if l.Action == netcfg.Permit {
-			allow = m.H.Or(allow, eff)
-		}
-	}
+	allow := m.allowOf(fs.lines)
 	if allow == fs.allow {
 		return
 	}
@@ -162,6 +153,22 @@ func (m *Model) refreshFilter(k FilterKey) {
 		delete(fs.blocked, ec)
 	}
 	fs.blocked = blockedNow
+}
+
+// allowOf returns the packets lines permit, under first-match semantics
+// with an implicit trailing deny; lines must be sorted by sequence.
+func (m *Model) allowOf(lines []dataplane.FilterRule) bdd.Node {
+	allow := bdd.False
+	covered := bdd.False
+	for _, l := range lines {
+		match := m.H.Match(l.Match)
+		eff := m.H.Diff(match, covered)
+		covered = m.H.Or(covered, match)
+		if l.Action == netcfg.Permit {
+			allow = m.H.Or(allow, eff)
+		}
+	}
+	return allow
 }
 
 // flipFilter records one EC's filter-status change at a binding: the

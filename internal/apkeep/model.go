@@ -121,6 +121,13 @@ type ModelMetrics struct {
 	Merges          *obs.Counter
 	// ECs is the current partition size, set after every batch.
 	ECs *obs.Gauge
+	// Nodes is the live BDD node count the last collection left (0
+	// before the first): unlike the allocated count between collections,
+	// it depends only on the model's state, not on the order of the work
+	// that built it, so a replica reads what its leader reads.
+	// Collections counts collections.
+	Nodes       *obs.Gauge
+	Collections *obs.Counter
 }
 
 // Instrument registers the model's counters and gauges on reg.
@@ -133,6 +140,8 @@ func (m *Model) Instrument(reg *obs.Registry) {
 		FilterTransfers: reg.Counter("realconfig_apkeep_filter_transfers_total", "EC filter-status flips from ACL updates.", nil),
 		Merges:          reg.Counter("realconfig_apkeep_merges_total", "EC pairs merged re-minimizing the partition.", nil),
 		ECs:             reg.Gauge("realconfig_apkeep_ecs", "Current equivalence-class partition size.", nil),
+		Nodes:           reg.Gauge("realconfig_bdd_nodes", "Live BDD nodes left by the last node-table collection.", nil),
+		Collections:     reg.Counter("realconfig_bdd_collections_total", "BDD node-table collections.", nil),
 	}
 	m.metrics.ECs.Set(int64(len(m.ecs)))
 }

@@ -5,10 +5,13 @@
 // (and/or/not/difference) and emptiness tests are fast and canonical:
 // two predicates are equal iff their node handles are equal.
 //
-// Nodes are never garbage collected: the data plane model holds
-// long-lived predicates and the table is bounded by the number of
-// distinct predicates the rule set induces, which stays small in
-// practice.
+// The table is garbage collected on request: Collect marks every node
+// reachable from the caller's roots and frees the rest, in the
+// non-moving BuDDy/CUDD style. Live handles keep their values, so maps
+// keyed by Node never need remapping; freed slots go on a free list
+// that mk reuses before it grows the store. The data plane model
+// collects between applies, so the table stays the size of the live
+// predicates rather than of every predicate ever built.
 package bdd
 
 import "fmt"
@@ -27,6 +30,9 @@ type nodeData struct {
 	lo, hi Node  // cofactors for var=0 / var=1
 }
 
+// freeLevel marks a collected slot; its lo links to the next free slot.
+const freeLevel = -1
+
 // iteEntry is one slot of the direct-mapped ITE result cache. A slot
 // with f == False is empty: ITE's terminal shortcuts return before the
 // cache is consulted whenever f is a terminal, so False never appears
@@ -44,6 +50,11 @@ type iteEntry struct{ f, g, h, result Node }
 type Table struct {
 	numVars int32
 	nodes   []nodeData
+
+	// free heads the list of collected slots, linked through lo; 0
+	// (False, never collected) ends it. numFree counts the list.
+	free    Node
+	numFree int
 
 	// unique holds node handles; 0 (False, never interned) marks an
 	// empty slot. Keys live in nodes[], so a probe compares against
@@ -98,8 +109,9 @@ func hash3(a, b, c uint32) uint32 {
 // NumVars returns the number of variables.
 func (t *Table) NumVars() int { return int(t.numVars) }
 
-// Size returns the number of allocated nodes (including terminals).
-func (t *Table) Size() int { return len(t.nodes) }
+// Size returns the number of allocated nodes, terminals included: the
+// nodes the last Collect kept plus every node made since.
+func (t *Table) Size() int { return len(t.nodes) - t.numFree }
 
 // mk returns the canonical node for (level, lo, hi).
 func (t *Table) mk(level int32, lo, hi Node) Node {
@@ -118,8 +130,16 @@ func (t *Table) mk(level int32, lo, hi Node) Node {
 		}
 		i = (i + 1) & t.uniqueMask
 	}
-	n := Node(len(t.nodes))
-	t.nodes = append(t.nodes, nodeData{level: level, lo: lo, hi: hi})
+	var n Node
+	if t.free != 0 {
+		n = t.free
+		t.free = t.nodes[n].lo
+		t.numFree--
+		t.nodes[n] = nodeData{level: level, lo: lo, hi: hi}
+	} else {
+		n = Node(len(t.nodes))
+		t.nodes = append(t.nodes, nodeData{level: level, lo: lo, hi: hi})
+	}
 	t.unique[i] = n
 	t.uniqueLive++
 	// Grow at 3/4 load so probe chains stay short.
@@ -131,22 +151,83 @@ func (t *Table) mk(level int32, lo, hi Node) Node {
 
 // growUnique doubles the unique table and rehashes every interned node.
 func (t *Table) growUnique() {
-	size := 2 * (t.uniqueMask + 1)
-	t.unique = make([]Node, size)
-	t.uniqueMask = size - 1
-	for n := 2; n < len(t.nodes); n++ { // terminals are not interned
-		d := &t.nodes[n]
-		i := hash3(uint32(d.level), uint32(d.lo), uint32(d.hi)) & t.uniqueMask
-		for t.unique[i] != 0 {
-			i = (i + 1) & t.uniqueMask
-		}
-		t.unique[i] = Node(n)
-	}
+	t.rehash(2 * (t.uniqueMask + 1))
 	// Scale the ITE cache with the node table (fresh and empty: the
 	// cache is lossy by design, so dropping entries is always sound).
 	if cap := t.uniqueMask + 1; cap > t.cacheMask+1 && cap <= maxCacheSize {
 		t.cache = make([]iteEntry, cap)
 		t.cacheMask = cap - 1
+	}
+}
+
+// rehash rebuilds the unique table at size slots (a power of two) over
+// every allocated node; free slots are not interned.
+func (t *Table) rehash(size uint32) {
+	t.unique = make([]Node, size)
+	t.uniqueMask = size - 1
+	t.uniqueLive = 0
+	for n := 2; n < len(t.nodes); n++ { // terminals are not interned
+		d := &t.nodes[n]
+		if d.level == freeLevel {
+			continue
+		}
+		i := hash3(uint32(d.level), uint32(d.lo), uint32(d.hi)) & t.uniqueMask
+		for t.unique[i] != 0 {
+			i = (i + 1) & t.uniqueMask
+		}
+		t.unique[i] = Node(n)
+		t.uniqueLive++
+	}
+}
+
+// Collect frees every node not reachable from roots and returns the
+// number left, terminals included. Nodes do not move: a reachable
+// handle keeps its value, while an unreachable one becomes invalid and
+// its slot may come back as a different predicate. The unique table is
+// rebuilt over the live nodes and sized to them; the ITE cache, whose
+// entries may name freed nodes, is cleared and shrunk with it.
+func (t *Table) Collect(roots []Node) int {
+	live := make([]bool, len(t.nodes))
+	live[False], live[True] = true, true
+	for _, r := range roots {
+		t.mark(live, r)
+	}
+	// Drop the dead tail, then thread the other dead slots onto the free
+	// list lowest first, so mk refills the store from the bottom.
+	end := len(t.nodes)
+	for !live[end-1] {
+		end--
+	}
+	t.nodes = t.nodes[:end]
+	t.free, t.numFree = 0, 0
+	for n := end - 1; n >= 2; n-- {
+		if !live[n] {
+			t.nodes[n] = nodeData{level: freeLevel, lo: t.free}
+			t.free = Node(n)
+			t.numFree++
+		}
+	}
+	// The smallest power of two that holds the live nodes under mk's
+	// 3/4 load limit.
+	size := uint32(initialUniqueSize)
+	for interned := uint32(t.Size() - 2); interned > size-1-(size-1)/4; {
+		size *= 2
+	}
+	t.rehash(size)
+	cacheSize := min(max(size, initialCacheSize), maxCacheSize)
+	t.cache = make([]iteEntry, cacheSize)
+	t.cacheMask = cacheSize - 1
+	return t.Size()
+}
+
+// mark sets live for n and every node below it. It recurses on lo and
+// iterates along hi, so its depth is bounded by the variable count.
+func (t *Table) mark(live []bool, n Node) {
+	for !live[n] {
+		live[n] = true
+		d := t.nodes[n]
+		t.mark(live, d.lo)
+		n = d.hi
 	}
 }
 

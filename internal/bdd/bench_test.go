@@ -1,6 +1,7 @@
 package bdd
 
 import (
+	"math/rand"
 	"testing"
 
 	"realconfig/internal/netcfg"
@@ -91,4 +92,28 @@ func BenchmarkContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Contains(pred, pkt)
 	}
+}
+
+// BenchmarkCollect times one collection pause: random root predicates
+// keeping about 3 K live nodes (the size of a FatTree(6,BGP) model's
+// table after a collection), plus twice that in garbage rebuilt, untimed,
+// before every collection. live_nodes reports the kept count.
+func BenchmarkCollect(b *testing.B) {
+	h := NewHeaders()
+	rng := rand.New(rand.NewSource(1))
+	var roots []Node
+	for h.Size() < 10_000 {
+		roots = append(roots, randRecipe(rng, 3)(h))
+	}
+	live := h.Collect(roots)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for h.Size() < 3*live {
+			randRecipe(rng, 3)(h)
+		}
+		b.StartTimer()
+		h.Collect(roots)
+	}
+	b.ReportMetric(float64(live), "live_nodes")
 }

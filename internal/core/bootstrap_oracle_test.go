@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -124,11 +125,13 @@ func (c aclUnbind) Touches() ([]string, bool) { return []string{c.dev}, false }
 // FIB and EC count (AutoMerge keeps the partition minimal, and the
 // minimal partition is unique), a sound partition, and a report whose
 // violations and repairs are exactly the verdict flips between
-// consecutive fresh loads.
+// consecutive fresh loads. With collect set, each step first collects
+// the model's BDD table and checks the root invariant.
 type bootstrapOracle struct {
 	opts     Options
 	policies []policy.Policy
 	verdicts map[string]bool // the previous fresh load's verdicts
+	collect  bool
 }
 
 // newBootstrapOracle registers ps on v and checks the loaded state.
@@ -145,6 +148,12 @@ func newBootstrapOracle(t *testing.T, v *Verifier, ps []policy.Policy) *bootstra
 // step checks v after an apply that returned rep.
 func (o *bootstrapOracle) step(t *testing.T, where string, v *Verifier, rep *Report) {
 	t.Helper()
+	if o.collect {
+		v.Model().Collect()
+		if err := errors.Join(v.Model().CheckRoots(), v.Checker().CheckRoots()); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+	}
 	prev := o.verdicts
 	o.verdicts = o.check(t, where, v)
 	var violated, repaired []string

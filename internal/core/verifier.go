@@ -78,6 +78,25 @@ type Verifier struct {
 	// SetNetwork takes and clears them, whether or not it succeeds.
 	nextReqID string
 	nextSeq   uint64
+
+	// liveNodes is the BDD node count the last collection left (0
+	// before the first); see collectDue.
+	liveNodes int
+}
+
+// The BDD collection rule: a verification collects the model's node
+// table once it holds collectRatio times the nodes the last collection
+// left, and never below collectMinNodes, where a collection costs more
+// than it saves.
+const (
+	collectRatio    = 3
+	collectMinNodes = 16 << 10
+)
+
+// collectDue reports whether the model's node table is due a
+// collection under the rule above.
+func (v *Verifier) collectDue() bool {
+	return v.model.H.Size() >= max(collectMinNodes, collectRatio*v.liveNodes)
 }
 
 // verifierMetrics instruments the verification loop itself; stage and
@@ -168,6 +187,9 @@ type Report struct {
 	// FilterChanges counts packet-filter rule changes.
 	FilterChanges int
 	// Model is the data plane model update result (affected ECs etc.).
+	// Its EC handles name classes as of the update: the apply may then
+	// collect the BDD table, after which a handle that is no longer an
+	// EC is not a predicate to evaluate.
 	Model *apkeep.BatchResult
 	// Check is the policy check result (affected pairs, policy events).
 	Check *policy.Result
@@ -408,6 +430,16 @@ func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Repor
 			trace.I("affected_pairs", int64(len(rep.Check.AffectedPairs))),
 			trace.I("policies_checked", int64(rep.Check.PoliciesChecked)),
 			trace.I("events", int64(len(rep.Check.Events))))
+	}
+
+	// The model and checker are quiescent: every node they hold is
+	// reachable from the model's roots, so the node table can be
+	// collected. It is model work, timed as such.
+	if v.collectDue() {
+		t0 = time.Now()
+		v.model.Collect()
+		v.liveNodes = v.model.H.Size()
+		rep.Timing.ModelUpdate += time.Since(t0)
 	}
 
 	v.cur = net

@@ -45,6 +45,9 @@ const (
 	// EventPolicyRecheck is one policy re-evaluated against the updated
 	// model (attrs: policy, from, to, ecs).
 	EventPolicyRecheck = "policy_recheck"
+	// EventBDDCollect is one collection of the model's BDD node table at
+	// the end of an apply (attrs: nodes_before, nodes_after).
+	EventBDDCollect = "bdd_collect"
 	// EventProbe is one planner oracle probe: a candidate change tried on
 	// a fork at an intermediate state (attrs: state, change, outcome).
 	EventProbe = "probe"

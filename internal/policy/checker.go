@@ -10,6 +10,7 @@
 package policy
 
 import (
+	"fmt"
 	"sort"
 	"time"
 
@@ -515,6 +516,41 @@ func (c *Checker) retire(ec bdd.Node, affected map[Pair]struct{}) {
 			affected[p] = struct{}{}
 		}
 	}
+}
+
+// CheckRoots verifies that every EC the checker keys state by is live
+// in the model: its walk results, the pair map and the registration
+// index. The model's CheckRoots covers the model's own maps; together
+// they make the model's ECs a sufficient root set for Model.Collect.
+// Meant for tests, after an Update.
+func (c *Checker) CheckRoots() error {
+	live := c.model.ECs()
+	check := func(where string, ec bdd.Node) error {
+		if _, ok := live[ec]; !ok {
+			return fmt.Errorf("policy: %s holds node %d, which is not an EC", where, ec)
+		}
+		return nil
+	}
+	for ec := range c.ecs {
+		if err := check("walk results", ec); err != nil {
+			return err
+		}
+	}
+	for p, set := range c.pairs {
+		for ec := range set {
+			if err := check("pair "+p.Src+"->"+p.Dst, ec); err != nil {
+				return err
+			}
+		}
+	}
+	for _, e := range c.index {
+		for ec := range e.ecs {
+			if err := check("header index", ec); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // addPair and dropPair maintain the pair map: ec is deliverable along p.

@@ -1,0 +1,36 @@
+package policy
+
+import (
+	"testing"
+
+	"realconfig/internal/bdd"
+	"realconfig/internal/dataplane"
+	"realconfig/internal/netcfg"
+)
+
+// TestCheckRootsReportsDeadNode plants a node that is not an EC in each
+// map CheckRoots covers (walk results, the pair map, a registration
+// index entry) and requires each to be reported.
+func TestCheckRootsReportsDeadNode(t *testing.T) {
+	dead := bdd.Node(1 << 20)
+	for name, plant := range map[string]func(c *Checker){
+		"ecs":   func(c *Checker) { c.ecs[dead] = unwalked },
+		"pairs": func(c *Checker) { c.addPair(Pair{Src: "a", Dst: "c"}, dead) },
+		"index": func(c *Checker) {
+			for _, e := range c.index {
+				e.ecs[dead] = struct{}{}
+			}
+		},
+	} {
+		_, c := lineModel(t)
+		c.Update(nil, nil)
+		c.AddPolicy(Reachability{PolicyName: "a-c", Src: "a", Dst: "c", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/24")}})
+		if err := c.CheckRoots(); err != nil {
+			t.Fatalf("%s: clean checker: %v", name, err)
+		}
+		plant(c)
+		if c.CheckRoots() == nil {
+			t.Errorf("%s: CheckRoots missed the planted node", name)
+		}
+	}
+}
