@@ -140,7 +140,6 @@ func run(args []string, out *os.File) error {
 	var tenants tenantFlags
 	fs.Var(&tenants, "tenant", "add a named tenant: id=NAME,net=DIR[,policies=FILE][,journal=FILE] (repeatable)")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	parallel := fs.Int("parallel", 0, "policy-checker worker count (<=1 = sequential)")
 	queue := fs.Int("queue", 64, "apply queue depth (writes beyond it get 503)")
 	timeout := fs.Duration("timeout", 30*time.Second, "per-request apply deadline")
 	traceRing := fs.Int("trace-ring", 64, "provenance traces retained for /v1/applies (0 disables tracing)")
@@ -198,7 +197,6 @@ func run(args []string, out *os.File) error {
 		PolicyText: policyText,
 		Options: core.Options{
 			DetectOscillation: true,
-			Parallel:          *parallel,
 			TraceApplies:      *traceRing,
 		},
 		JournalPath:         *journalPath,

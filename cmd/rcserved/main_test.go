@@ -50,7 +50,7 @@ func TestParseTenant(t *testing.T) {
 		}
 	}
 
-	for _, args := range [][]string{{"-shards", "4"}, {"-backend", "atom"}, {"-slow-apply", "300ms"}} {
+	for _, args := range [][]string{{"-shards", "4"}, {"-backend", "atom"}, {"-slow-apply", "300ms"}, {"-parallel", "2"}} {
 		err = run(append([]string{"-net", campus}, args...), os.Stdout)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("run() with %s: got %v, want an unknown-flag error", args[0], err)

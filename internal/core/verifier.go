@@ -38,12 +38,6 @@ type Options struct {
 	// DetectOscillation aborts non-convergent control planes with a
 	// recurring-state error instead of iterating forever.
 	DetectOscillation bool
-	// MaxIter bounds fixpoint iterations (0 = engine default).
-	MaxIter int
-	// Parallel sets the worker count for policy-checker EC walks (the
-	// paper's section-6 "parallelize over independent ECs" optimization;
-	// <=1 = sequential).
-	Parallel int
 	// TraceApplies enables provenance tracing: every verification
 	// records a structured trace (stage spans, per-dataflow-node epoch
 	// spans, EC split/transfer/merge events, policy re-checks) into a
@@ -236,16 +230,11 @@ func New(opts Options) *Verifier {
 	}
 	model := apkeep.New()
 	model.AutoMerge = true // keep the EC partition minimal, as APKeep does
-	checker := policy.NewChecker(model)
-	checker.SetParallelism(opts.Parallel)
 	return &Verifier{
-		opts: opts,
-		gen: routing.New(routing.Options{
-			MaxIter:           opts.MaxIter,
-			DetectOscillation: opts.DetectOscillation,
-		}),
+		opts:    opts,
+		gen:     routing.New(routing.Options{DetectOscillation: opts.DetectOscillation}),
 		model:   model,
-		checker: checker,
+		checker: policy.NewChecker(model),
 		rec:     rec,
 	}
 }

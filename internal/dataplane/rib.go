@@ -136,20 +136,6 @@ func (a RIBEntry) Better(b RIBEntry) bool {
 	return a.OutIntf < b.OutIntf // total order even with parallel paths
 }
 
-// ClassBetter reports whether a's preference class strictly beats b's:
-// administrative distance, then metric, then protocol, ignoring next-hop
-// tie-breaks. Entries in the same class are equal-cost; under ECMP all
-// of them install.
-func (a RIBEntry) ClassBetter(b RIBEntry) bool {
-	if a.AD != b.AD {
-		return a.AD < b.AD
-	}
-	if a.Metric != b.Metric {
-		return a.Metric < b.Metric
-	}
-	return a.Proto < b.Proto
-}
-
 // Rule converts the selected RIB entry into the FIB rule it installs.
 func (e RIBEntry) Rule(device string, prefix netcfg.Prefix) Rule {
 	r := Rule{Device: device, Prefix: prefix, Action: e.Action}

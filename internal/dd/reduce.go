@@ -224,24 +224,3 @@ func ReduceMin[K comparable, V comparable](c Collection[KV[K, V]], less func(a, 
 		return append(dst, best)
 	})
 }
-
-// ReduceMinAll keeps, per key, every value tied for the least preference
-// class according to classLess (a strict weak order in which distinct
-// values may compare equal, e.g. "lower distance" for ECMP route
-// selection). Each surviving value appears once.
-func ReduceMinAll[K comparable, V comparable](c Collection[KV[K, V]], classLess func(a, b V) bool) Collection[KV[K, V]] {
-	return reduceInto(c, func(_ K, group []Group[V], dst []V) []V {
-		best := group[0].Val
-		for _, g := range group[1:] {
-			if classLess(g.Val, best) {
-				best = g.Val
-			}
-		}
-		for _, g := range group {
-			if !classLess(best, g.Val) {
-				dst = append(dst, g.Val)
-			}
-		}
-		return dst
-	})
-}

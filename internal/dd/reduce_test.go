@@ -209,23 +209,6 @@ func TestReduceResultMultisets(t *testing.T) {
 	}
 }
 
-func TestReduceMinAllKeepsWholeBestClass(t *testing.T) {
-	g := NewGraph()
-	in := NewInput[KV[string, KV[int, string]]](g) // key -> (cost, nexthop)
-	out := NewOutput(ReduceMinAll(in.Collection(), func(a, b KV[int, string]) bool { return a.K < b.K }))
-	in.Insert(MkKV("d", MkKV(2, "a")))
-	in.Insert(MkKV("d", MkKV(2, "b")))
-	in.Insert(MkKV("d", MkKV(5, "c")))
-	g.MustAdvance()
-	expectState(t, out, map[KV[string, KV[int, string]]]Diff{
-		MkKV("d", MkKV(2, "a")): 1,
-		MkKV("d", MkKV(2, "b")): 1,
-	})
-	in.Insert(MkKV("d", MkKV(1, "z")))
-	g.MustAdvance()
-	expectState(t, out, map[KV[string, KV[int, string]]]Diff{MkKV("d", MkKV(1, "z")): 1})
-}
-
 // TestLargeEpochReleasesScratch: buffers and the output change log that
 // a large epoch grew are dropped at its end, small ones are kept, and
 // either way the next epoch starts clean.

@@ -117,8 +117,8 @@ type Checker struct {
 	// walks (a device has a handful, so a scan beats a hash).
 	links [][]link
 
-	// scratch is the sequential walk's scratch; reach is merge's. Both
-	// are reused across batches (merge runs sequentially).
+	// scratch is walk's scratch; reach is merge's. Both are reused
+	// across batches.
 	scratch walkScratch
 	reach   reach
 
@@ -130,9 +130,6 @@ type Checker struct {
 	// index is the registration index: one entry per distinct policy
 	// header, holding its policies and the walked ECs overlapping it.
 	index map[dataplane.Match]*hdrEntry
-
-	// parallelism is the worker count for EC walks (<=1 = sequential).
-	parallelism int
 
 	// metrics are the checker's live instruments (nil until Instrument;
 	// every method is nil-safe).
@@ -201,12 +198,6 @@ func (c *Checker) Instrument(reg *obs.Registry) {
 	c.metrics.Policies.Set(int64(len(c.policies)))
 	c.metrics.Pairs.Set(int64(len(c.pairs)))
 }
-
-// SetParallelism enables the paper's section-6 "parallelize verification
-// over independent ECs" optimization: affected ECs' forwarding walks are
-// recomputed by n workers. Walks only read the model, so this is safe;
-// results are merged sequentially, keeping output deterministic.
-func (c *Checker) SetParallelism(n int) { c.parallelism = n }
 
 // NewChecker creates a checker over a data plane model. Call
 // SetTopology before the first Update.

@@ -1,45 +1,20 @@
 package policy
 
 import (
-	"sync"
-
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 )
 
-// walkAll computes results for a batch of ECs, in parallel when the
-// checker's parallelism is enabled and the batch is large enough to pay
-// for the fan-out. Walks only read the model, so workers are safe; the
-// caller merges results sequentially.
+// walkAll computes results for a batch of ECs; the caller merges them.
 func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 	results := make([]*ecResult, len(ecs))
-	if c.parallelism <= 1 || len(ecs) < 2*c.parallelism {
-		for i, ec := range ecs {
-			results[i] = c.walk(ec, &c.scratch)
-		}
-		return results
+	for i, ec := range ecs {
+		results[i] = c.walk(ec)
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < c.parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var s walkScratch
-			for i := range next {
-				results[i] = c.walk(ecs[i], &s)
-			}
-		}()
-	}
-	for i := range ecs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return results
 }
 
-// walkScratch is one worker's traversal state, reused from walk to walk.
+// walkScratch is the checker's traversal state, reused from walk to walk.
 // Between walks onChain is all false.
 type walkScratch struct {
 	onChain []bool // devices on the chain being traversed
@@ -52,7 +27,8 @@ type walkScratch struct {
 // shares the chain's terminal outcome, and chains that close on
 // themselves (or join an in-progress chain) are loops. A next hop
 // outside the topology ends the walk as a drop at that name.
-func (c *Checker) walk(ec bdd.Node, s *walkScratch) *ecResult {
+func (c *Checker) walk(ec bdd.Node) *ecResult {
+	s := &c.scratch
 	n := len(c.names)
 	r := &ecResult{outcomes: make([]Outcome, n), next: make([]int32, n)}
 	for id := range r.outcomes {

@@ -3,141 +3,8 @@ package routing
 import (
 	"testing"
 
-	"realconfig/internal/dataplane"
-	"realconfig/internal/netcfg"
-	"realconfig/internal/simulate"
 	"realconfig/internal/topology"
 )
-
-// checkECMPAgainstSimulator compares the ECMP generator's FIB and OSPF
-// multi-route sets against the ECMP simulator.
-func checkECMPAgainstSimulator(t *testing.T, gen *Generator, net *netcfg.Network) {
-	t.Helper()
-	want, err := simulate.RunOpts(net, simulate.Options{ECMP: true})
-	if err != nil {
-		t.Fatalf("simulate: %v", err)
-	}
-	got := gen.FIB()
-	count := 0
-	for rule, d := range got {
-		if d <= 0 {
-			continue
-		}
-		count++
-		if !want.Rules[rule] {
-			t.Errorf("generator has extra rule %v", rule)
-		}
-	}
-	for rule := range want.Rules {
-		if got[rule] <= 0 {
-			t.Errorf("generator missing rule %v", rule)
-		}
-	}
-	if count != len(want.Rules) {
-		t.Errorf("FIB size %d, oracle %d", count, len(want.Rules))
-	}
-	// OSPF multi-route sets must match exactly.
-	wantSet := make(map[dataplane.RouteKey]map[dataplane.OSPFRoute]bool)
-	for k, routes := range want.OSPFMulti {
-		m := make(map[dataplane.OSPFRoute]bool, len(routes))
-		for _, r := range routes {
-			m[r] = true
-		}
-		wantSet[k] = m
-	}
-	gotCount := make(map[dataplane.RouteKey]int)
-	for kv, d := range gen.OSPFBest() {
-		if d <= 0 {
-			continue
-		}
-		gotCount[kv.K]++
-		if !wantSet[kv.K][kv.V] {
-			t.Errorf("extra OSPF route %v -> %+v", kv.K, kv.V)
-		}
-	}
-	for k, m := range wantSet {
-		if gotCount[k] != len(m) {
-			t.Errorf("OSPF routes for %v: got %d, want %d", k, gotCount[k], len(m))
-		}
-	}
-}
-
-func TestECMPFatTreeMatchesOracle(t *testing.T) {
-	net, err := topology.FatTree(4, topology.OSPF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := New(Options{ECMP: true})
-	loadAndStep(t, gen, net.Network)
-	checkECMPAgainstSimulator(t, gen, net.Network)
-
-	// A fat-tree has massive path diversity: edge switches must hold
-	// multiple equal-cost routes to remote pods.
-	multi := 0
-	perKey := make(map[dataplane.RouteKey]int)
-	for kv, d := range gen.OSPFBest() {
-		if d > 0 {
-			perKey[kv.K]++
-		}
-	}
-	for _, n := range perKey {
-		if n > 1 {
-			multi++
-		}
-	}
-	if multi == 0 {
-		t.Error("no multipath routes on a fat-tree")
-	}
-}
-
-func TestECMPIncrementalChangesMatchOracle(t *testing.T) {
-	net, err := topology.FatTree(4, topology.OSPF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := New(Options{ECMP: true})
-	loadAndStep(t, gen, net.Network)
-
-	link := net.Topology.Links[len(net.Topology.Links)/3]
-	changes := []netcfg.Change{
-		// Failing one member of an ECMP group: the group shrinks, other
-		// paths remain.
-		netcfg.ShutdownInterface{Device: link.DevA, Intf: link.IntfA, Shutdown: true},
-		netcfg.ShutdownInterface{Device: link.DevA, Intf: link.IntfA, Shutdown: false},
-		// Raising a cost removes the link from every ECMP group.
-		netcfg.SetOSPFCost{Device: link.DevA, Intf: link.IntfA, Cost: 100},
-		netcfg.SetOSPFCost{Device: link.DevA, Intf: link.IntfA, Cost: 0},
-	}
-	for _, ch := range changes {
-		if err := ch.Apply(net.Network); err != nil {
-			t.Fatal(err)
-		}
-		loadAndStep(t, gen, net.Network)
-		checkECMPAgainstSimulator(t, gen, net.Network)
-	}
-}
-
-func TestECMPRingHasTwoPathsAtAntipode(t *testing.T) {
-	net, err := topology.Ring(4, topology.OSPF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := New(Options{ECMP: true})
-	loadAndStep(t, gen, net.Network)
-	checkECMPAgainstSimulator(t, gen, net.Network)
-
-	// r00 to r02 (the antipode): exactly two equal-cost FIB rules.
-	p := net.HostPrefix["r02"]
-	var nhs []string
-	for rule, d := range gen.FIB() {
-		if d > 0 && rule.Device == "r00" && rule.Prefix == p {
-			nhs = append(nhs, rule.NextHop)
-		}
-	}
-	if len(nhs) != 2 {
-		t.Errorf("r00 -> r02 ECMP next hops = %v, want 2", nhs)
-	}
-}
 
 func TestECMPOffKeepsSinglePath(t *testing.T) {
 	net, err := topology.Ring(4, topology.OSPF)

@@ -20,18 +20,10 @@ import (
 
 // Options configures a Generator.
 type Options struct {
-	// MaxIter bounds fixpoint iterations per epoch (0 = engine default).
-	MaxIter int
 	// DetectOscillation attaches recurring-state detectors to the BGP
 	// and OSPF fixpoints, turning non-convergent configurations (e.g.
 	// BGP dispute wheels) into errors instead of hangs.
 	DetectOscillation bool
-	// ECMP installs every equal-cost OSPF path (and every tied RIB
-	// entry) instead of a single deterministically tie-broken best path.
-	// BGP remains single-path, as on real routers without multipath.
-	// ECMP is a generator-level feature: the data plane model and policy
-	// checker assume single-path forwarding.
-	ECMP bool
 }
 
 // Generator owns the dataflow graph computing a network's data plane.
@@ -141,9 +133,6 @@ const maxOSPFDist = 1 << 30
 // networks are loaded as data via SetNetwork.
 func New(opts Options) *Generator {
 	g := dd.NewGraph()
-	if opts.MaxIter > 0 {
-		g.MaxIter = opts.MaxIter
-	}
 	syms := newSymtab()
 	gen := &Generator{
 		g:          g,
@@ -197,12 +186,7 @@ func New(opts Options) *Generator {
 		return kv.V.Dist < maxOSPFDist
 	})
 	ospfAll := dd.Concat(gen.ospfSeeds.Collection(), ospfRedistSeeds, ospfCands)
-	var ospfBest dd.Collection[dd.KV[rkey, ospfRt]]
-	if opts.ECMP {
-		ospfBest = dd.ReduceMinAll(ospfAll, func(a, b ospfRt) bool { return a.Dist < b.Dist })
-	} else {
-		ospfBest = dd.ReduceMin(ospfAll, syms.ospfBetter)
-	}
+	ospfBest := dd.ReduceMin(ospfAll, syms.ospfBetter)
 	ospfVar.Feedback(ospfBest)
 
 	// --- BGP --------------------------------------------------------------
@@ -308,12 +292,7 @@ func New(opts Options) *Generator {
 		return dd.MkKV(kv.K, e)
 	})
 	rib := dd.Concat(gen.ribDirect.Collection(), ospfRIB, bgpRIB)
-	var fibBest dd.Collection[dd.KV[rkey, ribEnt]]
-	if opts.ECMP {
-		fibBest = dd.ReduceMinAll(rib, syms.ribClassBetter)
-	} else {
-		fibBest = dd.ReduceMin(rib, syms.ribBetter)
-	}
+	fibBest := dd.ReduceMin(rib, syms.ribBetter)
 	// The boundary: rules leave the graph with names.
 	rules := dd.Map(fibBest, func(kv dd.KV[rkey, ribEnt]) dataplane.Rule {
 		return syms.ribEntry(kv.V).Rule(syms.name(kv.K.Dev), kv.K.Prefix)

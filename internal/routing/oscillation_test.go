@@ -71,7 +71,8 @@ func TestBadGadgetGeneratorDetectsRecurringState(t *testing.T) {
 }
 
 func TestBadGadgetGeneratorWithoutDetectionHitsIterationBound(t *testing.T) {
-	gen := New(Options{MaxIter: 200})
+	gen := New(Options{})
+	gen.g.MaxIter = 200
 	gen.SetNetwork(badGadget())
 	_, err := gen.Step()
 	if !errors.Is(err, dd.ErrNonTermination) {

@@ -129,7 +129,3 @@ func (t *symtab) ospfBetter(a, b ospfRt) bool { return t.ospfRoute(a).Better(t.o
 func (t *symtab) bgpBetter(a, b bgpRt) bool { return t.bgpRoute(a).Better(t.bgpRoute(b)) }
 
 func (t *symtab) ribBetter(a, b ribEnt) bool { return t.ribEntry(a).Better(t.ribEntry(b)) }
-
-func (t *symtab) ribClassBetter(a, b ribEnt) bool {
-	return t.ribEntry(a).ClassBetter(t.ribEntry(b))
-}

@@ -17,13 +17,6 @@ import (
 // RouteKey identifies a route: which device, which destination prefix.
 type RouteKey = dataplane.RouteKey
 
-// Options configures a simulation run.
-type Options struct {
-	// ECMP installs every equal-cost OSPF path and every tied RIB entry
-	// instead of a single deterministically tie-broken best path.
-	ECMP bool
-}
-
 // Result is a converged data plane with the per-protocol bests that
 // produced it.
 type Result struct {
@@ -31,12 +24,9 @@ type Result struct {
 	Rules map[dataplane.Rule]bool
 	// Filters are the packet filter rules (extracted, not simulated).
 	Filters []dataplane.FilterRule
-	// OSPF and BGP hold each protocol's selected best routes. Under
-	// ECMP, OSPF still holds the single deterministic best while
-	// OSPFMulti holds the full equal-cost sets.
-	OSPF      map[RouteKey]dataplane.OSPFRoute
-	OSPFMulti map[RouteKey][]dataplane.OSPFRoute
-	BGP       map[RouteKey]dataplane.BGPRoute
+	// OSPF and BGP hold each protocol's selected best routes.
+	OSPF map[RouteKey]dataplane.OSPFRoute
+	BGP  map[RouteKey]dataplane.BGPRoute
 	// BGPIterations is the number of synchronous rounds until the BGP
 	// fixpoint.
 	BGPIterations int
@@ -56,16 +46,12 @@ const maxBGPRounds = 1 << 10
 
 // Run simulates the network's control plane to convergence and returns
 // the data plane (single best path per prefix).
-func Run(net *netcfg.Network) (*Result, error) { return RunOpts(net, Options{}) }
-
-// RunOpts is Run with explicit options.
-func RunOpts(net *netcfg.Network, opts Options) (*Result, error) {
+func Run(net *netcfg.Network) (*Result, error) {
 	res := &Result{
-		Rules:     make(map[dataplane.Rule]bool),
-		Filters:   dataplane.ExtractFilters(net),
-		OSPF:      make(map[RouteKey]dataplane.OSPFRoute),
-		OSPFMulti: make(map[RouteKey][]dataplane.OSPFRoute),
-		BGP:       make(map[RouteKey]dataplane.BGPRoute),
+		Rules:   make(map[dataplane.Rule]bool),
+		Filters: dataplane.ExtractFilters(net),
+		OSPF:    make(map[RouteKey]dataplane.OSPFRoute),
+		BGP:     make(map[RouteKey]dataplane.BGPRoute),
 	}
 	adjs := dataplane.Adjacencies(net)
 	connected := dataplane.ConnectedRoutes(net)
@@ -93,7 +79,7 @@ func RunOpts(net *netcfg.Network, opts Options) (*Result, error) {
 	}
 
 	runOSPF := func() {
-		res.OSPF, res.OSPFMulti = ospfRoutes(net, connected, statics, res.BGP, opts.ECMP)
+		res.OSPF = ospfRoutes(net, connected, statics, res.BGP)
 	}
 	runBGP := func() error {
 		bgp, iters, err := bgpRoutes(net, connected, statics, res.OSPF)
@@ -115,7 +101,7 @@ func RunOpts(net *netcfg.Network, opts Options) (*Result, error) {
 		}
 	}
 
-	buildFIB(res, connected, statics, opts.ECMP)
+	buildFIB(res, connected, statics)
 	return res, nil
 }
 
@@ -203,11 +189,9 @@ func ospfSeeds(net *netcfg.Network, connected []dataplane.ConnectedRoute, static
 	return seeds
 }
 
-// ospfRoutes computes every device's best OSPF route(s) per prefix via
-// Dijkstra from each device over the OSPF adjacency graph. The first
-// return value is the deterministic single best; the second holds the
-// full equal-cost sets when ecmp is enabled (nil otherwise).
-func ospfRoutes(net *netcfg.Network, connected []dataplane.ConnectedRoute, statics []resolvedStatic, bgp map[RouteKey]dataplane.BGPRoute, ecmp bool) (map[RouteKey]dataplane.OSPFRoute, map[RouteKey][]dataplane.OSPFRoute) {
+// ospfRoutes computes every device's deterministic best OSPF route per
+// prefix via Dijkstra from each device over the OSPF adjacency graph.
+func ospfRoutes(net *netcfg.Network, connected []dataplane.ConnectedRoute, statics []resolvedStatic, bgp map[RouteKey]dataplane.BGPRoute) map[RouteKey]dataplane.OSPFRoute {
 	adjs := dataplane.OSPFAdjacencies(net)
 	seeds := ospfSeeds(net, connected, statics, bgp)
 
@@ -274,10 +258,6 @@ func ospfRoutes(net *netcfg.Network, connected []dataplane.ConnectedRoute, stati
 	}
 
 	best := make(map[RouteKey]dataplane.OSPFRoute)
-	var multi map[RouteKey][]dataplane.OSPFRoute
-	if ecmp {
-		multi = make(map[RouteKey][]dataplane.OSPFRoute)
-	}
 	for p, ss := range byPrefix {
 		for u, uName := range names {
 			if net.Devices[uName].OSPF == nil {
@@ -325,12 +305,9 @@ func ospfRoutes(net *netcfg.Network, connected []dataplane.ConnectedRoute, stati
 				}
 			}
 			best[k] = route
-			if ecmp {
-				multi[k] = cands
-			}
 		}
 	}
-	return best, multi
+	return best
 }
 
 type distItem struct {
@@ -532,10 +509,9 @@ func bgpOrigins(net *netcfg.Network, connected []dataplane.ConnectedRoute, stati
 	return origins
 }
 
-// buildFIB merges per-protocol bests into each device's FIB. Without
-// ECMP one Better-minimal entry installs per (device, prefix); with ECMP
-// every entry tied for the best preference class installs.
-func buildFIB(res *Result, connected []dataplane.ConnectedRoute, statics []resolvedStatic, ecmp bool) {
+// buildFIB merges per-protocol bests into each device's FIB: one
+// Better-minimal entry installs per (device, prefix).
+func buildFIB(res *Result, connected []dataplane.ConnectedRoute, statics []resolvedStatic) {
 	type key = RouteKey
 	cands := make(map[key][]dataplane.RIBEntry)
 	offer := func(k key, e dataplane.RIBEntry) {
@@ -576,7 +552,7 @@ func buildFIB(res *Result, connected []dataplane.ConnectedRoute, statics []resol
 		}
 		offer(k, e)
 	}
-	ospfEntry := func(r dataplane.OSPFRoute) dataplane.RIBEntry {
+	for k, r := range res.OSPF {
 		e := dataplane.RIBEntry{Proto: netcfg.ProtoOSPF, AD: netcfg.ProtoOSPF.AdminDistance(), Metric: r.Dist}
 		if r.NextHop == "" {
 			e.Action = dataplane.Deliver
@@ -585,18 +561,7 @@ func buildFIB(res *Result, connected []dataplane.ConnectedRoute, statics []resol
 			e.NextHop = r.NextHop
 			e.OutIntf = r.OutIntf
 		}
-		return e
-	}
-	if ecmp {
-		for k, routes := range res.OSPFMulti {
-			for _, r := range routes {
-				offer(k, ospfEntry(r))
-			}
-		}
-	} else {
-		for k, r := range res.OSPF {
-			offer(k, ospfEntry(r))
-		}
+		offer(k, e)
 	}
 
 	for k, entries := range cands {
@@ -606,15 +571,7 @@ func buildFIB(res *Result, connected []dataplane.ConnectedRoute, statics []resol
 				best = e
 			}
 		}
-		if !ecmp {
-			res.Rules[best.Rule(k.Device, k.Prefix)] = true
-			continue
-		}
-		for _, e := range entries {
-			if !e.ClassBetter(best) && !best.ClassBetter(e) {
-				res.Rules[e.Rule(k.Device, k.Prefix)] = true
-			}
-		}
+		res.Rules[best.Rule(k.Device, k.Prefix)] = true
 	}
 }
 

@@ -14,7 +14,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := realconfig.New(realconfig.Options{DetectOscillation: true, Parallel: 2})
+	v := realconfig.New(realconfig.Options{DetectOscillation: true})
 	rep, err := v.Load(net.Network)
 	if err != nil {
 		t.Fatal(err)
