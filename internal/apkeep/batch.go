@@ -3,6 +3,7 @@ package apkeep
 import (
 	"sort"
 
+	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/dd"
 )
@@ -45,7 +46,7 @@ func (r *BatchResult) AffectedECs() int { return len(r.Transfers) }
 func (r *BatchResult) DistinctECs() int {
 	type k struct {
 		d  string
-		ec interface{}
+		ec bdd.Node
 	}
 	seen := make(map[k]struct{})
 	for _, t := range r.Transfers {

@@ -42,9 +42,17 @@ func (m *Model) Collect() {
 // rule-prefix boundary ever installed, plus one.
 func (m *Model) NumIntervals() int { return len(m.idx.starts) }
 
+// NumColumns returns the row width: one column per device a rule
+// update ever named.
+func (m *Model) NumColumns() int { return len(m.devs) }
+
+// NumPorts returns the port table's size: one per distinct port ever
+// installed, plus DropPort.
+func (m *Model) NumPorts() int { return len(m.portTab) }
+
 // CheckRoots verifies the invariant that makes Collect's roots
 // sufficient. Every node the model keys its per-EC state by is a live
-// EC: device ports, filter statuses, the destination index and the
+// EC: port rows, filter statuses, the destination index and the
 // merge signatures (the checker's CheckRoots covers its own state). And
 // every other root still denotes its definition: each binding's allow
 // predicate and each cached Match predicate rebuild to the same handle,
@@ -62,9 +70,7 @@ func (m *Model) CheckRoots() error {
 		}
 	}
 	var errs []error
-	for dev, ds := range m.devs {
-		errs = append(errs, onlyECs(m.ecs, "ports of "+dev, ds.ports))
-	}
+	errs = append(errs, onlyECs(m.ecs, "rows", m.rows))
 	for k, fs := range m.filters {
 		errs = append(errs, onlyECs(m.ecs, "filter "+filterLabel(k), fs.blocked))
 	}

@@ -113,7 +113,7 @@ func TestCheckRootsReportsDeadNode(t *testing.T) {
 	dead := bdd.Node(1 << 20)
 	permit := []dataplane.FilterRule{filterRule("r1", "eth0", dataplane.In, 10, netcfg.Permit, dataplane.MatchAll)}
 	for name, plant := range map[string]func(m *Model){
-		"ports": func(m *Model) { m.dev("r1").ports[dead] = DropPort },
+		"ports": func(m *Model) { m.rows[dead] = nil },
 		"sig":   func(m *Model) { m.sig[dead] = 0 },
 		"bySig": func(m *Model) { m.indexSig(dead, 7) },
 		"dirty": func(m *Model) { m.dirty[dead] = struct{}{} },

@@ -25,6 +25,8 @@ type filterState struct {
 	lines []dataplane.FilterRule
 	// allow is the predicate of packets the binding permits.
 	allow bdd.Node
+	// fact is the binding's signature fact (see filterFact).
+	fact uint64
 	// blocked marks ECs the binding denies (ECs are split so each is
 	// entirely allowed or entirely blocked).
 	blocked map[bdd.Node]bool
@@ -66,7 +68,8 @@ func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 		k := FilterKey{Device: e.Val.Device, Intf: e.Val.Intf, Dir: e.Val.Dir}
 		fs := m.filters[k]
 		if fs == nil {
-			fs = &filterState{allow: bdd.True, blocked: make(map[bdd.Node]bool)}
+			m.filterSeq++
+			fs = &filterState{allow: bdd.True, fact: filterFact(m.filterSeq), blocked: make(map[bdd.Node]bool)}
 			m.filters[k] = fs
 		}
 		if e.Diff > 0 {
@@ -174,11 +177,11 @@ func (m *Model) allowOf(lines []dataplane.FilterRule) bdd.Node {
 // flipFilter records one EC's filter-status change at a binding: the
 // signature bump, the transfer, and the provenance event when tracing.
 func (m *Model) flipFilter(k FilterKey, ec bdd.Node, blocked bool) {
-	if blocked {
-		m.bumpSig(ec, filterFact(k))
-	} else {
-		m.bumpSig(ec, -filterFact(k))
+	fact := m.filters[k].fact
+	if !blocked {
+		fact = -fact
 	}
+	m.bumpSig(ec, fact)
 	m.ftransfers = append(m.ftransfers, FilterTransfer{Key: k, EC: ec, Blocked: blocked})
 	if m.tr != nil {
 		action := "allow"

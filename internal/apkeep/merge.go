@@ -1,7 +1,7 @@
 package apkeep
 
 import (
-	"hash/fnv"
+	"slices"
 
 	"realconfig/internal/bdd"
 	"realconfig/internal/obs"
@@ -13,8 +13,8 @@ import (
 // behaviour becomes identical again (e.g. after the rule is removed)
 // must merge back. This file implements merging via incremental
 // behaviour signatures: every EC carries a commutative 64-bit hash over
-// its (device, port) entries and filter marks, maintained on every
-// transfer; candidate pairs collide in a signature index and are
+// its (device column, port id) entries and filter marks, maintained on
+// every transfer; candidate pairs collide in a signature index and are
 // verified exactly before merging.
 
 // MergeEvent records two ECs collapsing into one.
@@ -23,31 +23,29 @@ type MergeEvent struct {
 	Result bdd.Node // their union
 }
 
-// sigOf hashes one behaviour fact; the signature of an EC is the sum of
-// its facts' hashes mod 2^64 (commutative, incrementally updatable).
-func sigFact(kind byte, a, b string, extra uint64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte{kind})
-	h.Write([]byte(a))
-	h.Write([]byte{0})
-	h.Write([]byte(b))
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(extra >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
+// mix64 is splitmix64's finalizer: a bijection on uint64, so distinct
+// facts hash apart. The signature of an EC is the sum of its facts'
+// hashes mod 2^64 (commutative, incrementally updatable).
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
-func portFact(dev string, p Port) uint64 {
-	if p == DropPort {
-		return 0 // absent entries must contribute nothing
+// portFact hashes an EC's port id in one device column.
+func portFact(col int, id uint32) uint64 {
+	if id == 0 {
+		return 0 // drop entries must contribute nothing
 	}
-	return sigFact(1, dev, p.NextHop+"\x00"+p.OutIntf, uint64(p.Action))
+	return mix64(uint64(col)<<32 | uint64(id))
 }
 
-func filterFact(k FilterKey) uint64 {
-	return sigFact(2, k.Device, k.Intf, uint64(k.Dir))
+// filterFact hashes a filter binding's mark; seq is the binding's
+// number, so the top bit keeps it apart from every port fact.
+func filterFact(seq uint64) uint64 {
+	return mix64(1<<63 | seq)
 }
 
 // bumpSig applies a signature delta to an EC and reindexes it.
@@ -83,16 +81,15 @@ func (m *Model) unindexSig(ec bdd.Node, s uint64) {
 // behaviourEqual verifies exactly that two ECs behave identically on
 // every device and at every filter binding.
 func (m *Model) behaviourEqual(a, b bdd.Node) bool {
-	for _, ds := range m.devs {
-		pa, oka := ds.ports[a]
-		pb, okb := ds.ports[b]
-		if !oka {
-			pa = DropPort
-		}
-		if !okb {
-			pb = DropPort
-		}
-		if pa != pb {
+	ra, rb := m.rows[a], m.rows[b]
+	if len(ra) < len(rb) {
+		ra, rb = rb, ra
+	}
+	if !slices.Equal(ra[:len(rb)], rb) {
+		return false
+	}
+	for _, id := range ra[len(rb):] {
+		if id != 0 {
 			return false
 		}
 	}
@@ -176,13 +173,9 @@ func (m *Model) mergePair(a, b bdd.Node) bdd.Node {
 	m.idx.replace(b, merged)
 	m.sig[merged] = s
 	m.indexSig(merged, s)
-	for _, ds := range m.devs {
-		if p, ok := ds.ports[a]; ok {
-			delete(ds.ports, a)
-			delete(ds.ports, b)
-			ds.ports[merged] = p
-		}
-	}
+	m.rows[merged] = m.rows[a]
+	delete(m.rows, a)
+	delete(m.rows, b)
 	for _, fs := range m.filters {
 		if fs.blocked[a] {
 			delete(fs.blocked, a)

@@ -195,3 +195,30 @@ func TestMergeRandomizedChurnKeepsLookupsCorrect(t *testing.T) {
 		t.Errorf("ECs after full teardown = %d, want 1", merged.NumECs())
 	}
 }
+
+// TestBehaviourEqualReadsShortRowsAsDrop compares rows of different
+// lengths: the shorter one's missing tail reads as drop, so it equals a
+// longer row only when that row's extra columns are drop too.
+func TestBehaviourEqualReadsShortRowsAsDrop(t *testing.T) {
+	m := New()
+	a, b := bdd.Node(100), bdd.Node(101)
+	for _, c := range []struct {
+		ra, rb []uint32
+		want   bool
+	}{
+		{nil, nil, true},
+		{nil, []uint32{0, 0}, true},
+		{[]uint32{1}, []uint32{1, 0, 0}, true},
+		{[]uint32{1}, []uint32{1, 0, 2}, false},
+		{[]uint32{1, 2}, []uint32{2, 1}, false},
+		{nil, []uint32{0, 3}, false},
+	} {
+		m.rows[a], m.rows[b] = c.ra, c.rb
+		if got := m.behaviourEqual(a, b); got != c.want {
+			t.Errorf("rows %v, %v: equal = %v, want %v", c.ra, c.rb, got, c.want)
+		}
+		if got := m.behaviourEqual(b, a); got != c.want {
+			t.Errorf("rows %v, %v: equal = %v, want %v", c.rb, c.ra, got, c.want)
+		}
+	}
+}

@@ -6,6 +6,11 @@
 // insertions/deletions move ECs between ports, splitting them only when
 // a rule boundary cuts through an existing class.
 //
+// Behaviour is stored EC-major: each EC has one row of interned port
+// ids, one column per device, so splitting an EC copies one row,
+// merging two drops one, and comparing two compares their rows, however
+// many devices the network has.
+//
 // Longest-prefix-match semantics are handled structurally: a rule's
 // effective packet space is its prefix minus all longer prefixes with
 // rules on the same device, and deleting a rule hands its space back to
@@ -27,6 +32,7 @@ package apkeep
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"realconfig/internal/bdd"
@@ -86,13 +92,13 @@ type Transfer struct {
 
 // devState is one device's slice of the model.
 type devState struct {
+	// col is the device's column in every EC's row.
+	col int
 	// rules indexes the ports installed per prefix; the last element of
 	// a prefix's stack owns its packet space. (Two live rules for one
 	// prefix only occur transiently inside a batch, e.g.
 	// insertion-before-deletion.)
 	rules prefixTrie
-	// ports maps each EC to its port; absent means DropPort.
-	ports map[bdd.Node]Port
 }
 
 // OpStats counts the work the model's hot paths perform. Tests and
@@ -158,6 +164,17 @@ type Model struct {
 	devs    map[string]*devState
 	filters map[FilterKey]*filterState
 
+	// rows holds each EC's behaviour, EC-major: one interned port id per
+	// device column. A row shorter than the column count reads as drop
+	// in its missing tail. portTab maps ids to ports (id 0 is DropPort)
+	// and portIDs interns them. Columns and port ids are append-only:
+	// bounded by the devices and ports ever installed.
+	rows    map[bdd.Node][]uint32
+	portTab []Port
+	portIDs map[Port]uint32
+	// filterSeq numbers filter bindings for their signature facts.
+	filterSeq uint64
+
 	// transfers accumulates EC moves since the last TakeTransfers.
 	transfers  []Transfer
 	ftransfers []FilterTransfer
@@ -197,6 +214,9 @@ func New() *Model {
 		idx:     newECIndex(bdd.True),
 		devs:    make(map[string]*devState),
 		filters: make(map[FilterKey]*filterState),
+		rows:    map[bdd.Node][]uint32{bdd.True: nil},
+		portTab: []Port{DropPort},
+		portIDs: map[Port]uint32{DropPort: 0},
 		sig:     map[bdd.Node]uint64{bdd.True: 0},
 		bySig:   make(map[uint64]map[bdd.Node]struct{}),
 		dirty:   make(map[bdd.Node]struct{}),
@@ -220,8 +240,8 @@ func (m *Model) ResetOps() { m.ops = OpStats{} }
 // PortOf returns the port of an EC on a device (DropPort by default).
 func (m *Model) PortOf(dev string, ec bdd.Node) Port {
 	if ds := m.devs[dev]; ds != nil {
-		if p, ok := ds.ports[ec]; ok {
-			return p
+		if row := m.rows[ec]; ds.col < len(row) {
+			return m.portTab[row[ds.col]]
 		}
 	}
 	return DropPort
@@ -230,10 +250,21 @@ func (m *Model) PortOf(dev string, ec bdd.Node) Port {
 func (m *Model) dev(name string) *devState {
 	ds := m.devs[name]
 	if ds == nil {
-		ds = &devState{ports: make(map[bdd.Node]Port)}
+		ds = &devState{col: len(m.devs)}
 		m.devs[name] = ds
 	}
 	return ds
+}
+
+// portID interns a port.
+func (m *Model) portID(p Port) uint32 {
+	id, ok := m.portIDs[p]
+	if !ok {
+		id = uint32(len(m.portTab))
+		m.portTab = append(m.portTab, p)
+		m.portIDs[p] = id
+	}
+	return id
 }
 
 // split refines the partition so that pred is a union of ECs, and
@@ -297,13 +328,10 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []bdd.Node {
 			m.indexSig(child, s)
 			m.dirty[child] = struct{}{}
 		}
-		for _, ds := range m.devs {
-			if p, ok := ds.ports[ec]; ok {
-				delete(ds.ports, ec)
-				ds.ports[in] = p
-				ds.ports[out] = p
-			}
-		}
+		row := m.rows[ec]
+		delete(m.rows, ec)
+		m.rows[in] = row
+		m.rows[out] = slices.Clone(row)
 		for _, fs := range m.filters {
 			if fs.blocked[ec] {
 				delete(fs.blocked, ec)
@@ -317,25 +345,28 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []bdd.Node {
 
 // moveECs retargets every EC inside pred to newPort on dev, recording
 // transfers for those that actually change port.
-func (m *Model) moveECs(dev string, pred bdd.Node, newPort Port, hint dstHint) {
+func (m *Model) moveECs(dev string, ds *devState, pred bdd.Node, newPort Port, hint dstHint) {
 	if pred == bdd.False {
 		return
 	}
-	ds := m.dev(dev)
+	id := m.portID(newPort)
+	newFact := portFact(ds.col, id)
 	for _, ec := range m.split(pred, hint) {
-		old, ok := ds.ports[ec]
-		if !ok {
-			old = DropPort
+		row := m.rows[ec]
+		var oldID uint32
+		if ds.col < len(row) {
+			oldID = row[ds.col]
 		}
-		if old == newPort {
+		if oldID == id {
 			continue
 		}
-		if newPort == DropPort {
-			delete(ds.ports, ec)
-		} else {
-			ds.ports[ec] = newPort
+		if ds.col >= len(row) {
+			row = append(row, make([]uint32, len(m.devs)-len(row))...)
+			m.rows[ec] = row
 		}
-		m.bumpSig(ec, portFact(dev, newPort)-portFact(dev, old))
+		row[ds.col] = id
+		m.bumpSig(ec, newFact-portFact(ds.col, oldID))
+		old := m.portTab[oldID]
 		m.transfers = append(m.transfers, Transfer{Device: dev, EC: ec, Old: old, New: newPort})
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECTransfer,
@@ -385,7 +416,7 @@ func (m *Model) InsertRule(r dataplane.Rule) {
 	}
 	// The new rule owns the prefix's effective space now.
 	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(r.Device, eff, port, hint)
+	m.moveECs(r.Device, ds, eff, port, hint)
 }
 
 // DeleteRule removes a forwarding rule. If the rule owned its prefix's
@@ -428,7 +459,7 @@ func (m *Model) DeleteRule(r dataplane.Rule) error {
 		return nil
 	}
 	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(r.Device, eff, heir, hint)
+	m.moveECs(r.Device, ds, eff, heir, hint)
 	return nil
 }
 

@@ -221,6 +221,165 @@ func TestRandomizedAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// TestAutoMergeAgainstBruteForce is TestRandomizedAgainstBruteForce with
+// the partition re-minimized after every step. Rules go through
+// ApplyBatch with AutoMerge on, across three devices, the third of which
+// gets its first rule only after ECs exist, so its column lies beyond
+// every row. An ACL binding is bound and unbound on the way: a
+// full-range split, then a merge back. After every step, lookups equal
+// longest-prefix match over the installed rules, filter statuses equal
+// first-match over the bound lines, and the partition and root
+// invariants hold. Once the walk is undone, one EC is left.
+func TestAutoMergeAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := New()
+	m.AutoMerge = true
+	devices := []string{"d1", "d2", "d3"}
+	const lateDev, lateFrom, bindAt, unbindAt, steps = "d3", 40, 60, 130, 180
+	prefixes := []string{
+		"0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.5.0/24",
+		"10.2.0.0/16", "192.168.0.0/16", "192.168.3.0/24",
+	}
+	nhs := []string{"a", "b", "c", "drop", ""}
+	installed := map[string]map[netcfg.Prefix]dataplane.Rule{}
+	for _, d := range devices {
+		installed[d] = map[netcfg.Prefix]dataplane.Rule{}
+	}
+	acl := []dataplane.FilterRule{
+		filterRule("d2", "eth0", dataplane.In, 10, netcfg.Deny,
+			dataplane.Match{Proto: netcfg.ProtoTCP, Dst: netcfg.MustPrefix("10.1.0.0/16"), DstPortLo: 22, DstPortHi: 22}),
+		filterRule("d2", "eth0", dataplane.In, 20, netcfg.Deny, dataplane.Match{Src: netcfg.MustPrefix("192.168.0.0/16")}),
+		filterRule("d2", "eth0", dataplane.In, 30, netcfg.Permit, dataplane.MatchAll),
+	}
+	bound := false
+
+	lpm := func(dev string, dst netcfg.Addr) Port {
+		best, found := dataplane.Rule{}, false
+		for _, r := range installed[dev] {
+			if r.Prefix.Contains(dst) && (!found || r.Prefix.Len > best.Prefix.Len) {
+				best, found = r, true
+			}
+		}
+		if !found {
+			return DropPort
+		}
+		return portOf(best)
+	}
+	matches := func(x dataplane.Match, pkt bdd.Packet) bool {
+		return (x.Proto == netcfg.ProtoIPAny || x.Proto == pkt.Proto) &&
+			x.Src.Contains(pkt.Src) && x.Dst.Contains(pkt.Dst) &&
+			(x.DstPortLo == 0 && x.DstPortHi == 0 || x.DstPortLo <= pkt.DstPort && pkt.DstPort <= x.DstPortHi)
+	}
+	firstMatchDenies := func(pkt bdd.Packet) bool {
+		if !bound {
+			return false
+		}
+		for _, l := range acl {
+			if matches(l.Match, pkt) {
+				return l.Action == netcfg.Deny
+			}
+		}
+		return true
+	}
+	var probes []bdd.Packet
+	for _, dst := range []string{"10.1.5.77", "10.1.9.1", "10.2.3.4", "192.168.3.3", "192.168.9.9", "8.8.8.8"} {
+		probes = append(probes,
+			bdd.Packet{Dst: netcfg.MustAddr(dst), Src: netcfg.MustAddr("10.9.9.9"), Proto: netcfg.ProtoTCP, DstPort: 22},
+			bdd.Packet{Dst: netcfg.MustAddr(dst), Src: netcfg.MustAddr("192.168.1.1"), Proto: netcfg.ProtoUDP, DstPort: 53})
+	}
+	check := func(step int) {
+		t.Helper()
+		for _, pkt := range probes {
+			for _, d := range devices {
+				if got, want := m.Lookup(d, pkt), lpm(d, pkt.Dst); got != want {
+					t.Fatalf("step %d: lookup(%s, %v) = %v, want %v", step, d, pkt, got, want)
+				}
+			}
+			ec := bdd.False
+			for e := range m.ECs() {
+				if m.H.Contains(e, pkt) {
+					ec = e
+				}
+			}
+			if got, want := m.Blocked("d2", "eth0", dataplane.In, ec), firstMatchDenies(pkt); got != want {
+				t.Fatalf("step %d: blocked(%v) = %v, want %v", step, pkt, got, want)
+			}
+		}
+		for _, inv := range []func() error{m.CheckPartition, m.CheckRoots} {
+			if err := inv(); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	apply := func(r dataplane.Rule, diff int64) {
+		t.Helper()
+		if _, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{{Val: r, Diff: diff}}, InsertFirst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	filters := func(diff int64) {
+		t.Helper()
+		var changes []dd.Entry[dataplane.FilterRule]
+		for _, l := range acl {
+			changes = append(changes, dd.Entry[dataplane.FilterRule]{Val: l, Diff: diff})
+		}
+		if err := m.UpdateFilters(changes); err != nil {
+			t.Fatal(err)
+		}
+		m.MergeECs()
+		bound = diff > 0
+	}
+
+	for step := 0; step < steps; step++ {
+		switch step {
+		case bindAt:
+			before := m.NumECs()
+			filters(1)
+			if m.NumECs() <= before {
+				t.Fatalf("step %d: binding the ACL split no EC (%d ECs)", step, before)
+			}
+		case unbindAt:
+			filters(-1)
+		}
+		live := devices[:2]
+		if step >= lateFrom {
+			live = devices
+		}
+		dev := live[rng.Intn(len(live))]
+		if dev == lateDev && len(installed[dev]) == 0 && m.NumECs() < 2 {
+			t.Fatalf("step %d: %s's first rule meets a single EC; the short-row path is untested", step, dev)
+		}
+		p := netcfg.MustPrefix(prefixes[rng.Intn(len(prefixes))])
+		if ex, ok := installed[dev][p]; ok {
+			apply(ex, -1)
+			delete(installed[dev], p)
+		} else {
+			r := rule(dev, p.String(), nhs[rng.Intn(len(nhs))])
+			apply(r, 1)
+			installed[dev][p] = r
+		}
+		check(step)
+	}
+	if len(installed[lateDev]) == 0 {
+		t.Fatalf("%s never got a rule", lateDev)
+	}
+	for _, d := range devices {
+		for p, r := range installed[d] {
+			apply(r, -1)
+			delete(installed[d], p)
+		}
+	}
+	check(steps)
+	if m.NumECs() != 1 {
+		t.Fatalf("%d ECs after undoing the walk, want 1", m.NumECs())
+	}
+	// Drop, deliver and one forward per next hop: the table interns
+	// each once, however often the walk installed it.
+	if m.NumColumns() != len(devices) || m.NumPorts() != len(nhs) {
+		t.Fatalf("%d columns and %d ports after the walk, want %d and %d", m.NumColumns(), m.NumPorts(), len(devices), len(nhs))
+	}
+}
+
 func TestBatchOrdersConvergeToSameState(t *testing.T) {
 	mkBatch := func() []dd.Entry[dataplane.Rule] {
 		return []dd.Entry[dataplane.Rule]{

@@ -41,6 +41,54 @@ func applyPair(tb testing.TB, v *Verifier, edit [2]netcfg.Change) {
 	}
 }
 
+// aclLines is the line count of aclEdit's ACL: 16 tcp dst-port denies
+// and the final permit.
+const aclLines = 17
+
+// aclEdit loads FatTree(k,BGP) and returns the verifier with a bind/unbind
+// pair of a 16-line deny ACL, outbound on its first switch's first
+// interface, towards the next switch's host /24: the acl-static-edits
+// workload's ACL half. Unlike staticEdit, which splits one EC, binding
+// it splits the partition with a full-range boundary and unbinding it
+// merges the pieces back.
+func aclEdit(tb testing.TB, k int) (*Verifier, [2][]netcfg.Change) {
+	tb.Helper()
+	net, err := topology.FatTree(k, topology.BGP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := New(Options{})
+	if _, err := v.Load(net.Network); err != nil {
+		tb.Fatal(err)
+	}
+	dev := net.NodeNames[0]
+	intf := net.Devices[dev].Interfaces[0].Name
+	dst := net.HostPrefix[net.NodeNames[1]]
+	lines := make([]netcfg.ACLLine, 0, aclLines)
+	for i := 0; i < aclLines-1; i++ {
+		p := uint16(1024 + 16*i)
+		lines = append(lines, netcfg.ACLLine{Seq: 10 * (i + 1), Action: netcfg.Deny, Proto: netcfg.ProtoTCP, Dst: dst, DstPortLo: p, DstPortHi: p})
+	}
+	lines = append(lines, netcfg.ACLLine{Seq: 10 * aclLines, Action: netcfg.Permit})
+	return v, [2][]netcfg.Change{
+		{netcfg.SetACL{Device: dev, Name: "edit", Lines: lines}, netcfg.BindACL{Device: dev, Intf: intf, Name: "edit"}},
+		{netcfg.BindACL{Device: dev, Intf: intf}, netcfg.SetACL{Device: dev, Name: "edit"}},
+	}
+}
+
+// applyACLPair applies the bind and then the unbind, one Apply each.
+func applyACLPair(tb testing.TB, v *Verifier, edit [2][]netcfg.Change) {
+	for _, chs := range edit {
+		rep, err := v.Apply(chs...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.FilterChanges != aclLines {
+			tb.Fatalf("%v changed %d filter lines, want %d", chs, rep.FilterChanges, aclLines)
+		}
+	}
+}
+
 func BenchmarkApplyStaticEdit(b *testing.B) {
 	v, edit := staticEdit(b, 6)
 	applyPair(b, v, edit) // warm both directions once
@@ -51,8 +99,19 @@ func BenchmarkApplyStaticEdit(b *testing.B) {
 	}
 }
 
+func BenchmarkApplyACLEdit(b *testing.B) {
+	v, edit := aclEdit(b, 6)
+	applyACLPair(b, v, edit)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		applyACLPair(b, v, edit)
+	}
+}
+
 // TestApplyAllocationCeilings pins the heap allocations of one
-// add-static/remove-static Apply pair on FatTree(6,BGP), 45 devices.
+// add-static/remove-static Apply pair and one ACL bind/unbind Apply pair
+// on FatTree(6,BGP), 45 devices.
 // Before copy-on-write applies, each Apply cloned every device, formatted
 // and diffed every device on both sides, and cloned the network again.
 // Before per-device compile units, each Apply compiled every device and
@@ -65,10 +124,13 @@ func BenchmarkApplyStaticEdit(b *testing.B) {
 // compile exceeds it twofold. Under the race detector sync.Pool is off,
 // so every fmt call of the config diff allocates its printer: the pair
 // measured 631-647 there, and the race ceiling is 647 plus 20 %.
+//
+// The ACL pair measured 1087 (1400-1418 under the race detector); its
+// ceilings are those figures plus 20 %.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling := 569.0
+	pairCeiling, aclCeiling := 569.0, 1304.0
 	if raceEnabled {
-		pairCeiling = 776
+		pairCeiling, aclCeiling = 776, 1702
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)
@@ -76,5 +138,13 @@ func TestApplyAllocationCeilings(t *testing.T) {
 	t.Logf("allocs: static add + remove Apply pair %.0f", perPair)
 	if perPair > pairCeiling {
 		t.Errorf("static add + remove Apply pair allocates %.0f objects, ceiling %.0f", perPair, pairCeiling)
+	}
+
+	av, aedit := aclEdit(t, 6)
+	applyACLPair(t, av, aedit)
+	perACL := testing.AllocsPerRun(10, func() { applyACLPair(t, av, aedit) })
+	t.Logf("allocs: ACL bind + unbind Apply pair %.0f", perACL)
+	if perACL > aclCeiling {
+		t.Errorf("ACL bind + unbind Apply pair allocates %.0f objects, ceiling %.0f", perACL, aclCeiling)
 	}
 }

@@ -22,6 +22,12 @@ const soakRounds = 400
 // network's predicates, whatever history built them.
 const liveNodeSlack = 2
 
+// tableSlack bounds a soaked model's port table and column count above a
+// fresh load's. Both are append-only, but the soak's edits install no
+// port and touch no device a fresh load lacks: its statics drop, and the
+// drop port is the port table's first entry.
+const tableSlack = 2
+
 // soakRound returns round's four changes: bind an ACL denying a fresh
 // TCP port, unbind it, add a drop static route for a fresh /28, remove
 // it. Together they leave the network as they found it.
@@ -47,8 +53,10 @@ func soakRound(net *topology.Net, round int) []netcfg.Change {
 // ACL denying a fresh TCP port and add and remove a drop static route
 // for a fresh /28, so the network ends every round where it started.
 // After a final collection the BDD table must be within liveNodeSlack
-// of a fresh load's. The destination index and the generator's symbol
-// table are reported but not bounded: both stay append-only.
+// of a fresh load's, and the model's port table and column count within
+// tableSlack of a fresh load's. The destination index and the
+// generator's symbol table are reported but not bounded: both stay
+// append-only.
 func TestStateBoundedByLiveNetwork(t *testing.T) {
 	net, err := topology.FatTree(4, topology.BGP)
 	if err != nil {
@@ -99,6 +107,19 @@ func TestStateBoundedByLiveNetwork(t *testing.T) {
 	if live > liveNodeSlack*base {
 		t.Errorf("%d live BDD nodes after %d undone rounds, more than %d x a fresh load's %d",
 			live, soakRounds, liveNodeSlack, base)
+	}
+	for _, n := range []struct {
+		what         string
+		soaked, base int
+	}{
+		{"port table entries", v.Model().NumPorts(), fresh.Model().NumPorts()},
+		{"row columns", v.Model().NumColumns(), fresh.Model().NumColumns()},
+	} {
+		t.Logf("%s %d (fresh %d)", n.what, n.soaked, n.base)
+		if n.soaked > n.base+tableSlack {
+			t.Errorf("%d %s after %d undone rounds, more than a fresh load's %d + %d",
+				n.soaked, n.what, soakRounds, n.base, tableSlack)
+		}
 	}
 }
 
