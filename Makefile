@@ -31,7 +31,6 @@ check:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz '^FuzzChangeJSON$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/netcfg
-	$(GO) test -fuzz '^FuzzInvert$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/netcfg
 	$(GO) test -fuzz '^FuzzJournalLine$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server
 	$(GO) test -fuzz '^FuzzTenantPath$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server
 	$(GO) test -fuzz '^FuzzStreamFrame$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/repl
@@ -58,7 +57,7 @@ server-test:
 # build and complete.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Table2|Table3|SpecMining' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/apkeep ./internal/bdd
+	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/apkeep ./internal/bdd ./internal/plan
 
 # bench reports real numbers for the hot paths and the paper's tables
 # (REALCONFIG_BENCH_K=12 for the paper's scale).

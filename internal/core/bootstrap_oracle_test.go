@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"realconfig/internal/dataplane"
+	"realconfig/internal/dd"
 	"realconfig/internal/netcfg"
 	"realconfig/internal/policy"
 	"realconfig/internal/topology"
@@ -43,9 +44,11 @@ func backendPolicies(net *topology.Net) []policy.Policy {
 
 // backendChangePool enumerates the candidate change/undo pairs for a
 // topology: link flaps, OSPF cost moves, static drop routes, and
-// dst-only ACLs.
+// dst-only ACLs. A pair whose do half may form a BGP dispute wheel is
+// marked mayReject (see joinBadGadget).
 type changePair struct {
-	do, undo netcfg.Change
+	do, undo  netcfg.Change
+	mayReject bool
 }
 
 func backendChangePool(net *topology.Net) []changePair {
@@ -145,7 +148,8 @@ func newBootstrapOracle(t *testing.T, v *Verifier, ps []policy.Policy) *bootstra
 	return o
 }
 
-// step checks v after an apply that returned rep.
+// step checks v after an apply that returned rep, or that was rejected
+// (rep nil), after which no verdict may have moved.
 func (o *bootstrapOracle) step(t *testing.T, where string, v *Verifier, rep *Report) {
 	t.Helper()
 	if o.collect {
@@ -166,11 +170,15 @@ func (o *bootstrapOracle) step(t *testing.T, where string, v *Verifier, rep *Rep
 	}
 	sort.Strings(violated)
 	sort.Strings(repaired)
-	if got := rep.Violations(); !reflect.DeepEqual(got, violated) {
-		t.Fatalf("%s: violations %v, verdict flips %v", where, got, violated)
+	var gotViolated, gotRepaired []string
+	if rep != nil {
+		gotViolated, gotRepaired = rep.Violations(), rep.Repaired()
 	}
-	if got := rep.Repaired(); !reflect.DeepEqual(got, repaired) {
-		t.Fatalf("%s: repairs %v, verdict flips %v", where, got, repaired)
+	if !reflect.DeepEqual(gotViolated, violated) {
+		t.Fatalf("%s: violations %v, verdict flips %v", where, gotViolated, violated)
+	}
+	if !reflect.DeepEqual(gotRepaired, repaired) {
+		t.Fatalf("%s: repairs %v, verdict flips %v", where, gotRepaired, repaired)
 	}
 }
 
@@ -202,8 +210,11 @@ func (o *bootstrapOracle) check(t *testing.T, where string, v *Verifier) map[str
 }
 
 // walkPool applies the pool entry each pick selects, toggling between
-// its do and undo halves, and checks every step against o.
-func walkPool(t *testing.T, v *Verifier, o *bootstrapOracle, pool []changePair, picks []int) {
+// its do and undo halves, and checks every step against o. A mayReject
+// pair's do half may fail with ErrRecurringState; the pair then stays
+// undone, and o checks that the rejection left no trace. Any other
+// error fails the walk. It returns the number of rejected applies.
+func walkPool(t *testing.T, v *Verifier, o *bootstrapOracle, pool []changePair, picks []int) (rejected int) {
 	t.Helper()
 	applied := make([]bool, len(pool))
 	for step, i := range picks {
@@ -211,13 +222,19 @@ func walkPool(t *testing.T, v *Verifier, o *bootstrapOracle, pool []changePair, 
 		if applied[i] {
 			ch = pool[i].undo
 		}
-		applied[i] = !applied[i]
+		where := fmt.Sprintf("step %d (%s)", step, ch)
 		rep, err := v.Apply(ch)
-		if err != nil {
-			t.Fatalf("step %d (%s): %v", step, ch, err)
+		switch {
+		case err != nil && pool[i].mayReject && !applied[i] && errors.Is(err, dd.ErrRecurringState):
+			rejected++
+		case err != nil:
+			t.Fatalf("%s: %v", where, err)
+		default:
+			applied[i] = !applied[i]
 		}
-		o.step(t, fmt.Sprintf("step %d (%s)", step, ch), v, rep)
+		o.step(t, where, v, rep)
 	}
+	return rejected
 }
 
 // TestIncrementalEqualsBootstrap drives a verifier through seeded random
@@ -262,7 +279,10 @@ func TestIncrementalEqualsBootstrap(t *testing.T) {
 // FuzzIncrementalEqualsBootstrap interprets the fuzz input as a change
 // trajectory over a fixed topology — each byte selects the next
 // change/undo pair from the pool — and requires the incremental
-// verifier to equal a from-scratch load after every step.
+// verifier to equal a from-scratch load after every step. The topology
+// carries a stable BAD GADGET beside the line, and the pool the toggle
+// that forms its dispute wheel, so rejected applies join the
+// trajectories.
 func FuzzIncrementalEqualsBootstrap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -270,6 +290,7 @@ func FuzzIncrementalEqualsBootstrap(f *testing.F) {
 	f.Add([]byte{1, 3, 5, 7, 9, 11, 13}) // spread across the pool
 	f.Add([]byte{2, 2, 2, 2})            // rapid flapping
 	f.Add([]byte{255, 128, 64, 32, 16, 8, 4, 2, 1, 0})
+	f.Add([]byte{14, 3, 14, 14, 9, 3}) // 14 is the dispute, rejected between benign changes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 24 {
@@ -279,12 +300,12 @@ func FuzzIncrementalEqualsBootstrap(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pool := append(backendChangePool(net), joinBadGadget(net))
 		v := New(Options{DetectOscillation: true})
 		if _, err := v.Load(net.Network.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		o := newBootstrapOracle(t, v, backendPolicies(net))
-		pool := backendChangePool(net)
 		picks := make([]int, len(data))
 		for i, b := range data {
 			picks[i] = int(b) % len(pool)

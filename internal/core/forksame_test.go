@@ -10,8 +10,8 @@ import (
 )
 
 // forkSameFixture builds a 4-node OSPF line with one parsed policy and
-// one programmatically registered policy (which text-based Fork cannot
-// carry).
+// one programmatically registered policy (which no specification text
+// carries).
 func forkSameFixture(t *testing.T) *Verifier {
 	t.Helper()
 	net, err := topology.Line(4, topology.OSPF)
@@ -41,7 +41,7 @@ func forkSameFixture(t *testing.T) *Verifier {
 // policy text.
 func TestForkSameCarriesCompiledPolicies(t *testing.T) {
 	v := forkSameFixture(t)
-	fork, err := v.ForkSame()
+	fork, err := v.ForkSameAt(v.Network(), v.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +56,15 @@ func TestForkSameCarriesCompiledPolicies(t *testing.T) {
 		}
 	}
 	if _, ok := got["prog-tcp-none"]; !ok {
-		t.Fatal("programmatically registered policy did not survive ForkSame")
+		t.Fatal("programmatically registered policy did not survive ForkSameAt")
 	}
 }
 
 // TestForkSameIndependence mutates the fork and the original in turn and
-// checks neither sees the other's changes — the same isolation property
-// Fork guarantees.
+// checks neither sees the other's changes.
 func TestForkSameIndependence(t *testing.T) {
 	v := forkSameFixture(t)
-	fork, err := v.ForkSame()
+	fork, err := v.ForkSameAt(v.Network(), v.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +113,24 @@ func TestForkSameAtLoadsArbitraryState(t *testing.T) {
 	}
 }
 
-// TestForkSameNotLoaded covers the guard.
+// TestForkSameNotLoaded forks a verifier that never loaded: the fork
+// loads the given network and carries the policies registered before
+// Load, and the parent stays unloaded.
 func TestForkSameNotLoaded(t *testing.T) {
-	if _, err := New(Options{}).ForkSame(); err != ErrNotLoaded {
-		t.Fatalf("ForkSame before Load = %v, want ErrNotLoaded", err)
+	net, err := topology.Line(3, topology.OSPF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{})
+	v.AddPolicy(policy.LoopFree{PolicyName: "no-loops", Scope: dataplane.MatchAll})
+	fork, err := v.ForkSameAt(net.Network, v.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fork.Verdicts(); len(got) != 1 || !got["no-loops"] {
+		t.Fatalf("fork verdicts = %v, want no-loops satisfied", got)
+	}
+	if _, err := v.Apply(netcfg.SetOSPFCost{Device: "r00", Intf: "eth0", Cost: 7}); err != ErrNotLoaded {
+		t.Fatalf("parent Apply after ForkSameAt = %v, want ErrNotLoaded", err)
 	}
 }

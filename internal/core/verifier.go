@@ -57,12 +57,15 @@ type Verifier struct {
 	// cur is the verified network. Successive networks share every
 	// *Config and the *Topology that no change touched, so the verifier
 	// never mutates a *Config or *Topology it holds, and hands callers
-	// deep copies only (Network, Fork, ForkSame).
+	// deep copies only (Network).
 	cur *netcfg.Network
 
 	// metrics are the verifier's own instruments (nil until Instrument;
-	// nil-safe). Stage histograms are indexed like Timing.Stages().
+	// nil-safe). Stage histograms are indexed like Timing.Stages(). reg
+	// is the registry they live on, kept so that a rollback can
+	// instrument the rebuilt stages.
 	metrics verifierMetrics
+	reg     *obs.Registry
 
 	// rec holds the bounded ring of per-apply provenance traces (nil
 	// when Options.TraceApplies is 0; all methods nil-safe).
@@ -109,6 +112,7 @@ type verifierMetrics struct {
 // metrics. One call wires all four stages; components left
 // uninstrumented pay only nil checks.
 func (v *Verifier) Instrument(reg *obs.Registry) {
+	v.reg = reg
 	stages := make(map[string]*obs.Histogram, 4)
 	for _, stage := range obs.Stages() {
 		stages[stage] = reg.Histogram("realconfig_stage_seconds",
@@ -260,18 +264,19 @@ func (v *Verifier) takeTraceContext() (string, uint64) {
 }
 
 // ErrNotLoaded is returned by operations that need a verified network
-// (Apply, Fork) before Load has succeeded.
+// (Apply) before Load has succeeded.
 var ErrNotLoaded = errors.New("core: no network loaded (call Load first)")
 
 // Load performs the initial full verification of a network snapshot.
 // The verifier keeps a copy of net, so the caller may go on using it.
+// A Load that fails leaves the verifier unloaded.
 func (v *Verifier) Load(net *netcfg.Network) (*Report, error) { return v.SetNetwork(net) }
 
 // Apply applies typed configuration changes to the current network and
 // re-verifies incrementally. The next network is built copy-on-write
 // (see applyShared), so neither building nor diffing it costs more than
-// the devices the changes touch. A batch that fails leaves the verifier
-// unchanged.
+// the devices the changes touch. A batch that fails, to apply or to
+// verify, leaves the verifier as it was (see verify).
 func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
 	if v.cur == nil {
@@ -310,17 +315,62 @@ func applyShared(cur *netcfg.Network, changes []netcfg.Change) (*netcfg.Network,
 // SetNetwork verifies an arbitrary new snapshot, reusing all state valid
 // since the previous one: the cost is proportional to the semantic
 // change, not the network size. The verifier keeps a copy of net, so the
-// caller may go on using it.
+// caller may go on using it. A snapshot that fails to verify leaves the
+// verifier as it was.
 func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
 	return v.verify(net.Clone(), reqID, seq)
 }
 
-// verify is the one pipeline: diff, generate, model update, policy
-// check, report, metrics, and the trace stamped with reqID and seq. On
-// success it adopts net as the current network, so net must be the
-// verifier's alone (see the invariant on Verifier.cur).
+// verify runs the pipeline over net and is all or nothing: on success
+// the verifier adopts net as the current network, so net must be the
+// verifier's alone (see the invariant on Verifier.cur); on failure it
+// rolls back, so the error leaves no trace of net.
 func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
+	rep, err := v.pipeline(net, reqID, seq)
+	if err != nil {
+		if rerr := v.rollback(); rerr != nil {
+			return nil, errors.Join(err, rerr)
+		}
+		return nil, err
+	}
+	return rep, nil
+}
+
+// rollback follows a verification that failed part way: the generator
+// may have stepped and the model and checker may have taken part of the
+// update. It rebuilds all three over v.cur with the registered policies,
+// the path ForkSameAt takes, and instruments them on the verifier's
+// registry. Before the first successful Load there is no network to
+// rebuild over, and the verifier stays unloaded with its policies. So
+// does a v.cur that no longer loads, which the incremental == fresh
+// oracle says cannot happen; its error is returned.
+func (v *Verifier) rollback() error {
+	opts := v.opts
+	opts.TraceApplies = 0 // the recorder stays with v
+	fresh := New(opts)
+	var err error
+	if v.cur != nil {
+		if _, err = fresh.pipeline(v.cur, "", 0); err != nil {
+			fresh = New(opts)
+			err = fmt.Errorf("core: rolling back to the last verified network: %w", err)
+		}
+	}
+	for _, p := range v.checker.Policies() {
+		fresh.AddPolicy(p)
+	}
+	v.gen, v.model, v.checker = fresh.gen, fresh.model, fresh.checker
+	v.cur, v.liveNodes = fresh.cur, fresh.liveNodes
+	if v.reg != nil {
+		v.Instrument(v.reg)
+	}
+	return err
+}
+
+// pipeline is the one verification: diff, generate, model update,
+// policy check, report, metrics, and the trace stamped with reqID and
+// seq. It adopts net on success and leaves the stages dirty on failure.
+func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
 	start := time.Now()
 	label := "apply"
 	if v.cur == nil {
@@ -505,40 +555,14 @@ func recordDiff(tr *trace.Apply, diff *netcfg.NetworkDiff) {
 // sessions, journal replay) can build an equivalently configured fork.
 func (v *Verifier) Options() Options { return v.opts }
 
-// Fork builds an independent verifier over a copy of the current
-// network, with the same options and the given policy specification
-// re-parsed against the fork's own BDD table (policy predicates are
-// table-relative, so the live verifier's Policy values cannot be
-// shared). The fork's state is disjoint from the live verifier: changes
-// applied to it are speculative. Returns ErrNotLoaded before Load.
-func (v *Verifier) Fork(policyText string) (*Verifier, error) {
-	if v.cur == nil {
-		return nil, ErrNotLoaded
-	}
-	fork, _, err := Bootstrap(v.opts, v.cur, policyText) // Load copies it
-	return fork, err
-}
-
-// ForkSame builds an independent verifier over a copy of the current
-// network, reusing the already-compiled policy set: policies are plain
-// values with model-independent Match headers, so they register on the
-// fork directly, skipping the specification re-parse that Fork pays.
-// Unlike Fork it also carries policies that were registered
-// programmatically and never had a source line. Planner probes use it
-// to spin up oracle forks cheaply. Returns ErrNotLoaded before Load.
-func (v *Verifier) ForkSame() (*Verifier, error) {
-	if v.cur == nil {
-		return nil, ErrNotLoaded
-	}
-	return v.ForkSameAt(v.cur, v.opts) // Load copies it
-}
-
-// ForkSameAt is ForkSame generalized: the fork loads a copy of the given
-// network snapshot under the given options, then registers this
-// verifier's compiled policies. Benchmarks use it to
-// price a from-scratch verification of an arbitrary intermediate state,
-// and the planner uses it to build a tracing fork positioned at a
-// counterexample prefix.
+// ForkSameAt builds an independent verifier: the fork loads a copy of
+// the given network snapshot under the given options, then registers
+// this verifier's compiled policies. Policies are plain values with
+// model-independent Match headers, so they register on the fork
+// directly, programmatic ones included, with no specification to
+// re-parse. The planner builds its probe, validation and tracing forks
+// with it, and benchmarks use it to price a from-scratch verification
+// of an arbitrary state.
 func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, error) {
 	fork := New(opts)
 	if _, err := fork.Load(net); err != nil {

@@ -332,9 +332,6 @@ func TestApplyBeforeLoadReturnsErrNotLoaded(t *testing.T) {
 	if _, err := v.Apply(netcfg.ShutdownInterface{Device: "r00", Intf: "eth0", Shutdown: true}); !errors.Is(err, ErrNotLoaded) {
 		t.Fatalf("Apply before Load: err = %v, want ErrNotLoaded", err)
 	}
-	if _, err := v.Fork(""); !errors.Is(err, ErrNotLoaded) {
-		t.Fatalf("Fork before Load: err = %v, want ErrNotLoaded", err)
-	}
 }
 
 // TestForkIsIndependent: changes applied to a fork never leak into the
@@ -358,7 +355,7 @@ func TestForkIsIndependent(t *testing.T) {
 			t.Fatal("reachability should hold initially")
 		}
 	}
-	fork, err := v.Fork(spec)
+	fork, err := v.ForkSameAt(v.Network(), v.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

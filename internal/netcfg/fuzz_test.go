@@ -2,7 +2,6 @@ package netcfg
 
 import (
 	"bytes"
-	"errors"
 	"reflect"
 	"testing"
 )
@@ -65,58 +64,6 @@ func FuzzChangeJSON(f *testing.F) {
 		}
 		if !bytes.Equal(enc1, enc2) {
 			t.Fatalf("encoding is not a fixed point:\n  first:  %s\n  second: %s", enc1, enc2)
-		}
-	})
-}
-
-// FuzzInvert decodes arbitrary change JSON and checks the algebra of
-// Invert: where a change and its inverse are both invertible, inversion
-// is an involution (Invert(Invert(c)) == c), and an inverse must always
-// itself be a valid, encodable change. Errors are fine; panics are not.
-func FuzzInvert(f *testing.F) {
-	seeds := []string{
-		`{"kind":"shutdown_interface","Device":"core1","Intf":"eth0","Shutdown":true}`,
-		`{"kind":"shutdown_interface","Device":"core1","Intf":"eth0","Shutdown":false}`,
-		`{"kind":"add_static_route","Device":"core1","Route":{"Prefix":"10.99.0.0/24","NextHop":"0.0.0.0","Drop":true}}`,
-		`{"kind":"remove_static_route","Device":"core1","Route":{"Prefix":"10.99.0.0/24","NextHop":"172.20.0.1","Drop":false}}`,
-		`{"kind":"set_acl","Device":"edge1","Name":"mgmt","Lines":[{"Seq":10,"Action":"deny","Proto":"tcp","Src":"0.0.0.0/0","Dst":"10.0.9.0/24","DstPortLo":22,"DstPortHi":22}]}`,
-		`{"kind":"set_acl","Device":"edge1","Name":"mgmt"}`,
-		`{"kind":"set_aggregate","Device":"border","Prefix":"10.0.0.0/8","Remove":false}`,
-		`{"kind":"set_aggregate","Device":"border","Prefix":"10.0.0.0/8","Remove":true}`,
-		`{"kind":"add_link","Link":{"DevA":"core1","IntfA":"eth3","DevB":"core2","IntfB":"eth3"}}`,
-		`{"kind":"remove_link","Link":{"DevA":"core1","IntfA":"eth3","DevB":"core2","IntfB":"eth3"}}`,
-		`{"kind":"set_ospf_cost","Device":"core1","Intf":"eth1","Cost":100}`,
-		`{"kind":"bind_acl","Device":"edge1","Intf":"eth0","Name":"mgmt","In":true}`,
-	}
-	for _, s := range seeds {
-		f.Add([]byte(s))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := DecodeChange(data)
-		if err != nil {
-			return
-		}
-		inv, err := Invert(c)
-		if err != nil {
-			if !errors.Is(err, ErrNotInvertible) {
-				t.Fatalf("Invert(%v) failed with a foreign error: %v", c, err)
-			}
-			return
-		}
-		if _, err := EncodeChange(inv); err != nil {
-			t.Fatalf("inverse %v of %v does not encode: %v", inv, c, err)
-		}
-		back, err := Invert(inv)
-		if err != nil {
-			// Information-losing one-way inverses (SetACL define -> remove)
-			// are allowed; they must still say ErrNotInvertible.
-			if !errors.Is(err, ErrNotInvertible) {
-				t.Fatalf("Invert(Invert(%v)) failed with a foreign error: %v", c, err)
-			}
-			return
-		}
-		if !reflect.DeepEqual(back, c) {
-			t.Fatalf("inversion is not an involution:\n  c:      %#v\n  double: %#v", c, back)
 		}
 	})
 }

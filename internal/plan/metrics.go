@@ -32,7 +32,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Counterexamples: reg.Counter("realconfig_plan_counterexamples_total", "Searches that proved no safe ordering exists.", nil),
 		Probes:          reg.Counter("realconfig_plan_probes_total", "Oracle probes executed on planner forks.", nil),
 		MemoHits:        reg.Counter("realconfig_plan_memo_hits_total", "Probe results served from the prefix memo table.", nil),
-		Rebuilds:        reg.Counter("realconfig_plan_fork_rebuilds_total", "Probe forks repositioned via snapshot diff.", nil),
+		Rebuilds:        reg.Counter("realconfig_plan_fork_rebuilds_total", "Probes whose fork was first repositioned to the probed state by a SetNetwork.", nil),
 		Seconds:         reg.Histogram("realconfig_plan_seconds", "End-to-end planner search latency.", nil, nil),
 	}
 }

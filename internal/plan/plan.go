@@ -5,11 +5,12 @@
 // policies, or reports a minimal counterexample when none exists.
 //
 // The search uses forked verifiers as its oracle. Probing "is change c
-// safe at intermediate state S" costs one incremental apply on a warm
-// fork (plus, when needed, one incremental repositioning diff), so the
-// planner can afford thousands of probes where per-probe full
-// re-verification could not: exactly the workload the paper's
-// incremental pipeline was built to open up.
+// safe at intermediate state S" costs one copy-on-write incremental
+// Apply on a warm fork, which then stays on S+c, plus one SetNetwork
+// repositioning when the fork sits elsewhere. So the planner can afford
+// thousands of probes where per-probe full re-verification could not:
+// exactly the workload the paper's incremental pipeline was built to
+// open up.
 //
 // Algorithm: depth-first search over single-change extensions of the
 // safe prefix. At every state the planner probes all remaining
@@ -143,8 +144,9 @@ type Stats struct {
 	// number of probe results served from the memo table instead.
 	Probes   int
 	MemoHits int
-	// Rebuilds counts fork repositionings via snapshot diff (as opposed
-	// to one-step inverse rollbacks and already-positioned forks).
+	// Rebuilds counts fork repositionings: probes whose fork sat on
+	// another state and was moved by a SetNetwork of the probe's
+	// canonical network first.
 	Rebuilds int
 	// Workers is the pool size used.
 	Workers int
@@ -493,7 +495,7 @@ func (s *searcher) waves(order []int) [][]int {
 // catches non-commuting batches that slipped past the canonical-state
 // construction).
 func (s *searcher) validate(order []int) ([]*core.Report, error) {
-	fork, err := s.base.ForkSame()
+	fork, err := s.base.ForkSameAt(s.baseNet, s.base.Options())
 	if err != nil {
 		return nil, err
 	}

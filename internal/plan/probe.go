@@ -62,12 +62,12 @@ func newPool(s *searcher, n int) (*pool, error) {
 	opts := s.base.Options()
 	opts.TraceApplies = 0 // probe forks are disposable; don't trace them
 	for i := 0; i < n; i++ {
-		fork, err := s.base.ForkSameAt(s.baseNet.Clone(), opts)
+		fork, err := s.base.ForkSameAt(s.baseNet, opts)
 		if err != nil {
 			close(p.jobs)
 			return nil, fmt.Errorf("plan: forking probe worker: %w", err)
 		}
-		w := &worker{s: s, opts: opts, fork: fork, at: []int{}}
+		w := &worker{s: s, fork: fork, at: []int{}}
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
@@ -86,68 +86,44 @@ func (p *pool) close() {
 }
 
 type worker struct {
-	s    *searcher
-	opts core.Options
+	s *searcher
 	// fork is the worker's warm verifier; at is the sorted change set it
-	// currently sits on (nil marks the fork broken, forcing a rebuild).
+	// currently sits on.
 	fork *core.Verifier
 	at   []int
 }
 
-// probe answers whether the candidate is safe at the state.
+// probe answers whether the candidate is safe at the state, and whether
+// the fork had to be repositioned there first. The fork steps forward
+// with one copy-on-write Apply of the candidate and stays on
+// state+cand; a later probe at another state repositions it. Apply is
+// all or nothing, so a candidate that fails to apply or to verify
+// leaves the fork at the state.
 func (w *worker) probe(job probeJob) (probeResult, bool, error) {
 	rebuilt := false
-	if w.fork == nil || !sameSet(w.at, job.state) {
+	if !sameSet(w.at, job.state) {
 		if err := w.reposition(job.state); err != nil {
 			return probeResult{}, false, err
 		}
 		rebuilt = true
 	}
-	// Stage the candidate on a copy first: a change that fails to apply
-	// (an unsafe probe, not an infrastructure error) must leave the warm
-	// fork untouched.
-	next := w.fork.Network()
-	cand := w.s.batch[job.cand]
-	if err := cand.Apply(next); err != nil {
+	if _, err := w.fork.Apply(w.s.batch[job.cand]); err != nil {
 		return probeResult{applyErr: err.Error()}, rebuilt, nil
 	}
-	if _, err := w.fork.SetNetwork(next); err != nil {
-		// Verification itself failed; the fork may be mid-update. Report
-		// the probe unsafe and force a rebuild before the next use.
-		w.fork, w.at = nil, nil
-		return probeResult{applyErr: err.Error()}, rebuilt, nil
-	}
-	res := w.evaluate()
-	// Roll back one step. Where the candidate's inverse is exact, one
-	// incremental apply returns the fork to job.state; otherwise the fork
-	// stays on state+cand and a later probe repositions it.
-	if inv, ok := exactInverse(cand); ok {
-		if _, err := w.fork.Apply(inv); err != nil {
-			w.fork, w.at = nil, nil // unexpected; rebuild lazily
-		}
-	} else {
-		w.at = sortedInsert(job.state, job.cand)
-	}
-	return res, rebuilt, nil
+	w.at = sortedInsert(job.state, job.cand)
+	return w.evaluate(), rebuilt, nil
 }
 
-// reposition moves the warm fork to the canonical network of the state:
-// an incremental diff when the fork is healthy, a fresh fork of the
-// base verifier when it was marked broken.
+// reposition moves the warm fork to the canonical network of the state
+// by one SetNetwork: an incremental diff, however the fork got where it
+// is.
 func (w *worker) reposition(state []int) error {
 	net, err := canonicalNet(w.s.baseNet, w.s.batch, state)
 	if err != nil {
 		return err
 	}
-	if w.fork == nil {
-		fork, err := w.s.base.ForkSameAt(net, w.opts)
-		if err != nil {
-			return fmt.Errorf("plan: rebuilding probe fork: %w", err)
-		}
-		w.fork = fork
-	} else if _, err := w.fork.SetNetwork(net); err != nil {
-		w.fork, w.at = nil, nil
-		return fmt.Errorf("plan: repositioning probe fork at [%v]: %w", state, err)
+	if _, err := w.fork.SetNetwork(net); err != nil {
+		return fmt.Errorf("plan: repositioning probe fork at %v: %w", state, err)
 	}
 	w.at = append([]int(nil), state...)
 	return nil
@@ -179,24 +155,6 @@ func canonicalNet(base *netcfg.Network, batch []netcfg.Change, state []int) (*ne
 		}
 	}
 	return net, nil
-}
-
-// exactInverse returns the change that rolls a successful application
-// of c back to the exact prior state. Only kinds whose Apply rejects
-// no-ops qualify: success then guarantees the inverse undoes precisely
-// what was done. AddLink is excluded (adding an existing link is a
-// silent no-op, so its "inverse" could remove a pre-existing link), as
-// is ShutdownInterface (same reason).
-func exactInverse(c netcfg.Change) (netcfg.Change, bool) {
-	switch c.(type) {
-	case netcfg.AddStaticRoute, netcfg.RemoveStaticRoute, netcfg.RemoveLink, netcfg.SetAggregate:
-		inv, err := netcfg.Invert(c)
-		if err != nil {
-			return nil, false
-		}
-		return inv, true
-	}
-	return nil, false
 }
 
 func sameSet(a, b []int) bool {
