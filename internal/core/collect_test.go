@@ -235,6 +235,15 @@ func TestCollectingApplyIsTraced(t *testing.T) {
 			if b, a := atoi(t, before), atoi(t, after); a >= b || a != v.Model().H.Size() {
 				t.Fatalf("bdd_collect nodes %d -> %d, table holds %d", b, a, v.Model().H.Size())
 			}
+			spans := 0
+			for _, s := range v.Recorder().Get(rep.TraceID).Spans {
+				if s.Track == obs.TrackPipeline && s.Name == obs.StageCollect {
+					spans++
+				}
+			}
+			if rep.Timing.Collect <= 0 || spans != 1 {
+				t.Fatalf("collecting apply: Timing.Collect = %v and %d collect spans, want > 0 and 1", rep.Timing.Collect, spans)
+			}
 			break
 		}
 	}

@@ -99,7 +99,7 @@ func (v *Verifier) collectDue() bool {
 // verifierMetrics instruments the verification loop itself; stage and
 // component metrics live with their packages.
 type verifierMetrics struct {
-	stages        map[string]*obs.Histogram
+	stages        [numStages]*obs.Histogram
 	verifications *obs.Counter
 	rulesInserted *obs.Counter
 	rulesDeleted  *obs.Counter
@@ -113,25 +113,29 @@ type verifierMetrics struct {
 // uninstrumented pay only nil checks.
 func (v *Verifier) Instrument(reg *obs.Registry) {
 	v.reg = reg
-	stages := make(map[string]*obs.Histogram, 4)
-	for _, stage := range obs.Stages() {
-		stages[stage] = reg.Histogram("realconfig_stage_seconds",
-			"Wall-clock time per verification stage.", nil, obs.Labels{"stage": stage})
-	}
 	v.metrics = verifierMetrics{
-		stages:        stages,
 		verifications: reg.Counter("realconfig_verifications_total", "Verifications performed (initial loads and incremental applies).", nil),
 		rulesInserted: reg.Counter("realconfig_rules_inserted_total", "FIB rule insertions across all verifications.", nil),
 		rulesDeleted:  reg.Counter("realconfig_rules_deleted_total", "FIB rule deletions across all verifications.", nil),
 		filterChanges: reg.Counter("realconfig_filter_changes_total", "Packet-filter rule changes across all verifications.", nil),
+	}
+	for i, stage := range obs.Stages() {
+		v.metrics.stages[i] = reg.Histogram("realconfig_stage_seconds",
+			"Wall-clock time per verification stage.", nil, obs.Labels{"stage": stage})
 	}
 	v.gen.Instrument(reg)
 	v.model.Instrument(reg)
 	v.checker.Instrument(reg)
 }
 
-// Timing breaks a verification down by stage.
+// Timing breaks a verification down by stage. The stages run back to
+// back on one clock (see stageClock), so Netcfg through Collect add up
+// to Total exactly.
 type Timing struct {
+	// Netcfg covers building the next network (the copy-on-write apply
+	// or the snapshot copy), diffing it against the current one and
+	// naming the devices to recompile.
+	Netcfg time.Duration
 	// Generate covers compiling configurations and incrementally
 	// computing data plane (FIB) changes.
 	Generate time.Duration
@@ -139,9 +143,14 @@ type Timing struct {
 	ModelUpdate time.Duration
 	// PolicyCheck is the incremental policy recheck (Table 3's T2).
 	PolicyCheck time.Duration
+	// Collect is the BDD node table collection, 0 when none was due.
+	Collect time.Duration
 	// Total is the whole verification.
 	Total time.Duration
 }
+
+// numStages is len(obs.Stages()).
+const numStages = 6
 
 // StageTiming pairs a canonical stage name (obs.Stage*) with its wall
 // time: the unit shared by CLI output, reports and live metrics.
@@ -151,28 +160,76 @@ type StageTiming struct {
 }
 
 // Stages returns the per-stage timings under their canonical names, in
-// pipeline order.
-func (t Timing) Stages() []StageTiming {
-	return []StageTiming{
+// obs.Stages() order.
+func (t Timing) Stages() [numStages]StageTiming {
+	return [numStages]StageTiming{
+		{obs.StageNetcfg, t.Netcfg},
 		{obs.StageGenerate, t.Generate},
 		{obs.StageModelUpdate, t.ModelUpdate},
 		{obs.StagePolicyCheck, t.PolicyCheck},
+		{obs.StageCollect, t.Collect},
 		{obs.StageTotal, t.Total},
 	}
 }
 
-// String renders the timings as "generate=… model_update=…
-// policy_check=… total=…", rounded for humans.
+// String renders the timings as "netcfg=… generate=… … total=…",
+// rounded to the microsecond.
 func (t Timing) String() string {
 	var b strings.Builder
 	for i, st := range t.Stages() {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		fmt.Fprintf(&b, "%s=%s", st.Stage, st.D.Round(100*time.Microsecond))
+		fmt.Fprintf(&b, "%s=%s", st.Stage, st.D.Round(time.Microsecond))
 	}
 	return b.String()
 }
+
+// stageClock times one verification on one clock, read once per stage
+// boundary: the trace's clock when the verification is traced, so its
+// pipeline spans and its Timing are one measurement, and the monotonic
+// clock otherwise (see trace.Apply.Now). Each stage begins where the
+// previous one ended, so the stages add up to the total.
+type stageClock struct {
+	tr *trace.Apply
+	// start and at are readings of tr's clock, in nanoseconds: the
+	// verification's start and the last stage boundary.
+	start, at int64
+}
+
+// startClock starts a verification's trace, stamped with reqID, and its
+// clock.
+func (v *Verifier) startClock(reqID string) stageClock {
+	label := "apply"
+	if v.cur == nil {
+		label = "load"
+	}
+	tr := v.rec.Begin(label)
+	tr.SetReqID(reqID)
+	now := tr.Now()
+	return stageClock{tr: tr, start: now, at: now}
+}
+
+// lap ends the stage that began at the last boundary, stores its time in
+// *d and, on a traced verification, records it as a pipeline span named
+// stage with the attributes attrs builds. attrs may be nil; it is called
+// only when traced, so an untraced verification builds no attributes.
+func (c *stageClock) lap(d *time.Duration, stage string, attrs func() []trace.Attr) {
+	now := c.tr.Now()
+	*d = time.Duration(now - c.at)
+	if c.tr != nil {
+		var as []trace.Attr
+		if attrs != nil {
+			as = attrs()
+		}
+		c.tr.SpanAt(obs.TrackPipeline, stage, c.at, now-c.at, as...)
+	}
+	c.at = now
+}
+
+// total is the time from the start to the last boundary: the sum of the
+// stages lapped so far.
+func (c *stageClock) total() time.Duration { return time.Duration(c.at - c.start) }
 
 // Report is the outcome of one (full or incremental) verification.
 type Report struct {
@@ -282,11 +339,12 @@ func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 	if v.cur == nil {
 		return nil, ErrNotLoaded
 	}
+	c := v.startClock(reqID)
 	next, err := applyShared(v.cur, changes)
 	if err != nil {
 		return nil, err
 	}
-	return v.verify(next, reqID, seq)
+	return v.verify(c, next, seq)
 }
 
 // applyShared returns cur with changes applied, sharing with cur every
@@ -319,15 +377,17 @@ func applyShared(cur *netcfg.Network, changes []netcfg.Change) (*netcfg.Network,
 // verifier as it was.
 func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
-	return v.verify(net.Clone(), reqID, seq)
+	c := v.startClock(reqID)
+	return v.verify(c, net.Clone(), seq)
 }
 
-// verify runs the pipeline over net and is all or nothing: on success
-// the verifier adopts net as the current network, so net must be the
-// verifier's alone (see the invariant on Verifier.cur); on failure it
-// rolls back, so the error leaves no trace of net.
-func (v *Verifier) verify(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
-	rep, err := v.pipeline(net, reqID, seq)
+// verify runs the pipeline over net, on the clock c started before net
+// was built, and is all or nothing: on success the verifier adopts net
+// as the current network, so net must be the verifier's alone (see the
+// invariant on Verifier.cur); on failure it rolls back, so the error
+// leaves no trace of net.
+func (v *Verifier) verify(c stageClock, net *netcfg.Network, seq uint64) (*Report, error) {
+	rep, err := v.pipeline(c, net, seq)
 	if err != nil {
 		if rerr := v.rollback(); rerr != nil {
 			return nil, errors.Join(err, rerr)
@@ -351,7 +411,7 @@ func (v *Verifier) rollback() error {
 	fresh := New(opts)
 	var err error
 	if v.cur != nil {
-		if _, err = fresh.pipeline(v.cur, "", 0); err != nil {
+		if _, err = fresh.pipeline(fresh.startClock(""), v.cur, 0); err != nil {
 			fresh = New(opts)
 			err = fmt.Errorf("core: rolling back to the last verified network: %w", err)
 		}
@@ -368,17 +428,12 @@ func (v *Verifier) rollback() error {
 }
 
 // pipeline is the one verification: diff, generate, model update,
-// policy check, report, metrics, and the trace stamped with reqID and
-// seq. It adopts net on success and leaves the stages dirty on failure.
-func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Report, error) {
-	start := time.Now()
-	label := "apply"
-	if v.cur == nil {
-		label = "load"
-	}
-	tr := v.rec.Begin(label)
+// policy check, collection, report, metrics, and the trace c started,
+// finished with seq. Each stage is one lap of c. It adopts net on
+// success and leaves the stages dirty on failure.
+func (v *Verifier) pipeline(c stageClock, net *netcfg.Network, seq uint64) (*Report, error) {
+	tr := c.tr
 	if tr != nil {
-		tr.SetReqID(reqID)
 		// Components record into the apply's trace; detach on every exit
 		// so a published (immutable) trace is never written again.
 		v.gen.SetTrace(tr)
@@ -399,11 +454,16 @@ func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Rep
 	if tr != nil {
 		recordDiff(tr, rep.Diff)
 	}
+	changed := changedDevices(v.cur, net, rep.Diff.Links)
+	c.lap(&rep.Timing.Netcfg, obs.StageNetcfg, func() []trace.Attr {
+		return []trace.Attr{
+			trace.I("devices_changed", int64(len(changed))),
+			trace.I("lines", int64(rep.Diff.LineCount())),
+			trace.I("links", int64(len(rep.Diff.Links)))}
+	})
 
 	// Stage 1: incremental data plane generation.
-	t0 := time.Now()
-	s0 := tr.Now()
-	compiled := v.gen.SetNetworkDelta(net, changedDevices(v.cur, net, rep.Diff.Links))
+	compiled := v.gen.SetNetworkDelta(net, changed)
 	stats, err := v.gen.Step()
 	if err != nil {
 		return nil, err
@@ -411,7 +471,6 @@ func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Rep
 	ruleChanges := v.gen.FIBChanges()
 	filterChanges := v.gen.FilterChanges()
 	rep.Engine = stats
-	rep.Timing.Generate = time.Since(t0)
 	for _, e := range ruleChanges {
 		if e.Diff > 0 {
 			rep.RulesInserted += int(e.Diff)
@@ -420,19 +479,17 @@ func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Rep
 		}
 	}
 	rep.FilterChanges = len(filterChanges)
-	if tr != nil {
-		tr.Span(obs.TrackPipeline, obs.StageGenerate, s0,
+	c.lap(&rep.Timing.Generate, obs.StageGenerate, func() []trace.Attr {
+		return []trace.Attr{
 			trace.I("rules_inserted", int64(rep.RulesInserted)),
 			trace.I("rules_deleted", int64(rep.RulesDeleted)),
 			trace.I("filter_changes", int64(rep.FilterChanges)),
 			trace.I("units_compiled", int64(compiled.Units)),
 			trace.I("entries", int64(stats.Entries)),
-			trace.I("iterations", int64(stats.Iterations)))
-	}
+			trace.I("iterations", int64(stats.Iterations))}
+	})
 
 	// Stage 2: incremental data plane model update.
-	t0 = time.Now()
-	s0 = tr.Now()
 	if err := v.model.UpdateFilters(filterChanges); err != nil {
 		return nil, fmt.Errorf("core: model rejected filter changes: %w", err)
 	}
@@ -446,45 +503,40 @@ func (v *Verifier) pipeline(net *netcfg.Network, reqID string, seq uint64) (*Rep
 		}
 		return nil, err
 	}
-	rep.Timing.ModelUpdate = time.Since(t0)
-	if tr != nil {
-		tr.Span(obs.TrackPipeline, obs.StageModelUpdate, s0,
+	c.lap(&rep.Timing.ModelUpdate, obs.StageModelUpdate, func() []trace.Attr {
+		return []trace.Attr{
 			trace.I("transfers", int64(len(rep.Model.Transfers))),
 			trace.I("filter_transfers", int64(len(rep.Model.FilterTransfers))),
 			trace.I("merges", int64(len(rep.Model.Merges))),
-			trace.I("ecs", int64(v.model.NumECs())))
-	}
+			trace.I("ecs", int64(v.model.NumECs()))}
+	})
 
 	// Stage 3: incremental policy checking.
-	t0 = time.Now()
-	s0 = tr.Now()
 	if compiled.TopologyChanged {
 		v.checker.SetTopology(net.DeviceNames(), dataplane.Adjacencies(net))
 	}
 	rep.Check = v.checker.Update(rep.Model.Transfers, rep.Model.FilterTransfers, rep.Model.Merges...)
-	rep.Timing.PolicyCheck = time.Since(t0)
-	if tr != nil {
-		tr.Span(obs.TrackPipeline, obs.StagePolicyCheck, s0,
+	c.lap(&rep.Timing.PolicyCheck, obs.StagePolicyCheck, func() []trace.Attr {
+		return []trace.Attr{
 			trace.I("affected_ecs", int64(rep.Check.AffectedECs)),
 			trace.I("affected_pairs", int64(len(rep.Check.AffectedPairs))),
 			trace.I("policies_checked", int64(rep.Check.PoliciesChecked)),
-			trace.I("events", int64(len(rep.Check.Events))))
-	}
+			trace.I("events", int64(len(rep.Check.Events)))}
+	})
 
 	// The model and checker are quiescent: every node they hold is
 	// reachable from the model's roots, so the node table can be
-	// collected. It is model work, timed as such.
+	// collected.
 	if v.collectDue() {
-		t0 = time.Now()
 		v.model.Collect()
 		v.liveNodes = v.model.H.Size()
-		rep.Timing.ModelUpdate += time.Since(t0)
+		c.lap(&rep.Timing.Collect, obs.StageCollect, nil)
 	}
 
 	v.cur = net
-	rep.Timing.Total = time.Since(start)
-	for _, st := range rep.Timing.Stages() {
-		v.metrics.stages[st.Stage].ObserveDuration(st.D)
+	rep.Timing.Total = c.total()
+	for i, st := range rep.Timing.Stages() {
+		v.metrics.stages[i].ObserveDuration(st.D)
 	}
 	v.metrics.verifications.Inc()
 	v.metrics.rulesInserted.Add(uint64(rep.RulesInserted))

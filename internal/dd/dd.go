@@ -292,9 +292,9 @@ func (g *Graph) Advance() (EpochStats, error) {
 				g.nodes[id].process(iter)
 				nt := &agg[id]
 				if nt.runs == 0 {
-					nt.startUS = t0
+					nt.start = t0
 				}
-				nt.durUS += g.tr.Now() - t0
+				nt.dur += g.tr.Now() - t0
 				nt.runs++
 				nt.in += g.stats.Entries - e0
 				nt.out += g.emitted - o0
@@ -309,7 +309,7 @@ func (g *Graph) Advance() (EpochStats, error) {
 			continue
 		}
 		g.tr.SpanAt(obs.TrackEngine, g.nodeKinds[id]+"#"+strconv.Itoa(id),
-			nt.startUS, nt.durUS,
+			nt.start, nt.dur,
 			ptrace.I("runs", int64(nt.runs)), ptrace.I("in", int64(nt.in)), ptrace.I("out", nt.out))
 	}
 	for _, t := range g.trimmers {
@@ -324,11 +324,12 @@ func (g *Graph) Advance() (EpochStats, error) {
 }
 
 // nodeTrace aggregates one node's activity across an epoch's
-// activations for its provenance span.
+// activations for its provenance span (start and dur in nanoseconds on
+// the trace clock).
 type nodeTrace struct {
-	startUS, durUS int64
-	runs, in       int
-	out            int64
+	start, dur int64
+	runs, in   int
+	out        int64
 }
 
 // MustAdvance is Advance for tests and examples where non-termination is

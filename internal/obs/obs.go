@@ -12,9 +12,10 @@
 //     with the apply goroutine; every value is read with an atomic load,
 //     so a scrape observes each instrument at some real point in time.
 //   - One vocabulary. Stage names (StageGenerate etc.) are shared by the
-//     live metrics, the CLI's timing lines and the span names of the
-//     benchmark of record's traced run, so a per-layer benchmark metric
-//     and a histogram label mean the same thing.
+//     live metrics, the CLI's timing lines, a traced verification's
+//     pipeline spans and the span names of the benchmark of record's
+//     traced run, so a per-layer benchmark metric and a histogram label
+//     mean the same thing.
 //
 // Metric names follow Prometheus conventions: counters end in _total,
 // durations are histograms in seconds named *_seconds.
@@ -35,18 +36,22 @@ import (
 )
 
 // Canonical pipeline stage names: the label values of
-// realconfig_stage_seconds, the stage span names of the benchmark of
-// record's traced run, and the names printed by "realconfig verify/check".
+// realconfig_stage_seconds, the pipeline span names of a traced
+// verification and of the benchmark of record's traced run, and the
+// names printed by "realconfig verify/check". The stages before total
+// run back to back, so they add up to it.
 const (
+	StageNetcfg      = "netcfg"       // build and diff the next network (netcfg)
 	StageGenerate    = "generate"     // incremental data plane generation (dd/routing)
 	StageModelUpdate = "model_update" // EC model batch update (apkeep, Table 3's T1)
 	StagePolicyCheck = "policy_check" // incremental policy recheck (Table 3's T2)
+	StageCollect     = "collect"      // BDD node table collection, when one is due
 	StageTotal       = "total"        // whole verification
 )
 
 // Stages lists the canonical stage names in pipeline order.
 func Stages() []string {
-	return []string{StageGenerate, StageModelUpdate, StagePolicyCheck, StageTotal}
+	return []string{StageNetcfg, StageGenerate, StageModelUpdate, StagePolicyCheck, StageCollect, StageTotal}
 }
 
 // DefBuckets are the default latency buckets (seconds): 10µs to ~80s in

@@ -253,7 +253,7 @@ func TestConcurrentObservations(t *testing.T) {
 }
 
 func TestStagesVocabulary(t *testing.T) {
-	want := []string{"generate", "model_update", "policy_check", "total"}
+	want := []string{"netcfg", "generate", "model_update", "policy_check", "collect", "total"}
 	got := Stages()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Stages() = %v, want %v", got, want)

@@ -9,9 +9,9 @@ package obs
 
 // Track names: the display rows of one apply trace (Perfetto threads).
 const (
-	// TrackPipeline holds the top-level stage spans (StageGenerate,
-	// StageModelUpdate, StagePolicyCheck) and the config_change events
-	// that start the causal chain.
+	// TrackPipeline holds the top-level stage spans (Stages() but
+	// total, laid end to end) and the config_change events that start
+	// the causal chain.
 	TrackPipeline = "pipeline"
 	// TrackEngine holds per-dataflow-node epoch spans (dd).
 	TrackEngine = "engine"

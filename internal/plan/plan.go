@@ -187,12 +187,11 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 	}
 	m.Searches.Inc()
 
-	start := time.Now()
+	// One clock times the search for Stats.Elapsed and its span: the
+	// trace's when traced, else the monotonic clock (trace.Apply.Now).
 	tr := opts.Recorder.Begin("plan")
-	s0 := tr.Now()
-	if tr != nil {
-		tr.SetReqID(opts.ReqID)
-	}
+	tr.SetReqID(opts.ReqID)
+	start := tr.Now()
 
 	baseViol := make(map[string]bool)
 	for name, sat := range base.Verdicts() {
@@ -222,7 +221,6 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 	order, err := s.dfs(nil, make(map[int]bool))
 	res := &Result{Stats: s.stats}
 	res.Stats.Workers = opts.Workers
-	res.Stats.Elapsed = time.Since(start)
 	outcome := "error"
 	switch {
 	case err != nil:
@@ -247,7 +245,6 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 		res.Plan = p
 		res.Stats = s.stats // waves() adds memo hits
 		res.Stats.Workers = opts.Workers
-		res.Stats.Elapsed = time.Since(start)
 		outcome = fmt.Sprintf("planned %d waves", len(p.Waves))
 		m.Planned.Inc()
 	default:
@@ -255,9 +252,11 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 		outcome = "counterexample"
 		m.Counterexamples.Inc()
 	}
+	end := tr.Now()
+	res.Stats.Elapsed = time.Duration(end - start)
 	m.Seconds.ObserveDuration(res.Stats.Elapsed)
 	if tr != nil {
-		tr.Span(obs.TrackPlan, "search", s0,
+		tr.SpanAt(obs.TrackPlan, "search", start, end-start,
 			trace.I("changes", int64(len(batch))),
 			trace.I("probes", int64(res.Stats.Probes)),
 			trace.I("memo_hits", int64(res.Stats.MemoHits)),

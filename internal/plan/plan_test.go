@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"realconfig/internal/core"
 	"realconfig/internal/netcfg"
@@ -275,6 +276,31 @@ func TestSearchInstrumented(t *testing.T) {
 	}
 	if !span {
 		t.Fatal("trace has no plan search span")
+	}
+}
+
+// TestSearchElapsedIsSpan: under a counting recorder clock,
+// Stats.Elapsed and the search span are one measurement.
+func TestSearchElapsedIsSpan(t *testing.T) {
+	v, batch := diamondFixture(t)
+	rec := trace.NewRecorder(1)
+	var tick int64
+	rec.SetClock(func() int64 { tick++; return tick })
+	res, err := plan.Search(v, batch, plan.Options{Recorder: rec, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []trace.Span
+	for _, s := range rec.Latest().Spans {
+		if s.Track == obs.TrackPlan && s.Name == "search" {
+			spans = append(spans, s)
+		}
+	}
+	if len(spans) != 1 {
+		t.Fatalf("%d search spans, want 1", len(spans))
+	}
+	if got := time.Duration(spans[0].DurUS) * time.Microsecond; res.Stats.Elapsed <= 0 || got != res.Stats.Elapsed {
+		t.Fatalf("search span lasts %v, Stats.Elapsed = %v", got, res.Stats.Elapsed)
 	}
 }
 

@@ -78,6 +78,9 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m2[`realconfig_stage_seconds_count{stage="model_update"}`] < 2 {
 		t.Fatalf("stage histogram not observed: %v", m2)
 	}
+	if m2[`realconfig_stage_seconds_count{stage="netcfg"}`] < 2 {
+		t.Fatalf("netcfg stage histogram not observed: %v", m2)
+	}
 }
 
 // TestMetricsChangeProportionality is the paper's claim made visible in

@@ -12,11 +12,14 @@ type Verdict struct {
 	Satisfied bool   `json:"satisfied"`
 }
 
-// TimingJSON is a verification's per-stage wall time in nanoseconds.
+// TimingJSON is a verification's per-stage wall time in nanoseconds
+// (core.Timing): the stages before totalNs add up to it.
 type TimingJSON struct {
+	NetcfgNS      int64 `json:"netcfgNs"`
 	GenerateNS    int64 `json:"generateNs"`
 	ModelUpdateNS int64 `json:"modelUpdateNs"`
 	PolicyCheckNS int64 `json:"policyCheckNs"`
+	CollectNS     int64 `json:"collectNs"`
 	TotalNS       int64 `json:"totalNs"`
 }
 
@@ -54,9 +57,11 @@ func reportJSON(rep *core.Report) *ReportJSON {
 		Repaired:        rep.Repaired(),
 		TraceID:         rep.TraceID,
 		Timing: TimingJSON{
+			NetcfgNS:      rep.Timing.Netcfg.Nanoseconds(),
 			GenerateNS:    rep.Timing.Generate.Nanoseconds(),
 			ModelUpdateNS: rep.Timing.ModelUpdate.Nanoseconds(),
 			PolicyCheckNS: rep.Timing.PolicyCheck.Nanoseconds(),
+			CollectNS:     rep.Timing.Collect.Nanoseconds(),
 			TotalNS:       rep.Timing.Total.Nanoseconds(),
 		},
 	}

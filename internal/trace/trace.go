@@ -18,9 +18,10 @@
 // Design constraints follow internal/obs:
 //
 //   - Nil-safe. Every method on a nil *Recorder or nil *Apply is a
-//     no-op, so pipeline components carry a trace pointer that is simply
-//     nil when nobody asked for provenance and pay one predictable
-//     branch on the hot path.
+//     no-op (Now aside, which reads the monotonic clock), so pipeline
+//     components carry a trace pointer that is simply nil when nobody
+//     asked for provenance and pay one predictable branch on the hot
+//     path.
 //   - Immutable after Finish. An Apply is built single-threaded (the
 //     verifier's apply path), then published into the recorder's bounded
 //     ring; readers only ever see finished, immutable traces, so HTTP
@@ -109,6 +110,11 @@ type Apply struct {
 	clock func() int64
 }
 
+// The recorder's clock reads nanoseconds; spans and events store
+// microseconds. A span's fields are its endpoints floored to the
+// microsecond, so spans that meet on the clock meet in the export.
+func us(ns int64) int64 { return ns / 1000 }
+
 // Recorder keeps the bounded ring of the last N finished apply traces.
 // The zero value is unusable; build with NewRecorder. A nil *Recorder is
 // a valid "tracing disabled" recorder: Begin returns a nil *Apply and
@@ -118,7 +124,7 @@ type Recorder struct {
 	ringN  int
 	ring   []*Apply // oldest first
 	nextID uint64
-	clock  func() int64 // microseconds since the recorder epoch
+	clock  func() int64 // nanoseconds since the recorder epoch
 }
 
 // DefaultRing is the ring capacity NewRecorder uses for n <= 0.
@@ -133,19 +139,19 @@ func NewRecorder(n int) *Recorder {
 	t0 := time.Now()
 	return &Recorder{
 		ringN: n,
-		clock: func() int64 { return time.Since(t0).Microseconds() },
+		clock: func() int64 { return int64(time.Since(t0)) },
 	}
 }
 
-// SetClock replaces the recorder's clock (microseconds since an
-// arbitrary epoch). Tests install a deterministic counter so exports are
-// byte-stable. Call before recording begins.
+// SetClock replaces the recorder's clock with one reading microseconds
+// since an arbitrary epoch. Tests install a deterministic counter so
+// exports are byte-stable. Call before recording begins.
 func (r *Recorder) SetClock(clock func() int64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	r.clock = clock
+	r.clock = func() int64 { return clock() * 1000 }
 	r.mu.Unlock()
 }
 
@@ -160,7 +166,7 @@ func (r *Recorder) Begin(label string) *Apply {
 	id := r.nextID
 	clock := r.clock
 	r.mu.Unlock()
-	return &Apply{ID: id, Label: label, StartUS: clock(), r: r, clock: clock}
+	return &Apply{ID: id, Label: label, StartUS: us(clock()), r: r, clock: clock}
 }
 
 // Summary is one ring entry's index row (GET /v1/applies).
@@ -223,35 +229,41 @@ func (r *Recorder) Latest() *Apply {
 	return r.ring[len(r.ring)-1]
 }
 
-// Now returns the current trace clock in microseconds (0 on nil): the
-// start timestamp callers pass back to Span.
+// untraced is the origin of the clock a nil Apply reads.
+var untraced = time.Now()
+
+// Now reads the apply's clock in nanoseconds: the recorder's clock, or
+// the monotonic clock when tracing is off (a nil Apply). An operation
+// that times itself by Now, traced or not, reports figures that are its
+// spans' durations. Only readings of the same Apply compare.
 func (a *Apply) Now() int64 {
 	if a == nil {
-		return 0
+		return int64(time.Since(untraced))
 	}
 	return a.clock()
 }
 
-// Span records a timed interval that started at startUS (from Now) and
+// Span records a timed interval that started at start (from Now) and
 // ends now.
-func (a *Apply) Span(track, name string, startUS int64, attrs ...Attr) {
+func (a *Apply) Span(track, name string, start int64, attrs ...Attr) {
+	if a == nil {
+		return
+	}
+	a.SpanAt(track, name, start, a.clock()-start, attrs...)
+}
+
+// SpanAt records a fully specified interval, start and duration in
+// nanoseconds on the apply's clock (pipeline stages laid end to end,
+// per-node dd spans whose duration is accumulated across activations).
+func (a *Apply) SpanAt(track, name string, start, dur int64, attrs ...Attr) {
 	if a == nil {
 		return
 	}
 	a.Spans = append(a.Spans, Span{
 		Track: track, Name: name,
-		StartUS: startUS, DurUS: a.clock() - startUS,
+		StartUS: us(start), DurUS: us(start+dur) - us(start),
 		Attrs: attrs,
 	})
-}
-
-// SpanAt records a fully specified interval (per-node dd spans, whose
-// duration is accumulated across activations).
-func (a *Apply) SpanAt(track, name string, startUS, durUS int64, attrs ...Attr) {
-	if a == nil {
-		return
-	}
-	a.Spans = append(a.Spans, Span{Track: track, Name: name, StartUS: startUS, DurUS: durUS, Attrs: attrs})
 }
 
 // Event records an instant.
@@ -259,7 +271,7 @@ func (a *Apply) Event(track, kind string, attrs ...Attr) {
 	if a == nil {
 		return
 	}
-	a.Events = append(a.Events, Event{Track: track, Kind: kind, TSUS: a.clock(), Attrs: attrs})
+	a.Events = append(a.Events, Event{Track: track, Kind: kind, TSUS: us(a.clock()), Attrs: attrs})
 }
 
 // SetReqID attaches the serving-layer request id. Call before Finish.
@@ -277,7 +289,7 @@ func (a *Apply) Finish(seq uint64) {
 		return
 	}
 	a.Seq = seq
-	a.DurUS = a.clock() - a.StartUS
+	a.DurUS = us(a.clock()) - a.StartUS
 	r := a.r
 	r.mu.Lock()
 	if len(r.ring) == r.ringN {
