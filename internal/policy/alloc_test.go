@@ -101,28 +101,95 @@ func sparseSuite(net *topology.Net, k int) []Policy {
 	return ps
 }
 
+// denseSuite is the benchmark's dense addition to the sparse suite:
+// perPrefix reachability policies per host /24, from edge switches,
+// with modes cycling all/some/none.
+func denseSuite(net *topology.Net, k, perPrefix int) []Policy {
+	modes := []ReachMode{ReachAll, ReachSome, ReachNone}
+	var ps []Policy
+	for i, dev := range net.NodeNames {
+		for j := 0; j < perPrefix; j++ {
+			n := i*perPrefix + j*7
+			src := fmt.Sprintf("edge%02d-%02d", n%k, (n/k)%(k/2))
+			if src == dev {
+				src = fmt.Sprintf("edge%02d-%02d", (n+1)%k, (n/k)%(k/2))
+			}
+			ps = append(ps, Reachability{PolicyName: fmt.Sprintf("dense-%s-%d", dev, j), Src: src, Dst: dev,
+				Hdr: dataplane.Match{Dst: net.HostPrefix[dev]}, Mode: modes[(i+j)%len(modes)]})
+		}
+	}
+	return ps
+}
+
+// newDenseFlapNet is newFlapNet with 64 reachability policies per host
+// /24 on top of the sparse suite: the shape of the benchmark's
+// bgp-dense-policy workload, where each flap rechecks dozens of
+// policies per touched header.
+func newDenseFlapNet(tb testing.TB, k int) *flapNet {
+	f := newFlapNet(tb, k)
+	for _, p := range denseSuite(f.net, k, 64) {
+		f.c.AddPolicy(p)
+	}
+	return f
+}
+
 // TestCheckerAllocationCeilings pins the heap allocations of one
-// Checker.Update for a link-flap batch on FatTree(4,OSPF) with the
-// sparse suite, independently of this box's clock: the link goes down,
-// and the down batch's Update is repeated (each repeat re-walks,
-// re-merges and rechecks the same ECs). The commit before device-id
-// indexed walks, with name-keyed maps per EC for outcomes, next hops,
-// walk state and delivered pairs and a fresh reverse map per merge,
-// measured 3740 allocs here; with id-indexed slices it measures 277.
-// The ceiling leaves ~20 % above the latter for runtime and map-growth
-// differences between Go releases.
+// Checker.Update for a link-flap batch on FatTree(4,OSPF), independently
+// of this box's clock: the link goes down, and the down batch's Update
+// is repeated (each repeat re-walks, re-merges and rechecks the same
+// ECs). With the sparse suite, the commit before device-id indexed
+// walks, with name-keyed maps per EC for outcomes, next hops, walk
+// state and delivered pairs and a fresh reverse map per merge, measured
+// 3740 allocs; with id-indexed slices it measured 277, and with
+// registration records 258. With the dense suite on top (1115 rechecks
+// instead of 27) it measures 258 too, against 283 when each recheck
+// looked its policy up by name and queued it. Each ceiling leaves ~20 %
+// above its measurement for runtime and map-growth differences between
+// Go releases.
 func TestCheckerAllocationCeilings(t *testing.T) {
-	const linkFlapUpdateCeiling = 335
-	f := newFlapNet(t, 4)
-	br := f.flapTo(t, true)
-	res := f.update(t, br)
-	if res.AffectedECs == 0 || res.PoliciesChecked == 0 {
-		t.Fatalf("flap walked %d ECs and rechecked %d policies; the test needs both", res.AffectedECs, res.PoliciesChecked)
+	const (
+		linkFlapUpdateCeiling  = 335
+		denseFlapUpdateCeiling = 310
+	)
+	for _, tc := range []struct {
+		name    string
+		newNet  func(testing.TB, int) *flapNet
+		ceiling float64
+	}{
+		{"sparse", newFlapNet, linkFlapUpdateCeiling},
+		{"dense", newDenseFlapNet, denseFlapUpdateCeiling},
+	} {
+		f := tc.newNet(t, 4)
+		br := f.flapTo(t, true)
+		res := f.update(t, br)
+		if res.AffectedECs == 0 || res.PoliciesChecked == 0 {
+			t.Fatalf("%s: flap walked %d ECs and rechecked %d policies; the test needs both", tc.name, res.AffectedECs, res.PoliciesChecked)
+		}
+		perUpdate := testing.AllocsPerRun(20, func() { f.update(t, br) })
+		t.Logf("allocs: %s link-flap Update %.0f (%d ECs walked, %d policies rechecked)",
+			tc.name, perUpdate, res.AffectedECs, res.PoliciesChecked)
+		if perUpdate > tc.ceiling {
+			t.Errorf("%s link-flap Update allocates %.0f objects, ceiling %.0f", tc.name, perUpdate, tc.ceiling)
+		}
 	}
-	perUpdate := testing.AllocsPerRun(20, func() { f.update(t, br) })
-	t.Logf("allocs: link-flap Update %.0f (%d ECs walked, %d policies rechecked)",
-		perUpdate, res.AffectedECs, res.PoliciesChecked)
-	if perUpdate > linkFlapUpdateCeiling {
-		t.Errorf("link-flap Update allocates %.0f objects, ceiling %d", perUpdate, linkFlapUpdateCeiling)
+}
+
+// BenchmarkUpdateDenseFlap times Checker.Update alone for real link
+// flaps on FatTree(6,OSPF) with the dense suite: each iteration takes
+// the link down or up, the generator and model run with the timer
+// stopped, and the checker's Update is timed. It reports rechecks/op
+// beside ns/op and allocs/op. It is a micro-benchmark of the checker,
+// not the benchmark of record.
+func BenchmarkUpdateDenseFlap(b *testing.B) {
+	f := newDenseFlapNet(b, 6)
+	b.ReportAllocs()
+	rechecks := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		br := f.flapTo(b, i%2 == 0)
+		b.StartTimer()
+		rechecks += f.update(b, br).PoliciesChecked
 	}
+	b.ReportMetric(float64(rechecks)/float64(b.N), "rechecks/op")
 }

@@ -125,10 +125,10 @@ type Checker struct {
 	ecs   map[bdd.Node]*ecResult
 	pairs map[Pair]map[bdd.Node]struct{}
 
-	policies map[string]Policy
-	verdicts map[string]bool
+	// policies maps a name to its registration record.
+	policies map[string]*registered
 	// index is the registration index: one entry per distinct policy
-	// header, holding its policies and the walked ECs overlapping it.
+	// header, holding its records and the walked ECs overlapping it.
 	index map[dataplane.Match]*hdrEntry
 
 	// metrics are the checker's live instruments (nil until Instrument;
@@ -163,20 +163,21 @@ type CheckerMetrics struct {
 // realconfig_policy_recheck_seconds.
 var policyKinds = []string{"reach", "waypoint", "loopfree", "blackholefree"}
 
-// kindOf names a policy's kind for metrics ("" for a kind defined
-// outside this package).
-func kindOf(p Policy) string {
-	switch p.(type) {
+// kindOf names a policy's kind for metrics and returns its check, on a
+// copy so that a recheck calls it without copying the policy ("" and nil
+// for a kind defined outside this package).
+func kindOf(p Policy) (string, kindCheck) {
+	switch p := p.(type) {
 	case Reachability:
-		return "reach"
+		return "reach", &p
 	case Waypoint:
-		return "waypoint"
+		return "waypoint", &p
 	case LoopFree:
-		return "loopfree"
+		return "loopfree", &p
 	case BlackholeFree:
-		return "blackholefree"
+		return "blackholefree", &p
 	}
-	return ""
+	return "", nil
 }
 
 // Instrument registers the checker's counters, gauges and histograms on
@@ -195,6 +196,10 @@ func (c *Checker) Instrument(reg *obs.Registry) {
 		c.metrics.RecheckSeconds[kind] = reg.Histogram("realconfig_policy_recheck_seconds",
 			"Wall-clock time of one policy re-evaluation in an incremental check, by policy kind.", nil, obs.Labels{"kind": kind})
 	}
+	for _, rec := range c.policies {
+		name, _ := kindOf(rec.p)
+		rec.hist = c.metrics.RecheckSeconds[name]
+	}
 	c.metrics.Policies.Set(int64(len(c.policies)))
 	c.metrics.Pairs.Set(int64(len(c.pairs)))
 }
@@ -207,8 +212,7 @@ func NewChecker(m *apkeep.Model) *Checker {
 		ids:      make(map[string]int32),
 		ecs:      make(map[bdd.Node]*ecResult),
 		pairs:    make(map[Pair]map[bdd.Node]struct{}),
-		policies: make(map[string]Policy),
-		verdicts: make(map[string]bool),
+		policies: make(map[string]*registered),
 		index:    make(map[dataplane.Match]*hdrEntry),
 	}
 }
@@ -438,45 +442,16 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 			}
 		}
 	}
-	type recheck struct {
-		name string
-		ecs  []bdd.Node // the affected ECs overlapping its header
-	}
-	var todo []recheck
-	for e, ecs := range touched {
-		for name := range e.names {
-			todo = append(todo, recheck{name, ecs})
-		}
-	}
+	// Each touched entry's results are gathered once, after the merges
+	// joined the new ECs, and every record on the entry reads them.
 	if c.tr != nil {
-		// Sorted, so traced event sequences are deterministic.
-		sort.Slice(todo, func(i, j int) bool { return todo[i].name < todo[j].name })
-	}
-	for _, r := range todo {
-		res.PoliciesChecked++
-		p := c.policies[r.name]
-		h := c.metrics.RecheckSeconds[kindOf(p)]
-		var start time.Time
-		if h != nil {
-			start = time.Now()
-		}
-		now := p.Eval(c)
-		if h != nil {
-			h.ObserveDuration(time.Since(start))
-		}
-		was, known := c.verdicts[r.name]
-		if !known || was != now {
-			c.verdicts[r.name] = now
-			res.Events = append(res.Events, PolicyEvent{Policy: r.name, Satisfied: now})
-		}
-		if c.tr != nil {
-			from := "unchecked"
-			if known {
-				from = verdictStr(was)
+		c.tracedRecheck(touched, res)
+	} else {
+		for e := range touched {
+			rs := c.results(e.ecs)
+			for _, rec := range e.recs {
+				c.recheck(rec, rs, res)
 			}
-			c.tr.Event(obs.TrackPolicy, obs.EventPolicyRecheck,
-				trace.S("policy", r.name), trace.S("from", from), trace.S("to", verdictStr(now)),
-				trace.S("ecs", joinNodes(r.ecs)))
 		}
 	}
 	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].Policy < res.Events[j].Policy })
@@ -487,6 +462,25 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	c.metrics.AffectedPairs.Add(uint64(len(res.AffectedPairs)))
 	c.metrics.Pairs.Set(int64(len(c.pairs)))
 	return res
+}
+
+// recheck re-evaluates rec over rs, its entry's results, timing it and
+// recording a flip, and returns the verdicts before and after.
+func (c *Checker) recheck(rec *registered, rs []*ecResult, res *Result) (was, now bool) {
+	res.PoliciesChecked++
+	var start time.Time
+	if rec.hist != nil {
+		start = time.Now()
+	}
+	was, now = rec.verdict, c.eval(rec, rs)
+	if rec.hist != nil {
+		rec.hist.ObserveDuration(time.Since(start))
+	}
+	if was != now {
+		rec.verdict = now
+		res.Events = append(res.Events, PolicyEvent{Policy: rec.p.Name(), Satisfied: now})
+	}
+	return was, now
 }
 
 // retire removes a vanished EC, its pair contributions and its index

@@ -1,24 +1,75 @@
 package policy
 
 import (
+	"slices"
+
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
+	"realconfig/internal/obs"
 )
 
 // The registration index: the paper's "policies registered on affected
 // ECs", keyed by header space. Policies sharing a header (the common
 // case: dozens of reachability policies per host prefix) share one
-// entry, which holds their names and the walked ECs overlapping the
-// header. Membership is computed once, when an EC is first walked (or
-// when a header is first registered), so an apply tests an EC against
-// the ~entries rather than every policy, and a recheck evaluates a
-// policy over its entry's ECs rather than the whole model.
+// entry, which holds their registration records and the walked ECs
+// overlapping the header. Membership is computed once, when an EC is
+// first walked (or when a header is first registered), so an apply tests
+// an EC against the ~entries rather than every policy, and a recheck
+// evaluates each record on a touched entry over one slice of the
+// entry's EC results, gathered once for all of them.
 
 // hdrEntry is one registered header space.
 type hdrEntry struct {
-	hdr   dataplane.Match
-	names map[string]struct{}   // policies registered on hdr
-	ecs   map[bdd.Node]struct{} // walked ECs overlapping hdr
+	hdr  dataplane.Match
+	recs []*registered         // policies registered on hdr
+	ecs  map[bdd.Node]struct{} // walked ECs overlapping hdr
+}
+
+// registered is a policy's registration record: everything a recheck
+// reads, so it needs no lookup by name.
+type registered struct {
+	p Policy
+	// kind evaluates p when p is one of this package's kinds (nil for a
+	// kind defined elsewhere, which is rechecked by Eval).
+	kind    kindCheck
+	entry   *hdrEntry
+	verdict bool
+	// src is the id of p's source device, -1 until the name is interned
+	// (ids are append-only, so once found it never changes).
+	src int32
+	// hist times p's rechecks (nil when not instrumented).
+	hist *obs.Histogram
+}
+
+// kindCheck is implemented by the package's policy kinds: check decides
+// the policy over rs, the walked results of the ECs overlapping its
+// header, with src the id of its source device (-1 when it has none or
+// it was never interned). Eval and the recheck both call it.
+type kindCheck interface {
+	source() string
+	check(c *Checker, src int32, rs []*ecResult) bool
+}
+
+// eval decides rec's policy over rs, the results of its entry's ECs.
+func (c *Checker) eval(rec *registered, rs []*ecResult) bool {
+	if rec.kind == nil {
+		return rec.p.Eval(c)
+	}
+	if rec.src < 0 {
+		if name := rec.kind.source(); name != "" {
+			rec.src = c.idOf(name)
+		}
+	}
+	return rec.kind.check(c, rec.src, rs)
+}
+
+// results lists the walked results of a set of ECs.
+func (c *Checker) results(ecs map[bdd.Node]struct{}) []*ecResult {
+	rs := make([]*ecResult, 0, len(ecs))
+	for ec := range ecs {
+		rs = append(rs, c.ecs[ec])
+	}
+	return rs
 }
 
 // overlapping returns the walked ECs whose packets intersect hdr.
@@ -41,32 +92,34 @@ func (c *Checker) headerECs(hdr dataplane.Match) map[bdd.Node]struct{} {
 	return c.overlapping(hdr)
 }
 
-// register files name under hdr, creating the entry on first use.
-func (c *Checker) register(name string, hdr dataplane.Match) {
+// register files rec under its policy's header, creating the entry on
+// first use.
+func (c *Checker) register(rec *registered) {
+	hdr := rec.p.Header()
 	e := c.index[hdr]
 	if e == nil {
-		e = &hdrEntry{hdr: hdr, names: make(map[string]struct{}), ecs: c.overlapping(hdr)}
+		e = &hdrEntry{hdr: hdr, ecs: c.overlapping(hdr)}
 		for ec := range e.ecs {
 			r := c.ecs[ec]
 			r.hdrs = append(r.hdrs, e)
 		}
 		c.index[hdr] = e
 	}
-	e.names[name] = struct{}{}
+	e.recs = append(e.recs, rec)
+	rec.entry = e
 }
 
-// unregister removes name from hdr's entry, dropping the entry (and its
-// EC memberships) when no policy is left on it.
-func (c *Checker) unregister(name string, hdr dataplane.Match) {
-	e := c.index[hdr]
-	if e == nil {
+// unregister removes rec from its entry, dropping the entry (and its EC
+// memberships) when no policy is left on it.
+func (c *Checker) unregister(rec *registered) {
+	e := rec.entry
+	if i := slices.Index(e.recs, rec); i >= 0 {
+		e.recs = slices.Delete(e.recs, i, i+1)
+	}
+	if len(e.recs) > 0 {
 		return
 	}
-	delete(e.names, name)
-	if len(e.names) > 0 {
-		return
-	}
-	delete(c.index, hdr)
+	delete(c.index, e.hdr)
 	for ec := range e.ecs {
 		r := c.ecs[ec]
 		r.hdrs = dropEntry(r.hdrs, e)

@@ -62,9 +62,9 @@ func refScan(before map[bdd.Node]*ecResult, m *apkeep.Model, br *apkeep.BatchRes
 // whose header overlaps an affected EC.
 func refPoliciesChecked(c *Checker, affected map[bdd.Node]map[string]struct{}) int {
 	n := 0
-	for _, p := range c.policies {
+	for _, rec := range c.policies {
 		for ec := range affected {
-			if c.model.MatchOverlaps(p.Header(), ec) {
+			if c.model.MatchOverlaps(rec.p.Header(), ec) {
 				n++
 				break
 			}
@@ -178,24 +178,35 @@ func refAffectedPairs(before map[bdd.Node]*ecResult, c *Checker, affected map[bd
 }
 
 // checkIndex requires every entry to hold exactly the walked ECs that
-// overlap its header and exactly the policies registered on it, and
-// every EC result to list exactly its entries.
+// overlap its header and exactly the records of the policies registered
+// on it, each record pointing back at its entry, and every EC result to
+// list exactly its entries.
 func checkIndex(t *testing.T, where string, c *Checker) {
 	t.Helper()
 	names := make(map[dataplane.Match]map[string]struct{})
-	for name, p := range c.policies {
-		if names[p.Header()] == nil {
-			names[p.Header()] = make(map[string]struct{})
+	for name, rec := range c.policies {
+		if rec.p.Name() != name {
+			t.Fatalf("%s: record of %s holds policy %s", where, name, rec.p.Name())
 		}
-		names[p.Header()][name] = struct{}{}
+		if names[rec.p.Header()] == nil {
+			names[rec.p.Header()] = make(map[string]struct{})
+		}
+		names[rec.p.Header()][name] = struct{}{}
 	}
 	if len(names) != len(c.index) {
 		t.Fatalf("%s: %d index entries for %d distinct headers", where, len(c.index), len(names))
 	}
 	members := 0
 	for hdr, e := range c.index {
-		if !reflect.DeepEqual(e.names, names[hdr]) {
-			t.Fatalf("%s: entry %+v names %v, want %v", where, hdr, e.names, names[hdr])
+		recs := make(map[string]struct{}, len(e.recs))
+		for _, rec := range e.recs {
+			if rec.entry != e || c.policies[rec.p.Name()] != rec {
+				t.Fatalf("%s: entry %+v holds a stale record of %s", where, hdr, rec.p.Name())
+			}
+			recs[rec.p.Name()] = struct{}{}
+		}
+		if len(recs) != len(e.recs) || !reflect.DeepEqual(recs, names[hdr]) {
+			t.Fatalf("%s: entry %+v records %v, want %v", where, hdr, recs, names[hdr])
 		}
 		if want := c.overlapping(hdr); !reflect.DeepEqual(e.ecs, want) {
 			t.Fatalf("%s: entry %+v holds %d ECs, want %d", where, hdr, len(e.ecs), len(want))

@@ -27,37 +27,40 @@ type Policy interface {
 // name) and evaluates it immediately, returning the initial verdict.
 func (c *Checker) AddPolicy(p Policy) bool {
 	if old, ok := c.policies[p.Name()]; ok {
-		c.unregister(old.Name(), old.Header())
+		c.unregister(old)
 	}
-	c.policies[p.Name()] = p
-	c.register(p.Name(), p.Header())
-	v := p.Eval(c)
-	c.verdicts[p.Name()] = v
+	name, kind := kindOf(p)
+	rec := &registered{p: p, kind: kind, src: -1, hist: c.metrics.RecheckSeconds[name]}
+	c.policies[p.Name()] = rec
+	c.register(rec)
+	rec.verdict = c.eval(rec, c.results(rec.entry.ecs))
 	c.metrics.Policies.Set(int64(len(c.policies)))
-	return v
+	return rec.verdict
 }
 
 // RemovePolicy unregisters a policy by name.
 func (c *Checker) RemovePolicy(name string) {
-	if p, ok := c.policies[name]; ok {
-		c.unregister(name, p.Header())
+	if rec, ok := c.policies[name]; ok {
+		c.unregister(rec)
 	}
 	delete(c.policies, name)
-	delete(c.verdicts, name)
 	c.metrics.Policies.Set(int64(len(c.policies)))
 }
 
 // Verdict returns a policy's last verdict.
 func (c *Checker) Verdict(name string) (satisfied, known bool) {
-	v, ok := c.verdicts[name]
-	return v, ok
+	rec, ok := c.policies[name]
+	if !ok {
+		return false, false
+	}
+	return rec.verdict, true
 }
 
 // Verdicts returns a copy of all verdicts.
 func (c *Checker) Verdicts() map[string]bool {
-	out := make(map[string]bool, len(c.verdicts))
-	for k, v := range c.verdicts {
-		out[k] = v
+	out := make(map[string]bool, len(c.policies))
+	for name, rec := range c.policies {
+		out[name] = rec.verdict
 	}
 	return out
 }
@@ -66,8 +69,8 @@ func (c *Checker) Verdicts() map[string]bool {
 // that rebuild a checker (forks) register them deterministically.
 func (c *Checker) Policies() []Policy {
 	out := make([]Policy, 0, len(c.policies))
-	for _, p := range c.policies {
-		out = append(out, p)
+	for _, rec := range c.policies {
+		out = append(out, rec.p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
 	return out
@@ -105,17 +108,21 @@ func (p Reachability) Header() dataplane.Match { return p.Hdr }
 
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
-	src := c.idOf(p.Src)
-	delivered, total := 0, 0
-	for ec := range c.headerECs(p.Hdr) {
-		total++
-		if o := c.ecs[ec].outcome(src); o.Kind == Delivered && o.At == p.Dst {
+	return p.check(c, c.idOf(p.Src), c.results(c.headerECs(p.Hdr)))
+}
+
+func (p *Reachability) source() string { return p.Src }
+
+func (p *Reachability) check(_ *Checker, src int32, rs []*ecResult) bool {
+	delivered := 0
+	for _, r := range rs {
+		if o := r.outcome(src); o.Kind == Delivered && o.At == p.Dst {
 			delivered++
 		}
 	}
 	switch p.Mode {
 	case ReachAll:
-		return total > 0 && delivered == total
+		return len(rs) > 0 && delivered == len(rs)
 	case ReachSome:
 		return delivered > 0
 	default: // ReachNone
@@ -140,14 +147,22 @@ func (p Waypoint) Header() dataplane.Match { return p.Hdr }
 
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
-	src := c.idOf(p.Src)
-	for ec := range c.headerECs(p.Hdr) {
-		if o := c.ecs[ec].outcome(src); o.Kind != Delivered || o.At != p.Dst {
+	return p.check(c, c.idOf(p.Src), c.results(c.headerECs(p.Hdr)))
+}
+
+func (p *Waypoint) source() string { return p.Src }
+
+// check follows each delivered EC's cached next hops from src: a
+// delivered chain ends at the delivering device, and is the path
+// TracePath would re-walk.
+func (p *Waypoint) check(c *Checker, src int32, rs []*ecResult) bool {
+	for _, r := range rs {
+		if o := r.outcome(src); o.Kind != Delivered || o.At != p.Dst {
 			continue
 		}
 		through := false
-		for _, dev := range c.TracePath(ec, p.Src) {
-			if dev == p.Via {
+		for dev := src; dev >= 0; dev = r.next[dev] {
+			if c.names[dev] == p.Via {
 				through = true
 				break
 			}
@@ -173,9 +188,13 @@ func (p LoopFree) Name() string { return p.PolicyName }
 func (p LoopFree) Header() dataplane.Match { return p.Scope }
 
 // Eval implements Policy.
-func (p LoopFree) Eval(c *Checker) bool {
-	for ec := range c.headerECs(p.Scope) {
-		for _, o := range c.ecs[ec].outcomes {
+func (p LoopFree) Eval(c *Checker) bool { return p.check(c, -1, c.results(c.headerECs(p.Scope))) }
+
+func (*LoopFree) source() string { return "" }
+
+func (*LoopFree) check(_ *Checker, _ int32, rs []*ecResult) bool {
+	for _, r := range rs {
+		for _, o := range r.outcomes {
 			if o.Kind == Looped {
 				return false
 			}
@@ -198,9 +217,13 @@ func (p BlackholeFree) Name() string { return p.PolicyName }
 func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
 
 // Eval implements Policy.
-func (p BlackholeFree) Eval(c *Checker) bool {
-	for ec := range c.headerECs(p.Scope) {
-		for _, o := range c.ecs[ec].outcomes {
+func (p BlackholeFree) Eval(c *Checker) bool { return p.check(c, -1, c.results(c.headerECs(p.Scope))) }
+
+func (*BlackholeFree) source() string { return "" }
+
+func (*BlackholeFree) check(_ *Checker, _ int32, rs []*ecResult) bool {
+	for _, r := range rs {
+		for _, o := range r.outcomes {
 			if o.Kind == Dropped {
 				return false
 			}

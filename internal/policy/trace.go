@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"realconfig/internal/bdd"
+	"realconfig/internal/obs"
 	"realconfig/internal/trace"
 )
 
@@ -16,6 +17,31 @@ import (
 // batch) — the last link of the config change → rule → EC → verdict
 // chain. Tracing switches the recheck loop to sorted policy order so
 // event sequences are deterministic; untraced checks pay one nil test.
+
+// tracedRecheck is Update's recheck of the touched entries' records
+// under tracing: in policy name order, each recorded with the affected
+// ECs that made it relevant.
+func (c *Checker) tracedRecheck(touched map[*hdrEntry][]bdd.Node, res *Result) {
+	type recheck struct {
+		rec *registered
+		rs  []*ecResult
+		ecs []bdd.Node // the affected ECs overlapping its header
+	}
+	var todo []recheck
+	for e, ecs := range touched {
+		rs := c.results(e.ecs)
+		for _, rec := range e.recs {
+			todo = append(todo, recheck{rec, rs, ecs})
+		}
+	}
+	sort.Slice(todo, func(i, j int) bool { return todo[i].rec.p.Name() < todo[j].rec.p.Name() })
+	for _, r := range todo {
+		was, now := c.recheck(r.rec, r.rs, res)
+		c.tr.Event(obs.TrackPolicy, obs.EventPolicyRecheck,
+			trace.S("policy", r.rec.p.Name()), trace.S("from", verdictStr(was)), trace.S("to", verdictStr(now)),
+			trace.S("ecs", joinNodes(r.ecs)))
+	}
+}
 
 // SetTrace attaches a provenance trace to subsequent Update calls.
 // Pass nil to detach.

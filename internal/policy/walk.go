@@ -102,8 +102,9 @@ func (c *Checker) walk(ec bdd.Node) *ecResult {
 }
 
 // TracePath returns the devices an EC's packets visit starting at src,
-// ending at the device where the fate is sealed. Used by waypoint
-// policies and violation explanations.
+// ending at the device where the fate is sealed, by re-walking the
+// model. Used by violation explanations and packet traces; waypoint
+// checks follow the walk's cached next hops instead.
 func (c *Checker) TracePath(ec bdd.Node, src string) []string {
 	var path []string
 	seen := make(map[string]bool)
