@@ -680,16 +680,10 @@ func (v *Verifier) RemovePolicy(name string) { v.checker.RemovePolicy(name) }
 // Verdicts returns the current satisfaction of every registered policy.
 func (v *Verifier) Verdicts() map[string]bool { return v.checker.Verdicts() }
 
-// FIB returns a copy of the accumulated forwarding rules. Callers may
-// mutate the returned map freely; verifier state is unaffected.
-func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff {
-	live := v.gen.FIB()
-	out := make(map[dataplane.Rule]dd.Diff, len(live))
-	for r, d := range live {
-		out[r] = d
-	}
-	return out
-}
+// FIB returns the accumulated forwarding rules in a fresh map (the
+// generator builds one per call). Callers may mutate it freely;
+// verifier state is unaffected.
+func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff { return v.gen.FIB() }
 
 // Model exposes the data plane model (ECs, ports) for inspection.
 func (v *Verifier) Model() *apkeep.Model { return v.model }

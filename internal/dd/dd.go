@@ -37,6 +37,9 @@
 // keys and values the garbage collector has nothing to trace in them.
 // Difference batches travel in buffers their producer reuses: a
 // subscriber must consume a batch before returning and never retain it.
+// A join copies a batch into its pending queue; a reduction merges it
+// straight into its key groups and queues only slot ids, and its output
+// groups are the one copy of its result (ReduceMinArranged reads them).
 //
 // # Determinism
 //
@@ -101,6 +104,7 @@ type Graph struct {
 	pending map[int]*nodeSet // iteration -> pending node ids
 	iters   intHeap          // pending iterations, deduplicated
 	inHeap  map[int]struct{} // iterations currently in the heap
+	spare   []*nodeSet       // drained sets, all bits clear, for reuse
 
 	// MaxIter bounds the number of loop iterations per epoch. A fixpoint
 	// that fails to converge within MaxIter iterations aborts the epoch
@@ -197,7 +201,11 @@ func (g *Graph) SetTrace(a *ptrace.Apply) { g.tr = a }
 func (g *Graph) schedule(id, iter int) {
 	set, ok := g.pending[iter]
 	if !ok {
-		set = &nodeSet{}
+		if n := len(g.spare); n > 0 {
+			set, g.spare = g.spare[n-1], g.spare[:n-1]
+		} else {
+			set = &nodeSet{}
+		}
 		g.pending[iter] = set
 	}
 	if _, queued := g.inHeap[iter]; !queued {
@@ -300,6 +308,7 @@ func (g *Graph) Advance() (EpochStats, error) {
 				nt.out += g.emitted - o0
 			}
 		}
+		g.spare = append(g.spare, set)
 	}
 	// One span per active node: accumulated run time across all of its
 	// activations this epoch, with input/output difference counts.

@@ -1,5 +1,7 @@
 package dd
 
+import "math/bits"
+
 // tdiff is one point of a value's history: the cumulative signed diff the
 // value received at a given iteration, summed over all completed epochs
 // and the current one.
@@ -78,6 +80,16 @@ func (h *hist) upTo(iter int) Diff {
 		sum += td.diff
 	}
 	return sum
+}
+
+// sum is the total of the history's diffs: the value's accumulated
+// multiplicity once the epoch is complete.
+func (h *hist) sum() Diff {
+	s := h.first.diff
+	for _, td := range h.more {
+		s += td.diff
+	}
+	return s
 }
 
 // nextAbove returns the least iteration strictly greater than iter at
@@ -191,23 +203,43 @@ func (g *group[V]) nextAbove(iter int) int {
 	return next
 }
 
-// slab stores one T per live key: a pointer-free key map into a slice of
-// slots. Released slots go on a free list and are handed out again as
-// they are, so slice capacity inside T serves the next key.
+// slab stores one T per live key: a pointer-free key map into slots.
+// Released slots go on a free list and are handed out again as they
+// are, so slice capacity inside T serves the next key. Slots live in
+// chunks that double in size (chunk c holds 1<<(c+slabBits) slots), so
+// growing allocates each slot once and never copies one, and a slot's
+// address is stable.
 type slab[K comparable, T any] struct {
-	idx   map[K]int32
-	slots []T
-	free  []int32
+	idx    map[K]int32
+	chunks [][]T
+	n      int32 // slots handed out, free ones included
+	free   []int32
+}
+
+// slabBits sets the first chunk's size.
+const slabBits = 3
+
+// chunkOf locates slot i: its chunk and its offset there.
+func chunkOf(i int32) (c, off int) {
+	j := uint32(i) + 1<<slabBits
+	c = bits.Len32(j) - 1 - slabBits
+	return c, int(j - 1<<(c+slabBits))
 }
 
 func newSlab[K comparable, T any]() slab[K, T] {
 	return slab[K, T]{idx: make(map[K]int32)}
 }
 
+// at returns slot i.
+func (s *slab[K, T]) at(i int32) *T {
+	c, off := chunkOf(i)
+	return &s.chunks[c][off]
+}
+
 // get returns the key's slot, or nil.
 func (s *slab[K, T]) get(k K) *T {
 	if i, ok := s.idx[k]; ok {
-		return &s.slots[i]
+		return s.at(i)
 	}
 	return nil
 }
@@ -222,12 +254,25 @@ func (s *slab[K, T]) acquire(k K) (i int32, fresh bool) {
 		i = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		var zero T
-		s.slots = append(s.slots, zero)
-		i = int32(len(s.slots) - 1)
+		i = s.n
+		if c, _ := chunkOf(i); c == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, 1<<(c+slabBits)))
+		}
+		s.n++
 	}
 	s.idx[k] = i
 	return i, true
+}
+
+// each calls f for every slot handed out, free ones included.
+func (s *slab[K, T]) each(f func(*T)) {
+	left := int(s.n)
+	for _, ch := range s.chunks {
+		for i := 0; i < len(ch) && left > 0; i++ {
+			f(&ch[i])
+			left--
+		}
+	}
 }
 
 // release returns the key's slot i to the free list.
@@ -248,7 +293,7 @@ func newArrangement[K comparable, V comparable]() arrangement[K, V] {
 // add merges a diff for (k, val) at iter.
 func (a *arrangement[K, V]) add(k K, val V, iter int, d Diff) {
 	i, _ := a.acquire(k)
-	g := &a.slots[i]
+	g := a.at(i)
 	g.add(val, iter, d)
 	if len(g.ents) == 0 {
 		a.release(k, i)

@@ -194,8 +194,8 @@ func TestArrangementRecyclesGroups(t *testing.T) {
 		t.Fatalf("emptied group not released: idx=%v free=%v", a.idx, a.free)
 	}
 	a.add(3, 30, 1, 1)
-	if len(a.slots) != 2 || len(a.free) != 0 {
-		t.Fatalf("free slot not reused: %d slots, free=%v", len(a.slots), a.free)
+	if a.n != 2 || len(a.free) != 0 {
+		t.Fatalf("free slot not reused: %d slots, free=%v", a.n, a.free)
 	}
 	if g := a.get(3); g == nil || len(g.ents) != 1 || g.ents[0].val != 30 {
 		t.Fatalf("group 3 = %+v", g)

@@ -1,6 +1,9 @@
 package dd
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Join matches records of a and b with equal keys and combines them with
 // f. It is fully incremental and bilinear: a difference on either side is
@@ -55,6 +58,15 @@ type joinNode[K comparable, A comparable, B comparable, R comparable] struct {
 	later []laterEntry[R]
 }
 
+// emitNow sends the results collected in now at iteration iter.
+func (j *joinNode[K, A, B, R]) emitNow(iter int) {
+	if len(j.now) > 0 {
+		j.g.emitted += int64(len(j.now))
+		j.out.emit(iter, j.now)
+		j.now = j.now[:0]
+	}
+}
+
 // laterEntry is a join result placed at an iteration after the one that
 // produced it.
 type laterEntry[R comparable] struct {
@@ -76,7 +88,13 @@ func (j *joinNode[K, A, B, R]) produce(iter int, h *hist, r R, d Diff) {
 func (j *joinNode[K, A, B, R]) place(iter int, td tdiff, r R, d Diff) {
 	e := Entry[R]{Val: r, Diff: d * td.diff}
 	if int(td.iter) <= iter {
-		j.now = append(j.now, e)
+		// A full evaluation's activation yields results by the ten
+		// thousand: send them in batches of keepCap rather than grow
+		// the buffer to hold them all. Subscribers cannot reach this
+		// join's state at this iteration, so emitting mid-pass is safe.
+		if j.now = append(j.now, e); len(j.now) == keepCap {
+			j.emitNow(iter)
+		}
 	} else {
 		j.later = append(j.later, laterEntry[R]{at: int(td.iter), e: e})
 	}
@@ -114,26 +132,22 @@ func (j *joinNode[K, A, B, R]) process(iter int) {
 		}
 	}
 
-	if len(j.now) > 0 {
-		j.g.emitted += int64(len(j.now))
-		j.out.emit(iter, j.now)
-		j.now = j.now[:0]
-	}
+	j.emitNow(iter)
 	if len(j.later) == 0 {
 		return
 	}
-	// Rare path (a difference meeting history from a later iteration):
-	// emit in ascending iteration order, one batch per iteration.
-	sort.SliceStable(j.later, func(a, b int) bool { return j.later[a].at < j.later[b].at })
+	// A difference met history from a later iteration. Inside a fixpoint
+	// every retraction does (an adjacency withdrawn at iteration 0 meets
+	// routes recorded at later ones), so this path runs on every link
+	// flap. Emit in ascending iteration order, one batch per iteration.
+	slices.SortStableFunc(j.later, func(a, b laterEntry[R]) int { return cmp.Compare(a.at, b.at) })
 	for lo := 0; lo < len(j.later); {
 		hi := lo
 		for hi < len(j.later) && j.later[hi].at == j.later[lo].at {
 			j.now = append(j.now, j.later[hi].e)
 			hi++
 		}
-		j.g.emitted += int64(len(j.now))
-		j.out.emit(j.later[lo].at, j.now)
-		j.now = j.now[:0]
+		j.emitNow(j.later[lo].at)
 		lo = hi
 	}
 	j.later = j.later[:0]

@@ -7,8 +7,9 @@ package dd
 //
 // Each operator owns one output buffer that it refills per batch:
 // subscribers consume a batch before emit returns and never retain it
-// (stateful nodes copy into their pending queues, sinks fold it in), so
-// the buffer is free again by the time the operator sees its next batch.
+// (joins copy into their pending queues, reductions and sinks fold it
+// in), so the buffer is free again by the time the operator sees its
+// next batch.
 
 // keepCap is the largest scratch buffer (in elements) an operator keeps
 // from one epoch to the next. Within an epoch buffers only grow; at its

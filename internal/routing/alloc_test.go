@@ -68,6 +68,46 @@ func BenchmarkGeneratorLinkFlap(b *testing.B) {
 	}
 }
 
+// deltaFlapSides returns a generator loaded with net and the two networks
+// a flap of the given interface alternates between, as core.Verifier
+// drives SetNetworkDelta: they share every configuration but the flapped
+// device's.
+func deltaFlapSides(tb testing.TB, net *netcfg.Network, flap netcfg.ShutdownInterface) (*Generator, [2]*netcfg.Network) {
+	tb.Helper()
+	down := &netcfg.Network{Devices: maps.Clone(net.Devices), Topology: net.Topology}
+	down.Devices[flap.Device] = net.Devices[flap.Device].Clone()
+	flap.Shutdown = true
+	if err := flap.Apply(down); err != nil {
+		tb.Fatal(err)
+	}
+	return fullLoad(tb, net), [2]*netcfg.Network{down, net}
+}
+
+// deltaStep loads one side of a delta flap and runs its epoch.
+func deltaStep(tb testing.TB, gen *Generator, net *netcfg.Network, changed []string) {
+	gen.SetNetworkDelta(net, changed)
+	if _, err := gen.Step(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkGeneratorDeltaFlap is the link-flap epoch on the
+// SetNetworkDelta path core drives: only the flapped device and its
+// link neighbours recompile, where BenchmarkGeneratorLinkFlap recompiles
+// every device.
+func BenchmarkGeneratorDeltaFlap(b *testing.B) {
+	net, flap := fatTreeOSPF(b, 6)
+	gen, sides := deltaFlapSides(b, net.Network, flap)
+	changed := []string{flap.Device}
+	deltaStep(b, gen, sides[0], changed) // warm both directions once
+	deltaStep(b, gen, sides[1], changed)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		deltaStep(b, gen, sides[i%2], changed)
+	}
+}
+
 // TestGeneratorAllocationCeilings pins heap allocations of the hot
 // paths independently of this box's clock. On FatTree(4,OSPF) this test
 // measured, with the map-based traces and string-keyed tuples of the
@@ -80,12 +120,15 @@ func BenchmarkGeneratorLinkFlap(b *testing.B) {
 // the "after" column for runtime and map-growth differences between Go
 // releases. With per-device compile units the SetNetwork flap measured
 // 135, and the same flap through SetNetworkDelta, naming the one
-// changed device, 134; its ceiling is that figure plus 20 %.
+// changed device, 134. Once reductions merged arrivals in place, the
+// best-route sinks were gone and the scheduler reused its per-iteration
+// node sets, they measured 57 and 56; both flap ceilings are those
+// figures plus 20 %.
 func TestGeneratorAllocationCeilings(t *testing.T) {
 	const (
 		fullLoadCeiling  = 10000
-		linkFlapCeiling  = 600
-		deltaFlapCeiling = 161
+		linkFlapCeiling  = 69
+		deltaFlapCeiling = 68
 	)
 	net, flap := fatTreeOSPF(t, 4)
 	full := testing.AllocsPerRun(5, func() { fullLoad(t, net.Network) })
@@ -97,25 +140,12 @@ func TestGeneratorAllocationCeilings(t *testing.T) {
 		flapOnce(t, gen, net.Network, flap, down)
 	})
 
-	// The delta path, as core.Verifier drives it: the flap alternates
-	// between two networks that share every configuration but the
-	// flapped device's.
+	// The delta path, as core.Verifier drives it.
 	fresh, _ := fatTreeOSPF(t, 4)
-	up := fresh.Network
-	downNet := &netcfg.Network{Devices: maps.Clone(up.Devices), Topology: up.Topology}
-	downNet.Devices[flap.Device] = up.Devices[flap.Device].Clone()
-	flap.Shutdown = true
-	if err := flap.Apply(downNet); err != nil {
-		t.Fatal(err)
-	}
-	gen = fullLoad(t, up)
-	sides := [2]*netcfg.Network{downNet, up}
+	gen, sides := deltaFlapSides(t, fresh.Network, flap)
 	flips := 0
 	perDeltaFlap := testing.AllocsPerRun(20, func() {
-		gen.SetNetworkDelta(sides[flips%2], []string{flap.Device})
-		if _, err := gen.Step(); err != nil {
-			t.Fatal(err)
-		}
+		deltaStep(t, gen, sides[flips%2], []string{flap.Device})
 		flips++
 	})
 	t.Logf("allocs: full load %.0f, link-flap epoch %.0f, delta link-flap epoch %.0f", full, perFlap, perDeltaFlap)

@@ -5,6 +5,13 @@
 // and only the affected routes are recomputed. This is the Go counterpart
 // of the paper's DDlog program running on Differential Dataflow.
 //
+// Every tuple is stored once, in the operator that produced it: the
+// protocol best routes live in their reductions' output groups, which
+// OSPFBest and BGPBest read in place, and the one materialized sink is
+// the FIB's, keyed by a fixed-width interned rule (frule). Strings come
+// back only where results leave: FIBChanges names the epoch's net
+// changes, and FIB builds a fresh map of the accumulated rules.
+//
 // Packet filters are not simulated: as the paper notes, filtering rules
 // are explicit in configurations, so their changes are extracted directly
 // (see Generator.Filters).
@@ -32,7 +39,7 @@ type Options struct {
 //
 // Inside the graph every tuple is interned (see sym): names become
 // symbols on the way in (the compile units) and strings again only
-// where results leave (the FIB output's final Map, the OSPFBest/BGPBest
+// where results leave (FIBChanges, FIB and the OSPFBest/BGPBest
 // accessors).
 type Generator struct {
 	g    *dd.Graph
@@ -77,10 +84,10 @@ type Generator struct {
 	order      []string
 	filterDels []dd.Entry[dataplane.FilterRule]
 
-	// Outputs.
-	ospfBest *dd.Output[dd.KV[rkey, ospfRt]]
-	bgpBest  *dd.Output[dd.KV[rkey, bgpRt]]
-	fib      *dd.Output[dataplane.Rule]
+	// Outputs: the protocol reductions' own output groups, and the FIB.
+	ospfBest dd.Arranged[rkey, ospfRt]
+	bgpBest  dd.Arranged[rkey, bgpRt]
+	fib      *dd.Output[frule]
 
 	// Packet filters, extracted directly from configurations.
 	filters       map[dataplane.FilterRule]bool
@@ -186,7 +193,7 @@ func New(opts Options) *Generator {
 		return kv.V.Dist < maxOSPFDist
 	})
 	ospfAll := dd.Concat(gen.ospfSeeds.Collection(), ospfRedistSeeds, ospfCands)
-	ospfBest := dd.ReduceMin(ospfAll, syms.ospfBetter)
+	ospfBest, ospfArr := dd.ReduceMinArranged(ospfAll, syms.ospfBetter)
 	ospfVar.Feedback(ospfBest)
 
 	// --- BGP --------------------------------------------------------------
@@ -253,7 +260,7 @@ func New(opts Options) *Generator {
 	})
 
 	bgpAll := dd.Concat(gen.bgpOrigin.Collection(), bgpRedistOrigins, aggOrigins, bgpCands)
-	bgpBest := dd.ReduceMin(bgpAll, syms.bgpBetter)
+	bgpBest, bgpArr := dd.ReduceMinArranged(bgpAll, syms.bgpBetter)
 	bgpVar.Feedback(bgpBest)
 
 	if opts.DetectOscillation {
@@ -293,13 +300,9 @@ func New(opts Options) *Generator {
 	})
 	rib := dd.Concat(gen.ribDirect.Collection(), ospfRIB, bgpRIB)
 	fibBest := dd.ReduceMin(rib, syms.ribBetter)
-	// The boundary: rules leave the graph with names.
-	rules := dd.Map(fibBest, func(kv dd.KV[rkey, ribEnt]) dataplane.Rule {
-		return syms.ribEntry(kv.V).Rule(syms.name(kv.K.Dev), kv.K.Prefix)
-	})
+	rules := dd.Map(fibBest, func(kv dd.KV[rkey, ribEnt]) frule { return fibRule(kv.K, kv.V) })
 
-	gen.ospfBest = dd.NewOutput(ospfBest)
-	gen.bgpBest = dd.NewOutput(bgpBest)
+	gen.ospfBest, gen.bgpBest = ospfArr, bgpArr
 	gen.fib = dd.NewOutput(rules)
 	return gen
 }
@@ -379,15 +382,31 @@ func (gen *Generator) Step() (dd.EpochStats, error) {
 	return st, nil
 }
 
-// FIB returns the accumulated forwarding rules (live map, do not modify).
-func (gen *Generator) FIB() map[dataplane.Rule]dd.Diff { return gen.fib.State() }
+// FIB returns the accumulated forwarding rules, converted to names (a
+// fresh map per call; callers may modify it).
+func (gen *Generator) FIB() map[dataplane.Rule]dd.Diff {
+	state := gen.fib.State()
+	out := make(map[dataplane.Rule]dd.Diff, len(state))
+	for r, d := range state {
+		out[gen.syms.rule(r)] = d
+	}
+	return out
+}
 
 // NumFIBRules returns the number of live forwarding rules (those with
 // positive multiplicity in FIB) without scanning it.
 func (gen *Generator) NumFIBRules() int { return gen.fib.Live() }
 
-// FIBChanges returns the net FIB rule changes of the last Step.
-func (gen *Generator) FIBChanges() []dd.Entry[dataplane.Rule] { return gen.fib.ChangeList() }
+// FIBChanges returns the net FIB rule changes of the last Step,
+// insertions and deletions mixed, in unspecified order.
+func (gen *Generator) FIBChanges() []dd.Entry[dataplane.Rule] {
+	changes := gen.fib.Changes()
+	out := make([]dd.Entry[dataplane.Rule], 0, len(changes))
+	for r, d := range changes {
+		out = append(out, dd.Entry[dataplane.Rule]{Val: gen.syms.rule(r), Diff: d})
+	}
+	return out
+}
 
 // Filters returns the current packet filter rules.
 func (gen *Generator) Filters() []dataplane.FilterRule {
@@ -403,23 +422,25 @@ func (gen *Generator) Filters() []dataplane.FilterRule {
 // effect immediately; no Step needed).
 func (gen *Generator) FilterChanges() []dd.Entry[dataplane.FilterRule] { return gen.filterChanges }
 
-// OSPFBest returns the accumulated best OSPF routes, converted back to
-// names (a fresh map per call; this is an inspection accessor).
+// OSPFBest returns the accumulated best OSPF routes, read from the OSPF
+// reduction in place and converted back to names (a fresh map per
+// call; this is an inspection accessor).
 func (gen *Generator) OSPFBest() map[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]dd.Diff {
-	out := make(map[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]dd.Diff, gen.ospfBest.Len())
-	for kv, d := range gen.ospfBest.State() {
-		out[dd.MkKV(gen.syms.routeKey(kv.K), gen.syms.ospfRoute(kv.V))] = d
-	}
+	out := make(map[dd.KV[dataplane.RouteKey, dataplane.OSPFRoute]]dd.Diff)
+	gen.ospfBest.Each(func(k rkey, r ospfRt, d dd.Diff) {
+		out[dd.MkKV(gen.syms.routeKey(k), gen.syms.ospfRoute(r))] = d
+	})
 	return out
 }
 
-// BGPBest returns the accumulated best BGP routes, converted back to
-// names (a fresh map per call; this is an inspection accessor).
+// BGPBest returns the accumulated best BGP routes, read from the BGP
+// reduction in place and converted back to names (a fresh map per
+// call; this is an inspection accessor).
 func (gen *Generator) BGPBest() map[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]dd.Diff {
-	out := make(map[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]dd.Diff, gen.bgpBest.Len())
-	for kv, d := range gen.bgpBest.State() {
-		out[dd.MkKV(gen.syms.routeKey(kv.K), gen.syms.bgpRoute(kv.V))] = d
-	}
+	out := make(map[dd.KV[dataplane.RouteKey, dataplane.BGPRoute]]dd.Diff)
+	gen.bgpBest.Each(func(k rkey, r bgpRt, d dd.Diff) {
+		out[dd.MkKV(gen.syms.routeKey(k), gen.syms.bgpRoute(r))] = d
+	})
 	return out
 }
 

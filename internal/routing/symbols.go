@@ -98,6 +98,37 @@ type ribEnt struct {
 	Action  dataplane.Action
 }
 
+// frule is an interned dataplane.Rule, the key of the generator's FIB
+// sink: five 32-bit words with no padding, so a map hashes it as one
+// block of memory. LenAct packs the prefix length above the action.
+type frule struct {
+	Dev     sym
+	Addr    netcfg.Addr
+	LenAct  uint32
+	NextHop sym
+	OutIntf sym
+}
+
+// fibRule is the interned rule a best RIB entry installs, keeping the
+// next hop and interface only where dataplane.RIBEntry.Rule does.
+func fibRule(k rkey, e ribEnt) frule {
+	r := frule{Dev: k.Dev, Addr: k.Prefix.Addr, LenAct: uint32(k.Prefix.Len)<<8 | uint32(e.Action)}
+	switch e.Action {
+	case dataplane.Forward:
+		r.NextHop, r.OutIntf = e.NextHop, e.OutIntf
+	case dataplane.Deliver:
+		r.OutIntf = e.OutIntf
+	}
+	return r
+}
+
+func (t *symtab) rule(r frule) dataplane.Rule {
+	return dataplane.Rule{
+		Device: t.names[r.Dev], Prefix: netcfg.Prefix{Addr: r.Addr, Len: uint8(r.LenAct >> 8)},
+		Action: dataplane.Action(r.LenAct), NextHop: t.names[r.NextHop], OutIntf: t.names[r.OutIntf],
+	}
+}
+
 func (t *symtab) routeKey(k rkey) dataplane.RouteKey {
 	return dataplane.RouteKey{Device: t.names[k.Dev], Prefix: k.Prefix}
 }
