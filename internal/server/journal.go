@@ -45,6 +45,13 @@ type Entry struct {
 	Line    string            `json:"line,omitempty"`
 	Name    string            `json:"name,omitempty"`
 	Waves   [][]int           `json:"waves,omitempty"`
+
+	// A live write also carries what its maker already holds, so the
+	// write door neither decodes nor encodes it twice. Entries read back
+	// from a journal leave these unset.
+	batch []netcfg.Change // Changes, decoded (the leader's change batches)
+	raw   []byte          // the encoded line (a follower's: the leader's bytes)
+	reqID string          // the request behind the write, for its apply trace
 }
 
 // journal is an append-only JSON-lines log of applied writes, and the
@@ -351,19 +358,21 @@ func openJournal(path string, segBytes int64) (*journal, []Entry, error) {
 
 // append durably records one entry (write + flush + fsync), sealing the
 // active file into a numbered segment afterwards if it crossed the
-// rotation threshold.
+// rotation threshold. An entry that carries its encoded line is written
+// as those bytes, so a follower's journal preserves the leader's.
 func (j *journal) append(e Entry) error {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return err
+	b := e.raw
+	if b == nil {
+		var err error
+		if b, err = json.Marshal(e); err != nil {
+			return err
+		}
 	}
 	return j.appendRaw(b)
 }
 
-// appendRaw durably records one pre-encoded entry line (no newline).
-// Followers use it directly so the local journal preserves the leader's
-// bytes; append funnels through it. After the entry is durable, every
-// replication subscriber is notified.
+// appendRaw durably records one encoded entry line (no newline). After
+// the entry is durable, every replication subscriber is notified.
 func (j *journal) appendRaw(b []byte) error {
 	t0 := time.Now()
 	defer func() { j.appendSeconds.ObserveDuration(time.Since(t0)) }()
@@ -830,11 +839,12 @@ func writeEpochFile(path string, e uint64) error {
 	return os.Rename(tmp, path)
 }
 
-// changesEntry builds a journal entry for an applied change batch.
-func changesEntry(changes []netcfg.Change) (Entry, error) {
+// changesEntry builds the journal entry of a decoded change batch that
+// request reqID asks to apply.
+func changesEntry(changes []netcfg.Change, reqID string) (Entry, error) {
 	raws, err := netcfg.EncodeChanges(changes)
 	if err != nil {
 		return Entry{}, err
 	}
-	return Entry{Op: opChanges, Changes: raws}, nil
+	return Entry{Op: opChanges, Changes: raws, batch: changes, reqID: reqID}, nil
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"time"
 
-	"realconfig/internal/core"
 	"realconfig/internal/netcfg"
 	"realconfig/internal/plan"
 )
@@ -121,16 +120,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	defer func() { t.m.planSeconds.ObserveDuration(time.Since(t0)) }()
 
-	capRes, err := t.do(ctx, func() (any, error) {
-		return whatIfCapture{net: t.verifier.Network(), policy: t.policyText(), opts: t.verifier.Options(), seq: t.seq}, nil
-	})
-	if err != nil {
-		t.m.planErrors.Inc()
-		writeError(w, r, err)
-		return
-	}
-	wc := capRes.(whatIfCapture)
-	base, _, err := core.Bootstrap(wc.opts, wc.net, wc.policy)
+	base, seq, err := t.fork(ctx)
 	if err != nil {
 		t.m.planErrors.Inc()
 		writeError(w, r, err)
@@ -142,7 +132,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Metrics:   t.planM,
 		Recorder:  t.verifier.Recorder(),
 		ReqID:     rid,
-		Seq:       wc.seq,
+		Seq:       seq,
 	})
 	if err != nil {
 		t.m.planErrors.Inc()
@@ -152,7 +142,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	out := planResponse{
-		Seq: wc.seq,
+		Seq: seq,
 		Stats: planStatsJSON{
 			Probes:    res.Stats.Probes,
 			MemoHits:  res.Stats.MemoHits,
@@ -194,20 +184,15 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Journal the planning decision and bump the sequence. The plan was
-	// computed against wc.seq; reject if a write slipped in between, so
-	// the audit record never refers to a state the plan did not see.
+	// computed against seq; reject if a write slipped in between, so the
+	// audit record never refers to a state the plan did not see.
 	seqRes, err := t.do(ctx, func() (any, error) {
-		if t.seq != wc.seq {
+		if t.seq != seq {
 			return nil, errPlanStale
 		}
-		if t.journal != nil {
-			if err := t.journal.append(Entry{Op: opPlan, Changes: req.Changes, Waves: waves}); err != nil {
-				return nil, err
-			}
+		if _, err := t.commit(Entry{Op: opPlan, Changes: req.Changes, Waves: waves}); err != nil {
+			return nil, err
 		}
-		t.seq++
-		t.publish(nil)
-		t.maybeSnapshot()
 		return t.seq, nil
 	})
 	if err != nil {

@@ -16,11 +16,14 @@
 //     an atomic pointer. GET /v1/verdicts, /v1/report and /v1/healthz
 //     serve the snapshot directly: concurrent readers never block behind
 //     a verification and can never observe a torn state.
-//   - What-if sessions fork cheaply: the apply goroutine captures a clone
-//     of the current network plus the active policy text (fast), and the
-//     speculative verification runs on the request goroutine against a
-//     brand-new verifier, leaving both the live engine and the apply
-//     queue untouched.
+//   - Every live write goes through one door (Tenant.commit): it runs
+//     each journal entry through applyEntry, the path replay and
+//     followers take, appends it, and advances the sequence number.
+//   - What-if sessions fork cheaply: the apply goroutine captures the
+//     current network (shared copy-on-write) plus the registered policy
+//     lines (fast), and the speculative verification runs on the request
+//     goroutine against a brand-new verifier, leaving both the live
+//     engine and the apply queue untouched.
 //
 // Multi-tenancy: named tenants configured via Config.Tenants are served
 // under /v1/tenants/{id}/... — the same API, routed to that tenant's
@@ -55,7 +58,6 @@ import (
 	"realconfig/internal/core"
 	"realconfig/internal/netcfg"
 	"realconfig/internal/obs"
-	"realconfig/internal/policy"
 	"realconfig/internal/repl"
 	"realconfig/internal/trace"
 )
@@ -120,21 +122,6 @@ type Config struct {
 	// Logger receives the daemon's structured logs (nil = discard). Every
 	// request-scoped line carries the req_id the middleware assigned.
 	Logger *slog.Logger
-}
-
-// serverOptions carries the per-tenant knobs Config sets globally.
-type serverOptions struct {
-	verifier        core.Options
-	queueDepth      int
-	applyTimeout    time.Duration
-	journalSegBytes int64
-	snapEvery       int
-	snapBytes       int64
-	journalRetain   int
-	follow          string // leader base URL ("" = leader mode)
-	replBackoff     time.Duration
-	replMaxBackoff  time.Duration
-	log             *slog.Logger
 }
 
 // Server is the daemon engine. Create with New, serve via Handler, stop
@@ -230,30 +217,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ApplyTimeout <= 0 {
 		cfg.ApplyTimeout = 30 * time.Second
 	}
-	log := cfg.Logger
-	if log == nil {
-		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	s := &Server{
 		tenants:   make(map[string]*Tenant, 1+len(cfg.Tenants)),
 		start:     time.Now(),
 		follow:    cfg.FollowURL,
 		heartbeat: cfg.ReplHeartbeat,
-		log:       log,
+		log:       cfg.Logger,
 		reg:       obs.NewRegistry(),
-	}
-	opts := serverOptions{
-		verifier:        cfg.Options,
-		queueDepth:      cfg.QueueDepth,
-		applyTimeout:    cfg.ApplyTimeout,
-		journalSegBytes: cfg.JournalSegmentBytes,
-		snapEvery:       cfg.SnapshotEvery,
-		snapBytes:       cfg.SnapshotBytes,
-		journalRetain:   cfg.JournalRetain,
-		follow:          cfg.FollowURL,
-		replBackoff:     cfg.ReplBackoff,
-		replMaxBackoff:  cfg.ReplMaxBackoff,
-		log:             log,
 	}
 
 	// The default tenant instruments the shared registry unlabeled, so a
@@ -264,7 +237,7 @@ func New(cfg Config) (*Server, error) {
 		Net:         cfg.Net,
 		PolicyText:  cfg.PolicyText,
 		JournalPath: cfg.JournalPath,
-	}, opts, s.reg)
+	}, cfg, s.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -290,7 +263,7 @@ func New(cfg Config) (*Server, error) {
 			}
 			journals[tc.JournalPath] = tc.ID
 		}
-		t, err := newTenant(tc, opts, s.reg.WithLabels(obs.Labels{"tenant": tc.ID}))
+		t, err := newTenant(tc, cfg, s.reg.WithLabels(obs.Labels{"tenant": tc.ID}))
 		if err != nil {
 			s.closeTenants()
 			return nil, err
@@ -773,30 +746,21 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rid := reqIDFrom(r)
+	e, err := changesEntry(changes, rid)
+	if err != nil {
+		badRequest(w, r, err.Error())
+		return
+	}
 	ctx, cancel := context.WithTimeout(r.Context(), t.applyTimeout)
 	defer cancel()
 	t0 := time.Now()
 	res, err := t.do(ctx, func() (any, error) {
-		t.verifier.SetTraceContext(rid, t.seq+1)
-		rep, err := t.verifier.Apply(changes...)
+		rep, err := t.commit(e)
 		if err != nil {
 			return nil, err
 		}
-		rj := reportJSON(rep)
-		if t.journal != nil {
-			e, err := changesEntry(changes)
-			if err != nil {
-				return nil, err
-			}
-			if err := t.journal.append(e); err != nil {
-				return nil, fmt.Errorf("applied but not journaled: %w", err)
-			}
-		}
-		t.seq++
-		t.publish(rj)
-		t.maybeSnapshot()
 		snap := t.Snapshot()
-		return applyResponse{Seq: snap.Seq, Report: rj, Verdicts: snap.Verdicts}, nil
+		return applyResponse{Seq: snap.Seq, Report: rep, Verdicts: snap.Verdicts}, nil
 	})
 	t.m.applySeconds.ObserveDuration(time.Since(t0))
 	if err != nil {
@@ -815,15 +779,6 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// whatIfCapture is what the apply goroutine hands to a what-if session:
-// everything needed to rebuild an equivalent verifier, cheaply cloned.
-type whatIfCapture struct {
-	net    *netcfg.Network
-	policy string
-	opts   core.Options
-	seq    uint64
-}
-
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -839,17 +794,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	t0 := time.Now()
 	defer func() { t.m.whatifSeconds.ObserveDuration(time.Since(t0)) }()
-	// Capture on the apply goroutine (cheap: a network clone), then run
-	// the speculative verification here, off the write path.
-	res, err := t.do(ctx, func() (any, error) {
-		return whatIfCapture{net: t.verifier.Network(), policy: t.policyText(), opts: t.verifier.Options(), seq: t.seq}, nil
-	})
-	if err != nil {
-		writeError(w, r, err)
-		return
-	}
-	wc := res.(whatIfCapture)
-	fork, _, err := core.Bootstrap(wc.opts, wc.net, wc.policy)
+	fork, seq, err := t.fork(ctx)
 	if err != nil {
 		writeError(w, r, err)
 		return
@@ -866,7 +811,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := applyResponse{Seq: wc.seq, WhatIf: true, Report: reportJSON(rep)}
+	out := applyResponse{Seq: seq, WhatIf: true, Report: reportJSON(rep)}
 	for _, name := range names {
 		out.Verdicts = append(out.Verdicts, Verdict{Policy: name, Satisfied: verdicts[name]})
 	}
@@ -896,63 +841,13 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), t.applyTimeout)
 	defer cancel()
 	res, err := t.do(ctx, func() (any, error) {
-		// Validate the whole batch before mutating anything, so a bad
-		// request leaves state (and the journal) untouched.
-		removed := make(map[string]bool, len(req.Remove))
-		for _, name := range req.Remove {
-			if t.findPolicy(name) < 0 {
-				return nil, fmt.Errorf("no policy %q", name)
-			}
-			removed[name] = true
+		es, err := t.policyEntries(req)
+		if err != nil {
+			return nil, err
 		}
-		type add struct {
-			p    policy.Policy
-			line string
+		if _, err := t.commit(es...); err != nil {
+			return nil, err
 		}
-		adds := make([]add, 0, len(req.Add))
-		for _, line := range req.Add {
-			line = strings.TrimSpace(line)
-			ps, err := core.ParsePolicies(line)
-			if err != nil {
-				return nil, err
-			}
-			if len(ps) != 1 {
-				return nil, fmt.Errorf("add entry must be exactly one policy line, got %d", len(ps))
-			}
-			name := ps[0].Name()
-			if t.findPolicy(name) >= 0 && !removed[name] {
-				return nil, fmt.Errorf("duplicate policy %q", name)
-			}
-			for _, a := range adds {
-				if a.p.Name() == name {
-					return nil, fmt.Errorf("duplicate policy %q", name)
-				}
-			}
-			adds = append(adds, add{p: ps[0], line: line})
-		}
-		for _, name := range req.Remove {
-			t.verifier.RemovePolicy(name)
-			i := t.findPolicy(name)
-			t.policies = append(t.policies[:i], t.policies[i+1:]...)
-			if t.journal != nil {
-				if err := t.journal.append(Entry{Op: opPolicyRemove, Name: name}); err != nil {
-					return nil, fmt.Errorf("applied but not journaled: %w", err)
-				}
-			}
-			t.seq++
-		}
-		for _, a := range adds {
-			t.verifier.AddPolicy(a.p)
-			t.policies = append(t.policies, policyEntry{name: a.p.Name(), line: a.line})
-			if t.journal != nil {
-				if err := t.journal.append(Entry{Op: opPolicyAdd, Line: a.line}); err != nil {
-					return nil, fmt.Errorf("applied but not journaled: %w", err)
-				}
-			}
-			t.seq++
-		}
-		t.publish(nil)
-		t.maybeSnapshot()
 		snap := t.Snapshot()
 		return applyResponse{Seq: snap.Seq, Verdicts: snap.Verdicts}, nil
 	})
@@ -962,6 +857,40 @@ func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set(seqHeader, strconv.FormatUint(res.(applyResponse).Seq, 10))
 	writeJSON(w, http.StatusOK, res)
+}
+
+// policyEntries validates a whole policies request against the
+// registered policies before anything mutates, so a bad request leaves
+// state and the journal untouched, and returns its entries: the
+// removals first, then the additions. Apply goroutine only.
+func (t *Tenant) policyEntries(req policiesRequest) ([]Entry, error) {
+	es := make([]Entry, 0, len(req.Remove)+len(req.Add))
+	removed := make(map[string]bool, len(req.Remove))
+	for _, name := range req.Remove {
+		if removed[name] || t.findPolicy(name) < 0 {
+			return nil, fmt.Errorf("no policy %q", name)
+		}
+		removed[name] = true
+		es = append(es, Entry{Op: opPolicyRemove, Name: name})
+	}
+	added := make(map[string]bool, len(req.Add))
+	for _, line := range req.Add {
+		line = strings.TrimSpace(line)
+		ps, err := core.ParsePolicies(line)
+		if err != nil {
+			return nil, err
+		}
+		if len(ps) != 1 {
+			return nil, fmt.Errorf("add entry must be exactly one policy line, got %d", len(ps))
+		}
+		name := ps[0].Name()
+		if added[name] || t.findPolicy(name) >= 0 && !removed[name] {
+			return nil, fmt.Errorf("duplicate policy %q", name)
+		}
+		added[name] = true
+		es = append(es, Entry{Op: opPolicyAdd, Line: line})
+	}
+	return es, nil
 }
 
 // traceResponse answers GET /v1/trace.

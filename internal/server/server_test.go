@@ -308,7 +308,7 @@ func TestQueueBackpressure(t *testing.T) {
 
 // TestErrorMapping: API failures map to distinct, correct status codes.
 func TestErrorMapping(t *testing.T) {
-	_, ts := newCampusServer(t, "")
+	srv, ts := newCampusServer(t, "")
 	cases := []struct {
 		method, path, body string
 		want               int
@@ -319,6 +319,8 @@ func TestErrorMapping(t *testing.T) {
 		{"POST", "/v1/changes", `not json`, http.StatusBadRequest},
 		{"POST", "/v1/policies", `{"remove":["nope"]}`, http.StatusUnprocessableEntity},
 		{"POST", "/v1/policies", `{"add":["reach edge1-edge2 edge1 edge2 10.10.2.0/24 all"]}`, http.StatusUnprocessableEntity},
+		{"POST", "/v1/policies", `{"remove":["no-loops","no-loops"]}`, http.StatusUnprocessableEntity},
+		{"POST", "/v1/policies", `{"add":["loopfree twice any","loopfree twice any"]}`, http.StatusUnprocessableEntity},
 		{"POST", "/v1/policies", `{}`, http.StatusBadRequest},
 		{"GET", "/v1/trace", "", http.StatusBadRequest},
 		{"GET", "/v1/trace?src=ghost&dst=10.10.1.5", "", http.StatusUnprocessableEntity},
@@ -337,6 +339,10 @@ func TestErrorMapping(t *testing.T) {
 		if status != c.want {
 			t.Errorf("%s %s: status %d (want %d): %s", c.method, c.path, status, c.want, body)
 		}
+	}
+	// A rejected write is rejected whole: nothing moved.
+	if snap := srv.Snapshot(); snap.Seq != 0 || snap.Policies != 6 {
+		t.Errorf("after rejected writes: seq %d, %d policies; want 0 and 6", snap.Seq, snap.Policies)
 	}
 }
 

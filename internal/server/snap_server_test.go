@@ -143,6 +143,37 @@ func TestSnapshotRestoreGolden(t *testing.T) {
 	}
 }
 
+// TestRestartRestoresSnapshotGauges: a daemon restarted from a snapshot
+// reports the snapshot it restored in both gauges, as the capture did:
+// its seq and its size in bytes.
+func TestRestartRestoresSnapshotGauges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	srvA, tsA := newSnapServer(t, path, 0, 0)
+	if status, body := post(t, tsA, "/v1/changes", shutdownBorderUplink); status != http.StatusOK {
+		t.Fatalf("apply: status %d: %s", status, body)
+	}
+	status, body := post(t, tsA, "/v1/snapshot", "")
+	if status != http.StatusOK {
+		t.Fatalf("POST /v1/snapshot: status %d: %s", status, body)
+	}
+	res := snapResult(t, body)
+	before := srvA.Metrics().Snapshot()
+	if before["realconfig_snap_last_seq"] != float64(res.Seq) || before["realconfig_snap_bytes"] != float64(res.Bytes) {
+		t.Fatalf("capture gauges: last_seq=%v bytes=%v, want %d and %d",
+			before["realconfig_snap_last_seq"], before["realconfig_snap_bytes"], res.Seq, res.Bytes)
+	}
+	tsA.Close()
+	srvA.Close()
+
+	srvB, _ := newSnapServer(t, path, 0, 0)
+	after := srvB.Metrics().Snapshot()
+	for _, name := range []string{"realconfig_snap_last_seq", "realconfig_snap_bytes"} {
+		if after[name] != before[name] {
+			t.Errorf("%s after restart = %v, want %v", name, after[name], before[name])
+		}
+	}
+}
+
 // TestSnapshotDeterministic: two captures of the same state are
 // byte-identical files (capture is a pure function of state).
 func TestSnapshotDeterministic(t *testing.T) {

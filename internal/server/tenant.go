@@ -110,26 +110,26 @@ type Tenant struct {
 }
 
 // newTenant builds a tenant: engine, instruments (on reg, which carries
-// the tenant's label base), base load, initial policies, journal replay,
-// first snapshot, apply goroutine.
-func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant, error) {
+// the tenant's label base), base state, journal replay, first snapshot,
+// apply goroutine. cfg is the daemon's normalised Config.
+func newTenant(tc TenantConfig, cfg Config, reg *obs.Registry) (*Tenant, error) {
 	if tc.Net == nil {
 		return nil, fmt.Errorf("server: tenant %q: Net is required", tc.ID)
 	}
 	t := &Tenant{
-		ID:           tc.ID,
-		applyTimeout: opts.applyTimeout,
-		jobs:         make(chan *job, opts.queueDepth),
-		quit:         make(chan struct{}),
-		done:         make(chan struct{}),
-		log:          opts.log.With("tenant", tc.ID),
-		reg:          reg,
+		ID:             tc.ID,
+		applyTimeout:   cfg.ApplyTimeout,
+		jobs:           make(chan *job, cfg.QueueDepth),
+		quit:           make(chan struct{}),
+		done:           make(chan struct{}),
+		log:            cfg.Logger.With("tenant", tc.ID),
+		reg:            reg,
+		snapEvery:      cfg.SnapshotEvery,
+		snapBytesEvery: cfg.SnapshotBytes,
+		journalRetain:  cfg.JournalRetain,
+		verifier:       core.New(cfg.Options),
 	}
-	t.verifier = core.New(opts.verifier)
-	t.instrument(reg) // before Load, so the initial full verification is measured too
-	t.snapEvery = opts.snapEvery
-	t.snapBytesEvery = opts.snapBytes
-	t.journalRetain = opts.journalRetain
+	t.instrument(reg) // before the base load, so the initial full verification is measured too
 
 	// Pick the base state: a usable snapshot beside the journal (restore
 	// it and replay only the tail), or the configured network + policy
@@ -139,95 +139,68 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		j       *journal
 		entries []Entry
 		man     *snap.Manifest
-		err     error
+		size    int64
 	)
-	if tc.JournalPath != "" {
-		j, entries, err = openJournal(tc.JournalPath, opts.journalSegBytes)
-		if err != nil {
-			return nil, err
-		}
-		_, man, _, err = snap.Latest(tc.JournalPath)
-		if err != nil {
+	fail := func(err error) (*Tenant, error) {
+		if j != nil {
 			j.close()
+		}
+		return nil, err
+	}
+	if tc.JournalPath != "" {
+		var err error
+		if j, entries, err = openJournal(tc.JournalPath, cfg.JournalSegmentBytes); err != nil {
 			return nil, err
 		}
-		if man != nil && man.Seq < j.compactedThrough() {
-			man = nil // older than the compacted base: cannot bridge the gap
+		data, latest, _, err := snap.Latest(tc.JournalPath)
+		if err != nil {
+			return fail(err)
+		}
+		// A snapshot older than the compacted base cannot bridge the gap.
+		if latest != nil && latest.Seq >= j.compactedThrough() {
+			man, size = latest, int64(len(data))
 		}
 		if man == nil && j.compactedThrough() > 0 {
-			j.close()
-			return nil, fmt.Errorf("server: tenant %q: journal %s is compacted through seq %d but no usable snapshot exists",
-				tc.ID, tc.JournalPath, j.compactedThrough())
+			return fail(fmt.Errorf("server: tenant %q: journal %s is compacted through seq %d but no usable snapshot exists",
+				tc.ID, tc.JournalPath, j.compactedThrough()))
 		}
 	}
 	var lastReport *ReportJSON
-	if man != nil {
-		net, nerr := man.Network()
-		if nerr != nil {
-			j.close()
-			return nil, fmt.Errorf("server: tenant %q: restoring snapshot: %w", tc.ID, nerr)
+	if man == nil {
+		rep, err := t.restore(tc.Net, tc.PolicyText, nil, 0)
+		if err != nil {
+			return fail(fmt.Errorf("server: tenant %q: loading base state: %w", tc.ID, err))
 		}
-		rep, lerr := t.verifier.Load(net)
-		if lerr != nil {
-			j.close()
-			return nil, fmt.Errorf("server: tenant %q: loading snapshot network: %w", tc.ID, lerr)
+		lastReport = rep
+	} else {
+		net, err := man.Network()
+		if err == nil {
+			lastReport, err = t.restore(net, man.PolicyText(), man, size)
 		}
-		if err := t.addPolicyText(man.PolicyText()); err != nil {
-			j.close()
-			return nil, fmt.Errorf("server: tenant %q: restoring snapshot policies: %w", tc.ID, err)
+		if err != nil {
+			return fail(fmt.Errorf("server: tenant %q: restoring snapshot: %w", tc.ID, err))
 		}
-		t.seq = man.Seq
-		lastReport = reportJSON(rep)
-		if len(man.LastReport) > 0 {
-			var rj ReportJSON
-			if jerr := json.Unmarshal(man.LastReport, &rj); jerr == nil {
-				lastReport = &rj
-			}
-		}
-		if man.Epoch != 0 {
-			if _, ok := j.knownEpoch(); !ok {
-				if err := j.setEpoch(man.Epoch); err != nil {
-					j.close()
-					return nil, err
-				}
+		if _, ok := j.knownEpoch(); !ok && man.Epoch != 0 {
+			if err := j.setEpoch(man.Epoch); err != nil {
+				return fail(err)
 			}
 		}
 		// Drop the tail entries the snapshot already folds in, then guard
 		// against a crash that left the snapshot ahead of the chain (a
 		// bootstrap that persisted its snapshot but died before resetting
 		// the journal): restart the chain at the snapshot.
-		skip := man.Seq - j.compactedThrough()
-		if skip >= uint64(len(entries)) {
+		if skip := man.Seq - j.compactedThrough(); skip >= uint64(len(entries)) {
 			entries = nil
 		} else {
 			entries = entries[skip:]
 		}
 		if man.Seq > j.LastSeq() {
 			if err := j.resetTo(man.Seq); err != nil {
-				j.close()
-				return nil, err
+				return fail(err)
 			}
 		}
-		t.lastSnapSeq = man.Seq
-		t.lastSnap.Store(man.Seq)
-		t.m.snapLastSeq.Set(int64(man.Seq))
 		t.log.Info("restored from snapshot",
 			"path", tc.JournalPath, "seq", man.Seq, "tail_entries", len(entries))
-	} else {
-		rep, lerr := t.verifier.Load(tc.Net)
-		if lerr != nil {
-			if j != nil {
-				j.close()
-			}
-			return nil, fmt.Errorf("server: tenant %q: loading base network: %w", tc.ID, lerr)
-		}
-		lastReport = reportJSON(rep)
-		if err := t.addPolicyText(tc.PolicyText); err != nil {
-			if j != nil {
-				j.close()
-			}
-			return nil, err
-		}
 	}
 	if j != nil {
 		j.appends = t.m.journalAppends
@@ -245,8 +218,7 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 		for i, e := range entries {
 			rep, err := t.applyEntry(e)
 			if err != nil {
-				j.close()
-				return nil, fmt.Errorf("server: tenant %q: replaying journal entry %d (%s): %w", tc.ID, i+1, e.Op, err)
+				return fail(fmt.Errorf("server: tenant %q: replaying journal entry %d (%s): %w", tc.ID, i+1, e.Op, err))
 			}
 			t.seq++
 			t.m.journalReplayed.Inc()
@@ -270,14 +242,51 @@ func newTenant(tc TenantConfig, opts serverOptions, reg *obs.Registry) (*Tenant,
 	go t.applyLoop()
 	// Leaders are ready the moment replay finishes; followers stay
 	// not-ready until the replication stream first fully catches up.
-	t.ready.Store(opts.follow == "")
-	if opts.follow != "" {
-		if err := t.startFollower(opts, reg); err != nil {
+	t.ready.Store(cfg.FollowURL == "")
+	if cfg.FollowURL != "" {
+		if err := t.startFollower(cfg, reg); err != nil {
 			t.close()
 			return nil, err
 		}
 	}
 	return t, nil
+}
+
+// restore replaces the tenant's engine state with a base: net and the
+// policies of policyText, loaded from scratch. man is the snapshot
+// manifest the base comes from, size its file's length (nil = the
+// configured base at seq 0): restore then moves seq and the snapshot
+// bookkeeping (lastSnapSeq, lastSnap, both snapshot gauges) to the
+// manifest, and returns the last report it carries, if any, in place
+// of the load's. Journal steps are the caller's. Runs before the apply
+// goroutine starts, or on it.
+func (t *Tenant) restore(net *netcfg.Network, policyText string, man *snap.Manifest, size int64) (*ReportJSON, error) {
+	for _, e := range t.policies {
+		t.verifier.RemovePolicy(e.name)
+	}
+	t.policies = nil
+	rep, err := t.verifier.Load(net)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.addPolicyText(policyText); err != nil {
+		return nil, err
+	}
+	last := reportJSON(rep)
+	if man == nil {
+		return last, nil
+	}
+	t.seq, t.lastSnapSeq = man.Seq, man.Seq
+	t.lastSnap.Store(man.Seq)
+	t.m.snapLastSeq.Set(int64(man.Seq))
+	t.m.snapBytes.Set(size)
+	if len(man.LastReport) > 0 {
+		var rj ReportJSON
+		if json.Unmarshal(man.LastReport, &rj) == nil {
+			last = &rj
+		}
+	}
+	return last, nil
 }
 
 // Ready reports whether the tenant serves warmed-up state: journal
@@ -298,10 +307,10 @@ func (t *Tenant) Ready() bool {
 // startFollower wires and launches the replication loop: this tenant
 // becomes a read replica of the same-named tenant on the leader,
 // resuming from the sequence its local journal replay recovered.
-func (t *Tenant) startFollower(opts serverOptions, reg *obs.Registry) error {
-	base := strings.TrimSuffix(opts.follow, "/") + "/v1"
+func (t *Tenant) startFollower(cfg Config, reg *obs.Registry) error {
+	base := strings.TrimSuffix(cfg.FollowURL, "/") + "/v1"
 	if t.ID != DefaultTenant {
-		base = strings.TrimSuffix(opts.follow, "/") + "/v1/tenants/" + t.ID
+		base += "/tenants/" + t.ID
 	}
 	t.bootstrapURL = base + "/snapshot/latest"
 	// A replica with no local state first tries the leader's snapshot:
@@ -320,8 +329,8 @@ func (t *Tenant) startFollower(opts serverOptions, reg *obs.Registry) error {
 		From:        func() uint64 { return t.Snapshot().Seq },
 		Apply:       t.applyReplicated,
 		Rebootstrap: t.bootstrapFromLeader,
-		Backoff:     opts.replBackoff,
-		MaxBackoff:  opts.replMaxBackoff,
+		Backoff:     cfg.ReplBackoff,
+		MaxBackoff:  cfg.ReplMaxBackoff,
 		Log:         t.log.With("role", "follower"),
 		Metrics:     repl.NewFollowerMetrics(reg),
 	}
@@ -352,33 +361,21 @@ func (t *Tenant) startFollower(opts serverOptions, reg *obs.Registry) error {
 	return nil
 }
 
-// applyReplicated replays one leader journal record on the apply
-// goroutine: verify, append the leader's bytes to the local journal,
-// bump the sequence, publish. Blocking submit (not fail-fast): a
+// applyReplicated replays one leader journal record through the write
+// door, keeping the leader's bytes. It waits for queue space: a
 // replication entry must never be dropped for a momentarily full queue.
 func (t *Tenant) applyReplicated(ctx context.Context, rec repl.Record) error {
 	var e Entry
 	if err := json.Unmarshal(rec.Data, &e); err != nil {
 		return fmt.Errorf("decoding replicated entry: %w", err)
 	}
-	_, err := t.doBlocking(ctx, func() (any, error) {
+	e.raw = rec.Data
+	_, err := t.do(ctx, func() (any, error) {
 		if t.seq+1 != rec.Seq {
 			return nil, fmt.Errorf("replica at seq %d cannot apply seq %d", t.seq, rec.Seq)
 		}
-		rep, err := t.applyEntry(e)
-		if err != nil {
-			return nil, err
-		}
-		if t.journal != nil {
-			if err := t.journal.appendRaw(rec.Data); err != nil {
-				return nil, fmt.Errorf("applied but not journaled: %w", err)
-			}
-		}
-		t.seq++
-		t.publish(rep)
-		t.maybeSnapshot()
-		return nil, nil
-	})
+		return t.commit(e)
+	}, waitForRoom)
 	return err
 }
 
@@ -445,27 +442,31 @@ func (t *Tenant) findPolicy(name string) int {
 	return -1
 }
 
-// policyText renders the active policies back into a specification text
-// (the fork/replay input).
-func (t *Tenant) policyText() string {
-	var b strings.Builder
+// registeredLines returns the registered policies' source lines in
+// registration order: the fork and snapshot capture input. Apply
+// goroutine only.
+func (t *Tenant) registeredLines() []string {
+	lines := make([]string, 0, len(t.policies))
 	for _, e := range t.policies {
-		b.WriteString(e.line)
-		b.WriteByte('\n')
+		lines = append(lines, e.line)
 	}
-	return b.String()
+	return lines
 }
 
-// applyEntry executes one journaled write against the live engine.
-// Runs during replay (before the apply goroutine starts) and never
-// journals, so replay is idempotent with respect to the file.
+// applyEntry executes one journaled write against the live engine: the
+// one path replay, followers and the leader's write door all take. It
+// never journals, so replay is idempotent with respect to the file.
 func (t *Tenant) applyEntry(e Entry) (*ReportJSON, error) {
 	switch e.Op {
 	case opChanges:
-		changes, err := netcfg.DecodeChanges(e.Changes)
-		if err != nil {
-			return nil, err
+		changes := e.batch
+		if changes == nil {
+			var err error
+			if changes, err = netcfg.DecodeChanges(e.Changes); err != nil {
+				return nil, err
+			}
 		}
+		t.verifier.SetTraceContext(e.reqID, t.seq+1)
 		rep, err := t.verifier.Apply(changes...)
 		if err != nil {
 			return nil, err
@@ -485,6 +486,56 @@ func (t *Tenant) applyEntry(e Entry) (*ReportJSON, error) {
 		return nil, nil // audit record; planning changes no state
 	}
 	return nil, fmt.Errorf("unknown journal op %q", e.Op)
+}
+
+// commit is the tenant's one write door. Each entry in turn is executed
+// by applyEntry, appended to the journal and given the next seq; then
+// the state is published once, with the last report an entry produced,
+// and the automatic snapshot triggers run. A failed entry stops the
+// batch before its append, so the entries before it stay committed.
+// Apply goroutine only.
+func (t *Tenant) commit(es ...Entry) (*ReportJSON, error) {
+	var last *ReportJSON
+	for _, e := range es {
+		rep, err := t.applyEntry(e)
+		if err != nil {
+			return nil, err
+		}
+		if t.journal != nil {
+			if err := t.journal.append(e); err != nil {
+				return nil, fmt.Errorf("applied but not journaled: %w", err)
+			}
+		}
+		t.seq++
+		if rep != nil {
+			last = rep
+		}
+	}
+	t.publish(last)
+	t.maybeSnapshot()
+	return last, nil
+}
+
+// fork captures the live network, policies and seq on the apply
+// goroutine (cheap: the network is shared copy-on-write) and bootstraps
+// a fresh verifier over them on the caller's goroutine, so what-ifs and
+// plans run off the write path and never touch the live engine.
+func (t *Tenant) fork(ctx context.Context) (*core.Verifier, uint64, error) {
+	type capture struct {
+		net   *netcfg.Network
+		lines []string
+		opts  core.Options
+		seq   uint64
+	}
+	res, err := t.do(ctx, func() (any, error) {
+		return capture{t.verifier.Network(), t.registeredLines(), t.verifier.Options(), t.seq}, nil
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	c := res.(capture)
+	v, _, err := core.Bootstrap(c.opts, c.net, strings.Join(c.lines, "\n"))
+	return v, c.seq, err
 }
 
 // applyLoop is the tenant's single writer: it drains the job queue one
@@ -507,37 +558,34 @@ func (t *Tenant) applyLoop() {
 	}
 }
 
+// onFull says what do does when the apply queue is full.
+type onFull int
+
+const (
+	failFast    onFull = iota // answer errQueueFull (HTTP: 503); the default
+	waitForRoom               // wait for a slot (replication and bootstrap)
+)
+
 // do submits fn to the tenant's apply goroutine and waits for its
 // result, the request deadline, or shutdown. A full queue fails fast
-// with errQueueFull rather than blocking.
-func (t *Tenant) do(ctx context.Context, fn func() (any, error)) (any, error) {
+// with errQueueFull unless the caller passes waitForRoom: then do waits
+// for a slot, where dropping a job would stall replication for a full
+// backoff cycle.
+func (t *Tenant) do(ctx context.Context, fn func() (any, error), full ...onFull) (any, error) {
 	j := &job{ctx: ctx, run: fn, enq: time.Now(), done: make(chan jobResult, 1)}
 	select {
 	case t.jobs <- j:
 	default:
-		return nil, errQueueFull
-	}
-	select {
-	case r := <-j.done:
-		return r.v, r.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.quit:
-		return nil, errShutdown
-	}
-}
-
-// doBlocking submits fn like do, but waits for queue space instead of
-// failing fast — the replication path's discipline, where dropping a
-// job would stall the stream for a full backoff cycle.
-func (t *Tenant) doBlocking(ctx context.Context, fn func() (any, error)) (any, error) {
-	j := &job{ctx: ctx, run: fn, enq: time.Now(), done: make(chan jobResult, 1)}
-	select {
-	case t.jobs <- j:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case <-t.quit:
-		return nil, errShutdown
+		if len(full) == 0 || full[0] == failFast {
+			return nil, errQueueFull
+		}
+		select {
+		case t.jobs <- j:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-t.quit:
+			return nil, errShutdown
+		}
 	}
 	select {
 	case r := <-j.done:

@@ -39,16 +39,6 @@ type snapshotResult struct {
 	SegmentsRemoved  int    `json:"segmentsRemoved"`
 }
 
-// policyLineList returns the registered policies' source lines in
-// registration order (the snapshot capture input). Apply goroutine only.
-func (t *Tenant) policyLineList() []string {
-	lines := make([]string, 0, len(t.policies))
-	for _, e := range t.policies {
-		lines = append(lines, e.line)
-	}
-	return lines
-}
-
 // takeSnapshot captures the tenant's current state into a durable
 // snapshot file beside the journal, prunes old snapshots, and compacts
 // sealed journal segments the snapshot makes redundant. Runs on the
@@ -79,7 +69,7 @@ func (t *Tenant) takeSnapshot() (snapshotResult, error) {
 		}
 		lastReport = b
 	}
-	m := snap.Capture(t.verifier.Network(), t.policyLineList(), t.seq, epoch, lastReport)
+	m := snap.Capture(t.verifier.Network(), t.registeredLines(), t.seq, epoch, lastReport)
 	path, size, err := snap.WriteFile(t.journal.path, m)
 	if err != nil {
 		return snapshotResult{}, err
@@ -159,7 +149,7 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	_, err = t.doBlocking(ctx, func() (any, error) {
+	_, err = t.do(ctx, func() (any, error) {
 		if man.Seq <= t.seq {
 			return nil, nil // already at or past the snapshot; resume by stream
 		}
@@ -178,15 +168,8 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 				return nil, err
 			}
 		}
-		for _, e := range t.policies {
-			t.verifier.RemovePolicy(e.name)
-		}
-		t.policies = nil
-		rep, err := t.verifier.Load(net)
+		rep, err := t.restore(net, man.PolicyText(), man, int64(len(data)))
 		if err != nil {
-			return nil, err
-		}
-		if err := t.addPolicyText(man.PolicyText()); err != nil {
 			return nil, err
 		}
 		if t.journal != nil {
@@ -200,23 +183,11 @@ func (t *Tenant) bootstrapFromLeader(ctx context.Context) error {
 			}
 			t.snapMark = t.journal.appendedBytes()
 		}
-		t.seq = man.Seq
-		t.lastSnapSeq = man.Seq
-		t.lastSnap.Store(man.Seq)
-		t.m.snapLastSeq.Set(int64(man.Seq))
-		t.m.snapBytes.Set(int64(len(data)))
-		lastRep := reportJSON(rep)
-		if len(man.LastReport) > 0 {
-			var rj ReportJSON
-			if jerr := json.Unmarshal(man.LastReport, &rj); jerr == nil {
-				lastRep = &rj
-			}
-		}
-		t.publish(lastRep)
+		t.publish(rep)
 		t.log.Info("bootstrapped from leader snapshot",
 			"seq", man.Seq, "bytes", len(data), "epoch", man.Epoch)
 		return nil, nil
-	})
+	}, waitForRoom)
 	return err
 }
 
