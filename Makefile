@@ -52,12 +52,12 @@ cover-update:
 server-test:
 	$(GO) test -race -count=1 ./internal/server ./cmd/rcserved
 
-# bench-smoke runs the paper-table benchmarks and the apkeep, bdd, dd,
-# routing, plan and policy micro-benchmarks once — not for numbers, just
-# to prove they still build and complete.
+# bench-smoke runs the paper-table benchmarks and the apkeep, bdd, core,
+# dd, routing, plan and policy micro-benchmarks once — not for numbers,
+# just to prove they still build and complete.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Table2|Table3|SpecMining' -benchtime 1x .
-	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/apkeep ./internal/bdd ./internal/dd ./internal/routing ./internal/plan ./internal/policy
+	$(GO) test -run '^$$' -bench '.' -benchtime 1x ./internal/apkeep ./internal/bdd ./internal/core ./internal/dd ./internal/routing ./internal/plan ./internal/policy
 
 # bench reports real numbers for the hot paths and the paper's tables
 # (REALCONFIG_BENCH_K=12 for the paper's scale).

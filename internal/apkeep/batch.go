@@ -3,7 +3,6 @@ package apkeep
 import (
 	"sort"
 
-	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/dd"
 )
@@ -46,7 +45,7 @@ func (r *BatchResult) AffectedECs() int { return len(r.Transfers) }
 func (r *BatchResult) DistinctECs() int {
 	type k struct {
 		d  string
-		ec bdd.Node
+		ec ECID
 	}
 	seen := make(map[k]struct{})
 	for _, t := range r.Transfers {
@@ -110,7 +109,10 @@ func (m *Model) ApplyBatch(changes []dd.Entry[dataplane.Rule], order Order) (*Ba
 	m.metrics.Transfers.Add(uint64(len(res.Transfers)))
 	m.metrics.FilterTransfers.Add(uint64(len(res.FilterTransfers)))
 	m.metrics.Merges.Add(uint64(len(res.Merges)))
-	m.metrics.ECs.Set(int64(len(m.ecs)))
+	m.metrics.ECs.Set(int64(m.live))
+	if !m.read {
+		m.Release() // no checker reads the churn
+	}
 	return res, nil
 }
 

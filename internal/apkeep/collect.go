@@ -3,6 +3,7 @@ package apkeep
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"realconfig/internal/bdd"
 	"realconfig/internal/obs"
@@ -10,17 +11,20 @@ import (
 )
 
 // Collect frees every BDD node the model no longer uses (bdd's
-// Table.Collect). Its roots are the model's own references: the ECs,
-// every filter binding's allow predicate and the cached Match
-// predicates. Every other node the model or its policy checker holds is
-// an EC, so the roots cover them, but only at quiescence: call Collect
-// between applies, never while a caller still holds the transfers or
-// merge events of the last batch. Any other handle taken from the
-// table before the call may be invalid after it.
+// Table.Collect). Its roots are the model's own references: the EC
+// table's predicates, every filter binding's allow predicate and the
+// cached Match predicates. Every other node the model or its policy
+// checker holds is reached through an EC id, so the roots cover them,
+// but only at quiescence: call Collect between applies, never while a
+// caller still holds the transfers or merge events of the last batch.
+// Any other handle taken from the table before the call may be invalid
+// after it.
 func (m *Model) Collect() {
-	roots := make([]bdd.Node, 0, len(m.ecs)+len(m.filters)+len(m.preds))
-	for ec := range m.ecs {
-		roots = append(roots, ec)
+	roots := make([]bdd.Node, 0, len(m.slots)+len(m.filters)+len(m.preds))
+	for i := range m.slots {
+		if n := m.slots[i].node; n != bdd.False {
+			roots = append(roots, n)
+		}
 	}
 	for _, fs := range m.filters {
 		roots = append(roots, fs.allow)
@@ -50,14 +54,18 @@ func (m *Model) NumColumns() int { return len(m.devs) }
 // installed, plus DropPort.
 func (m *Model) NumPorts() int { return len(m.portTab) }
 
-// CheckRoots verifies the invariant that makes Collect's roots
-// sufficient. Every node the model keys its per-EC state by is a live
-// EC: port rows, filter statuses, the destination index and the
-// merge signatures (the checker's CheckRoots covers its own state). And
-// every other root still denotes its definition: each binding's allow
-// predicate and each cached Match predicate rebuild to the same handle,
-// which a collection that freed them would break. Like CheckPartition
-// it is meant for tests.
+// CheckRoots verifies the EC table and the invariant that makes
+// Collect's roots sufficient. The table: its live slots and the
+// partition agree one to one (as many live slots as ECs, each a
+// distinct non-empty predicate); a slot that is no EC holds no row,
+// signature, filter mark or interval; and no id retired since the last
+// Release has been handed out again. Every id the model keys state by
+// is then a live EC: signature buckets, merge-pass marks, filter marks
+// and the destination index (the checker's CheckRoots covers its own
+// state). And every other root still denotes its definition: each
+// binding's allow predicate and each cached Match predicate rebuild to
+// the same handle, which a collection that freed them would break.
+// Like CheckPartition it is meant for tests.
 func (m *Model) CheckRoots() error {
 	for k, fs := range m.filters {
 		if m.allowOf(fs.lines) != fs.allow {
@@ -70,29 +78,75 @@ func (m *Model) CheckRoots() error {
 		}
 	}
 	var errs []error
-	errs = append(errs, onlyECs(m.ecs, "rows", m.rows))
-	for k, fs := range m.filters {
-		errs = append(errs, onlyECs(m.ecs, "filter "+filterLabel(k), fs.blocked))
-	}
-	for _, iv := range m.idx.ivls {
-		errs = append(errs, onlyECs(m.ecs, "index interval", iv.ecs))
-	}
-	for _, set := range m.bySig {
-		errs = append(errs, onlyECs(m.ecs, "bySig", set))
-	}
-	errs = append(errs,
-		onlyECs(m.ecs, "index byEC", m.idx.byEC),
-		onlyECs(m.ecs, "sig", m.sig),
-		onlyECs(m.ecs, "dirty", m.dirty))
-	return errors.Join(errs...)
-}
-
-// onlyECs reports the first key of set that is not in ecs.
-func onlyECs[V any](ecs map[bdd.Node]struct{}, where string, set map[bdd.Node]V) error {
-	for ec := range set {
-		if _, ok := ecs[ec]; !ok {
-			return fmt.Errorf("apkeep: %s holds node %d, which is not an EC", where, ec)
+	live := 0
+	nodes := make(map[bdd.Node]ECID, m.live)
+	for i := range m.slots {
+		id, s := ECID(i), &m.slots[i]
+		if s.state == slotLive {
+			live++
+			if prev, dup := nodes[s.node]; dup || s.node == bdd.False {
+				errs = append(errs, fmt.Errorf("apkeep: EC %d's predicate %d is empty or also EC %d's", id, s.node, prev))
+			}
+			nodes[s.node] = id
+			continue
+		}
+		var held []string
+		if s.row != nil {
+			held = append(held, "a row")
+		}
+		if s.sig != 0 || s.sigPrev != noID || s.sigNext != noID {
+			held = append(held, "a signature")
+		}
+		if s.dirty && s.state == slotFree {
+			held = append(held, "a merge-pass mark")
+		}
+		for k, fs := range m.filters {
+			if fs.blocked.has(id) {
+				held = append(held, "filter "+filterLabel(k)+"'s mark")
+			}
+		}
+		if len(m.idx.member(id)) > 0 {
+			held = append(held, "intervals")
+		}
+		if s.state == slotFree && s.node != bdd.False {
+			held = append(held, "a predicate")
+		}
+		if len(held) > 0 {
+			errs = append(errs, fmt.Errorf("apkeep: id %d is no EC but holds %s", id, strings.Join(held, ", ")))
 		}
 	}
-	return nil
+	if live != m.live {
+		errs = append(errs, fmt.Errorf("apkeep: %d live slots, partition size %d", live, m.live))
+	}
+	for _, id := range m.retired {
+		if m.slots[id].state != slotRetired {
+			errs = append(errs, fmt.Errorf("apkeep: id %d, retired since the last release, was handed out again", id))
+		}
+	}
+	for _, id := range m.free {
+		if m.slots[id].state != slotFree {
+			errs = append(errs, fmt.Errorf("apkeep: id %d is on the free list but not free", id))
+		}
+	}
+	for s, head := range m.bySig {
+		for id := head; id != noID; id = m.slots[id].sigNext {
+			if !m.Live(id) || m.slots[id].sig != s {
+				errs = append(errs, fmt.Errorf("apkeep: signature bucket %x holds id %d, which is not an EC of that signature", s, id))
+				break
+			}
+		}
+	}
+	for _, id := range m.dirty {
+		if !m.slots[id].dirty {
+			errs = append(errs, fmt.Errorf("apkeep: merge pass lists id %d, which is not marked", id))
+		}
+	}
+	for _, iv := range m.idx.ivls {
+		for id := range iv.ecs {
+			if !m.Live(id) {
+				errs = append(errs, fmt.Errorf("apkeep: index interval %d holds id %d, which is not an EC", iv.start, id))
+			}
+		}
+	}
+	return errors.Join(errs...)
 }

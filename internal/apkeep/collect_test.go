@@ -106,35 +106,56 @@ func TestCollectKeepsModel(t *testing.T) {
 	}
 }
 
-// TestCheckRootsReportsDeadNode plants a node that is not an EC in each
-// per-EC map CheckRoots covers, and a cached predicate that no longer
-// denotes its match, and requires each to be reported.
+// TestCheckRootsReportsDeadNode plants per-EC state on an id that is no
+// EC in each per-EC structure CheckRoots covers, breaks each rule of
+// the EC table, and plants a cached predicate that no longer denotes
+// its match, and requires each to be reported.
 func TestCheckRootsReportsDeadNode(t *testing.T) {
-	dead := bdd.Node(1 << 20)
 	permit := []dataplane.FilterRule{filterRule("r1", "eth0", dataplane.In, 10, netcfg.Permit, dataplane.MatchAll)}
-	for name, plant := range map[string]func(m *Model){
-		"ports": func(m *Model) { m.rows[dead] = nil },
-		"sig":   func(m *Model) { m.sig[dead] = 0 },
-		"bySig": func(m *Model) { m.indexSig(dead, 7) },
-		"dirty": func(m *Model) { m.dirty[dead] = struct{}{} },
-		"byEC":  func(m *Model) { m.idx.byEC[dead] = nil },
-		"ivl":   func(m *Model) { m.idx.ivls[0].ecs[dead] = struct{}{} },
-		"filter": func(m *Model) {
-			m.filters[FilterKey{Device: "r1"}] = &filterState{lines: permit, allow: bdd.True, blocked: map[bdd.Node]bool{dead: true}}
+	for name, plant := range map[string]func(m *Model, dead, retired ECID){
+		"ports": func(m *Model, dead, _ ECID) { m.slots[dead].row = []uint32{0} },
+		"sig":   func(m *Model, dead, _ ECID) { m.slots[dead].sig = 7 },
+		"bySig": func(m *Model, dead, _ ECID) { m.indexSig(dead, 7) },
+		"dirty": func(m *Model, dead, _ ECID) { m.markDirty(dead) },
+		"byEC":  func(m *Model, dead, _ ECID) { m.idx.setMember(dead, []*ivl{m.idx.ivls[0]}) },
+		"ivl":   func(m *Model, dead, _ ECID) { m.idx.ivls[0].ecs[dead] = struct{}{} },
+		"filter": func(m *Model, dead, _ ECID) {
+			fs := &filterState{lines: permit, allow: bdd.True}
+			fs.blocked.add(dead)
+			m.filters[FilterKey{Device: "r1"}] = fs
 		},
-		"allow": func(m *Model) {
-			m.filters[FilterKey{Device: "r1"}] = &filterState{lines: permit, allow: bdd.False, blocked: map[bdd.Node]bool{}}
+		"allow": func(m *Model, _, _ ECID) {
+			m.filters[FilterKey{Device: "r1"}] = &filterState{lines: permit, allow: bdd.False}
 		},
-		"preds": func(m *Model) { m.preds = map[dataplane.Match]bdd.Node{dataplane.MatchAll: bdd.False} },
+		"preds": func(m *Model, _, _ ECID) { m.preds = map[dataplane.Match]bdd.Node{dataplane.MatchAll: bdd.False} },
+		// The table's own rules.
+		"live":      func(m *Model, dead, _ ECID) { m.slots[dead].state = slotLive },
+		"duplicate": func(m *Model, dead, _ ECID) { m.slots[dead] = m.slots[m.AppendLive(nil)[0]] },
+		"free-node": func(m *Model, dead, _ ECID) { m.slots[dead].node = bdd.True },
+		"free-list": func(m *Model, _, _ ECID) { m.free = append(m.free, m.AppendLive(nil)[0]) },
+		"reused": func(m *Model, _, retired ECID) {
+			m.slots[retired].state = slotLive
+			m.live++
+		},
 	} {
 		m := New()
 		m.InsertRule(rule("r1", "10.0.0.0/8", "r2"))
+		m.InsertRule(rule("r1", "10.0.0.0/16", "r3"))
+		// The first split's parent is free again; the second's waits
+		// for the next Release.
+		if len(m.retired) != 2 {
+			t.Fatalf("%s: %d ids retired, want 2", name, len(m.retired))
+		}
+		dead := m.retired[0]
+		m.retired = m.retired[1:]
+		m.slots[dead] = ecSlot{sigPrev: noID, sigNext: noID}
+		m.free = append(m.free, dead)
 		if err := m.CheckRoots(); err != nil {
 			t.Fatalf("%s: clean model: %v", name, err)
 		}
-		plant(m)
+		plant(m, dead, m.retired[0])
 		if m.CheckRoots() == nil {
-			t.Errorf("%s: CheckRoots missed the planted node", name)
+			t.Errorf("%s: CheckRoots missed the planted state", name)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package apkeep
 import (
 	"sort"
 
-	"realconfig/internal/bdd"
 	"realconfig/internal/netcfg"
 )
 
@@ -59,23 +58,42 @@ func prefixRange(p netcfg.Prefix) dstRange {
 // ecs holds every EC that may have a destination inside it.
 type ivl struct {
 	start uint32
-	ecs   map[bdd.Node]struct{}
+	ecs   map[ECID]struct{}
 }
 
 // ecIndex maps destination intervals to candidate ECs and back.
 type ecIndex struct {
 	starts []uint32 // sorted interval start points; starts[0] == 0
 	ivls   map[uint32]*ivl
-	byEC   map[bdd.Node]map[*ivl]struct{}
+	// byEC lists each EC's intervals, indexed by ECID (nil for an id
+	// that is no EC); an interval appears at most once.
+	byEC [][]*ivl
+	// seen stamps the ECs candidates has listed: seen[id] == stamp.
+	seen  []uint32
+	stamp uint32
 }
 
-func newECIndex(root bdd.Node) *ecIndex {
-	iv := &ivl{start: 0, ecs: map[bdd.Node]struct{}{root: {}}}
-	return &ecIndex{
-		starts: []uint32{0},
-		ivls:   map[uint32]*ivl{0: iv},
-		byEC:   map[bdd.Node]map[*ivl]struct{}{root: {iv: {}}},
+func newECIndex(root ECID) *ecIndex {
+	iv := &ivl{start: 0, ecs: map[ECID]struct{}{root: {}}}
+	x := &ecIndex{starts: []uint32{0}, ivls: map[uint32]*ivl{0: iv}}
+	x.setMember(root, []*ivl{iv})
+	return x
+}
+
+// member returns an EC's intervals.
+func (x *ecIndex) member(id ECID) []*ivl {
+	if int(id) < len(x.byEC) {
+		return x.byEC[id]
 	}
+	return nil
+}
+
+// setMember replaces an EC's intervals.
+func (x *ecIndex) setMember(id ECID, ivs []*ivl) {
+	for int(id) >= len(x.byEC) {
+		x.byEC = append(x.byEC, nil)
+	}
+	x.byEC[id] = ivs
 }
 
 // findIdx returns the index of the interval containing address a.
@@ -86,7 +104,7 @@ func (x *ecIndex) findIdx(a uint32) int {
 
 // at returns the candidate ECs for one concrete destination address
 // (live map; do not modify).
-func (x *ecIndex) at(a uint32) map[bdd.Node]struct{} {
+func (x *ecIndex) at(a uint32) map[ECID]struct{} {
 	return x.ivls[x.starts[x.findIdx(a)]].ecs
 }
 
@@ -102,10 +120,10 @@ func (x *ecIndex) ensureBoundary(b uint32) {
 		return
 	}
 	cover := x.ivls[x.starts[idx]]
-	iv := &ivl{start: b, ecs: make(map[bdd.Node]struct{}, len(cover.ecs))}
-	for ec := range cover.ecs {
-		iv.ecs[ec] = struct{}{}
-		x.byEC[ec][iv] = struct{}{}
+	iv := &ivl{start: b, ecs: make(map[ECID]struct{}, len(cover.ecs))}
+	for id := range cover.ecs {
+		iv.ecs[id] = struct{}{}
+		x.byEC[id] = append(x.byEC[id], iv)
 	}
 	x.ivls[b] = iv
 	x.starts = append(x.starts, 0)
@@ -122,16 +140,22 @@ func (x *ecIndex) prepare(r dstRange) {
 	}
 }
 
-// candidates returns the distinct ECs registered on intervals inside r.
-// prepare(r) must have been called.
-func (x *ecIndex) candidates(r dstRange) []bdd.Node {
-	var out []bdd.Node
-	seen := make(map[bdd.Node]struct{})
+// candidates appends to out the distinct ECs registered on intervals
+// inside r. prepare(r) must have been called.
+func (x *ecIndex) candidates(out []ECID, r dstRange) []ECID {
+	x.stamp++
+	if x.stamp == 0 { // wrapped: no stale stamp may match
+		clear(x.seen)
+		x.stamp = 1
+	}
+	if n := len(x.byEC); len(x.seen) < n {
+		x.seen = append(x.seen, make([]uint32, n-len(x.seen))...)
+	}
 	for idx := x.findIdx(r.lo); idx < len(x.starts) && x.starts[idx] <= r.hi; idx++ {
-		for ec := range x.ivls[x.starts[idx]].ecs {
-			if _, dup := seen[ec]; !dup {
-				seen[ec] = struct{}{}
-				out = append(out, ec)
+		for id := range x.ivls[x.starts[idx]].ecs {
+			if x.seen[id] != x.stamp {
+				x.seen[id] = x.stamp
+				out = append(out, id)
 			}
 		}
 	}
@@ -144,41 +168,44 @@ func (x *ecIndex) candidates(r dstRange) []bdd.Node {
 // (the split predicate may constrain non-destination fields, leaving
 // out-packets with destinations in r). prepare(r) must have been
 // called before the parent's membership was read.
-func (x *ecIndex) splitEC(parent, in, out bdd.Node, hint dstHint) {
+func (x *ecIndex) splitEC(parent, in, out ECID, hint dstHint) {
 	ivs := x.byEC[parent]
-	delete(x.byEC, parent)
-	inSet := make(map[*ivl]struct{})
-	outSet := make(map[*ivl]struct{})
-	for iv := range ivs {
+	x.byEC[parent] = nil
+	// The in-half takes the parent's list, filtered in place.
+	inSet := ivs[:0]
+	outSet := make([]*ivl, 0, len(ivs))
+	for _, iv := range ivs {
 		delete(iv.ecs, parent)
 		inside := iv.start >= hint.lo && iv.start <= hint.hi
 		if inside {
 			iv.ecs[in] = struct{}{}
-			inSet[iv] = struct{}{}
+			inSet = append(inSet, iv)
 		}
 		if !inside || !hint.exact {
 			iv.ecs[out] = struct{}{}
-			outSet[iv] = struct{}{}
+			outSet = append(outSet, iv)
 		}
 	}
-	x.byEC[in] = inSet
-	x.byEC[out] = outSet
+	x.setMember(in, inSet)
+	x.setMember(out, outSet)
 }
 
 // replace re-registers every interval of old under merged (merge path).
-func (x *ecIndex) replace(old, merged bdd.Node) {
+func (x *ecIndex) replace(old, merged ECID) {
 	ivs := x.byEC[old]
-	delete(x.byEC, old)
-	dst := x.byEC[merged]
-	if dst == nil {
-		dst = make(map[*ivl]struct{}, len(ivs))
-		x.byEC[merged] = dst
+	x.byEC[old] = nil
+	dst := x.member(merged)
+	if len(dst) == 0 {
+		dst = ivs[:0] // merged takes old's list, filtered in place
 	}
-	for iv := range ivs {
+	for _, iv := range ivs {
 		delete(iv.ecs, old)
-		iv.ecs[merged] = struct{}{}
-		dst[iv] = struct{}{}
+		if _, dup := iv.ecs[merged]; !dup {
+			iv.ecs[merged] = struct{}{}
+			dst = append(dst, iv)
+		}
 	}
+	x.setMember(merged, dst)
 }
 
 // fullRange covers the whole destination space: the hint for splits

@@ -19,8 +19,8 @@ import (
 
 // MergeEvent records two ECs collapsing into one.
 type MergeEvent struct {
-	A, B   bdd.Node // the merged-away classes
-	Result bdd.Node // their union
+	A, B   ECID // the merged-away classes
+	Result ECID // their union
 }
 
 // mix64 is splitmix64's finalizer: a bijection on uint64, so distinct
@@ -49,39 +49,58 @@ func filterFact(seq uint64) uint64 {
 }
 
 // bumpSig applies a signature delta to an EC and reindexes it.
-func (m *Model) bumpSig(ec bdd.Node, delta uint64) {
+func (m *Model) bumpSig(id ECID, delta uint64) {
 	if delta == 0 {
 		return
 	}
-	old := m.sig[ec]
-	m.unindexSig(ec, old)
-	m.sig[ec] = old + delta
-	m.indexSig(ec, old+delta)
-	m.dirty[ec] = struct{}{}
+	s := m.slots[id].sig + delta
+	m.unindexSig(id)
+	m.indexSig(id, s)
+	m.markDirty(id)
 }
 
-func (m *Model) indexSig(ec bdd.Node, s uint64) {
-	set := m.bySig[s]
-	if set == nil {
-		set = make(map[bdd.Node]struct{})
-		m.bySig[s] = set
+// markDirty lists an EC for the next merge pass.
+func (m *Model) markDirty(id ECID) {
+	if s := &m.slots[id]; !s.dirty {
+		s.dirty = true
+		m.dirty = append(m.dirty, id)
 	}
-	set[ec] = struct{}{}
 }
 
-func (m *Model) unindexSig(ec bdd.Node, s uint64) {
-	if set := m.bySig[s]; set != nil {
-		delete(set, ec)
-		if len(set) == 0 {
-			delete(m.bySig, s)
-		}
+// indexSig sets an EC's signature and puts it at the head of that
+// signature's bucket.
+func (m *Model) indexSig(id ECID, sig uint64) {
+	s := &m.slots[id]
+	s.sig, s.sigPrev, s.sigNext = sig, noID, noID
+	if head, ok := m.bySig[sig]; ok {
+		s.sigNext = head
+		m.slots[head].sigPrev = id
 	}
+	m.bySig[sig] = id
+}
+
+// unindexSig takes an EC out of its signature's bucket.
+func (m *Model) unindexSig(id ECID) {
+	s := &m.slots[id]
+	prev, next := s.sigPrev, s.sigNext
+	switch {
+	case prev != noID:
+		m.slots[prev].sigNext = next
+	case next != noID:
+		m.bySig[s.sig] = next
+	default:
+		delete(m.bySig, s.sig)
+	}
+	if next != noID {
+		m.slots[next].sigPrev = prev
+	}
+	s.sigPrev, s.sigNext = noID, noID
 }
 
 // behaviourEqual verifies exactly that two ECs behave identically on
 // every device and at every filter binding.
-func (m *Model) behaviourEqual(a, b bdd.Node) bool {
-	ra, rb := m.rows[a], m.rows[b]
+func (m *Model) behaviourEqual(a, b ECID) bool {
+	ra, rb := m.slots[a].row, m.slots[b].row
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
 	}
@@ -94,7 +113,7 @@ func (m *Model) behaviourEqual(a, b bdd.Node) bool {
 		}
 	}
 	for _, fs := range m.filters {
-		if fs.blocked[a] != fs.blocked[b] {
+		if fs.blocked.has(a) != fs.blocked.has(b) {
 			return false
 		}
 	}
@@ -106,82 +125,83 @@ func (m *Model) behaviourEqual(a, b bdd.Node) bool {
 // ApplyBatch calls it automatically when AutoMerge is set.
 func (m *Model) MergeECs() []MergeEvent {
 	var events []MergeEvent
+	defer func() { m.graveyard = nil }()
 	for len(m.dirty) > 0 {
 		// Take one dirty EC and try to find a partner. Under tracing the
 		// picks are lowest-node-first so event order is deterministic.
-		var ec bdd.Node
+		i := len(m.dirty) - 1
 		if m.tr != nil {
-			first := true
-			for e := range m.dirty {
-				if first || e < ec {
-					ec, first = e, false
+			for j, id := range m.dirty {
+				if m.slots[id].node < m.slots[m.dirty[i]].node {
+					i = j
 				}
 			}
-		} else {
-			for e := range m.dirty {
-				ec = e
-				break
-			}
 		}
-		delete(m.dirty, ec)
-		if _, live := m.ecs[ec]; !live {
-			continue
+		id := m.dirty[i]
+		m.dirty[i] = m.dirty[len(m.dirty)-1]
+		m.dirty = m.dirty[:len(m.dirty)-1]
+		m.slots[id].dirty = false
+		if m.slots[id].state != slotLive {
+			continue // split or merged away since it was listed
 		}
-		bucket := m.bySig[m.sig[ec]]
-		var partner bdd.Node
-		found := false
-		for other := range bucket {
-			if other == ec || !m.behaviourEqual(ec, other) {
+		partner := noID
+		for other := m.bySig[m.slots[id].sig]; other != noID; other = m.slots[other].sigNext {
+			if other == id || !m.behaviourEqual(id, other) {
 				continue
 			}
-			if !found || (m.tr != nil && other < partner) {
-				partner, found = other, true
+			if partner == noID || (m.tr != nil && m.slots[other].node < m.slots[partner].node) {
+				partner = other
 			}
 			if m.tr == nil {
 				break
 			}
 		}
-		if !found {
+		if partner == noID {
 			continue
 		}
-		merged := m.mergePair(ec, partner)
+		merged := m.mergePair(id, partner)
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECMerge,
-				trace.U("a", uint64(ec)), trace.U("b", uint64(partner)), trace.U("ec", uint64(merged)))
+				trace.U("a", uint64(m.slots[id].node)), trace.U("b", uint64(m.slots[partner].node)),
+				trace.U("ec", uint64(m.slots[merged].node)))
 		}
-		events = append(events, MergeEvent{A: ec, B: partner, Result: merged})
+		events = append(events, MergeEvent{A: id, B: partner, Result: merged})
 		// The merged class may itself merge further.
-		m.dirty[merged] = struct{}{}
+		m.markDirty(merged)
 	}
 	return events
 }
 
-// mergePair replaces a and b with their union everywhere.
-func (m *Model) mergePair(a, b bdd.Node) bdd.Node {
-	merged := m.H.Or(a, b)
-	s := m.sig[a] // identical behaviour => identical signature
-	m.unindexSig(a, m.sig[a])
-	m.unindexSig(b, m.sig[b])
-	delete(m.sig, a)
-	delete(m.sig, b)
-	delete(m.ecs, a)
-	delete(m.ecs, b)
-	delete(m.dirty, a)
-	delete(m.dirty, b)
-	m.ecs[merged] = struct{}{}
-	m.idx.replace(a, merged)
-	m.idx.replace(b, merged)
-	m.sig[merged] = s
-	m.indexSig(merged, s)
-	m.rows[merged] = m.rows[a]
-	delete(m.rows, a)
-	delete(m.rows, b)
-	for _, fs := range m.filters {
-		if fs.blocked[a] {
-			delete(fs.blocked, a)
-			delete(fs.blocked, b)
-			fs.blocked[merged] = true
+// mergePair replaces a and b with their union everywhere. The union
+// revives the id of a class retired since the last Release when it is
+// that class again (table.go).
+func (m *Model) mergePair(a, b ECID) ECID {
+	if m.graveyard == nil {
+		m.graveyard = make(map[bdd.Node]ECID, len(m.retired))
+		for _, id := range m.retired {
+			m.graveyard[m.slots[id].node] = id
 		}
 	}
+	node := m.H.Or(m.slots[a].node, m.slots[b].node)
+	merged, ok := m.revive(node)
+	if !ok {
+		merged = m.alloc(node)
+	}
+	s := m.slots[a].sig // identical behaviour => identical signature
+	m.unindexSig(a)
+	m.unindexSig(b)
+	m.idx.replace(a, merged)
+	m.idx.replace(b, merged)
+	m.indexSig(merged, s)
+	m.slots[merged].row = m.slots[a].row
+	for _, fs := range m.filters {
+		if fs.blocked.has(a) {
+			fs.blocked.del(a)
+			fs.blocked.del(b)
+			fs.blocked.add(merged)
+		}
+	}
+	m.retire(a)
+	m.retire(b)
 	return merged
 }

@@ -201,7 +201,7 @@ func TestMergeRandomizedChurnKeepsLookupsCorrect(t *testing.T) {
 // longer row only when that row's extra columns are drop too.
 func TestBehaviourEqualReadsShortRowsAsDrop(t *testing.T) {
 	m := New()
-	a, b := bdd.Node(100), bdd.Node(101)
+	a, b := m.alloc(bdd.Node(100)), m.alloc(bdd.Node(101))
 	for _, c := range []struct {
 		ra, rb []uint32
 		want   bool
@@ -213,7 +213,7 @@ func TestBehaviourEqualReadsShortRowsAsDrop(t *testing.T) {
 		{[]uint32{1, 2}, []uint32{2, 1}, false},
 		{nil, []uint32{0, 3}, false},
 	} {
-		m.rows[a], m.rows[b] = c.ra, c.rb
+		m.slots[a].row, m.slots[b].row = c.ra, c.rb
 		if got := m.behaviourEqual(a, b); got != c.want {
 			t.Errorf("rows %v, %v: equal = %v, want %v", c.ra, c.rb, got, c.want)
 		}

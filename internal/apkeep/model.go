@@ -6,10 +6,12 @@
 // insertions/deletions move ECs between ports, splitting them only when
 // a rule boundary cuts through an existing class.
 //
-// Behaviour is stored EC-major: each EC has one row of interned port
-// ids, one column per device, so splitting an EC copies one row,
-// merging two drops one, and comparing two compares their rows, however
-// many devices the network has.
+// Each EC has a dense id in the model's EC table (table.go), and every
+// per-EC structure — here, in the destination index and in the policy
+// checker — is a slice indexed by it. Behaviour is stored EC-major:
+// each EC has one row of interned port ids, one column per device, so
+// splitting an EC copies one row, merging two drops one, and comparing
+// two compares their rows, however many devices the network has.
 //
 // Longest-prefix-match semantics are handled structurally: a rule's
 // effective packet space is its prefix minus all longer prefixes with
@@ -85,7 +87,7 @@ func portOf(r dataplane.Rule) Port {
 // plane model change handed to the policy checker.
 type Transfer struct {
 	Device string
-	EC     bdd.Node
+	EC     ECID
 	Old    Port
 	New    Port
 }
@@ -149,27 +151,35 @@ func (m *Model) Instrument(reg *obs.Registry) {
 		Nodes:           reg.Gauge("realconfig_bdd_nodes", "Live BDD nodes left by the last node-table collection.", nil),
 		Collections:     reg.Counter("realconfig_bdd_collections_total", "BDD node-table collections.", nil),
 	}
-	m.metrics.ECs.Set(int64(len(m.ecs)))
+	m.metrics.ECs.Set(int64(m.live))
 }
 
 // Model is the incremental data plane model.
 type Model struct {
 	H *bdd.Headers
 
-	// ecs is the current partition of the packet space.
-	ecs map[bdd.Node]struct{}
+	// slots is the EC table, indexed by ECID; its live slots are the
+	// current partition of the packet space, live counts them, and free
+	// lists the ids ready for reuse. born and retired are the churn
+	// since the last Release; read records that a checker consumes it.
+	// graveyard maps the predicates of retired ids to them during a
+	// merge pass (table.go, revive).
+	slots     []ecSlot
+	live      int
+	free      []ECID
+	born      []ECID
+	retired   []ECID
+	read      bool
+	graveyard map[bdd.Node]ECID
 	// idx narrows destination-bounded splits to candidate ECs.
 	idx *ecIndex
 
 	devs    map[string]*devState
 	filters map[FilterKey]*filterState
 
-	// rows holds each EC's behaviour, EC-major: one interned port id per
-	// device column. A row shorter than the column count reads as drop
-	// in its missing tail. portTab maps ids to ports (id 0 is DropPort)
-	// and portIDs interns them. Columns and port ids are append-only:
-	// bounded by the devices and ports ever installed.
-	rows    map[bdd.Node][]uint32
+	// portTab maps the port ids of the slots' rows to ports (id 0 is
+	// DropPort) and portIDs interns them. Columns and port ids are
+	// append-only: bounded by the devices and ports ever installed.
 	portTab []Port
 	portIDs map[Port]uint32
 	// filterSeq numbers filter bindings for their signature facts.
@@ -183,12 +193,11 @@ type Model struct {
 	// behaviourally identical classes (APKeep's "minimum number of ECs"
 	// property). Merging is also available explicitly via MergeECs.
 	AutoMerge bool
-	// sig holds each EC's commutative behaviour signature; bySig indexes
-	// classes by signature; dirty marks classes touched since the last
-	// merge pass.
-	sig   map[bdd.Node]uint64
-	bySig map[uint64]map[bdd.Node]struct{}
-	dirty map[bdd.Node]struct{}
+	// bySig heads each signature's bucket of classes, linked through
+	// the slots; dirty lists the classes touched since the last merge
+	// pass (each once: a slot's dirty bit says whether it is listed).
+	bySig map[uint64]ECID
+	dirty []ECID
 
 	ops     OpStats
 	metrics ModelMetrics
@@ -202,6 +211,9 @@ type Model struct {
 	// current update, the "rule" attribute of split/transfer events.
 	tr      *trace.Apply
 	curRule string
+
+	// cands and inside are split's scratch.
+	cands, inside []ECID
 }
 
 // New creates a model whose packet space is a single EC (everything
@@ -210,26 +222,33 @@ func New() *Model {
 	h := bdd.NewHeaders()
 	m := &Model{
 		H:       h,
-		ecs:     map[bdd.Node]struct{}{bdd.True: {}},
-		idx:     newECIndex(bdd.True),
 		devs:    make(map[string]*devState),
 		filters: make(map[FilterKey]*filterState),
-		rows:    map[bdd.Node][]uint32{bdd.True: nil},
 		portTab: []Port{DropPort},
 		portIDs: map[Port]uint32{DropPort: 0},
-		sig:     map[bdd.Node]uint64{bdd.True: 0},
-		bySig:   make(map[uint64]map[bdd.Node]struct{}),
-		dirty:   make(map[bdd.Node]struct{}),
+		bySig:   make(map[uint64]ECID),
 	}
-	m.indexSig(bdd.True, 0)
+	root := m.alloc(bdd.True)
+	m.Release() // a checker's first Update walks every EC, the root too
+	m.idx = newECIndex(root)
+	m.indexSig(root, 0)
 	return m
 }
 
-// ECs returns the current equivalence classes (live map; do not modify).
-func (m *Model) ECs() map[bdd.Node]struct{} { return m.ecs }
+// ECs returns the predicates of the current equivalence classes, in a
+// fresh map (off the hot path: updates and the checker use ids).
+func (m *Model) ECs() map[bdd.Node]struct{} {
+	out := make(map[bdd.Node]struct{}, m.live)
+	for i := range m.slots {
+		if s := &m.slots[i]; s.state == slotLive {
+			out[s.node] = struct{}{}
+		}
+	}
+	return out
+}
 
 // NumECs returns the partition size.
-func (m *Model) NumECs() int { return len(m.ecs) }
+func (m *Model) NumECs() int { return m.live }
 
 // Ops returns the accumulated hot-path work counters.
 func (m *Model) Ops() OpStats { return m.ops }
@@ -237,10 +256,10 @@ func (m *Model) Ops() OpStats { return m.ops }
 // ResetOps clears the work counters.
 func (m *Model) ResetOps() { m.ops = OpStats{} }
 
-// PortOf returns the port of an EC on a device (DropPort by default).
-func (m *Model) PortOf(dev string, ec bdd.Node) Port {
+// PortAt returns the port of an EC on a device (DropPort by default).
+func (m *Model) PortAt(dev string, id ECID) Port {
 	if ds := m.devs[dev]; ds != nil {
-		if row := m.rows[ec]; ds.col < len(row) {
+		if row := m.slots[id].row; ds.col < len(row) {
 			return m.portTab[row[ds.col]]
 		}
 	}
@@ -268,43 +287,42 @@ func (m *Model) portID(p Port) uint32 {
 }
 
 // split refines the partition so that pred is a union of ECs, and
-// returns the ECs inside pred. Split parts inherit the original EC's
-// port on every device and its status at every filter binding. The
-// hint bounds pred's destination footprint so only the index's
-// candidate ECs are examined; use fullRange when pred is not
-// destination-bounded.
-func (m *Model) split(pred bdd.Node, hint dstHint) []bdd.Node {
+// returns the ECs inside pred (valid until the next split). Split parts
+// inherit the original EC's port on every device and its status at
+// every filter binding. The hint bounds pred's destination footprint so
+// only the index's candidate ECs are examined; use fullRange when pred
+// is not destination-bounded.
+func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
 	if pred == bdd.False {
 		return nil
 	}
 	m.ops.SplitCalls++
 	m.metrics.SplitCalls.Inc()
-	var cands []bdd.Node
+	var cands []ECID
 	if hint.dstRange == fullRange.dstRange {
 		m.ops.SplitFull++
 		m.metrics.SplitFull.Inc()
-		cands = make([]bdd.Node, 0, len(m.ecs))
-		for ec := range m.ecs {
-			cands = append(cands, ec)
-		}
+		cands = m.AppendLive(m.cands[:0])
 	} else {
 		m.idx.prepare(hint.dstRange)
-		cands = m.idx.candidates(hint.dstRange)
+		cands = m.idx.candidates(m.cands[:0], hint.dstRange)
 	}
+	m.cands = cands
 	m.ops.SplitCandidates += len(cands)
 	m.metrics.SplitCandidates.Add(uint64(len(cands)))
 	if m.tr != nil {
-		sortNodes(cands) // deterministic split order => deterministic events
+		m.sortByNode(cands) // deterministic split order => deterministic events
 	}
 
-	var inside []bdd.Node
-	for _, ec := range cands {
+	inside := m.inside[:0]
+	for _, id := range cands {
+		ec := m.slots[id].node
 		in := m.H.And(ec, pred)
 		if in == bdd.False {
 			continue
 		}
 		if in == ec {
-			inside = append(inside, ec)
+			inside = append(inside, id)
 			continue
 		}
 		out := m.H.Diff(ec, pred)
@@ -313,33 +331,29 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []bdd.Node {
 				trace.U("ec", uint64(ec)), trace.U("in", uint64(in)), trace.U("out", uint64(out)),
 				trace.S("rule", m.curRule))
 		}
-		inside = append(inside, in)
-		delete(m.ecs, ec)
-		m.ecs[in] = struct{}{}
-		m.ecs[out] = struct{}{}
-		m.idx.splitEC(ec, in, out, hint)
+		inID, outID := m.alloc(in), m.alloc(out)
+		inside = append(inside, inID)
+		m.idx.splitEC(id, inID, outID, hint)
 		// Children inherit the parent's behaviour, hence its signature.
-		s := m.sig[ec]
-		m.unindexSig(ec, s)
-		delete(m.sig, ec)
-		delete(m.dirty, ec)
-		for _, child := range [2]bdd.Node{in, out} {
-			m.sig[child] = s
+		s := m.slots[id].sig
+		m.unindexSig(id)
+		row := m.slots[id].row
+		m.slots[inID].row = row
+		m.slots[outID].row = slices.Clone(row)
+		for _, child := range [2]ECID{inID, outID} {
 			m.indexSig(child, s)
-			m.dirty[child] = struct{}{}
+			m.markDirty(child)
 		}
-		row := m.rows[ec]
-		delete(m.rows, ec)
-		m.rows[in] = row
-		m.rows[out] = slices.Clone(row)
 		for _, fs := range m.filters {
-			if fs.blocked[ec] {
-				delete(fs.blocked, ec)
-				fs.blocked[in] = true
-				fs.blocked[out] = true
+			if fs.blocked.has(id) {
+				fs.blocked.del(id)
+				fs.blocked.add(inID)
+				fs.blocked.add(outID)
 			}
 		}
+		m.retire(id)
 	}
+	m.inside = inside
 	return inside
 }
 
@@ -349,28 +363,28 @@ func (m *Model) moveECs(dev string, ds *devState, pred bdd.Node, newPort Port, h
 	if pred == bdd.False {
 		return
 	}
-	id := m.portID(newPort)
-	newFact := portFact(ds.col, id)
-	for _, ec := range m.split(pred, hint) {
-		row := m.rows[ec]
+	pid := m.portID(newPort)
+	newFact := portFact(ds.col, pid)
+	for _, id := range m.split(pred, hint) {
+		row := m.slots[id].row
 		var oldID uint32
 		if ds.col < len(row) {
 			oldID = row[ds.col]
 		}
-		if oldID == id {
+		if oldID == pid {
 			continue
 		}
 		if ds.col >= len(row) {
 			row = append(row, make([]uint32, len(m.devs)-len(row))...)
-			m.rows[ec] = row
+			m.slots[id].row = row
 		}
-		row[ds.col] = id
-		m.bumpSig(ec, newFact-portFact(ds.col, oldID))
+		row[ds.col] = pid
+		m.bumpSig(id, newFact-portFact(ds.col, oldID))
 		old := m.portTab[oldID]
-		m.transfers = append(m.transfers, Transfer{Device: dev, EC: ec, Old: old, New: newPort})
+		m.transfers = append(m.transfers, Transfer{Device: dev, EC: id, Old: old, New: newPort})
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECTransfer,
-				trace.S("device", dev), trace.U("ec", uint64(ec)),
+				trace.S("device", dev), trace.U("ec", uint64(m.slots[id].node)),
 				trace.S("rule", m.curRule),
 				trace.S("from", old.String()), trace.S("to", newPort.String()))
 		}
@@ -471,13 +485,10 @@ func (m *Model) TakeTransfers() []Transfer {
 }
 
 // Lookup returns the port a concrete packet takes on a device, resolved
-// through the EC partition (the model's view of forwarding). Only the
-// ECs indexed on the packet's destination interval are examined.
+// through the EC partition (the model's view of forwarding, ECOf).
 func (m *Model) Lookup(dev string, pkt bdd.Packet) Port {
-	for ec := range m.idx.at(uint32(pkt.Dst)) {
-		if m.H.Contains(ec, pkt) {
-			return m.PortOf(dev, ec)
-		}
+	if id, ok := m.ECOf(pkt); ok {
+		return m.PortAt(dev, id)
 	}
 	return DropPort
 }
@@ -487,8 +498,8 @@ func (m *Model) Lookup(dev string, pkt bdd.Packet) Port {
 // meant for tests.
 func (m *Model) CheckPartition() error {
 	all := bdd.False
-	ecs := make([]bdd.Node, 0, len(m.ecs))
-	for ec := range m.ecs {
+	ecs := make([]bdd.Node, 0, m.live)
+	for ec := range m.ECs() {
 		ecs = append(ecs, ec)
 	}
 	sort.Slice(ecs, func(i, j int) bool { return ecs[i] < ecs[j] })
@@ -516,12 +527,13 @@ func (m *Model) CheckPartition() error {
 // it). Like CheckPartition it is exhaustive and meant for tests.
 func (m *Model) CheckIndex() error {
 	x := m.idx
-	if len(x.byEC) != len(m.ecs) {
-		return fmt.Errorf("apkeep: index tracks %d ECs, partition has %d", len(x.byEC), len(m.ecs))
-	}
-	for ec := range m.ecs {
-		if _, ok := x.byEC[ec]; !ok {
-			return fmt.Errorf("apkeep: live EC missing from index")
+	for id := range m.slots {
+		live := m.slots[id].state == slotLive
+		if live && len(x.member(ECID(id))) == 0 {
+			return fmt.Errorf("apkeep: live EC %d missing from index", id)
+		}
+		if !live && len(x.member(ECID(id))) != 0 {
+			return fmt.Errorf("apkeep: index tracks id %d, which is no EC", id)
 		}
 	}
 	if len(x.starts) != len(x.ivls) || x.starts[0] != 0 {
@@ -535,11 +547,11 @@ func (m *Model) CheckIndex() error {
 		if iv == nil || iv.start != s {
 			return fmt.Errorf("apkeep: interval table inconsistent at %d", s)
 		}
-		for ec := range iv.ecs {
-			if _, ok := x.byEC[ec]; !ok {
+		for id := range iv.ecs {
+			if !m.Live(id) {
 				return fmt.Errorf("apkeep: interval holds dead EC")
 			}
-			if _, ok := x.byEC[ec][iv]; !ok {
+			if !slices.Contains(x.member(id), iv) {
 				return fmt.Errorf("apkeep: missing reverse membership")
 			}
 		}
@@ -552,11 +564,18 @@ func (m *Model) CheckIndex() error {
 		// set but intersecting [s, hi] would leave a hole here.
 		rangePred := m.H.DstRange(s, hi)
 		covered := bdd.False
-		for ec := range iv.ecs {
-			covered = m.H.Or(covered, m.H.And(ec, rangePred))
+		for id := range iv.ecs {
+			covered = m.H.Or(covered, m.H.And(m.slots[id].node, rangePred))
 		}
 		if covered != rangePred {
 			return fmt.Errorf("apkeep: interval [%d,%d] candidate set misses an EC", s, hi)
+		}
+	}
+	for id := range m.slots {
+		for _, iv := range x.member(ECID(id)) {
+			if _, ok := iv.ecs[ECID(id)]; !ok {
+				return fmt.Errorf("apkeep: EC %d lists an interval that does not hold it", id)
+			}
 		}
 	}
 	return nil
@@ -570,9 +589,9 @@ func (m *Model) CheckIndex() error {
 
 // refLookup scans the whole partition.
 func (m *Model) refLookup(dev string, pkt bdd.Packet) Port {
-	for ec := range m.ecs {
-		if m.H.Contains(ec, pkt) {
-			return m.PortOf(dev, ec)
+	for id := range m.slots {
+		if m.Live(ECID(id)) && m.H.Contains(m.slots[id].node, pkt) {
+			return m.PortAt(dev, ECID(id))
 		}
 	}
 	return DropPort

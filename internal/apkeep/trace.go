@@ -1,9 +1,10 @@
 package apkeep
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
-	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/trace"
 )
@@ -31,19 +32,19 @@ func filterLabel(k FilterKey) string {
 	return k.Device + ":" + k.Intf + ":" + k.Dir.String()
 }
 
-// sortNodes orders ECs ascending (tracing-mode determinism).
-func sortNodes(ns []bdd.Node) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
+// sortByNode orders ECs by ascending predicate node, the order traced
+// updates visit them in (tracing-mode determinism: ids depend on the
+// free list, nodes on the predicates alone).
+func (m *Model) sortByNode(ids []ECID) {
+	slices.SortFunc(ids, func(a, b ECID) int { return cmp.Compare(m.slots[a].node, m.slots[b].node) })
 }
 
-// sortedBoolKeys returns a map's EC keys in ascending order.
-func sortedBoolKeys(set map[bdd.Node]bool) []bdd.Node {
-	out := make([]bdd.Node, 0, len(set))
-	for ec := range set {
-		out = append(out, ec)
+// byNodeIfTraced sorts ids by node when tracing, and returns them.
+func (m *Model) byNodeIfTraced(ids []ECID) []ECID {
+	if m.tr != nil {
+		m.sortByNode(ids)
 	}
-	sortNodes(out)
-	return out
+	return ids
 }
 
 // sortedFilterKeys orders filter bindings by device, interface,

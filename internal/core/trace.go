@@ -72,16 +72,12 @@ func ruleText(r dataplane.Rule) string {
 func (v *Verifier) Trace(src string, pkt bdd.Packet) Trace {
 	model, checker, fib := v.model, v.checker, v.gen.FIB()
 	tr := Trace{Packet: pkt}
-	// The EC containing the packet determines outcomes; the concrete
-	// rules are recovered per hop by longest-prefix match over the FIB.
-	var ec bdd.Node
-	for cand := range model.ECs() {
-		if model.ContainsPacket(cand, pkt) {
-			ec = cand
-			break
-		}
-	}
-	if o, ok := checker.OutcomeOf(ec, src); ok {
+	// The EC containing the packet, found through the model's
+	// destination index, determines outcomes; the concrete rules are
+	// recovered per hop by longest-prefix match over the FIB. The ECs
+	// partition the packet space, so one always contains it.
+	ec, _ := model.ECOf(pkt)
+	if o, ok := checker.Outcome(ec, src); ok {
 		tr.Outcome = o
 	} else {
 		tr.Outcome = policy.Outcome{Kind: policy.Dropped, At: src}
@@ -91,7 +87,7 @@ func (v *Verifier) Trace(src string, pkt bdd.Packet) Trace {
 		if rule, ok := lpm(fib, dev, pkt.Dst); ok {
 			hop.Rule = &rule
 			if rule.Action == dataplane.Forward {
-				if model.Blocked(dev, rule.OutIntf, dataplane.Out, ec) {
+				if model.BlockedAt(dev, rule.OutIntf, dataplane.Out, ec) {
 					hop.Filtered = "out@" + rule.OutIntf
 				}
 			}

@@ -145,6 +145,41 @@ func TestTraceLPMPicksMostSpecificRule(t *testing.T) {
 	}
 }
 
+// TestTraceInsideSplitEC traces packets on both sides of a split: a
+// drop static for a /28 inside r03's host /24 cuts that /24's EC in
+// two, and the trace, which finds the packet's EC through the model's
+// destination index, must follow the half the packet is in.
+func TestTraceInsideSplitEC(t *testing.T) {
+	net, err := topology.Line(4, topology.OSPF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{})
+	if _, err := v.Load(net.Network); err != nil {
+		t.Fatal(err)
+	}
+	dst := net.HostPrefix["r03"]
+	cut := netcfg.Prefix{Addr: dst.Addr + 16, Len: 28}
+	before := v.NumECs()
+	if _, err := v.Apply(netcfg.AddStaticRoute{Device: "r01", Route: netcfg.StaticRoute{Prefix: cut, Drop: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if v.NumECs() <= before {
+		t.Fatalf("the /28 split no EC (%d ECs before, %d after)", before, v.NumECs())
+	}
+	inside := v.Trace("r00", bdd.Packet{Dst: cut.Addr + 3, Proto: netcfg.ProtoUDP, DstPort: 53})
+	if inside.Outcome.Kind != policy.Dropped || inside.Outcome.At != "r01" {
+		t.Fatalf("packet inside the /28: outcome = %+v\n%s", inside.Outcome, inside)
+	}
+	if len(inside.Hops) != 2 || inside.Hops[1].Rule == nil || inside.Hops[1].Rule.Prefix != cut {
+		t.Fatalf("packet inside the /28: hops = %+v, want r00 then r01 matching %s", inside.Hops, cut)
+	}
+	outside := v.Trace("r00", bdd.Packet{Dst: dst.Addr + 40, Proto: netcfg.ProtoUDP, DstPort: 53})
+	if outside.Outcome.Kind != policy.Delivered || outside.Outcome.At != "r03" || len(outside.Hops) != 4 {
+		t.Fatalf("packet outside the /28: outcome = %+v\n%s", outside.Outcome, outside)
+	}
+}
+
 // TestGenerateSpanCountsUnits: the generate span's units_compiled says
 // how far a change's compile reached, every device on a load and the
 // changed device plus its link neighbours on an apply.

@@ -490,14 +490,15 @@ func (v *Verifier) pipeline(c stageClock, net *netcfg.Network, seq uint64) (*Rep
 	})
 
 	// Stage 2: incremental data plane model update.
-	if err := v.model.UpdateFilters(filterChanges); err != nil {
-		return nil, fmt.Errorf("core: model rejected filter changes: %w", err)
+	err = v.model.UpdateFilters(filterChanges)
+	if err == nil {
+		rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
 	}
-	rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
 	if err != nil {
-		// The generator only retracts rules it previously emitted, so an
-		// absent-rule delete here is model/generator state divergence (a
-		// bug), not a user error: say so instead of passing it through.
+		// The generator only retracts rules and filter lines it
+		// previously emitted, so an absent-rule retraction here is
+		// model/generator state divergence (a bug), not a user error:
+		// say so instead of passing it through.
 		if errors.Is(err, apkeep.ErrAbsentRule) {
 			return nil, fmt.Errorf("core: data plane model out of sync with generator: %w", err)
 		}

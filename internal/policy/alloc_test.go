@@ -140,16 +140,17 @@ func newDenseFlapNet(tb testing.TB, k int) *flapNet {
 // ECs). With the sparse suite, the commit before device-id indexed
 // walks, with name-keyed maps per EC for outcomes, next hops, walk
 // state and delivered pairs and a fresh reverse map per merge, measured
-// 3740 allocs; with id-indexed slices it measured 277, and with
-// registration records 258. With the dense suite on top (1115 rechecks
-// instead of 27) it measures 258 too, against 283 when each recheck
-// looked its policy up by name and queued it. Each ceiling leaves ~20 %
-// above its measurement for runtime and map-growth differences between
-// Go releases.
+// 3740 allocs; with id-indexed slices it measured 277, with
+// registration records 258, and with walk results indexed by dense EC
+// id and the model's churn in place of two scans of every EC, 209. With
+// the dense suite on top (1115 rechecks instead of 27) it measures 209
+// too, against 283 when each recheck looked its policy up by name and
+// queued it. Each ceiling leaves ~20 % above its measurement for
+// runtime and map-growth differences between Go releases.
 func TestCheckerAllocationCeilings(t *testing.T) {
 	const (
-		linkFlapUpdateCeiling  = 335
-		denseFlapUpdateCeiling = 310
+		linkFlapUpdateCeiling  = 251
+		denseFlapUpdateCeiling = 251
 	)
 	for _, tc := range []struct {
 		name    string

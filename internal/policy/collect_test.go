@@ -3,18 +3,18 @@ package policy
 import (
 	"testing"
 
-	"realconfig/internal/bdd"
+	"realconfig/internal/apkeep"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/netcfg"
 )
 
-// TestCheckRootsReportsDeadNode plants a node that is not an EC in each
-// map CheckRoots covers (walk results, the pair map, a registration
-// index entry) and requires each to be reported.
+// TestCheckRootsReportsDeadNode plants an id that is not an EC in each
+// structure CheckRoots covers (walk results, the pair map, a
+// registration index entry) and requires each to be reported.
 func TestCheckRootsReportsDeadNode(t *testing.T) {
-	dead := bdd.Node(1 << 20)
+	var dead apkeep.ECID // past the end of the table once the walk grew it
 	for name, plant := range map[string]func(c *Checker){
-		"ecs":   func(c *Checker) { c.ecs[dead] = unwalked },
+		"ecs":   func(c *Checker) { c.ecs = append(c.ecs, unwalked) },
 		"pairs": func(c *Checker) { c.addPair(Pair{Src: "a", Dst: "c"}, dead) },
 		"index": func(c *Checker) {
 			for _, e := range c.index {
@@ -24,6 +24,7 @@ func TestCheckRootsReportsDeadNode(t *testing.T) {
 	} {
 		_, c := lineModel(t)
 		c.Update(nil, nil)
+		dead = apkeep.ECID(len(c.ecs))
 		c.AddPolicy(Reachability{PolicyName: "a-c", Src: "a", Dst: "c", Hdr: dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/24")}})
 		if err := c.CheckRoots(); err != nil {
 			t.Fatalf("%s: clean checker: %v", name, err)

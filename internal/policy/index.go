@@ -3,7 +3,7 @@ package policy
 import (
 	"slices"
 
-	"realconfig/internal/bdd"
+	"realconfig/internal/apkeep"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/obs"
 )
@@ -21,8 +21,8 @@ import (
 // hdrEntry is one registered header space.
 type hdrEntry struct {
 	hdr  dataplane.Match
-	recs []*registered         // policies registered on hdr
-	ecs  map[bdd.Node]struct{} // walked ECs overlapping hdr
+	recs []*registered            // policies registered on hdr
+	ecs  map[apkeep.ECID]struct{} // walked ECs overlapping hdr
 }
 
 // registered is a policy's registration record: everything a recheck
@@ -64,7 +64,7 @@ func (c *Checker) eval(rec *registered, rs []*ecResult) bool {
 }
 
 // results lists the walked results of a set of ECs.
-func (c *Checker) results(ecs map[bdd.Node]struct{}) []*ecResult {
+func (c *Checker) results(ecs map[apkeep.ECID]struct{}) []*ecResult {
 	rs := make([]*ecResult, 0, len(ecs))
 	for ec := range ecs {
 		rs = append(rs, c.ecs[ec])
@@ -73,11 +73,11 @@ func (c *Checker) results(ecs map[bdd.Node]struct{}) []*ecResult {
 }
 
 // overlapping returns the walked ECs whose packets intersect hdr.
-func (c *Checker) overlapping(hdr dataplane.Match) map[bdd.Node]struct{} {
-	out := make(map[bdd.Node]struct{})
-	for ec := range c.ecs {
-		if c.model.MatchOverlaps(hdr, ec) {
-			out[ec] = struct{}{}
+func (c *Checker) overlapping(hdr dataplane.Match) map[apkeep.ECID]struct{} {
+	out := make(map[apkeep.ECID]struct{})
+	for id, r := range c.ecs {
+		if r != nil && c.model.MatchOverlaps(hdr, c.model.Node(apkeep.ECID(id))) {
+			out[apkeep.ECID(id)] = struct{}{}
 		}
 	}
 	return out
@@ -85,7 +85,7 @@ func (c *Checker) overlapping(hdr dataplane.Match) map[bdd.Node]struct{} {
 
 // headerECs returns the walked ECs overlapping hdr: the index entry's
 // set when hdr is registered (live; do not modify), else a fresh scan.
-func (c *Checker) headerECs(hdr dataplane.Match) map[bdd.Node]struct{} {
+func (c *Checker) headerECs(hdr dataplane.Match) map[apkeep.ECID]struct{} {
 	if e := c.index[hdr]; e != nil {
 		return e.ecs
 	}
@@ -127,9 +127,10 @@ func (c *Checker) unregister(rec *registered) {
 }
 
 // join computes a newly walked EC's memberships.
-func (c *Checker) join(ec bdd.Node, r *ecResult) {
+func (c *Checker) join(ec apkeep.ECID, r *ecResult) {
+	node := c.model.Node(ec)
 	for _, e := range c.index {
-		if c.model.MatchOverlaps(e.hdr, ec) {
+		if c.model.MatchOverlaps(e.hdr, node) {
 			e.ecs[ec] = struct{}{}
 			r.hdrs = append(r.hdrs, e)
 		}

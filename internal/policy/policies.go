@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"realconfig/internal/bdd"
+	"realconfig/internal/apkeep"
 	"realconfig/internal/dataplane"
 )
 
@@ -234,24 +234,25 @@ func (*BlackholeFree) check(_ *Checker, _ int32, rs []*ecResult) bool {
 
 // Explain renders a human-readable account of why a reachability-style
 // check currently fails between src and dst for packets in hdr. When
-// several ECs in the header fail, the one with the lowest id is
-// reported, so the account is deterministic.
+// several ECs in the header fail, the one with the lowest predicate
+// node is reported, so the account is deterministic.
 func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
 	set := c.headerECs(hdr)
 	if len(set) == 0 {
 		return "no packets in the header space"
 	}
-	ecs := make([]bdd.Node, 0, len(set))
+	ecs := make([]apkeep.ECID, 0, len(set))
 	for ec := range set {
 		ecs = append(ecs, ec)
 	}
-	sort.Slice(ecs, func(i, j int) bool { return ecs[i] < ecs[j] })
+	node := c.model.Node
+	sort.Slice(ecs, func(i, j int) bool { return node(ecs[i]) < node(ecs[j]) })
 	for _, ec := range ecs {
-		o, ok := c.OutcomeOf(ec, src)
+		o, ok := c.Outcome(ec, src)
 		if ok && o.Kind == Delivered && o.At == dst {
 			continue
 		}
-		pkt, _ := c.model.WitnessIn(hdr, ec)
+		pkt, _ := c.model.WitnessIn(hdr, node(ec))
 		if !ok {
 			return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
 		}

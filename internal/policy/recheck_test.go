@@ -37,7 +37,7 @@ func checkRecheck(t *testing.T, where string, c *Checker) {
 // re-walks through the model.
 func checkChains(t *testing.T, where string, c *Checker) {
 	t.Helper()
-	for ec, r := range c.ecs {
+	for ec, r := range snapshot(c) {
 		for id, o := range r.outcomes {
 			if o.Kind != Delivered {
 				continue

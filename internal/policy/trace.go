@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 
+	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
 	"realconfig/internal/obs"
 	"realconfig/internal/trace"
@@ -21,15 +22,19 @@ import (
 // tracedRecheck is Update's recheck of the touched entries' records
 // under tracing: in policy name order, each recorded with the affected
 // ECs that made it relevant.
-func (c *Checker) tracedRecheck(touched map[*hdrEntry][]bdd.Node, res *Result) {
+func (c *Checker) tracedRecheck(touched map[*hdrEntry][]apkeep.ECID, res *Result) {
 	type recheck struct {
 		rec *registered
 		rs  []*ecResult
-		ecs []bdd.Node // the affected ECs overlapping its header
+		ecs []bdd.Node // the predicates of the affected ECs overlapping its header
 	}
 	var todo []recheck
-	for e, ecs := range touched {
+	for e, ids := range touched {
 		rs := c.results(e.ecs)
+		ecs := make([]bdd.Node, len(ids))
+		for i, id := range ids {
+			ecs[i] = c.model.Node(id)
+		}
 		for _, rec := range e.recs {
 			todo = append(todo, recheck{rec, rs, ecs})
 		}

@@ -1,18 +1,10 @@
 package policy
 
 import (
+	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 )
-
-// walkAll computes results for a batch of ECs; the caller merges them.
-func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
-	results := make([]*ecResult, len(ecs))
-	for i, ec := range ecs {
-		results[i] = c.walk(ec)
-	}
-	return results
-}
 
 // walkScratch is the checker's traversal state, reused from walk to walk.
 // Between walks onChain is all false.
@@ -27,7 +19,7 @@ type walkScratch struct {
 // shares the chain's terminal outcome, and chains that close on
 // themselves (or join an in-progress chain) are loops. A next hop
 // outside the topology ends the walk as a drop at that name.
-func (c *Checker) walk(ec bdd.Node) *ecResult {
+func (c *Checker) walk(ec apkeep.ECID) *ecResult {
 	s := &c.scratch
 	n := len(c.names)
 	r := &ecResult{outcomes: make([]Outcome, n), next: make([]int32, n)}
@@ -60,7 +52,7 @@ func (c *Checker) walk(ec bdd.Node) *ecResult {
 			chain = append(chain, cur)
 
 			dev := c.names[cur]
-			port := c.model.PortOf(dev, ec)
+			port := c.model.PortAt(dev, ec)
 			switch port.Action {
 			case dataplane.Deliver:
 				terminal = Outcome{Kind: Delivered, At: dev}
@@ -71,13 +63,13 @@ func (c *Checker) walk(ec bdd.Node) *ecResult {
 			}
 			// Forward: check the egress filter here and the ingress
 			// filter at the neighbor.
-			if c.model.Blocked(dev, port.OutIntf, dataplane.Out, ec) {
+			if c.model.BlockedAt(dev, port.OutIntf, dataplane.Out, ec) {
 				terminal = Outcome{Kind: Filtered, At: dev}
 				break traverse
 			}
 			if l, ok := c.ingress(cur, port.OutIntf); ok {
 				r.next[cur] = l.peer // the packet reaches the neighbor's door
-				if c.model.Blocked(c.names[l.peer], l.peerIntf, dataplane.In, ec) {
+				if c.model.BlockedAt(c.names[l.peer], l.peerIntf, dataplane.In, ec) {
 					terminal = Outcome{Kind: Filtered, At: c.names[l.peer]}
 					break traverse
 				}
@@ -105,23 +97,23 @@ func (c *Checker) walk(ec bdd.Node) *ecResult {
 // ending at the device where the fate is sealed, by re-walking the
 // model. Used by violation explanations and packet traces; waypoint
 // checks follow the walk's cached next hops instead.
-func (c *Checker) TracePath(ec bdd.Node, src string) []string {
+func (c *Checker) TracePath(ec apkeep.ECID, src string) []string {
 	var path []string
 	seen := make(map[string]bool)
 	cur := src
 	for !seen[cur] {
 		seen[cur] = true
 		path = append(path, cur)
-		port := c.model.PortOf(cur, ec)
+		port := c.model.PortAt(cur, ec)
 		if port.Action != dataplane.Forward {
 			return path
 		}
-		if c.model.Blocked(cur, port.OutIntf, dataplane.Out, ec) {
+		if c.model.BlockedAt(cur, port.OutIntf, dataplane.Out, ec) {
 			return path
 		}
 		next := port.NextHop
 		if in, ok := c.Ingress(cur, port.OutIntf); ok {
-			if c.model.Blocked(in[0], in[1], dataplane.In, ec) {
+			if c.model.BlockedAt(in[0], in[1], dataplane.In, ec) {
 				return append(path, in[0])
 			}
 			next = in[0]
