@@ -313,13 +313,11 @@ func TestVerifierLoopPolicyOnStaticLoop(t *testing.T) {
 		t.Errorf("violations = %v", rep.Violations())
 	}
 	// And the witness machinery can explain it.
-	ec := bdd.False
-	for e := range v.Model().ECs() {
-		if v.Model().MatchOverlaps(extHdr, e) {
-			ec = e
-		}
+	ec, ok := v.Model().ECOf(bdd.Packet{Dst: netcfg.MustAddr("203.0.113.1")})
+	if !ok {
+		t.Fatal("no EC contains a packet to the looping prefix")
 	}
-	if o, ok := v.Checker().OutcomeOf(ec, "r00"); !ok || o.Kind != policy.Looped {
+	if o, ok := v.Checker().Outcome(ec, "r00"); !ok || o.Kind != policy.Looped {
 		t.Errorf("outcome = %+v ok=%v", o, ok)
 	}
 }
