@@ -44,7 +44,7 @@ func (r *BatchResult) AffectedECs() int { return len(r.Transfers) }
 // DistinctECs counts distinct (device, EC) pairs that moved.
 func (r *BatchResult) DistinctECs() int {
 	type k struct {
-		d  string
+		d  DevID
 		ec ECID
 	}
 	seen := make(map[k]struct{})

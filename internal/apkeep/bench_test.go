@@ -129,7 +129,7 @@ func benchEffective(b *testing.B, ref bool) {
 	if _, err := m.ApplyBatch(batch, InsertFirst); err != nil {
 		b.Fatal(err)
 	}
-	ds := m.devs["d000"]
+	ds := &m.devs[m.DevOf("d000")]
 	p := netcfg.MustPrefix("10.0.7.0/24") // the shape of a real rule update
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -20,15 +20,13 @@ import (
 // Any other handle taken from the table before the call may be invalid
 // after it.
 func (m *Model) Collect() {
-	roots := make([]bdd.Node, 0, len(m.slots)+len(m.filters)+len(m.preds))
+	roots := make([]bdd.Node, 0, len(m.slots)+len(m.preds))
 	for i := range m.slots {
 		if n := m.slots[i].node; n != bdd.False {
 			roots = append(roots, n)
 		}
 	}
-	for _, fs := range m.filters {
-		roots = append(roots, fs.allow)
-	}
+	m.eachFilter(func(fs *filterState) { roots = append(roots, fs.allow) })
 	for _, p := range m.preds {
 		roots = append(roots, p)
 	}
@@ -46,8 +44,9 @@ func (m *Model) Collect() {
 // rule-prefix boundary ever installed, plus one.
 func (m *Model) NumIntervals() int { return len(m.idx.starts) }
 
-// NumColumns returns the row width: one column per device a rule
-// update ever named.
+// NumColumns returns the device table's size, the row width: one
+// column per device a rule update, a filter update or a checker's
+// topology ever named. Device ids run from 0 to NumColumns()-1.
 func (m *Model) NumColumns() int { return len(m.devs) }
 
 // NumPorts returns the port table's size: one per distinct port ever
@@ -67,17 +66,17 @@ func (m *Model) NumPorts() int { return len(m.portTab) }
 // the same handle, which a collection that freed them would break.
 // Like CheckPartition it is meant for tests.
 func (m *Model) CheckRoots() error {
-	for k, fs := range m.filters {
+	var errs []error
+	m.eachFilter(func(fs *filterState) {
 		if m.allowOf(fs.lines) != fs.allow {
-			return fmt.Errorf("apkeep: filter %s: allow predicate no longer matches its lines", filterLabel(k))
+			errs = append(errs, fmt.Errorf("apkeep: filter %s: allow predicate no longer matches its lines", m.filterLabel(fs.key)))
 		}
-	}
+	})
 	for match, p := range m.preds {
 		if m.H.Match(match) != p {
-			return fmt.Errorf("apkeep: cached predicate of %v no longer matches it", match)
+			errs = append(errs, fmt.Errorf("apkeep: cached predicate of %v no longer matches it", match))
 		}
 	}
-	var errs []error
 	live := 0
 	nodes := make(map[bdd.Node]ECID, m.live)
 	for i := range m.slots {
@@ -100,11 +99,11 @@ func (m *Model) CheckRoots() error {
 		if s.dirty && s.state == slotFree {
 			held = append(held, "a merge-pass mark")
 		}
-		for k, fs := range m.filters {
+		m.eachFilter(func(fs *filterState) {
 			if fs.blocked.has(id) {
-				held = append(held, "filter "+filterLabel(k)+"'s mark")
+				held = append(held, "filter "+m.filterLabel(fs.key)+"'s mark")
 			}
-		}
+		})
 		if len(m.idx.member(id)) > 0 {
 			held = append(held, "intervals")
 		}

@@ -120,12 +120,14 @@ func TestCheckRootsReportsDeadNode(t *testing.T) {
 		"byEC":  func(m *Model, dead, _ ECID) { m.idx.setMember(dead, []*ivl{m.idx.ivls[0]}) },
 		"ivl":   func(m *Model, dead, _ ECID) { m.idx.ivls[0].ecs[dead] = struct{}{} },
 		"filter": func(m *Model, dead, _ ECID) {
-			fs := &filterState{lines: permit, allow: bdd.True}
+			r1 := m.Intern("r1")
+			fs := &filterState{key: FilterKey{Device: r1}, lines: permit, allow: bdd.True}
 			fs.blocked.add(dead)
-			m.filters[FilterKey{Device: "r1"}] = fs
+			m.devs[r1].filters = append(m.devs[r1].filters, fs)
 		},
 		"allow": func(m *Model, _, _ ECID) {
-			m.filters[FilterKey{Device: "r1"}] = &filterState{lines: permit, allow: bdd.False}
+			r1 := m.Intern("r1")
+			m.devs[r1].filters = append(m.devs[r1].filters, &filterState{key: FilterKey{Device: r1}, lines: permit, allow: bdd.False})
 		},
 		"preds": func(m *Model, _, _ ECID) { m.preds = map[dataplane.Match]bdd.Node{dataplane.MatchAll: bdd.False} },
 		// The table's own rules.

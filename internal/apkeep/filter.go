@@ -16,13 +16,15 @@ import (
 // FilterKey identifies a packet filter element: an ACL binding on one
 // device interface in one direction.
 type FilterKey struct {
-	Device string
+	Device DevID
 	Intf   string
 	Dir    dataplane.Direction
 }
 
-// filterState is one binding's slice of the model.
+// filterState is one binding's slice of the model; it lives in its
+// device's filters.
 type filterState struct {
+	key FilterKey
 	// lines are the binding's filter rules sorted by sequence number.
 	lines []dataplane.FilterRule
 	// allow is the predicate of packets the binding permits.
@@ -43,20 +45,30 @@ type FilterTransfer struct {
 
 // BlockedAt reports whether an EC is denied at a binding. Bindings that
 // do not exist permit everything.
-func (m *Model) BlockedAt(dev, intf string, dir dataplane.Direction, id ECID) bool {
-	if fs := m.filters[FilterKey{Device: dev, Intf: intf, Dir: dir}]; fs != nil {
+func (m *Model) BlockedAt(dev DevID, intf string, dir dataplane.Direction, id ECID) bool {
+	if fs := m.binding(dev, intf, dir); fs != nil {
 		return fs.blocked.has(id)
 	}
 	return false
 }
 
-// FilterKeys returns the currently bound filter elements.
-func (m *Model) FilterKeys() []FilterKey {
-	out := make([]FilterKey, 0, len(m.filters))
-	for k := range m.filters {
-		out = append(out, k)
+// binding returns a device's binding on (intf, dir), or nil.
+func (m *Model) binding(dev DevID, intf string, dir dataplane.Direction) *filterState {
+	for _, fs := range m.devs[dev].filters {
+		if fs.key.Dir == dir && fs.key.Intf == intf {
+			return fs
+		}
 	}
-	return out
+	return nil
+}
+
+// eachFilter calls f on every binding, device by device.
+func (m *Model) eachFilter(f func(fs *filterState)) {
+	for i := range m.devs {
+		for _, fs := range m.devs[i].filters {
+			f(fs)
+		}
+	}
 }
 
 // UpdateFilters applies filter rule changes (insertions and deletions of
@@ -66,15 +78,15 @@ func (m *Model) FilterKeys() []FilterKey {
 // not hold returns ErrAbsentRule, as DeleteRule does for a rule; the
 // other changes of the batch are applied all the same.
 func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
-	touched := make(map[FilterKey]bool)
+	touched := make([]*filterState, 0, 4) // a batch edits a binding or two
 	var absent error
 	for _, e := range changes {
-		k := FilterKey{Device: e.Val.Device, Intf: e.Val.Intf, Dir: e.Val.Dir}
-		fs := m.filters[k]
+		dev := m.Intern(e.Val.Device)
+		fs := m.binding(dev, e.Val.Intf, e.Val.Dir)
 		if fs == nil {
 			m.filterSeq++
-			fs = &filterState{allow: bdd.True, fact: filterFact(m.filterSeq)}
-			m.filters[k] = fs
+			fs = &filterState{key: FilterKey{Device: dev, Intf: e.Val.Intf, Dir: e.Val.Dir}, allow: bdd.True, fact: filterFact(m.filterSeq)}
+			m.devs[dev].filters = append(m.devs[dev].filters, fs)
 		}
 		if e.Diff > 0 {
 			fs.lines = append(fs.lines, e.Val)
@@ -83,16 +95,13 @@ func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 		} else if absent == nil {
 			absent = fmt.Errorf("%w: filter line %v", ErrAbsentRule, e.Val)
 		}
-		touched[k] = true
-	}
-	if m.tr != nil {
-		for _, k := range sortedFilterKeys(touched) {
-			m.refreshFilter(k)
+		if !slices.Contains(touched, fs) {
+			touched = append(touched, fs)
 		}
-		return absent
 	}
-	for k := range touched {
-		m.refreshFilter(k)
+	m.sortFilters(touched)
+	for _, fs := range touched {
+		m.refreshFilter(fs)
 	}
 	return absent
 }
@@ -100,17 +109,17 @@ func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 // refreshFilter recomputes a binding's allow predicate (first-match
 // semantics with implicit trailing deny) and reclassifies ECs whose
 // status flips.
-func (m *Model) refreshFilter(k FilterKey) {
-	fs := m.filters[k]
+func (m *Model) refreshFilter(fs *filterState) {
 	if m.tr != nil {
-		m.curRule = "filter " + filterLabel(k)
+		m.curRule = "filter " + m.filterLabel(fs.key)
 	}
 	if len(fs.lines) == 0 {
 		// Binding removed: everything allowed again.
 		for _, id := range m.byNodeIfTraced(fs.blocked.appendTo(nil)) {
-			m.flipFilter(k, id, false)
+			m.flipFilter(fs, id, false)
 		}
-		delete(m.filters, k)
+		ds := &m.devs[fs.key.Device]
+		ds.filters = slices.DeleteFunc(ds.filters, func(b *filterState) bool { return b == fs })
 		return
 	}
 	sort.Slice(fs.lines, func(i, j int) bool { return fs.lines[i].Seq < fs.lines[j].Seq })
@@ -126,12 +135,12 @@ func (m *Model) refreshFilter(k FilterKey) {
 	for _, id := range m.byNodeIfTraced(m.split(deny, fullRange)) {
 		blockedNow.add(id)
 		if !fs.blocked.has(id) {
-			m.flipFilter(k, id, true)
+			m.flipFilter(fs, id, true)
 		}
 		fs.blocked.del(id)
 	}
 	for _, id := range m.byNodeIfTraced(fs.blocked.appendTo(nil)) {
-		m.flipFilter(k, id, false)
+		m.flipFilter(fs, id, false)
 	}
 	fs.blocked = blockedNow
 }
@@ -154,20 +163,20 @@ func (m *Model) allowOf(lines []dataplane.FilterRule) bdd.Node {
 
 // flipFilter records one EC's filter-status change at a binding: the
 // signature bump, the transfer, and the provenance event when tracing.
-func (m *Model) flipFilter(k FilterKey, id ECID, blocked bool) {
-	fact := m.filters[k].fact
+func (m *Model) flipFilter(fs *filterState, id ECID, blocked bool) {
+	fact := fs.fact
 	if !blocked {
 		fact = -fact
 	}
 	m.bumpSig(id, fact)
-	m.ftransfers = append(m.ftransfers, FilterTransfer{Key: k, EC: id, Blocked: blocked})
+	m.ftransfers = append(m.ftransfers, FilterTransfer{Key: fs.key, EC: id, Blocked: blocked})
 	if m.tr != nil {
 		action := "allow"
 		if blocked {
 			action = "block"
 		}
 		m.tr.Event(obs.TrackModel, obs.EventFilterFlip,
-			trace.S("filter", filterLabel(k)), trace.U("ec", uint64(m.slots[id].node)), trace.S("action", action))
+			trace.S("filter", m.filterLabel(fs.key)), trace.U("ec", uint64(m.slots[id].node)), trace.S("action", action))
 	}
 }
 

@@ -232,5 +232,13 @@ func (m *Model) Blocked(dev, intf string, dir dataplane.Direction, ec bdd.Node) 
 		return false
 	}
 	id, ok := m.ECOf(pkt)
-	return ok && m.Node(id) == ec && m.BlockedAt(dev, intf, dir, id)
+	d := m.DevOf(dev)
+	return ok && d >= 0 && m.Node(id) == ec && m.BlockedAt(d, intf, dir, id)
+}
+
+// FilterKeys returns the currently bound filter elements.
+func (m *Model) FilterKeys() []FilterKey {
+	var out []FilterKey
+	m.eachFilter(func(fs *filterState) { out = append(out, fs.key) })
+	return out
 }

@@ -293,20 +293,20 @@ func (t *prefixTrie) remove(p netcfg.Prefix) {
 }
 
 // owner returns the stack of the longest strictly shorter prefix
-// covering p (nil if none): an O(p.Len) walk from the root.
-func (t *prefixTrie) owner(p netcfg.Prefix) []Port {
+// covering p, and that prefix (nil if none): an O(p.Len) walk from the
+// root.
+func (t *prefixTrie) owner(p netcfg.Prefix) ([]Port, netcfg.Prefix) {
 	var best []Port
+	var q netcfg.Prefix
 	n := &t.root
-	for d := 0; d < int(p.Len); d++ {
+	for d := 0; d < int(p.Len) && n != nil; d++ {
 		if n.stack != nil {
-			best = n.stack
+			best, q.Len = n.stack, uint8(d)
 		}
 		n = n.child[addrBit(p.Addr, d)]
-		if n == nil {
-			return best
-		}
 	}
-	return best
+	q.Addr = p.Addr & q.Mask()
+	return best, q
 }
 
 // longerWithin visits every strictly longer prefix inside p that has

@@ -56,7 +56,8 @@ func verifyAgainstReference(t *testing.T, m *Model, rng *rand.Rand, step int) {
 	}
 	for i := 0; i < 16; i++ {
 		pkt := randomPacket(rng)
-		for dev := range m.devs {
+		for _, ds := range m.devs {
+			dev := ds.name
 			got, want := m.Lookup(dev, pkt), m.refLookup(dev, pkt)
 			if got != want {
 				t.Fatalf("step %d: Lookup(%s, %v) = %v, reference %v", step, dev, pkt, got, want)
@@ -65,7 +66,8 @@ func verifyAgainstReference(t *testing.T, m *Model, rng *rand.Rand, step int) {
 	}
 	for i := 0; i < 16; i++ {
 		p := randomPrefix(rng)
-		for dev, ds := range m.devs {
+		for i := range m.devs {
+			dev, ds := m.devs[i].name, &m.devs[i]
 			eff, _ := m.effective(ds, p)
 			if ref := m.refEffective(ds, p); eff != ref {
 				t.Fatalf("step %d: effective(%s, %s) disagrees with reference", step, dev, p)
@@ -255,13 +257,20 @@ func TestPrefixTrieQueries(t *testing.T) {
 	put("10.1.2.0/24", pC)
 	put("10.1.3.0/24", pC)
 
-	if got := tr.owner(netcfg.MustPrefix("10.1.2.0/24")); len(got) == 0 || got[len(got)-1] != pB {
-		t.Errorf("owner(10.1.2.0/24) = %v, want %v", got, pB)
+	for _, tc := range []struct {
+		p, owner string
+		port     Port
+	}{
+		{"10.1.2.0/24", "10.1.0.0/16", pB},
+		{"10.2.0.0/16", "10.0.0.0/8", pA},
+		{"10.1.2.7/32", "10.1.2.0/24", pC},
+	} {
+		got, q := tr.owner(netcfg.MustPrefix(tc.p))
+		if len(got) == 0 || got[len(got)-1] != tc.port || q != netcfg.MustPrefix(tc.owner) {
+			t.Errorf("owner(%s) = %v at %v, want %v at %s", tc.p, got, q, tc.port, tc.owner)
+		}
 	}
-	if got := tr.owner(netcfg.MustPrefix("10.2.0.0/16")); len(got) == 0 || got[len(got)-1] != pA {
-		t.Errorf("owner(10.2.0.0/16) = %v, want %v", got, pA)
-	}
-	if got := tr.owner(netcfg.MustPrefix("11.0.0.0/8")); got != nil {
+	if got, _ := tr.owner(netcfg.MustPrefix("11.0.0.0/8")); got != nil {
 		t.Errorf("owner(11.0.0.0/8) = %v, want none", got)
 	}
 
@@ -291,7 +300,7 @@ func TestPrefixTrieQueries(t *testing.T) {
 
 	// Remove prunes; queries keep working.
 	tr.remove(netcfg.MustPrefix("10.1.0.0/16"))
-	if got := tr.owner(netcfg.MustPrefix("10.1.2.0/24")); len(got) == 0 || got[len(got)-1] != pA {
+	if got, _ := tr.owner(netcfg.MustPrefix("10.1.2.0/24")); len(got) == 0 || got[len(got)-1] != pA {
 		t.Errorf("owner after remove = %v, want %v", got, pA)
 	}
 	if tr.get(netcfg.MustPrefix("10.1.0.0/16")) != nil {

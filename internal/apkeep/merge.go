@@ -35,11 +35,11 @@ func mix64(x uint64) uint64 {
 }
 
 // portFact hashes an EC's port id in one device column.
-func portFact(col int, id uint32) uint64 {
+func portFact(dev DevID, id uint32) uint64 {
 	if id == 0 {
 		return 0 // drop entries must contribute nothing
 	}
-	return mix64(uint64(col)<<32 | uint64(id))
+	return mix64(uint64(dev)<<32 | uint64(id))
 }
 
 // filterFact hashes a filter binding's mark; seq is the binding's
@@ -112,9 +112,11 @@ func (m *Model) behaviourEqual(a, b ECID) bool {
 			return false
 		}
 	}
-	for _, fs := range m.filters {
-		if fs.blocked.has(a) != fs.blocked.has(b) {
-			return false
+	for i := range m.devs {
+		for _, fs := range m.devs[i].filters {
+			if fs.blocked.has(a) != fs.blocked.has(b) {
+				return false
+			}
 		}
 	}
 	return true
@@ -194,13 +196,13 @@ func (m *Model) mergePair(a, b ECID) ECID {
 	m.idx.replace(b, merged)
 	m.indexSig(merged, s)
 	m.slots[merged].row = m.slots[a].row
-	for _, fs := range m.filters {
+	m.eachFilter(func(fs *filterState) {
 		if fs.blocked.has(a) {
 			fs.blocked.del(a)
 			fs.blocked.del(b)
 			fs.blocked.add(merged)
 		}
-	}
+	})
 	m.retire(a)
 	m.retire(b)
 	return merged

@@ -8,10 +8,12 @@
 //
 // Each EC has a dense id in the model's EC table (table.go), and every
 // per-EC structure — here, in the destination index and in the policy
-// checker — is a slice indexed by it. Behaviour is stored EC-major:
-// each EC has one row of interned port ids, one column per device, so
-// splitting an EC copies one row, merging two drops one, and comparing
-// two compares their rows, however many devices the network has.
+// checker — is a slice indexed by it. Each device likewise has a dense
+// id in the model's device table, which the checker walks by. Behaviour
+// is stored EC-major: each EC has one row of interned port ids, one
+// column per device id, so splitting an EC copies one row, merging two
+// drops one, and comparing two compares their rows, however many devices
+// the network has.
 //
 // Longest-prefix-match semantics are handled structurally: a rule's
 // effective packet space is its prefix minus all longer prefixes with
@@ -86,21 +88,28 @@ func portOf(r dataplane.Rule) Port {
 // Transfer records one EC changing port on one device: the unit of data
 // plane model change handed to the policy checker.
 type Transfer struct {
-	Device string
+	Device DevID
 	EC     ECID
 	Old    Port
 	New    Port
 }
 
+// DevID is a device's dense id in the model's device table, and its
+// column in every EC's row. Ids are handed out append-only, in the order
+// names are first seen, so they only identify: every order is by name.
+type DevID int32
+
 // devState is one device's slice of the model.
 type devState struct {
-	// col is the device's column in every EC's row.
-	col int
+	name string
 	// rules indexes the ports installed per prefix; the last element of
 	// a prefix's stack owns its packet space. (Two live rules for one
 	// prefix only occur transiently inside a batch, e.g.
 	// insertion-before-deletion.)
 	rules prefixTrie
+	// filters are the device's ACL bindings, one per (interface,
+	// direction): a handful at most, so a scan beats a hash.
+	filters []*filterState
 }
 
 // OpStats counts the work the model's hot paths perform. Tests and
@@ -174,8 +183,9 @@ type Model struct {
 	// idx narrows destination-bounded splits to candidate ECs.
 	idx *ecIndex
 
-	devs    map[string]*devState
-	filters map[FilterKey]*filterState
+	// devIDs interns device names; devs[id] is device id's state.
+	devIDs map[string]DevID
+	devs   []devState
 
 	// portTab maps the port ids of the slots' rows to ports (id 0 is
 	// DropPort) and portIDs interns them. Columns and port ids are
@@ -222,8 +232,7 @@ func New() *Model {
 	h := bdd.NewHeaders()
 	m := &Model{
 		H:       h,
-		devs:    make(map[string]*devState),
-		filters: make(map[FilterKey]*filterState),
+		devIDs:  make(map[string]DevID),
 		portTab: []Port{DropPort},
 		portIDs: map[Port]uint32{DropPort: 0},
 		bySig:   make(map[uint64]ECID),
@@ -257,23 +266,36 @@ func (m *Model) Ops() OpStats { return m.ops }
 func (m *Model) ResetOps() { m.ops = OpStats{} }
 
 // PortAt returns the port of an EC on a device (DropPort by default).
-func (m *Model) PortAt(dev string, id ECID) Port {
-	if ds := m.devs[dev]; ds != nil {
-		if row := m.slots[id].row; ds.col < len(row) {
-			return m.portTab[row[ds.col]]
-		}
+func (m *Model) PortAt(dev DevID, id ECID) Port {
+	if row := m.slots[id].row; int(dev) < len(row) {
+		return m.portTab[row[dev]]
 	}
 	return DropPort
 }
 
-func (m *Model) dev(name string) *devState {
-	ds := m.devs[name]
-	if ds == nil {
-		ds = &devState{col: len(m.devs)}
-		m.devs[name] = ds
+// Intern returns a device's id, adding the device to the table on first
+// sight.
+func (m *Model) Intern(name string) DevID {
+	id, ok := m.devIDs[name]
+	if !ok {
+		id = DevID(len(m.devs))
+		m.devs = append(m.devs, devState{name: name})
+		m.devIDs[name] = id
 	}
-	return ds
+	return id
 }
+
+// DevOf returns a device's id, or -1 for a name the model never
+// interned.
+func (m *Model) DevOf(name string) DevID {
+	if id, ok := m.devIDs[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// DevName returns a device's name.
+func (m *Model) DevName(id DevID) string { return m.devs[id].name }
 
 // portID interns a port.
 func (m *Model) portID(p Port) uint32 {
@@ -344,13 +366,13 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
 			m.indexSig(child, s)
 			m.markDirty(child)
 		}
-		for _, fs := range m.filters {
+		m.eachFilter(func(fs *filterState) {
 			if fs.blocked.has(id) {
 				fs.blocked.del(id)
 				fs.blocked.add(inID)
 				fs.blocked.add(outID)
 			}
-		}
+		})
 		m.retire(id)
 	}
 	m.inside = inside
@@ -359,32 +381,32 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
 
 // moveECs retargets every EC inside pred to newPort on dev, recording
 // transfers for those that actually change port.
-func (m *Model) moveECs(dev string, ds *devState, pred bdd.Node, newPort Port, hint dstHint) {
+func (m *Model) moveECs(dev DevID, pred bdd.Node, newPort Port, hint dstHint) {
 	if pred == bdd.False {
 		return
 	}
 	pid := m.portID(newPort)
-	newFact := portFact(ds.col, pid)
+	newFact := portFact(dev, pid)
 	for _, id := range m.split(pred, hint) {
 		row := m.slots[id].row
 		var oldID uint32
-		if ds.col < len(row) {
-			oldID = row[ds.col]
+		if int(dev) < len(row) {
+			oldID = row[dev]
 		}
 		if oldID == pid {
 			continue
 		}
-		if ds.col >= len(row) {
+		if int(dev) >= len(row) {
 			row = append(row, make([]uint32, len(m.devs)-len(row))...)
 			m.slots[id].row = row
 		}
-		row[ds.col] = pid
-		m.bumpSig(id, newFact-portFact(ds.col, oldID))
+		row[dev] = pid
+		m.bumpSig(id, newFact-portFact(dev, oldID))
 		old := m.portTab[oldID]
 		m.transfers = append(m.transfers, Transfer{Device: dev, EC: id, Old: old, New: newPort})
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECTransfer,
-				trace.S("device", dev), trace.U("ec", uint64(m.slots[id].node)),
+				trace.S("device", m.devs[dev].name), trace.U("ec", uint64(m.slots[id].node)),
 				trace.S("rule", m.curRule),
 				trace.S("from", old.String()), trace.S("to", newPort.String()))
 		}
@@ -409,7 +431,7 @@ func (m *Model) effective(ds *devState, p netcfg.Prefix) (bdd.Node, dstHint) {
 // owner returns the port currently owning prefix p's packet space when p
 // itself has no rules: the longest covering prefix's owner, or DropPort.
 func (m *Model) owner(ds *devState, p netcfg.Prefix) Port {
-	if stack := ds.rules.owner(p); len(stack) > 0 {
+	if stack, _ := ds.rules.owner(p); len(stack) > 0 {
 		return stack[len(stack)-1]
 	}
 	return DropPort
@@ -421,7 +443,8 @@ func (m *Model) InsertRule(r dataplane.Rule) {
 	if m.tr != nil {
 		m.curRule = ruleLabel("insert", r)
 	}
-	ds := m.dev(r.Device)
+	dev := m.Intern(r.Device)
+	ds := &m.devs[dev]
 	port := portOf(r)
 	stack := ds.rules.get(r.Prefix)
 	ds.rules.set(r.Prefix, append(stack, port))
@@ -430,7 +453,7 @@ func (m *Model) InsertRule(r dataplane.Rule) {
 	}
 	// The new rule owns the prefix's effective space now.
 	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(r.Device, ds, eff, port, hint)
+	m.moveECs(dev, eff, port, hint)
 }
 
 // DeleteRule removes a forwarding rule. If the rule owned its prefix's
@@ -441,7 +464,8 @@ func (m *Model) DeleteRule(r dataplane.Rule) error {
 	if m.tr != nil {
 		m.curRule = ruleLabel("delete", r)
 	}
-	ds := m.dev(r.Device)
+	dev := m.Intern(r.Device)
+	ds := &m.devs[dev]
 	port := portOf(r)
 	stack := ds.rules.get(r.Prefix)
 	idx := -1
@@ -473,7 +497,7 @@ func (m *Model) DeleteRule(r dataplane.Rule) error {
 		return nil
 	}
 	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(r.Device, ds, eff, heir, hint)
+	m.moveECs(dev, eff, heir, hint)
 	return nil
 }
 
@@ -487,10 +511,28 @@ func (m *Model) TakeTransfers() []Transfer {
 // Lookup returns the port a concrete packet takes on a device, resolved
 // through the EC partition (the model's view of forwarding, ECOf).
 func (m *Model) Lookup(dev string, pkt bdd.Packet) Port {
-	if id, ok := m.ECOf(pkt); ok {
-		return m.PortAt(dev, id)
+	id, ok := m.ECOf(pkt)
+	if d := m.DevOf(dev); ok && d >= 0 {
+		return m.PortAt(d, id)
 	}
 	return DropPort
+}
+
+// RuleAt returns the installed rule a destination matches on a device:
+// the longest prefix covering dst, with the port that owns it. It walks
+// one root-to-leaf path of the device's prefix trie.
+func (m *Model) RuleAt(dev DevID, dst netcfg.Addr) (dataplane.Rule, bool) {
+	ds := &m.devs[dev]
+	p := netcfg.Prefix{Addr: dst, Len: 32}
+	stack := ds.rules.get(p)
+	if stack == nil {
+		stack, p = ds.rules.owner(p)
+	}
+	if len(stack) == 0 {
+		return dataplane.Rule{}, false
+	}
+	port := stack[len(stack)-1]
+	return dataplane.Rule{Device: ds.name, Prefix: p, Action: port.Action, NextHop: port.NextHop, OutIntf: port.OutIntf}, true
 }
 
 // CheckPartition verifies the EC invariants: classes are non-empty,
@@ -590,8 +632,8 @@ func (m *Model) CheckIndex() error {
 // refLookup scans the whole partition.
 func (m *Model) refLookup(dev string, pkt bdd.Packet) Port {
 	for id := range m.slots {
-		if m.Live(ECID(id)) && m.H.Contains(m.slots[id].node, pkt) {
-			return m.PortAt(dev, ECID(id))
+		if d := m.DevOf(dev); d >= 0 && m.Live(ECID(id)) && m.H.Contains(m.slots[id].node, pkt) {
+			return m.PortAt(d, ECID(id))
 		}
 	}
 	return DropPort

@@ -3,7 +3,6 @@ package apkeep
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"realconfig/internal/dataplane"
 	"realconfig/internal/trace"
@@ -28,8 +27,8 @@ func ruleLabel(verb string, r dataplane.Rule) string {
 }
 
 // filterLabel renders a filter binding for event attributes.
-func filterLabel(k FilterKey) string {
-	return k.Device + ":" + k.Intf + ":" + k.Dir.String()
+func (m *Model) filterLabel(k FilterKey) string {
+	return m.devs[k.Device].name + ":" + k.Intf + ":" + k.Dir.String()
 }
 
 // sortByNode orders ECs by ascending predicate node, the order traced
@@ -47,22 +46,11 @@ func (m *Model) byNodeIfTraced(ids []ECID) []ECID {
 	return ids
 }
 
-// sortedFilterKeys orders filter bindings by device, interface,
-// direction.
-func sortedFilterKeys(set map[FilterKey]bool) []FilterKey {
-	out := make([]FilterKey, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		if a.Intf != b.Intf {
-			return a.Intf < b.Intf
-		}
-		return a.Dir < b.Dir
+// sortFilters orders bindings by device name, interface, direction.
+func (m *Model) sortFilters(fss []*filterState) {
+	slices.SortFunc(fss, func(x, y *filterState) int {
+		a, b := x.key, y.key
+		return cmp.Or(cmp.Compare(m.devs[a.Device].name, m.devs[b.Device].name),
+			cmp.Compare(a.Intf, b.Intf), cmp.Compare(a.Dir, b.Dir))
 	})
-	return out
 }

@@ -3,7 +3,9 @@ package core
 import (
 	"testing"
 
+	"realconfig/internal/bdd"
 	"realconfig/internal/netcfg"
+	"realconfig/internal/policy"
 	"realconfig/internal/topology"
 )
 
@@ -148,5 +150,33 @@ func TestApplyAllocationCeilings(t *testing.T) {
 	t.Logf("allocs: ACL bind + unbind Apply pair %.0f", perACL)
 	if perACL > aclCeiling {
 		t.Errorf("ACL bind + unbind Apply pair allocates %.0f objects, ceiling %.0f", perACL, aclCeiling)
+	}
+}
+
+// TestTraceAllocationCeiling pins the heap allocations of one
+// Verifier.Trace across FatTree(6,BGP), from the first switch to the
+// host /24 of the last: the path's names, hops and rules, 11 objects
+// (also under the race detector). When each trace copied the whole FIB
+// to scan it at every hop, the same trace made 18 (and ~330 KB); the
+// ceiling is the measurement plus 20 %.
+func TestTraceAllocationCeiling(t *testing.T) {
+	const traceCeiling = 13
+	net, err := topology.FatTree(6, topology.BGP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := New(Options{})
+	if _, err := v.Load(net.Network); err != nil {
+		t.Fatal(err)
+	}
+	src, dst := net.NodeNames[0], net.NodeNames[len(net.NodeNames)-1]
+	pkt := bdd.Packet{Dst: net.HostPrefix[dst].Addr + 7, Proto: netcfg.ProtoTCP, DstPort: 80}
+	if tr := v.Trace(src, pkt); tr.Outcome.Kind != policy.Delivered || len(tr.Hops) < 3 {
+		t.Fatalf("trace from %s to %s is not a delivered multi-hop path:\n%s", src, dst, tr)
+	}
+	perTrace := testing.AllocsPerRun(20, func() { v.Trace(src, pkt) })
+	t.Logf("allocs: one Trace %.0f", perTrace)
+	if perTrace > traceCeiling {
+		t.Errorf("one Trace allocates %.0f objects, ceiling %d", perTrace, traceCeiling)
 	}
 }

@@ -6,8 +6,6 @@ import (
 
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
-	"realconfig/internal/dd"
-	"realconfig/internal/netcfg"
 	"realconfig/internal/policy"
 )
 
@@ -68,26 +66,30 @@ func ruleText(r dataplane.Rule) string {
 // Trace follows a concrete packet injected at src through the verified
 // data plane, recording the matched rule at every hop and any filter
 // that discards it. It reads the maintained state only; no recomputation
-// happens.
+// happens, and it costs the path, not the network.
 func (v *Verifier) Trace(src string, pkt bdd.Packet) Trace {
-	model, checker, fib := v.model, v.checker, v.gen.FIB()
+	model, checker := v.model, v.checker
 	tr := Trace{Packet: pkt}
 	// The EC containing the packet, found through the model's
-	// destination index, determines outcomes; the concrete rules are
-	// recovered per hop by longest-prefix match over the FIB. The ECs
-	// partition the packet space, so one always contains it.
+	// destination index, determines outcomes; the concrete rule at each
+	// hop is the longest covering prefix in that device's prefix trie.
+	// The ECs partition the packet space, so one always contains it.
 	ec, _ := model.ECOf(pkt)
 	if o, ok := checker.Outcome(ec, src); ok {
 		tr.Outcome = o
 	} else {
 		tr.Outcome = policy.Outcome{Kind: policy.Dropped, At: src}
 	}
-	for _, dev := range checker.TracePath(ec, src) {
+	path := []string{src}
+	if id := model.DevOf(src); id >= 0 {
+		path = checker.TracePath(ec, id)
+	}
+	for _, dev := range path {
 		hop := TraceHop{Device: dev}
-		if rule, ok := lpm(fib, dev, pkt.Dst); ok {
-			hop.Rule = &rule
-			if rule.Action == dataplane.Forward {
-				if model.BlockedAt(dev, rule.OutIntf, dataplane.Out, ec) {
+		if id := model.DevOf(dev); id >= 0 {
+			if rule, ok := model.RuleAt(id, pkt.Dst); ok {
+				hop.Rule = &rule
+				if rule.Action == dataplane.Forward && model.BlockedAt(id, rule.OutIntf, dataplane.Out, ec) {
 					hop.Filtered = "out@" + rule.OutIntf
 				}
 			}
@@ -111,21 +113,4 @@ func (v *Verifier) Trace(src string, pkt bdd.Packet) Trace {
 		}
 	}
 	return tr
-}
-
-// lpm finds the longest-prefix-match FIB rule for a destination on a
-// device.
-func lpm(fib map[dataplane.Rule]dd.Diff, dev string, dst netcfg.Addr) (dataplane.Rule, bool) {
-	var best dataplane.Rule
-	found := false
-	for rule, d := range fib {
-		if d <= 0 || rule.Device != dev || !rule.Prefix.Contains(dst) {
-			continue
-		}
-		if !found || rule.Prefix.Len > best.Prefix.Len {
-			best = rule
-			found = true
-		}
-	}
-	return best, found
 }

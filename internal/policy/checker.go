@@ -66,9 +66,9 @@ type Pair struct {
 	Src, Dst string
 }
 
-// ecResult caches one EC's forwarding behaviour, indexed by device id.
-// Both slices are as long as the symbol table was when the EC was
-// walked; a device interned later reads as not walked.
+// ecResult caches one EC's forwarding behaviour, indexed by the model's
+// device ids. Both slices are as long as the device table was when the
+// EC was walked; a device interned later reads as not walked.
 type ecResult struct {
 	// outcomes[id] is the fate of the EC's packets injected at device
 	// id (Kind notWalked where the walk neither started nor passed).
@@ -76,14 +76,14 @@ type ecResult struct {
 	// next is the EC's functional forwarding graph: next[id] is the
 	// device the packet moves on to from id, or -1 where the walk ends
 	// at id. The EC's delivered pairs are read off outcomes.
-	next []int32
+	next []apkeep.DevID
 	// hdrs are the index entries whose header overlaps the EC.
 	hdrs []*hdrEntry
 }
 
 // outcome returns the fate of the EC's packets injected at device id
 // (an id of -1, or one interned after the walk, reads as not walked).
-func (r *ecResult) outcome(id int32) Outcome {
+func (r *ecResult) outcome(id apkeep.DevID) Outcome {
 	if id < 0 || int(id) >= len(r.outcomes) {
 		return Outcome{Kind: notWalked}
 	}
@@ -94,24 +94,25 @@ func (r *ecResult) outcome(id int32) Outcome {
 // ingress interface it leads to.
 type link struct {
 	intf     string
-	peer     int32
+	peer     apkeep.DevID
 	peerIntf string
 }
 
 // Checker incrementally maintains forwarding outcomes and policy
 // verdicts over an APKeep data plane model.
 type Checker struct {
+	// model owns the device table: the checker names devices by the
+	// model's ids, which never change, so cached ecResults stay valid
+	// across SetTopology.
 	model *apkeep.Model
 
-	// names and ids intern device names append-only: a device's id
-	// never changes, so cached ecResults stay valid across SetTopology.
-	names []string
-	ids   map[string]int32
 	// order lists the live devices' ids sorted by name, the order walks
-	// start in. moved lists the ids that joined or left the live set
-	// since the last Update, which re-walks every cached EC for them.
-	order []int32
-	moved []int32
+	// start in, and live[id] says whether id is among them. moved lists
+	// the ids that joined or left the live set since the last Update,
+	// which re-walks every cached EC for them.
+	order []apkeep.DevID
+	live  []bool
+	moved []apkeep.DevID
 	// links[id] lists device id's adjacencies, for ACL lookups along
 	// walks (a device has a handful, so a scan beats a hash).
 	links [][]link
@@ -216,7 +217,6 @@ func NewChecker(m *apkeep.Model) *Checker {
 	m.Churn()
 	return &Checker{
 		model:    m,
-		ids:      make(map[string]int32),
 		pairs:    make(map[Pair]map[apkeep.ECID]struct{}),
 		policies: make(map[string]*registered),
 		index:    make(map[dataplane.Match]*hdrEntry),
@@ -231,45 +231,39 @@ func (c *Checker) Model() *apkeep.Model { return c.model }
 // set of devices changes, the next Update re-walks every cached EC, so
 // each EC has an outcome at exactly the live devices.
 func (c *Checker) SetTopology(devices []string, adjs []dataplane.Adjacency) {
-	prev := c.order
-	c.order = make([]int32, len(devices))
+	m := c.model
+	c.order = make([]apkeep.DevID, len(devices))
 	for i, d := range devices {
-		c.order[i] = c.intern(d)
+		c.order[i] = m.Intern(d)
 	}
-	sort.Slice(c.order, func(i, j int) bool { return c.names[c.order[i]] < c.names[c.order[j]] })
-	// Both lists are sorted by name: merge them to find the ids in one.
-	i, j := 0, 0
-	for i < len(prev) && j < len(c.order) {
-		a, b := prev[i], c.order[j]
-		switch {
-		case a == b:
-			i++
-			j++
-		case c.names[a] < c.names[b]:
-			c.moved = append(c.moved, a)
-			i++
-		default:
-			c.moved = append(c.moved, b)
-			j++
-		}
-	}
-	c.moved = append(append(c.moved, prev[i:]...), c.order[j:]...)
-
+	sort.Slice(c.order, func(i, j int) bool { return m.DevName(c.order[i]) < m.DevName(c.order[j]) })
 	for id := range c.links {
 		c.links[id] = c.links[id][:0]
 	}
 	for _, a := range adjs {
-		dev, peer := c.intern(a.Dev), c.intern(a.Peer)
-		for len(c.links) < len(c.names) {
+		dev, peer := m.Intern(a.Dev), m.Intern(a.Peer)
+		for len(c.links) < m.NumColumns() {
 			c.links = append(c.links, nil)
 		}
 		c.links[dev] = append(c.links[dev], link{intf: a.LocalIntf, peer: peer, peerIntf: a.PeerIntf})
 	}
+	// The devices that joined or left the live set are those whose mark
+	// flips.
+	live := make([]bool, m.NumColumns())
+	for _, id := range c.order {
+		live[id] = true
+	}
+	for id, now := range live {
+		if was := id < len(c.live) && c.live[id]; was != now {
+			c.moved = append(c.moved, apkeep.DevID(id))
+		}
+	}
+	c.live = live
 }
 
 // ingress resolves device id's egress interface to the link it is on.
 // A later adjacency for the same interface overrides an earlier one.
-func (c *Checker) ingress(dev int32, intf string) (link, bool) {
+func (c *Checker) ingress(dev apkeep.DevID, intf string) (link, bool) {
 	if dev >= 0 && int(dev) < len(c.links) {
 		ls := c.links[dev]
 		for i := len(ls) - 1; i >= 0; i-- {
@@ -281,34 +275,14 @@ func (c *Checker) ingress(dev int32, intf string) (link, bool) {
 	return link{}, false
 }
 
-// intern returns a device name's id, assigning the next one on first
-// sight.
-func (c *Checker) intern(name string) int32 {
-	id, ok := c.ids[name]
-	if !ok {
-		id = int32(len(c.names))
-		c.names = append(c.names, name)
-		c.ids[name] = id
-	}
-	return id
-}
-
-// idOf returns a device's id, or -1 for a name never in the topology.
-func (c *Checker) idOf(name string) int32 {
-	if id, ok := c.ids[name]; ok {
-		return id
-	}
-	return -1
-}
-
 // Ingress resolves a (device, egress interface) to the neighbor and its
 // ingress interface, per the installed topology.
 func (c *Checker) Ingress(dev, outIntf string) ([2]string, bool) {
-	l, ok := c.ingress(c.idOf(dev), outIntf)
+	l, ok := c.ingress(c.model.DevOf(dev), outIntf)
 	if !ok {
 		return [2]string{}, false
 	}
-	return [2]string{c.names[l.peer], l.peerIntf}, true
+	return [2]string{c.model.DevName(l.peer), l.peerIntf}, true
 }
 
 // NumPairs returns how many (src, dst) pairs currently have at least one
@@ -321,7 +295,7 @@ func (c *Checker) Outcome(id apkeep.ECID, src string) (Outcome, bool) {
 	if r == nil {
 		return Outcome{}, false
 	}
-	if o := r.outcome(c.idOf(src)); o.Kind != notWalked {
+	if o := r.outcome(c.model.DevOf(src)); o.Kind != notWalked {
 		return o, true
 	}
 	return Outcome{}, false
@@ -385,15 +359,13 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	// aff collects the affected ECs and, per EC, the devices whose
 	// behaviour for it changed; paths through them are the "modified
 	// paths" whose end points define the affected pairs (the paper's
-	// #Pairs metric). A device outside the topology has no id and no
-	// path through it.
+	// #Pairs metric). A device outside the topology has no path through
+	// it.
 	aff := &c.aff
 	aff.reset(m.NumSlots())
-	mark := func(id apkeep.ECID, dev string) {
+	mark := func(id apkeep.ECID, dev apkeep.DevID) {
 		i := aff.add(id)
-		if d, ok := c.ids[dev]; ok {
-			aff.devs[i] = append(aff.devs[i], d)
-		}
+		aff.devs[i] = append(aff.devs[i], dev)
 	}
 	for _, t := range transfers {
 		mark(resolve(t.EC), t.Device)
@@ -437,7 +409,7 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 	// gone are the ECs transferred, then split away within the batch.
 	var gone []apkeep.ECID
 	var live []apkeep.ECID
-	var liveDevs [][]int32
+	var liveDevs [][]apkeep.DevID
 	for i, id := range aff.ids {
 		if m.Live(id) {
 			live = append(live, id)
@@ -495,7 +467,7 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 // each one's changed devices.
 type affected struct {
 	ids  []apkeep.ECID
-	devs [][]int32
+	devs [][]apkeep.DevID
 	// pos[id] is id's index in ids plus one (0: not marked).
 	pos []int32
 }
@@ -560,7 +532,7 @@ func (c *Checker) retire(ec apkeep.ECID, affected map[Pair]struct{}) {
 	}
 	for id, o := range r.outcomes {
 		if o.Kind == Delivered {
-			p := Pair{Src: c.names[id], Dst: o.At}
+			p := Pair{Src: c.model.DevName(apkeep.DevID(id)), Dst: o.At}
 			c.dropPair(p, ec)
 			affected[p] = struct{}{}
 		}
@@ -631,7 +603,7 @@ var unwalked = &ecResult{}
 // pair map with the delta and collects the pairs whose paths were
 // modified — the end points of every old or new path traversing a device
 // whose behaviour for this EC changed.
-func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []int32, affected map[Pair]struct{}) {
+func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []apkeep.DevID, affected map[Pair]struct{}) {
 	old := c.ecs[ec]
 	c.ecs[ec] = r
 	if old == nil {
@@ -642,16 +614,17 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []int32, affected map[
 	}
 	// Pair map maintenance: a device's delivered pair can change only
 	// where its outcome did.
-	for id := range max(len(old.outcomes), len(r.outcomes)) {
-		was, now := old.outcome(int32(id)), r.outcome(int32(id))
+	name := c.model.DevName
+	for id := range apkeep.DevID(max(len(old.outcomes), len(r.outcomes))) {
+		was, now := old.outcome(id), r.outcome(id)
 		if was == now {
 			continue
 		}
 		if was.Kind == Delivered {
-			c.dropPair(Pair{Src: c.names[id], Dst: was.At}, ec)
+			c.dropPair(Pair{Src: name(id), Dst: was.At}, ec)
 		}
 		if now.Kind == Delivered {
-			c.addPair(Pair{Src: c.names[id], Dst: now.At}, ec)
+			c.addPair(Pair{Src: name(id), Dst: now.At}, ec)
 		}
 	}
 	if len(devs) == 0 {
@@ -660,10 +633,10 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []int32, affected map[
 	// Sources whose old or new walk traverses a changed device.
 	for _, s := range c.reach.sources(devs, old.next, r.next) {
 		if o := old.outcome(s); o.Kind == Delivered {
-			affected[Pair{Src: c.names[s], Dst: o.At}] = struct{}{}
+			affected[Pair{Src: name(s), Dst: o.At}] = struct{}{}
 		}
 		if o := r.outcome(s); o.Kind == Delivered {
-			affected[Pair{Src: c.names[s], Dst: o.At}] = struct{}{}
+			affected[Pair{Src: name(s), Dst: o.At}] = struct{}{}
 		}
 	}
 }
@@ -674,17 +647,18 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []int32, affected map[
 // call to call.
 type reach struct {
 	// pred[off[d]:off[d+1]] are the devices whose next is d.
-	off, pred []int32
-	seen      []bool // visited in the current graph
-	in        []bool // in out
-	stack     []int32
-	out       []int32
+	off   []int32
+	pred  []apkeep.DevID
+	seen  []bool // visited in the current graph
+	in    []bool // in out
+	stack []apkeep.DevID
+	out   []apkeep.DevID
 }
 
 // sources returns every device that reaches one of targets by following
 // next in any of graphs, targets included. The slice is valid until the
 // next call.
-func (s *reach) sources(targets []int32, graphs ...[]int32) []int32 {
+func (s *reach) sources(targets []apkeep.DevID, graphs ...[]apkeep.DevID) []apkeep.DevID {
 	for _, id := range s.out {
 		s.in[id] = false
 	}
@@ -709,7 +683,7 @@ func (s *reach) sources(targets []int32, graphs ...[]int32) []int32 {
 		for v, d := range next {
 			if d >= 0 {
 				s.off[d]--
-				s.pred[s.off[d]] = int32(v)
+				s.pred[s.off[d]] = apkeep.DevID(v)
 			}
 		}
 		s.seen = zeroed(s.seen, n)
@@ -736,7 +710,7 @@ func (s *reach) sources(targets []int32, graphs ...[]int32) []int32 {
 }
 
 // add puts a device in out once.
-func (s *reach) add(id int32) {
+func (s *reach) add(id apkeep.DevID) {
 	if int(id) >= len(s.in) {
 		s.in = append(s.in, make([]bool, int(id)+1-len(s.in))...)
 	}

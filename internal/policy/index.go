@@ -34,20 +34,22 @@ type registered struct {
 	kind    kindCheck
 	entry   *hdrEntry
 	verdict bool
-	// src is the id of p's source device, -1 until the name is interned
-	// (ids are append-only, so once found it never changes).
-	src int32
+	// src and via are the ids of p's source and waypoint devices, -1
+	// until the model interns the name (ids are append-only, so once
+	// found an id never changes).
+	src, via apkeep.DevID
 	// hist times p's rechecks (nil when not instrumented).
 	hist *obs.Histogram
 }
 
 // kindCheck is implemented by the package's policy kinds: check decides
 // the policy over rs, the walked results of the ECs overlapping its
-// header, with src the id of its source device (-1 when it has none or
-// it was never interned). Eval and the recheck both call it.
+// header, with src and via the ids of its source and waypoint devices
+// (-1 when it has none or the name was never interned). Eval and the
+// recheck both call it.
 type kindCheck interface {
-	source() string
-	check(c *Checker, src int32, rs []*ecResult) bool
+	devices() (src, via string)
+	check(src, via apkeep.DevID, rs []*ecResult) bool
 }
 
 // eval decides rec's policy over rs, the results of its entry's ECs.
@@ -55,12 +57,14 @@ func (c *Checker) eval(rec *registered, rs []*ecResult) bool {
 	if rec.kind == nil {
 		return rec.p.Eval(c)
 	}
-	if rec.src < 0 {
-		if name := rec.kind.source(); name != "" {
-			rec.src = c.idOf(name)
-		}
+	src, via := rec.kind.devices()
+	if rec.src < 0 && src != "" {
+		rec.src = c.model.DevOf(src)
 	}
-	return rec.kind.check(c, rec.src, rs)
+	if rec.via < 0 && via != "" {
+		rec.via = c.model.DevOf(via)
+	}
+	return rec.kind.check(rec.src, rec.via, rs)
 }
 
 // results lists the walked results of a set of ECs.

@@ -45,10 +45,10 @@ func refScan(before map[apkeep.ECID]*ecResult, m *apkeep.Model, br *apkeep.Batch
 		}
 	}
 	for _, t := range br.Transfers {
-		mark(resolve(t.EC), t.Device)
+		mark(resolve(t.EC), m.DevName(t.Device))
 	}
 	for _, t := range br.FilterTransfers {
-		mark(resolve(t.EC), t.Key.Device)
+		mark(resolve(t.EC), m.DevName(t.Key.Device))
 	}
 	for _, ec := range m.AppendLive(nil) {
 		if _, ok := before[ec]; !ok {
@@ -104,14 +104,14 @@ func nameView(c *Checker, r *ecResult) (outcomes map[string]Outcome, next map[st
 		if o.Kind == notWalked {
 			continue
 		}
-		outcomes[c.names[id]] = o
+		outcomes[c.model.DevName(apkeep.DevID(id))] = o
 		if o.Kind == Delivered {
-			pairs[Pair{Src: c.names[id], Dst: o.At}] = struct{}{}
+			pairs[Pair{Src: c.model.DevName(apkeep.DevID(id)), Dst: o.At}] = struct{}{}
 		}
 	}
 	for id, d := range r.next {
 		if d >= 0 {
-			next[c.names[id]] = c.names[d]
+			next[c.model.DevName(apkeep.DevID(id))] = c.model.DevName(d)
 		}
 	}
 	return outcomes, next, pairs

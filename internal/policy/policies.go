@@ -30,7 +30,7 @@ func (c *Checker) AddPolicy(p Policy) bool {
 		c.unregister(old)
 	}
 	name, kind := kindOf(p)
-	rec := &registered{p: p, kind: kind, src: -1, hist: c.metrics.RecheckSeconds[name]}
+	rec := &registered{p: p, kind: kind, src: -1, via: -1, hist: c.metrics.RecheckSeconds[name]}
 	c.policies[p.Name()] = rec
 	c.register(rec)
 	rec.verdict = c.eval(rec, c.results(rec.entry.ecs))
@@ -108,12 +108,12 @@ func (p Reachability) Header() dataplane.Match { return p.Hdr }
 
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
-	return p.check(c, c.idOf(p.Src), c.results(c.headerECs(p.Hdr)))
+	return p.check(c.model.DevOf(p.Src), -1, c.results(c.headerECs(p.Hdr)))
 }
 
-func (p *Reachability) source() string { return p.Src }
+func (p *Reachability) devices() (src, via string) { return p.Src, "" }
 
-func (p *Reachability) check(_ *Checker, src int32, rs []*ecResult) bool {
+func (p *Reachability) check(src, _ apkeep.DevID, rs []*ecResult) bool {
 	delivered := 0
 	for _, r := range rs {
 		if o := r.outcome(src); o.Kind == Delivered && o.At == p.Dst {
@@ -147,22 +147,22 @@ func (p Waypoint) Header() dataplane.Match { return p.Hdr }
 
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
-	return p.check(c, c.idOf(p.Src), c.results(c.headerECs(p.Hdr)))
+	return p.check(c.model.DevOf(p.Src), c.model.DevOf(p.Via), c.results(c.headerECs(p.Hdr)))
 }
 
-func (p *Waypoint) source() string { return p.Src }
+func (p *Waypoint) devices() (src, via string) { return p.Src, p.Via }
 
 // check follows each delivered EC's cached next hops from src: a
 // delivered chain ends at the delivering device, and is the path
 // TracePath would re-walk.
-func (p *Waypoint) check(c *Checker, src int32, rs []*ecResult) bool {
+func (p *Waypoint) check(src, via apkeep.DevID, rs []*ecResult) bool {
 	for _, r := range rs {
 		if o := r.outcome(src); o.Kind != Delivered || o.At != p.Dst {
 			continue
 		}
 		through := false
 		for dev := src; dev >= 0; dev = r.next[dev] {
-			if c.names[dev] == p.Via {
+			if dev == via {
 				through = true
 				break
 			}
@@ -188,11 +188,11 @@ func (p LoopFree) Name() string { return p.PolicyName }
 func (p LoopFree) Header() dataplane.Match { return p.Scope }
 
 // Eval implements Policy.
-func (p LoopFree) Eval(c *Checker) bool { return p.check(c, -1, c.results(c.headerECs(p.Scope))) }
+func (p LoopFree) Eval(c *Checker) bool { return p.check(-1, -1, c.results(c.headerECs(p.Scope))) }
 
-func (*LoopFree) source() string { return "" }
+func (*LoopFree) devices() (src, via string) { return "", "" }
 
-func (*LoopFree) check(_ *Checker, _ int32, rs []*ecResult) bool {
+func (*LoopFree) check(_, _ apkeep.DevID, rs []*ecResult) bool {
 	for _, r := range rs {
 		for _, o := range r.outcomes {
 			if o.Kind == Looped {
@@ -217,11 +217,11 @@ func (p BlackholeFree) Name() string { return p.PolicyName }
 func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
 
 // Eval implements Policy.
-func (p BlackholeFree) Eval(c *Checker) bool { return p.check(c, -1, c.results(c.headerECs(p.Scope))) }
+func (p BlackholeFree) Eval(c *Checker) bool { return p.check(-1, -1, c.results(c.headerECs(p.Scope))) }
 
-func (*BlackholeFree) source() string { return "" }
+func (*BlackholeFree) devices() (src, via string) { return "", "" }
 
-func (*BlackholeFree) check(_ *Checker, _ int32, rs []*ecResult) bool {
+func (*BlackholeFree) check(_, _ apkeep.DevID, rs []*ecResult) bool {
 	for _, r := range rs {
 		for _, o := range r.outcomes {
 			if o.Kind == Dropped {
@@ -256,7 +256,7 @@ func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
 		if !ok {
 			return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
 		}
-		return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, c.TracePath(ec, src))
+		return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, c.TracePath(ec, c.model.DevOf(src)))
 	}
 	return "all packets delivered"
 }

@@ -43,11 +43,11 @@ func checkChains(t *testing.T, where string, c *Checker) {
 				continue
 			}
 			var chain []string
-			for dev := int32(id); dev >= 0; dev = r.next[dev] {
-				chain = append(chain, c.names[dev])
+			for dev := apkeep.DevID(id); dev >= 0; dev = r.next[dev] {
+				chain = append(chain, c.model.DevName(dev))
 			}
-			if path := c.TracePath(ec, c.names[id]); !reflect.DeepEqual(chain, path) {
-				t.Fatalf("%s: EC %d from %s: next-hop chain %v, TracePath %v", where, ec, c.names[id], chain, path)
+			if path := c.TracePath(ec, apkeep.DevID(id)); !reflect.DeepEqual(chain, path) {
+				t.Fatalf("%s: EC %d from %s: next-hop chain %v, TracePath %v", where, ec, c.model.DevName(apkeep.DevID(id)), chain, path)
 			}
 		}
 	}

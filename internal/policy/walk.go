@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
@@ -10,19 +12,18 @@ import (
 // Between walks onChain is all false.
 type walkScratch struct {
 	onChain []bool // devices on the chain being traversed
-	chain   []int32
+	chain   []apkeep.DevID
 }
 
 // walk computes the EC's fate from every device by traversing its
 // functional forwarding graph once, with memoization: each device has at
 // most one successor for a given EC, so every node on a traversal chain
 // shares the chain's terminal outcome, and chains that close on
-// themselves (or join an in-progress chain) are loops. A next hop
-// outside the topology ends the walk as a drop at that name.
+// themselves (or join an in-progress chain) are loops.
 func (c *Checker) walk(ec apkeep.ECID) *ecResult {
 	s := &c.scratch
-	n := len(c.names)
-	r := &ecResult{outcomes: make([]Outcome, n), next: make([]int32, n)}
+	n := c.model.NumColumns()
+	r := &ecResult{outcomes: make([]Outcome, n), next: make([]apkeep.DevID, n)}
 	for id := range r.outcomes {
 		r.outcomes[id].Kind = notWalked
 		r.next[id] = -1
@@ -38,50 +39,23 @@ func (c *Checker) walk(ec apkeep.ECID) *ecResult {
 		chain := s.chain[:0]
 		cur := start
 		var terminal Outcome
-	traverse:
 		for {
 			if o := r.outcomes[cur]; o.Kind != notWalked {
 				terminal = o
-				break traverse
+				break
 			}
 			if s.onChain[cur] {
-				terminal = Outcome{Kind: Looped, At: c.names[cur]}
-				break traverse
+				terminal = Outcome{Kind: Looped, At: c.model.DevName(cur)}
+				break
 			}
 			s.onChain[cur] = true
 			chain = append(chain, cur)
-
-			dev := c.names[cur]
-			port := c.model.PortAt(dev, ec)
-			switch port.Action {
-			case dataplane.Deliver:
-				terminal = Outcome{Kind: Delivered, At: dev}
-				break traverse
-			case dataplane.Drop:
-				terminal = Outcome{Kind: Dropped, At: dev}
-				break traverse
-			}
-			// Forward: check the egress filter here and the ingress
-			// filter at the neighbor.
-			if c.model.BlockedAt(dev, port.OutIntf, dataplane.Out, ec) {
-				terminal = Outcome{Kind: Filtered, At: dev}
-				break traverse
-			}
-			if l, ok := c.ingress(cur, port.OutIntf); ok {
-				r.next[cur] = l.peer // the packet reaches the neighbor's door
-				if c.model.BlockedAt(c.names[l.peer], l.peerIntf, dataplane.In, ec) {
-					terminal = Outcome{Kind: Filtered, At: c.names[l.peer]}
-					break traverse
-				}
-				cur = l.peer
-				continue
-			}
-			next, ok := c.ids[port.NextHop]
-			if !ok {
-				terminal = Outcome{Kind: Dropped, At: port.NextHop}
-				break traverse
-			}
+			next, end := c.hop(cur, ec)
 			r.next[cur] = next
+			if end.Kind != notWalked {
+				terminal = end
+				break
+			}
 			cur = next
 		}
 		for _, id := range chain {
@@ -93,30 +67,52 @@ func (c *Checker) walk(ec apkeep.ECID) *ecResult {
 	return r
 }
 
-// TracePath returns the devices an EC's packets visit starting at src,
-// ending at the device where the fate is sealed, by re-walking the
-// model. Used by violation explanations and packet traces; waypoint
-// checks follow the walk's cached next hops instead.
-func (c *Checker) TracePath(ec apkeep.ECID, src string) []string {
+// hop moves an EC's packets one step on from device cur: next is the
+// device they reach (-1 if none), and end is where their fate is sealed
+// (Kind notWalked while they travel on). An ingress filter seals it at
+// next's door. A next hop with no link is the one name a hop looks up:
+// unless it is a live topology device, the walk ends there as a drop,
+// even if the model has interned the name.
+func (c *Checker) hop(cur apkeep.DevID, ec apkeep.ECID) (next apkeep.DevID, end Outcome) {
+	m := c.model
+	port := m.PortAt(cur, ec)
+	switch {
+	case port.Action == dataplane.Deliver:
+		return -1, Outcome{Kind: Delivered, At: m.DevName(cur)}
+	case port.Action == dataplane.Drop:
+		return -1, Outcome{Kind: Dropped, At: m.DevName(cur)}
+	case m.BlockedAt(cur, port.OutIntf, dataplane.Out, ec):
+		return -1, Outcome{Kind: Filtered, At: m.DevName(cur)}
+	}
+	if l, ok := c.ingress(cur, port.OutIntf); ok {
+		if m.BlockedAt(l.peer, l.peerIntf, dataplane.In, ec) {
+			return l.peer, Outcome{Kind: Filtered, At: m.DevName(l.peer)}
+		}
+		return l.peer, Outcome{Kind: notWalked}
+	}
+	if next := m.DevOf(port.NextHop); next >= 0 && int(next) < len(c.live) && c.live[next] {
+		return next, Outcome{Kind: notWalked}
+	}
+	return -1, Outcome{Kind: Dropped, At: port.NextHop}
+}
+
+// TracePath returns the names of the devices an EC's packets visit
+// starting at device src, ending where the fate is sealed, by
+// re-walking the model hop by hop as walk does. Used by violation
+// explanations and packet traces; waypoint checks follow the walk's
+// cached next hops instead.
+func (c *Checker) TracePath(ec apkeep.ECID, src apkeep.DevID) []string {
 	var path []string
-	seen := make(map[string]bool)
-	cur := src
-	for !seen[cur] {
-		seen[cur] = true
-		path = append(path, cur)
-		port := c.model.PortAt(cur, ec)
-		if port.Action != dataplane.Forward {
-			return path
-		}
-		if c.model.BlockedAt(cur, port.OutIntf, dataplane.Out, ec) {
-			return path
-		}
-		next := port.NextHop
-		if in, ok := c.Ingress(cur, port.OutIntf); ok {
-			if c.model.BlockedAt(in[0], in[1], dataplane.In, ec) {
-				return append(path, in[0])
+	var seen []apkeep.DevID
+	for cur := src; !slices.Contains(seen, cur); {
+		seen = append(seen, cur)
+		path = append(path, c.model.DevName(cur))
+		next, end := c.hop(cur, ec)
+		if end.Kind != notWalked {
+			if end.At != path[len(path)-1] {
+				path = append(path, end.At) // an ingress filter or a next hop outside the topology
 			}
-			next = in[0]
+			break
 		}
 		cur = next
 	}
