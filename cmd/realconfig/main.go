@@ -391,7 +391,7 @@ func addPolicies(v *core.Verifier, file string) error {
 
 func printReport(rep *core.Report, label string) {
 	fmt.Printf("%s: %d config lines changed, rules +%d/-%d, filters %d, ECs %d, pairs %d, policies checked %d\n",
-		label, rep.Diff.LineCount(), rep.RulesInserted, rep.RulesDeleted, rep.FilterChanges,
+		label, rep.Diff().LineCount(), rep.RulesInserted, rep.RulesDeleted, rep.FilterChanges,
 		rep.Model.AffectedECs(), len(rep.Check.AffectedPairs), rep.Check.PoliciesChecked)
 	fmt.Printf("  timing: %s\n", rep.Timing)
 }

@@ -70,7 +70,7 @@ func main() {
 			status += fmt.Sprintf(", repaired %v", rep.Repaired())
 		}
 		fmt.Printf("%-36s lines=%2d filters=%d t=%8s  %s\n",
-			name, rep.Diff.LineCount(), rep.FilterChanges, rep.Timing.Total.Round(100_000), status)
+			name, rep.Diff().LineCount(), rep.FilterChanges, rep.Timing.Total.Round(100_000), status)
 		return rep
 	}
 

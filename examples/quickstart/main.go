@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("LP change: %d lines changed, rules +%d/-%d, %d ECs moved, verified in %s\n",
-		rep.Diff.LineCount(), rep.RulesInserted, rep.RulesDeleted,
+		rep.Diff().LineCount(), rep.RulesInserted, rep.RulesDeleted,
 		rep.Model.AffectedECs(), rep.Timing.Total.Round(100_000))
 
 	// Now break the destination: shut down every uplink of edge01-00

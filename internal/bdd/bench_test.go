@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"realconfig/internal/dataplane"
 	"realconfig/internal/netcfg"
 )
 
@@ -51,6 +52,31 @@ func BenchmarkPortRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		lo := uint16(i % 30000)
 		h.DstPortRange(lo, lo+1000)
+	}
+}
+
+// BenchmarkMatch builds the predicate of one ACL line shaped like the
+// deny lines the acl-static-edits workload binds: TCP to a host /24 on
+// a single port, a combination not built before, so that no node or
+// ITE result of it is interned yet. Every 256 lines the table is
+// collected, untimed, so that it stays near the size a FatTree(6,BGP)
+// model's table reaches before its collection (about 16 K nodes).
+func BenchmarkMatch(b *testing.B) {
+	h := NewHeaders()
+	m := dataplane.Match{Proto: netcfg.ProtoTCP}
+	base := netcfg.MustAddr("10.0.0.0")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 255 {
+			b.StopTimer()
+			h.Collect(nil)
+			b.StartTimer()
+		}
+		m.Dst = netcfg.Prefix{Addr: base + netcfg.Addr(i%64)<<8, Len: 24}
+		m.DstPortLo = uint16(1024 + i%30000)
+		m.DstPortHi = m.DstPortLo
+		h.Match(m)
 	}
 }
 

@@ -30,10 +30,10 @@ func NewHeaders() *Headers {
 }
 
 // DstPrefix returns the predicate "destination IP in p".
-func (h *Headers) DstPrefix(p netcfg.Prefix) Node { return h.ipPrefix(dstIPOff, p) }
+func (h *Headers) DstPrefix(p netcfg.Prefix) Node { return h.ipPrefixOn(dstIPOff, p, True) }
 
 // SrcPrefix returns the predicate "source IP in p".
-func (h *Headers) SrcPrefix(p netcfg.Prefix) Node { return h.ipPrefix(srcIPOff, p) }
+func (h *Headers) SrcPrefix(p netcfg.Prefix) Node { return h.ipPrefixOn(srcIPOff, p, True) }
 
 // DstRange returns the predicate "destination IP in [lo, hi]"
 // (inclusive). Used by the model's destination-interval index checks.
@@ -41,8 +41,11 @@ func (h *Headers) DstRange(lo, hi uint32) Node {
 	return h.And(h.geq(dstIPOff, 32, lo), h.leq(dstIPOff, 32, hi))
 }
 
-func (h *Headers) ipPrefix(off int, p netcfg.Prefix) Node {
-	n := True
+// ipPrefixOn returns "the IP field at off is in p, and then" below:
+// below must test only variables after the field's, so the chain of
+// the field's nodes ends in it instead of True.
+func (h *Headers) ipPrefixOn(off int, p netcfg.Prefix, below Node) Node {
+	n := below
 	// Build bottom-up (least significant matched bit first) so each mk
 	// call has its child already canonical; prefix predicates are a
 	// single chain of nodes.
@@ -59,11 +62,15 @@ func (h *Headers) ipPrefix(off int, p netcfg.Prefix) Node {
 }
 
 // Proto returns the predicate "IP protocol equals p" (ProtoIPAny = True).
-func (h *Headers) Proto(p netcfg.IPProto) Node {
+func (h *Headers) Proto(p netcfg.IPProto) Node { return h.protoOn(p, True) }
+
+// protoOn returns "the protocol equals p, and then" below, like
+// ipPrefixOn.
+func (h *Headers) protoOn(p netcfg.IPProto, below Node) Node {
 	if p == netcfg.ProtoIPAny {
-		return True
+		return below
 	}
-	n := True
+	n := below
 	for i := 7; i >= 0; i-- {
 		bit := (uint8(p) >> (7 - i)) & 1
 		v := protoOff + i
@@ -119,13 +126,16 @@ func (h *Headers) leq(off, width int, v uint32) Node {
 	return n
 }
 
-// Match returns the predicate for a filter-rule match.
+// Match returns the predicate for a filter-rule match. The fields
+// occupy disjoint variable ranges in the order dst, src, proto, port,
+// so the port range is built first and every field above it is a chain
+// of nodes ending in the predicate below: the conjunction of the fields
+// needs no And.
 func (h *Headers) Match(m dataplane.Match) Node {
-	n := h.DstPrefix(m.Dst)
-	n = h.And(n, h.SrcPrefix(m.Src))
-	n = h.And(n, h.Proto(m.Proto))
-	n = h.And(n, h.DstPortRange(m.DstPortLo, m.DstPortHi))
-	return n
+	n := h.DstPortRange(m.DstPortLo, m.DstPortHi)
+	n = h.protoOn(m.Proto, n)
+	n = h.ipPrefixOn(srcIPOff, m.Src, n)
+	return h.ipPrefixOn(dstIPOff, m.Dst, n)
 }
 
 // Packet is a concrete packet witnessing a predicate.

@@ -118,6 +118,101 @@ func TestMatchAndWitness(t *testing.T) {
 	}
 }
 
+// andChainMatch is the reference construction of Headers.Match: one
+// predicate per field, joined by And.
+func andChainMatch(h *Headers, m dataplane.Match) Node {
+	n := h.DstPrefix(m.Dst)
+	n = h.And(n, h.SrcPrefix(m.Src))
+	n = h.And(n, h.Proto(m.Proto))
+	return h.And(n, h.DstPortRange(m.DstPortLo, m.DstPortHi))
+}
+
+// randMatch draws a filter-rule match whose fields are each often left
+// at their default: any address, ProtoIPAny, any port (0, 0).
+func randMatch(rng *rand.Rand) dataplane.Match {
+	prefix := func() netcfg.Prefix {
+		if rng.Intn(4) == 0 {
+			return netcfg.Prefix{}
+		}
+		p := netcfg.Prefix{Addr: netcfg.Addr(rng.Uint32()), Len: uint8(1 + rng.Intn(32))}
+		p.Addr &= p.Mask()
+		return p
+	}
+	m := dataplane.Match{Dst: prefix(), Src: prefix()}
+	switch rng.Intn(5) {
+	case 0:
+		m.Proto = netcfg.ProtoIPAny
+	case 1:
+		m.Proto = netcfg.ProtoTCP
+	case 2:
+		m.Proto = netcfg.ProtoUDP
+	case 3:
+		m.Proto = netcfg.ProtoICMP
+	default:
+		m.Proto = netcfg.IPProto(rng.Intn(256))
+	}
+	switch rng.Intn(5) {
+	case 0: // any port
+	case 1:
+		p := uint16(rng.Intn(65536))
+		m.DstPortLo, m.DstPortHi = p, p
+	case 2:
+		m.DstPortHi = uint16(1 + rng.Intn(65535))
+	default:
+		lo := uint16(rng.Intn(65536))
+		m.DstPortLo, m.DstPortHi = lo, lo+uint16(rng.Intn(65536-int(lo)))
+	}
+	return m
+}
+
+// TestMatchEqualsAndChain requires Match, which chains the fields onto
+// the port range with mk, to return the very node the And of the four
+// field predicates does, over seeded matches that cover default
+// addresses, ProtoIPAny, any port, single ports and ranges.
+func TestMatchEqualsAndChain(t *testing.T) {
+	var anyDst, anySrc, anyProto, anyPort, single, ranges int
+	for seed := int64(1); seed <= 4; seed++ {
+		h := NewHeaders()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			m := randMatch(rng)
+			// Alternate which construction interns the nodes first.
+			var got, want Node
+			if i%2 == 0 {
+				got, want = h.Match(m), andChainMatch(h, m)
+			} else {
+				want, got = andChainMatch(h, m), h.Match(m)
+			}
+			if got != want {
+				t.Fatalf("seed %d match %d %+v: Match = %d, And chain = %d", seed, i, m, got, want)
+			}
+			switch {
+			case m.DstPortLo == 0 && m.DstPortHi == 0:
+				anyPort++
+			case m.DstPortLo == m.DstPortHi:
+				single++
+			default:
+				ranges++
+			}
+			if m.Dst.Len == 0 {
+				anyDst++
+			}
+			if m.Src.Len == 0 {
+				anySrc++
+			}
+			if m.Proto == netcfg.ProtoIPAny {
+				anyProto++
+			}
+		}
+	}
+	for name, n := range map[string]int{"any dst": anyDst, "any src": anySrc, "ProtoIPAny": anyProto,
+		"any port": anyPort, "single port": single, "port range": ranges} {
+		if n == 0 {
+			t.Errorf("no seeded match has %s", name)
+		}
+	}
+}
+
 func TestLPMShadowAlgebra(t *testing.T) {
 	// The data plane model computes a rule's effective predicate as its
 	// prefix minus all longer matching prefixes; check the algebra here.

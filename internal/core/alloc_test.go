@@ -117,24 +117,27 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 // Before copy-on-write applies, each Apply cloned every device, formatted
 // and diffed every device on both sides, and cloned the network again.
 // Before per-device compile units, each Apply compiled every device and
-// set-differenced all eight relations and the filter set:
+// set-differenced all eight relations and the filter set. Before the
+// line diff was taken on demand, each Apply formatted every touched
+// device on both sides and diffed the texts:
 //
 //	static add + remove: 19120 allocs before copy-on-write, 994 after
 //	static add + remove:   994 allocs before compile units, 474 after
 //	static add + remove:   468 allocs before dense EC ids, 459 after
+//	static add + remove:   459 allocs before the on-demand diff, 106 after
+//	ACL bind + unbind:    1087 allocs before dense EC ids, 1074 after
+//	ACL bind + unbind:    1074 allocs before the on-demand diff, 339 after
 //
-// The ceiling is the last "after" figure plus 20 %; the whole-network
-// compile exceeds it twofold. Under the race detector sync.Pool is off,
-// so every fmt call of the config diff allocates its printer: the pair
-// measured 629 there, and the race ceiling is 629 plus 20 %.
-//
-// The ACL pair measured 1087 with EC state in maps keyed by BDD node
-// and 1074 with the dense EC table (1393 under the race detector); its
-// ceilings are the table's figures plus 20 %.
+// Each ceiling is the last "after" figure plus 20 %. Under the race
+// detector sync.Pool is off; the eager diff's fmt printers made the race
+// figures vary (629, 631, 639 and 1389, 1392, 1393, 1403). With the
+// diff on demand, six race runs measured 106 for the static pair every
+// time and 340 for the ACL pair every time; the race ceilings are those
+// maxima plus 20 %.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling, aclCeiling := 551.0, 1289.0
+	pairCeiling, aclCeiling := 127.0, 406.0
 	if raceEnabled {
-		pairCeiling, aclCeiling = 755, 1672
+		pairCeiling, aclCeiling = 127, 408
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)

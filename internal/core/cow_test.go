@@ -160,14 +160,14 @@ func TestCopyOnWriteEqualsSnapshot(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d %v: %v", step, batch, err)
 					}
-					if !reflect.DeepEqual(repA.Diff, repB.Diff) {
-						t.Fatalf("step %d %v: diffs differ\napply:    %+v\nsnapshot: %+v", step, batch, repA.Diff, repB.Diff)
+					if !reflect.DeepEqual(repA.Diff(), repB.Diff()) {
+						t.Fatalf("step %d %v: diffs differ\napply:    %+v\nsnapshot: %+v", step, batch, repA.Diff(), repB.Diff())
 					}
 					if formatNetwork(held) != heldText {
 						t.Fatalf("step %d %v: Apply wrote into the network it held", step, batch)
 					}
 					requireSameState(t, step, a, b)
-					lines += repA.Diff.LineCount() + len(repA.Diff.Links)
+					lines += repA.Diff().LineCount() + len(repA.Diff().Links)
 					rules += repA.RulesInserted + repA.RulesDeleted
 
 					if step%8 == 7 {

@@ -134,7 +134,7 @@ func TestRejectedLoadLeavesVerifierUnloaded(t *testing.T) {
 	}
 	o := &bootstrapOracle{opts: v.Options(), policies: ps}
 	o.check(t, "load after a failed load", v)
-	if rep.Diff == nil || len(rep.Diff.Devices) != 0 {
-		t.Fatalf("load after a failed load reported a diff: %+v", rep.Diff)
+	if rep.Diff() == nil || len(rep.Diff().Devices) != 0 {
+		t.Fatalf("load after a failed load reported a diff: %+v", rep.Diff())
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"maps"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"realconfig/internal/apkeep"
@@ -133,8 +134,9 @@ func (v *Verifier) Instrument(reg *obs.Registry) {
 // to Total exactly.
 type Timing struct {
 	// Netcfg covers building the next network (the copy-on-write apply
-	// or the snapshot copy), diffing it against the current one and
-	// naming the devices to recompile.
+	// or the snapshot copy), diffing its links against the current
+	// one's and naming the devices to recompile. The line diff is part
+	// of it only on a traced verification (see Report.Diff).
 	Netcfg time.Duration
 	// Generate covers compiling configurations and incrementally
 	// computing data plane (FIB) changes.
@@ -233,9 +235,6 @@ func (c *stageClock) total() time.Duration { return time.Duration(c.at - c.start
 
 // Report is the outcome of one (full or incremental) verification.
 type Report struct {
-	// Diff is the configuration change that triggered verification
-	// (empty on the initial load).
-	Diff *netcfg.NetworkDiff
 	// RulesInserted/RulesDeleted count FIB rule changes (Table 3's
 	// "#Rules").
 	RulesInserted, RulesDeleted int
@@ -255,6 +254,32 @@ type Report struct {
 	// TraceID identifies this verification's provenance trace in the
 	// verifier's recorder ring (0 when tracing is disabled).
 	TraceID uint64
+
+	// prev and next are the networks the verification went from (nil
+	// on the initial load) and to, kept until Diff reads them. Under
+	// the invariant on Verifier.cur neither is ever written again, so a
+	// diff taken later equals one taken during the verification.
+	prev, next *netcfg.Network
+	diffOnce   sync.Once
+	diff       *netcfg.NetworkDiff
+}
+
+// Diff returns the configuration change that triggered the
+// verification (empty on the initial load): the line diff of every
+// changed device plus the link changes. An untraced verification needs
+// only the link changes, so the line diff is taken at the first call,
+// once, and is safe for concurrent callers; a traced one takes it
+// during the verification, to record it.
+func (r *Report) Diff() *netcfg.NetworkDiff {
+	r.diffOnce.Do(func() {
+		if r.prev == nil {
+			r.diff = &netcfg.NetworkDiff{Devices: map[string][]netcfg.LineChange{}}
+		} else {
+			r.diff = netcfg.DiffNetworks(r.prev, r.next)
+		}
+		r.prev, r.next = nil, nil
+	})
+	return r.diff
 }
 
 // Violations lists, in sorted order, the policies that became violated
@@ -445,21 +470,20 @@ func (v *Verifier) pipeline(c stageClock, net *netcfg.Network, seq uint64) (*Rep
 			v.checker.SetTrace(nil)
 		}()
 	}
-	rep := &Report{}
+	rep := &Report{prev: v.cur, next: net}
+	var links []netcfg.LinkChange
 	if v.cur != nil {
-		rep.Diff = netcfg.DiffNetworks(v.cur, net)
-	} else {
-		rep.Diff = &netcfg.NetworkDiff{Devices: map[string][]netcfg.LineChange{}}
+		links = netcfg.DiffLinks(v.cur.Topology, net.Topology)
 	}
 	if tr != nil {
-		recordDiff(tr, rep.Diff)
+		recordDiff(tr, rep.Diff())
 	}
-	changed := changedDevices(v.cur, net, rep.Diff.Links)
+	changed := changedDevices(v.cur, net, links)
 	c.lap(&rep.Timing.Netcfg, obs.StageNetcfg, func() []trace.Attr {
 		return []trace.Attr{
 			trace.I("devices_changed", int64(len(changed))),
-			trace.I("lines", int64(rep.Diff.LineCount())),
-			trace.I("links", int64(len(rep.Diff.Links)))}
+			trace.I("lines", int64(rep.Diff().LineCount())),
+			trace.I("links", int64(len(links)))}
 	})
 
 	// Stage 1: incremental data plane generation.

@@ -84,7 +84,7 @@ func TestVerifierEndToEndLine(t *testing.T) {
 	if len(rep.Violations()) != 1 || rep.Violations()[0] != "r00->r02" {
 		t.Errorf("violations = %v", rep.Violations())
 	}
-	if rep.Diff.LineCount() == 0 {
+	if rep.Diff().LineCount() == 0 {
 		t.Error("diff empty for shutdown change")
 	}
 	curNet := v.Network()
@@ -206,8 +206,8 @@ func TestVerifierReportsDiffAndTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Diff.LineCount() != 1 {
-		t.Errorf("diff lines = %d, want 1", rep.Diff.LineCount())
+	if rep.Diff().LineCount() != 1 {
+		t.Errorf("diff lines = %d, want 1", rep.Diff().LineCount())
 	}
 	if v.Network().Devices["r00"].Intf("eth0").OSPFCost != 42 {
 		t.Error("verifier snapshot not updated")

@@ -159,24 +159,33 @@ func DiffNetworks(oldNet, newNet *Network) *NetworkDiff {
 			}
 		}
 	}
-	if oldNet.Topology == newNet.Topology {
-		return d
+	d.Links = DiffLinks(oldNet.Topology, newNet.Topology)
+	return d
+}
+
+// DiffLinks returns the links added to and removed from old in new:
+// additions in new's order, then removals in old's. The same *Topology
+// on both sides has no changes and is not scanned.
+func DiffLinks(oldTopo, newTopo *Topology) []LinkChange {
+	if oldTopo == newTopo {
+		return nil
 	}
 	oldLinks := make(map[Link]bool)
-	for _, l := range oldNet.Topology.Links {
+	for _, l := range oldTopo.Links {
 		oldLinks[l] = true
 	}
+	var out []LinkChange
 	newLinks := make(map[Link]bool)
-	for _, l := range newNet.Topology.Links {
+	for _, l := range newTopo.Links {
 		newLinks[l] = true
 		if !oldLinks[l] {
-			d.Links = append(d.Links, LinkChange{Op: LineInsert, Link: l})
+			out = append(out, LinkChange{Op: LineInsert, Link: l})
 		}
 	}
-	for _, l := range oldNet.Topology.Links {
+	for _, l := range oldTopo.Links {
 		if !newLinks[l] {
-			d.Links = append(d.Links, LinkChange{Op: LineDelete, Link: l})
+			out = append(out, LinkChange{Op: LineDelete, Link: l})
 		}
 	}
-	return d
+	return out
 }

@@ -46,7 +46,7 @@ func reportJSON(rep *core.Report) *ReportJSON {
 		return nil
 	}
 	return &ReportJSON{
-		LinesChanged:    rep.Diff.LineCount(),
+		LinesChanged:    rep.Diff().LineCount(),
 		RulesInserted:   rep.RulesInserted,
 		RulesDeleted:    rep.RulesDeleted,
 		FilterChanges:   rep.FilterChanges,

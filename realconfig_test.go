@@ -37,8 +37,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Diff.LineCount() != 1 {
-		t.Errorf("diff lines = %d", rep.Diff.LineCount())
+	if rep.Diff().LineCount() != 1 {
+		t.Errorf("diff lines = %d", rep.Diff().LineCount())
 	}
 
 	// Packet trace through the facade.
