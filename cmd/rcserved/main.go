@@ -193,12 +193,9 @@ func run(args []string, out *os.File) error {
 		tcs = append(tcs, tc)
 	}
 	srv, err := server.New(server.Config{
-		Net:        baseNet,
-		PolicyText: policyText,
-		Options: core.Options{
-			DetectOscillation: true,
-			TraceApplies:      *traceRing,
-		},
+		Net:                 baseNet,
+		PolicyText:          policyText,
+		Options:             core.Options{TraceApplies: *traceRing},
 		JournalPath:         *journalPath,
 		JournalSegmentBytes: *segBytes,
 		SnapshotEvery:       *snapEvery,

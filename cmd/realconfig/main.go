@@ -100,7 +100,7 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	v := core.New(core.Options{DetectOscillation: true})
+	v := core.New(core.Options{})
 	if _, err := v.Load(net); err != nil {
 		return err
 	}
@@ -364,7 +364,7 @@ func writeChromeTrace(v *core.Verifier, path string) error {
 }
 
 func options(deleteFirst bool) core.Options {
-	opts := core.Options{DetectOscillation: true}
+	var opts core.Options
 	if deleteFirst {
 		opts.Order = apkeep.DeleteFirst
 	}

@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("BAD GADGET: center AS 100 originates 10.99.0.0/24;")
 	fmt.Println("r1, r2, r3 each prefer the route via their clockwise neighbor (local-pref 200).")
 
-	v := realconfig.New(realconfig.Options{DetectOscillation: true})
+	v := realconfig.New(realconfig.Options{})
 	_, err := v.Load(net)
 	switch {
 	case errors.Is(err, dd.ErrRecurringState):
@@ -43,7 +43,7 @@ func main() {
 	for _, nb := range fixed.Devices["r1"].BGP.Neighbors {
 		nb.LocalPref = 0
 	}
-	v2 := realconfig.New(realconfig.Options{DetectOscillation: true})
+	v2 := realconfig.New(realconfig.Options{})
 	rep, err := v2.Load(fixed)
 	if err != nil {
 		log.Fatal(err)

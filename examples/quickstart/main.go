@@ -19,7 +19,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	v := realconfig.New(realconfig.Options{DetectOscillation: true})
+	v := realconfig.New(realconfig.Options{})
 	rep, err := v.Load(net.Network)
 	if err != nil {
 		log.Fatal(err)

@@ -259,7 +259,7 @@ func TestIncrementalEqualsBootstrap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v := New(Options{DetectOscillation: true})
+				v := New(Options{})
 				if _, err := v.Load(net.Network.Clone()); err != nil {
 					t.Fatal(err)
 				}
@@ -301,7 +301,7 @@ func FuzzIncrementalEqualsBootstrap(f *testing.F) {
 			t.Fatal(err)
 		}
 		pool := append(backendChangePool(net), joinBadGadget(net))
-		v := New(Options{DetectOscillation: true})
+		v := New(Options{})
 		if _, err := v.Load(net.Network.Clone()); err != nil {
 			t.Fatal(err)
 		}

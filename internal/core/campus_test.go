@@ -30,7 +30,7 @@ func loadCampus(t *testing.T) (*Verifier, *netcfg.Network) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := New(Options{DetectOscillation: true})
+	v := New(Options{})
 	if _, err := v.Load(net); err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func TestCollectedEqualsBootstrap(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				v := New(Options{DetectOscillation: true})
+				v := New(Options{})
 				if _, err := v.Load(net.Network.Clone()); err != nil {
 					t.Fatal(err)
 				}

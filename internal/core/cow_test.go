@@ -115,8 +115,8 @@ func TestCopyOnWriteEqualsSnapshot(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(seed))
-				a := New(Options{DetectOscillation: true})
-				b := New(Options{DetectOscillation: true})
+				a := New(Options{})
+				b := New(Options{})
 				if _, err := a.Load(net.Network); err != nil {
 					t.Fatal(err)
 				}

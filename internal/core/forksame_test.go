@@ -18,7 +18,7 @@ func forkSameFixture(t *testing.T) *Verifier {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := New(Options{DetectOscillation: true})
+	v := New(Options{})
 	if _, err := v.Load(net.Network); err != nil {
 		t.Fatal(err)
 	}

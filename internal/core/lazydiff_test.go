@@ -35,8 +35,8 @@ func TestLazyDiffEqualsEager(t *testing.T) {
 					t.Fatal(err)
 				}
 				rng := rand.New(rand.NewSource(seed))
-				a := New(Options{DetectOscillation: true})
-				b := New(Options{DetectOscillation: true, TraceApplies: 4})
+				a := New(Options{})
+				b := New(Options{TraceApplies: 4})
 				for _, v := range []*Verifier{a, b} {
 					if _, err := v.Load(net.Network); err != nil {
 						t.Fatal(err)

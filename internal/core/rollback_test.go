@@ -19,8 +19,8 @@ import (
 // backendChangePool see the same network as before.
 //
 // It returns the dispute toggle: the first ring AS preferring its
-// clockwise neighbour again forms the dispute wheel, which a verifier
-// with DetectOscillation must reject, and lowering it back is benign.
+// clockwise neighbour again forms the dispute wheel, which every verifier
+// must reject, and lowering it back is benign.
 func joinBadGadget(net *topology.Net) changePair {
 	subnet := netcfg.MustAddr("192.168.0.0")
 	intf := func(cfg *netcfg.Config, name string, addr netcfg.Addr) {
@@ -81,7 +81,7 @@ func TestRejectedApplyLeavesNoTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			pool := append(backendChangePool(net), joinBadGadget(net))
-			v := New(Options{DetectOscillation: true})
+			v := New(Options{})
 			if _, err := v.Load(net.Network.Clone()); err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestRejectedLoadLeavesVerifierUnloaded(t *testing.T) {
 		t.Fatal(err)
 	}
 	toggle := joinBadGadget(net)
-	v := New(Options{DetectOscillation: true})
+	v := New(Options{})
 	ps := backendPolicies(net)
 	for _, p := range ps {
 		v.AddPolicy(p)

@@ -101,7 +101,7 @@ func walkSeeded(t *testing.T, mk func() *Verifier, check func(t *testing.T, wher
 func TestStagesTileTotal(t *testing.T) {
 	for _, traced := range []int{0, 2} {
 		t.Run(fmt.Sprintf("trace=%d", traced), func(t *testing.T) {
-			mk := func() *Verifier { return New(Options{DetectOscillation: true, TraceApplies: traced}) }
+			mk := func() *Verifier { return New(Options{TraceApplies: traced}) }
 			walkSeeded(t, mk, func(t *testing.T, where string, _ *Verifier, rep *Report) {
 				stages := rep.Timing.Stages()
 				var sum time.Duration
@@ -161,7 +161,7 @@ func checkPipelineSpans(t *testing.T, where string, v *Verifier, rep *Report) {
 // countingVerifier returns a traced verifier whose recorder clock ticks
 // one microsecond per reading.
 func countingVerifier() *Verifier {
-	v := New(Options{DetectOscillation: true, TraceApplies: 2})
+	v := New(Options{TraceApplies: 2})
 	var tick int64
 	v.Recorder().SetClock(func() int64 { tick++; return tick })
 	return v

@@ -36,9 +36,6 @@ type Options struct {
 	// Order is the batch order for data plane model updates; the paper's
 	// Table 3 shows InsertFirst touches about half as many ECs.
 	Order apkeep.Order
-	// DetectOscillation aborts non-convergent control planes with a
-	// recurring-state error instead of iterating forever.
-	DetectOscillation bool
 	// TraceApplies enables provenance tracing: every verification
 	// records a structured trace (stage spans, per-dataflow-node epoch
 	// spans, EC split/transfer/merge events, policy re-checks) into a
@@ -318,7 +315,7 @@ func New(opts Options) *Verifier {
 	model.AutoMerge = true // keep the EC partition minimal, as APKeep does
 	return &Verifier{
 		opts:    opts,
-		gen:     routing.New(routing.Options{DetectOscillation: opts.DetectOscillation}),
+		gen:     routing.New(routing.Options{}),
 		model:   model,
 		checker: policy.NewChecker(model),
 		rec:     rec,

@@ -274,7 +274,7 @@ func TestVerifierOscillationDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := New(Options{DetectOscillation: true})
+	v := New(Options{})
 	if _, err := v.Load(net.Network); err != nil {
 		t.Fatal(err)
 	}

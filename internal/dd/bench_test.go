@@ -106,3 +106,25 @@ func BenchmarkFixpointFull(b *testing.B) {
 		p.g.MustAdvance()
 	}
 }
+
+// BenchmarkWatch times the recurring-state fingerprint: one batch of
+// 1024 KV entries through a watched collection per epoch, inserted and
+// then retracted, so every epoch folds the same number of entries.
+func BenchmarkWatch(b *testing.B) {
+	const n = 1024
+	g := NewGraph()
+	in := NewInput[KV[int, int]](g)
+	Watch(in.Collection(), "bench", hashInts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < n; j++ {
+			if i%2 == 0 {
+				in.Insert(MkKV(j, i))
+			} else {
+				in.Delete(MkKV(j, i-1))
+			}
+		}
+		g.MustAdvance()
+	}
+}

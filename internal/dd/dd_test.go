@@ -1,6 +1,7 @@
 package dd
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -186,8 +187,8 @@ func TestAdvanceAfterFailureReturnsError(t *testing.T) {
 		return Distinct(Concat(in.Collection(), bumped))
 	})
 	in.Insert(0)
-	if _, err := g.Advance(); err == nil {
-		t.Fatal("diverging fixpoint did not error")
+	if _, err := g.Advance(); !errors.Is(err, ErrNonTermination) {
+		t.Fatalf("diverging fixpoint: err = %v, want ErrNonTermination", err)
 	}
 	if _, err := g.Advance(); err == nil {
 		t.Fatal("Advance after failure did not error")

@@ -2,7 +2,7 @@ package dd
 
 import (
 	"fmt"
-	"hash/maphash"
+	"math/rand/v2"
 )
 
 // ErrRecurringState is reported when a watched fixpoint revisits a state
@@ -17,44 +17,53 @@ var ErrRecurringState = fmt.Errorf("dd: recurring state detected (oscillating fi
 // the epoch if the collection's accumulated state recurs across
 // iterations, which means the fixpoint is cycling rather than converging.
 // Detection is by order-independent 64-bit fingerprint; a false positive
-// requires a fingerprint collision (probability ~2^-64 per pair).
+// requires a fingerprint collision (probability ~2^-64 per pair for
+// distinct tuple hashes).
 type Detector struct {
 	name string
-	seed maphash.Seed
+	seed uint64
 
-	pend    map[int]Diff // iteration -> fingerprint delta (XOR-ish additive)
+	pend    map[int]Diff // iteration -> additive fingerprint delta
 	applied int          // iterations < applied are folded into fp
 	fp      uint64
 	lastFP  uint64
-	changed bool
 	seen    map[uint64]int // fingerprint -> first iteration seen this epoch
 }
 
+// Mix folds the word x into the running hash h: a golden-ratio step and
+// splitmix64's finalizer, a bijection of h^x. Callers of Watch build a
+// tuple's hash by folding its fixed-width fields in a fixed order, so
+// two tuples that differ in one field never share a hash.
+func Mix(h, x uint64) uint64 {
+	z := (h ^ x) + 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 // Watch attaches a recurring-state detector to c. The name appears in
-// error messages.
-func Watch[T comparable](c Collection[T], name string) *Detector {
+// error messages; hash maps each tuple to 64 bits, which the detector
+// salts with a seed of its own (see Mix for building one).
+func Watch[T comparable](c Collection[T], name string, hash func(T) uint64) *Detector {
 	d := &Detector{
 		name: name,
-		seed: maphash.MakeSeed(),
+		seed: rand.Uint64(),
 		pend: make(map[int]Diff),
 		seen: make(map[uint64]int),
 	}
-	var h maphash.Hash
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
+		// Commutative fold: each present value contributes its salted
+		// hash times its multiplicity (mod 2^64), so the fingerprint is
+		// independent of arrival order and cancels exactly on retraction.
+		var delta Diff
 		for _, e := range batch {
-			h.SetSeed(d.seed)
-			fmt.Fprintf(&h, "%v", e.Val)
-			hv := h.Sum64()
-			// Commutative fold: each present value contributes hv *
-			// multiplicity (mod 2^64), so the fingerprint is independent
-			// of arrival order and cancels exactly on retraction.
-			d.pend[iter] += Diff(hv) * e.Diff
+			delta += Diff(Mix(d.seed, hash(e.Val))) * e.Diff
 		}
+		d.pend[iter] += delta
 	})
 	c.g.detectors = append(c.g.detectors, d)
 	c.g.resetters = append(c.g.resetters, func() {
-		d.seen = make(map[uint64]int)
-		d.changed = false
+		clear(d.seen)
 		d.lastFP = d.fp
 	})
 	return d
@@ -75,7 +84,6 @@ func (d *Detector) observe(iter int) error {
 	if d.fp == d.lastFP {
 		return nil // quiescent or unchanged since last look
 	}
-	d.changed = true
 	d.lastFP = d.fp
 	if first, ok := d.seen[d.fp]; ok {
 		return fmt.Errorf("%w: %s repeated state of iteration %d at iteration %d", ErrRecurringState, d.name, first, iter)

@@ -2,8 +2,17 @@ package dd
 
 import (
 	"errors"
+	"hash/maphash"
 	"testing"
 )
+
+var testSeed = maphash.MakeSeed()
+
+func hashStrings(kv KV[string, string]) uint64 {
+	return Mix(maphash.String(testSeed, kv.K), maphash.String(testSeed, kv.V))
+}
+
+func hashInts(kv KV[int, int]) uint64 { return Mix(Mix(0, uint64(kv.K)), uint64(kv.V)) }
 
 // TestDetectorCatchesOscillation models the classic unstable
 // configuration: a derivation that holds exactly when it does not hold
@@ -20,7 +29,7 @@ func TestDetectorCatchesOscillation(t *testing.T) {
 		watched = out
 		return out
 	})
-	Watch(watched, "oscillator")
+	Watch(watched, "oscillator", hashStrings)
 
 	seed.Insert(MkKV("k", "v"))
 	_, err := g.Advance()
@@ -33,7 +42,7 @@ func TestDetectorCatchesOscillation(t *testing.T) {
 // not flagged.
 func TestDetectorSilentOnConvergence(t *testing.T) {
 	p := newSPProgram(0)
-	Watch(p.distC, "sp")
+	Watch(p.distC, "sp", hashInts)
 	p.edges.Insert(spEdge{1, 0, 1})
 	p.edges.Insert(spEdge{2, 1, 1})
 	if _, err := p.g.Advance(); err != nil {
@@ -43,5 +52,33 @@ func TestDetectorSilentOnConvergence(t *testing.T) {
 	p.edges.Delete(spEdge{2, 1, 1})
 	if _, err := p.g.Advance(); err != nil {
 		t.Fatalf("second epoch flagged: %v", err)
+	}
+}
+
+// TestFingerprintCancelsRetraction checks the fold's algebra: a value
+// inserted and retracted within one iteration leaves the fingerprint
+// where it was, while the same values left standing move it.
+func TestFingerprintCancelsRetraction(t *testing.T) {
+	g := NewGraph()
+	in := NewInput[KV[int, int]](g)
+	c := in.Collection()
+	cancelled := Watch(Concat(c, Negate(c)), "cancelled", hashInts)
+	kept := Watch(c, "kept", hashInts)
+	for i := 0; i < 8; i++ {
+		in.Insert(MkKV(i, i*i))
+	}
+	g.MustAdvance()
+	// Input differences land at iteration 0; observing iteration 1
+	// folds them into the fingerprints.
+	for _, d := range []*Detector{cancelled, kept} {
+		if err := d.observe(1); err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+	}
+	if cancelled.fp != 0 {
+		t.Errorf("inserted and retracted values moved the fingerprint to %#x", cancelled.fp)
+	}
+	if kept.fp == 0 {
+		t.Error("standing values left the fingerprint at 0")
 	}
 }

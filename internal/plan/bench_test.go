@@ -19,7 +19,7 @@ func BenchmarkPlan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	v, _, err := core.Bootstrap(core.Options{DetectOscillation: true}, net.Network, plan.RingPolicies(net))
+	v, _, err := core.Bootstrap(core.Options{}, net.Network, plan.RingPolicies(net))
 	if err != nil {
 		b.Fatal(err)
 	}

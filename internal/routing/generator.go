@@ -25,13 +25,11 @@ import (
 	"realconfig/internal/trace"
 )
 
-// Options configures a Generator.
-type Options struct {
-	// DetectOscillation attaches recurring-state detectors to the BGP
-	// and OSPF fixpoints, turning non-convergent configurations (e.g.
-	// BGP dispute wheels) into errors instead of hangs.
-	DetectOscillation bool
-}
+// Options configures a Generator. It has no settings: recurring-state
+// detection on the BGP and OSPF fixpoints is always on, turning
+// non-convergent configurations (e.g. BGP dispute wheels) into errors
+// instead of hangs.
+type Options struct{}
 
 // Generator owns the dataflow graph computing a network's data plane.
 // Build one with New, load a network with SetNetwork or SetNetworkDelta,
@@ -138,7 +136,7 @@ const maxOSPFDist = 1 << 30
 
 // New builds the dataflow graph. The graph is network-independent:
 // networks are loaded as data via SetNetwork.
-func New(opts Options) *Generator {
+func New(Options) *Generator {
 	g := dd.NewGraph()
 	syms := newSymtab()
 	gen := &Generator{
@@ -263,10 +261,8 @@ func New(opts Options) *Generator {
 	bgpBest, bgpArr := dd.ReduceMinArranged(bgpAll, syms.bgpBetter)
 	bgpVar.Feedback(bgpBest)
 
-	if opts.DetectOscillation {
-		dd.Watch(bgpBest, "bgp")
-		dd.Watch(ospfBest, "ospf")
-	}
+	dd.Watch(bgpBest, "bgp", hashBGPBest)
+	dd.Watch(ospfBest, "ospf", hashOSPFBest)
 
 	// --- RIB / FIB ---------------------------------------------------------
 	ospfRIB := dd.Map(ospfBest, func(kv dd.KV[rkey, ospfRt]) dd.KV[rkey, ribEnt] {

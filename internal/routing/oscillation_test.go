@@ -62,21 +62,11 @@ func TestBadGadgetSimulatorDiverges(t *testing.T) {
 }
 
 func TestBadGadgetGeneratorDetectsRecurringState(t *testing.T) {
-	gen := New(Options{DetectOscillation: true})
+	gen := New(Options{})
 	gen.SetNetwork(badGadget())
 	_, err := gen.Step()
 	if !errors.Is(err, dd.ErrRecurringState) {
 		t.Fatalf("err = %v, want ErrRecurringState", err)
-	}
-}
-
-func TestBadGadgetGeneratorWithoutDetectionHitsIterationBound(t *testing.T) {
-	gen := New(Options{})
-	gen.g.MaxIter = 200
-	gen.SetNetwork(badGadget())
-	_, err := gen.Step()
-	if !errors.Is(err, dd.ErrNonTermination) {
-		t.Fatalf("err = %v, want ErrNonTermination", err)
 	}
 }
 
@@ -90,7 +80,58 @@ func TestGoodGadgetConverges(t *testing.T) {
 			nb.LocalPref = 0 // default everywhere
 		}
 	}
-	gen := New(Options{DetectOscillation: true})
+	gen := New(Options{})
 	loadAndStep(t, gen, net)
 	checkAgainstSimulator(t, gen, net)
+}
+
+// TestFingerprintSeesEveryField: the recurring-state detectors on the
+// protocol fixpoints fingerprint tuples by hashOSPFBest and hashBGPBest.
+// Changing any one field of the key or the route must change the hash;
+// a hash blind to a field would make two distinct fixpoint states
+// collide and reject a convergent configuration as oscillating.
+func TestFingerprintSeesEveryField(t *testing.T) {
+	key := rkey{Dev: 3, Prefix: netcfg.MustPrefix("10.1.2.0/24")}
+	keyEdits := map[string]func(*rkey){
+		"Dev":         func(k *rkey) { k.Dev++ },
+		"Prefix.Addr": func(k *rkey) { k.Prefix.Addr ^= 1 << 8 },
+		"Prefix.Len":  func(k *rkey) { k.Prefix.Len++ },
+	}
+	checkFields(t, "ospf", dd.MkKV(key, ospfRt{Dist: 20, NextHop: 5, OutIntf: 7}), hashOSPFBest, keyEdits,
+		map[string]func(*ospfRt){
+			"Dist":    func(r *ospfRt) { r.Dist++ },
+			"NextHop": func(r *ospfRt) { r.NextHop++ },
+			"OutIntf": func(r *ospfRt) { r.OutIntf++ },
+		})
+	checkFields(t, "bgp", dd.MkKV(key, bgpRt{LocalPref: 100, Path: 9, PeerAS: 65001, NextHop: 5, OutIntf: 7, PathLen: 2}), hashBGPBest, keyEdits,
+		map[string]func(*bgpRt){
+			"LocalPref": func(r *bgpRt) { r.LocalPref++ },
+			"Path":      func(r *bgpRt) { r.Path++ },
+			"PeerAS":    func(r *bgpRt) { r.PeerAS++ },
+			"NextHop":   func(r *bgpRt) { r.NextHop++ },
+			"OutIntf":   func(r *bgpRt) { r.OutIntf++ },
+			"PathLen":   func(r *bgpRt) { r.PathLen++ },
+			"Discard":   func(r *bgpRt) { r.Discard = !r.Discard },
+		})
+}
+
+// checkFields applies each one-field edit to a copy of base and
+// requires its hash to differ from base's.
+func checkFields[V comparable](t *testing.T, proto string, base dd.KV[rkey, V], hash func(dd.KV[rkey, V]) uint64,
+	keyEdits map[string]func(*rkey), valEdits map[string]func(*V)) {
+	t.Helper()
+	for name, edit := range keyEdits {
+		got := base
+		edit(&got.K)
+		if hash(got) == hash(base) {
+			t.Errorf("%s: changing %s keeps the hash", proto, name)
+		}
+	}
+	for name, edit := range valEdits {
+		got := base
+		edit(&got.V)
+		if hash(got) == hash(base) {
+			t.Errorf("%s: changing %s keeps the hash", proto, name)
+		}
+	}
 }

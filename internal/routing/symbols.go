@@ -2,6 +2,7 @@ package routing
 
 import (
 	"realconfig/internal/dataplane"
+	"realconfig/internal/dd"
 	"realconfig/internal/netcfg"
 )
 
@@ -86,6 +87,29 @@ type bgpRt struct {
 	OutIntf   sym
 	PathLen   uint8
 	Discard   bool
+}
+
+// hashOSPFBest and hashBGPBest are the fingerprints of the
+// recurring-state detectors on the protocol fixpoints. Each packs the
+// tuple's fixed-width fields losslessly into 64-bit words and folds them
+// through dd.Mix, so tuples that differ in any one field hash apart.
+func hashOSPFBest(kv dd.KV[rkey, ospfRt]) uint64 {
+	k, r := kv.K, kv.V
+	h := dd.Mix(0, uint64(k.Dev)<<32|uint64(k.Prefix.Addr))
+	h = dd.Mix(h, uint64(k.Prefix.Len)<<32|uint64(r.Dist))
+	return dd.Mix(h, uint64(r.NextHop)<<32|uint64(r.OutIntf))
+}
+
+func hashBGPBest(kv dd.KV[rkey, bgpRt]) uint64 {
+	k, r := kv.K, kv.V
+	var discard uint64
+	if r.Discard {
+		discard = 1
+	}
+	h := dd.Mix(0, uint64(k.Dev)<<32|uint64(k.Prefix.Addr))
+	h = dd.Mix(h, uint64(k.Prefix.Len)<<48|uint64(r.PathLen)<<40|discard<<32|uint64(r.LocalPref))
+	h = dd.Mix(h, uint64(r.Path)<<32|uint64(r.PeerAS))
+	return dd.Mix(h, uint64(r.NextHop)<<32|uint64(r.OutIntf))
 }
 
 // ribEnt is an interned dataplane.RIBEntry.

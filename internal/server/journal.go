@@ -19,6 +19,7 @@ import (
 	"realconfig/internal/netcfg"
 	"realconfig/internal/obs"
 	"realconfig/internal/repl"
+	"realconfig/internal/snap"
 )
 
 // Journal operations.
@@ -311,6 +312,12 @@ func openJournal(path string, segBytes int64) (*journal, []Entry, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// The active file may have just been created: sync its directory
+	// entry before the first append is acknowledged.
+	if err := snap.SyncDir(filepath.Dir(path)); err != nil {
+		f.Close()
+		return nil, nil, err
+	}
 	es, good, torn, err := readEntries(f, path)
 	if err != nil {
 		f.Close()
@@ -430,7 +437,9 @@ func (j *journal) rotate() error {
 	j.nextSeg++
 	j.f, j.w, j.size = f, bufio.NewWriter(f), 0
 	j.rotations.Inc()
-	return nil
+	// One directory sync makes both the sealed name and the fresh
+	// active file durable.
+	return snap.SyncDir(filepath.Dir(j.path))
 }
 
 func (j *journal) close() error {
@@ -623,29 +632,13 @@ func readCompactFile(path string) (compactMeta, bool, error) {
 	return m, true, nil
 }
 
-// writeCompactFile persists the sidecar durably (write, sync, rename).
+// writeCompactFile persists the sidecar durably (snap.WriteAtomic).
 func writeCompactFile(path string, m compactMeta) error {
 	b, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return snap.WriteAtomic(path, append(b, '\n'))
 }
 
 // compactedThrough returns the journal's current base sequence number.
@@ -818,25 +811,9 @@ func readEpochFile(path string) (uint64, error) {
 	return e, nil
 }
 
-// writeEpochFile persists an epoch durably (write, sync, rename).
+// writeEpochFile persists an epoch durably (snap.WriteAtomic).
 func writeEpochFile(path string, e uint64) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(f, "%d\n", e); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return snap.WriteAtomic(path, []byte(strconv.FormatUint(e, 10)+"\n"))
 }
 
 // changesEntry builds the journal entry of a decoded change batch that

@@ -21,7 +21,7 @@ func newReplicaServer(t *testing.T, leaderURL, journalPath string) (*Server, *ht
 	srv, err := New(Config{
 		Net:            net,
 		PolicyText:     policyText,
-		Options:        core.Options{DetectOscillation: true},
+		Options:        core.Options{},
 		JournalPath:    journalPath,
 		FollowURL:      leaderURL,
 		ReplHeartbeat:  20 * time.Millisecond,

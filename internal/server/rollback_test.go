@@ -61,7 +61,7 @@ func newGadgetServer(t *testing.T, journal string) *httptest.Server {
 	srv, err := New(Config{
 		Net:         stableGadget(),
 		PolicyText:  gadgetPolicies,
-		Options:     core.Options{DetectOscillation: true},
+		Options:     core.Options{},
 		JournalPath: journal,
 	})
 	if err != nil {

@@ -18,7 +18,7 @@ func newSegmentedServer(t *testing.T, path string, segBytes int64) (*Server, *ht
 	srv, err := New(Config{
 		Net:                 net,
 		PolicyText:          policyText,
-		Options:             core.Options{DetectOscillation: true},
+		Options:             core.Options{},
 		JournalPath:         path,
 		JournalSegmentBytes: segBytes,
 	})

@@ -38,7 +38,7 @@ func newCampusServer(t *testing.T, journalPath string) (*Server, *httptest.Serve
 	srv, err := New(Config{
 		Net:         net,
 		PolicyText:  policyText,
-		Options:     core.Options{DetectOscillation: true},
+		Options:     core.Options{},
 		JournalPath: journalPath,
 	})
 	if err != nil {

@@ -20,7 +20,7 @@ func TestSnapshotBytesTrigger(t *testing.T) {
 	srv, err := New(Config{
 		Net:                 net,
 		PolicyText:          policyText,
-		Options:             core.Options{DetectOscillation: true},
+		Options:             core.Options{},
 		JournalPath:         filepath.Join(t.TempDir(), "leader.journal"),
 		JournalSegmentBytes: 150,
 		SnapshotBytes:       100, // every write is larger than this
@@ -213,7 +213,7 @@ func TestFollowerLocalCheckpoint(t *testing.T) {
 // guard) refuses to run without a journal to anchor the chain.
 func TestTakeSnapshotWithoutJournal(t *testing.T) {
 	net, policyText := campusConfig(t)
-	srv, err := New(Config{Net: net, PolicyText: policyText, Options: core.Options{DetectOscillation: true}})
+	srv, err := New(Config{Net: net, PolicyText: policyText, Options: core.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestSnapshotBootstrapParityBDD(t *testing.T) {
 	leader, err := New(Config{
 		Net:                 net.Network.Clone(),
 		PolicyText:          policyText,
-		Options:             core.Options{DetectOscillation: true},
+		Options:             core.Options{},
 		JournalPath:         filepath.Join(dir, "leader.journal"),
 		JournalSegmentBytes: 150,
 	})

@@ -24,7 +24,7 @@ func newSnapServer(t *testing.T, path string, retain, snapEvery int) (*Server, *
 	srv, err := New(Config{
 		Net:                 net,
 		PolicyText:          policyText,
-		Options:             core.Options{DetectOscillation: true},
+		Options:             core.Options{},
 		JournalPath:         path,
 		JournalSegmentBytes: 150,
 		JournalRetain:       retain,

@@ -50,7 +50,7 @@ func newTwoTenantServer(t *testing.T, dir string, segBytes int64) (*Server, *htt
 	srv, err := New(Config{
 		Net:                 net,
 		PolicyText:          policyText,
-		Options:             core.Options{DetectOscillation: true},
+		Options:             core.Options{},
 		JournalPath:         filepath.Join(dir, "default.journal"),
 		JournalSegmentBytes: segBytes,
 		Tenants: []TenantConfig{{

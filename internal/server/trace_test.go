@@ -24,7 +24,7 @@ func newTracedServer(t *testing.T, deterministic bool) (*Server, *httptest.Serve
 	srv, err := New(Config{
 		Net:        net,
 		PolicyText: policyText,
-		Options:    core.Options{DetectOscillation: true, TraceApplies: 8},
+		Options:    core.Options{TraceApplies: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

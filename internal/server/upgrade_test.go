@@ -43,7 +43,7 @@ func newRingServer(t *testing.T, journal string) (*Server, *httptest.Server) {
 	srv, err := New(Config{
 		Net:         net.Network.Clone(),
 		PolicyText:  policyText,
-		Options:     core.Options{DetectOscillation: true},
+		Options:     core.Options{},
 		JournalPath: journal,
 	})
 	if err != nil {
@@ -64,7 +64,7 @@ func newRingReplica(t *testing.T, leaderURL string) (*Server, *httptest.Server) 
 	srv, err := New(Config{
 		Net:            net.Network.Clone(),
 		PolicyText:     policyText,
-		Options:        core.Options{DetectOscillation: true},
+		Options:        core.Options{},
 		FollowURL:      leaderURL,
 		ReplHeartbeat:  20 * time.Millisecond,
 		ReplBackoff:    5 * time.Millisecond,

@@ -23,8 +23,9 @@
 // encoding, so two snapshots of the same state are byte-identical —
 // the property the shipping and parity tests lean on. A torn or bit-
 // flipped file fails the checksum and is skipped in favor of an older
-// good snapshot; writes go through tmp+fsync+rename so a crash never
-// leaves a half-written file under the final name.
+// good snapshot; writes go through tmp+fsync+rename+directory fsync
+// (WriteAtomic) so a crash never leaves a half-written file under the
+// final name or loses a completed write.
 package snap
 
 import (
@@ -285,8 +286,8 @@ func Latest(journalPath string) (data []byte, m *Manifest, path string, err erro
 	return nil, nil, "", nil
 }
 
-// WriteFile encodes the manifest and writes it atomically (tmp, write,
-// fsync, rename) to Path(journalPath, m.Seq), returning the final path
+// WriteFile encodes the manifest and writes it atomically (see
+// WriteAtomic) to Path(journalPath, m.Seq), returning the final path
 // and the file size. An existing snapshot at the same seq is replaced.
 func WriteFile(journalPath string, m *Manifest) (string, int64, error) {
 	data, err := Encode(m)
@@ -294,26 +295,52 @@ func WriteFile(journalPath string, m *Manifest) (string, int64, error) {
 		return "", 0, err
 	}
 	path := Path(journalPath, m.Seq)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return "", 0, err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return "", 0, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return "", 0, err
-	}
-	if err := f.Close(); err != nil {
-		return "", 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := WriteAtomic(path, data); err != nil {
 		return "", 0, err
 	}
 	return path, int64(len(data)), nil
+}
+
+// WriteAtomic durably replaces path with data: it writes and fsyncs
+// path+".tmp", renames it over path, then fsyncs the directory so the
+// rename itself survives a crash. Readers see the old file or the new
+// one, never a partial write. It is the one durable-replace routine of
+// a journal's directory: snapshots, the compaction sidecar and the
+// epoch file all go through it.
+func WriteAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		return err
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory, making the creations, renames and
+// removals of entries in it durable.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Prune deletes journalPath's oldest snapshot files, keeping the newest

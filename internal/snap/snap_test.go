@@ -176,3 +176,42 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("after prune: %v", paths)
 	}
 }
+
+// TestWriteAtomic: the durable-replace helper replaces an existing file
+// with exactly the new bytes, leaves no temporary file behind, and fails
+// without creating anything when the directory does not exist.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "journal.epoch")
+	for _, want := range []string{"1\n", "22\n"} {
+		if err := WriteAtomic(path, []byte(want)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("after writing %q: read (%q, %v)", want, got, err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "journal.epoch" {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only journal.epoch", names)
+	}
+
+	missing := filepath.Join(dir, "missing", "journal.epoch")
+	if err := WriteAtomic(missing, []byte("1\n")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("write into a missing directory: err = %v, want ErrNotExist", err)
+	}
+	if _, err := os.Stat(filepath.Dir(missing)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed write created its directory: %v", err)
+	}
+	if err := SyncDir(filepath.Dir(missing)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("SyncDir of a missing directory: err = %v, want ErrNotExist", err)
+	}
+}

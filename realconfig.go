@@ -64,7 +64,11 @@ type Options = core.Options
 // Report is the outcome of one verification step.
 type Report = core.Report
 
-// New creates an empty verifier; Load a network next.
+// New creates an empty verifier; Load a network next. Every verifier
+// watches its BGP and OSPF fixpoints for a recurring state, so a
+// control plane with no stable solution (a BGP dispute wheel) fails its
+// verification with dd.ErrRecurringState instead of iterating forever;
+// see examples/oscillation.
 func New(opts Options) *Verifier { return core.New(opts) }
 
 // Batch orders for the data plane model updater (paper Table 3).

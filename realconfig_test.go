@@ -14,7 +14,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := realconfig.New(realconfig.Options{DetectOscillation: true})
+	v := realconfig.New(realconfig.Options{})
 	rep, err := v.Load(net.Network)
 	if err != nil {
 		t.Fatal(err)
