@@ -119,7 +119,9 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 // Before per-device compile units, each Apply compiled every device and
 // set-differenced all eight relations and the filter set. Before the
 // line diff was taken on demand, each Apply formatted every touched
-// device on both sides and diffed the texts:
+// device on both sides and diffed the texts. Before the checker kept
+// only a count per (src, dst) pair, each pair held a set of its
+// deliverable ECs:
 //
 //	static add + remove: 19120 allocs before copy-on-write, 994 after
 //	static add + remove:   994 allocs before compile units, 474 after
@@ -127,17 +129,20 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 //	static add + remove:   459 allocs before the on-demand diff, 106 after
 //	ACL bind + unbind:    1087 allocs before dense EC ids, 1074 after
 //	ACL bind + unbind:    1074 allocs before the on-demand diff, 339 after
+//	ACL bind + unbind:     339 allocs before pair counts, 163 after
 //
 // Each ceiling is the last "after" figure plus 20 %. Under the race
 // detector sync.Pool is off; the eager diff's fmt printers made the race
 // figures vary (629, 631, 639 and 1389, 1392, 1393, 1403). With the
 // diff on demand, six race runs measured 106 for the static pair every
 // time and 340 for the ACL pair every time; the race ceilings are those
-// maxima plus 20 %.
+// maxima plus 20 %. With pair counts, six race runs measured 106,
+// 106, 106, 106, 106, 106 for the static pair and 164, 164, 164, 164,
+// 164, 164 for the ACL pair.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling, aclCeiling := 127.0, 406.0
+	pairCeiling, aclCeiling := 127.0, 195.0
 	if raceEnabled {
-		pairCeiling, aclCeiling = 127, 408
+		pairCeiling, aclCeiling = 127, 196
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)

@@ -711,7 +711,7 @@ func (v *Verifier) FIB() map[dataplane.Rule]dd.Diff { return v.gen.FIB() }
 func (v *Verifier) Model() *apkeep.Model { return v.model }
 
 // Checker exposes the policy checker for advanced queries (path traces,
-// pair maps, explanations).
+// outcomes, explanations).
 func (v *Verifier) Checker() *policy.Checker { return v.checker }
 
 // Generator exposes the data plane generator (per-protocol bests).
@@ -720,7 +720,8 @@ func (v *Verifier) Generator() *routing.Generator { return v.gen }
 // NumECs returns the current number of packet equivalence classes.
 func (v *Verifier) NumECs() int { return v.model.NumECs() }
 
-// NumPairs returns the maintained (EC, device) pair count.
+// NumPairs returns how many (src, dst) pairs have at least one
+// deliverable EC.
 func (v *Verifier) NumPairs() int { return v.checker.NumPairs() }
 
 // NumFIBRules returns the number of live forwarding rules.

@@ -1,8 +1,9 @@
 // Package policy is RealConfig's incremental network policy checker. It
 // consumes data plane model changes (EC port transfers from the apkeep
 // model) and recomputes forwarding outcomes only for affected equivalence
-// classes, maintaining the two maps the paper describes: each EC's
-// forwarding behaviour (paths), and each node pair's deliverable ECs.
+// classes. Of the two maps the paper describes it stores only each EC's
+// forwarding behaviour (paths); the (src, dst) pair view is read off
+// those, and kept only as a count of the ECs deliverable along each pair.
 // Registered policies (reachability, waypoint, loop-freedom,
 // blackhole-freedom) are indexed by the packets they "register" on, so a
 // change rechecks only the policies whose header space intersects an
@@ -126,10 +127,11 @@ type Checker struct {
 	// ecs holds each walked EC's result, indexed by its model id (nil
 	// for an id that is no EC or was not walked yet). synced records
 	// that the first Update walked every EC; after it, the model's
-	// churn lists the ECs to walk and to retire.
+	// churn lists the ECs to walk and to retire. pairs[p] counts the
+	// walked ECs deliverable along p; a pair with none has no key.
 	ecs    []*ecResult
 	synced bool
-	pairs  map[Pair]map[apkeep.ECID]struct{}
+	pairs  map[Pair]int32
 
 	// policies maps a name to its registration record.
 	policies map[string]*registered
@@ -217,7 +219,7 @@ func NewChecker(m *apkeep.Model) *Checker {
 	m.Churn()
 	return &Checker{
 		model:    m,
-		pairs:    make(map[Pair]map[apkeep.ECID]struct{}),
+		pairs:    make(map[Pair]int32),
 		policies: make(map[string]*registered),
 		index:    make(map[dataplane.Match]*hdrEntry),
 	}
@@ -330,7 +332,7 @@ type Result struct {
 
 // Update processes a batch of model changes: it recomputes outcomes for
 // affected ECs (moved ports, filter flips, splits), updates the pair
-// map, and rechecks exactly the registered policies whose header space
+// counts, and rechecks exactly the registered policies whose header space
 // intersects an affected EC. When the model re-minimized its partition
 // (AutoMerge), pass the merge events so transfers on merged-away classes
 // are attributed to their surviving union. The ECs born and retired
@@ -519,7 +521,7 @@ func (c *Checker) recheck(rec *registered, rs []*ecResult, res *Result) (was, no
 	return was, now
 }
 
-// retire removes a vanished EC, its pair contributions and its index
+// retire removes a vanished EC, its pair counts and its index
 // memberships, collecting the pairs it leaves.
 func (c *Checker) retire(ec apkeep.ECID, affected map[Pair]struct{}) {
 	r := c.result(ec)
@@ -533,17 +535,17 @@ func (c *Checker) retire(ec apkeep.ECID, affected map[Pair]struct{}) {
 	for id, o := range r.outcomes {
 		if o.Kind == Delivered {
 			p := Pair{Src: c.model.DevName(apkeep.DevID(id)), Dst: o.At}
-			c.dropPair(p, ec)
+			c.dropPair(p)
 			affected[p] = struct{}{}
 		}
 	}
 }
 
 // CheckRoots verifies that every EC the checker keys state by is live
-// in the model: its walk results, the pair map and the registration
-// index. The model's CheckRoots covers the model's own maps; together
-// they make the model's ECs a sufficient root set for Model.Collect.
-// Meant for tests, after an Update.
+// in the model: its walk results and the registration index (the pair
+// counts hold no ids). The model's CheckRoots covers the model's own
+// maps; together they make the model's ECs a sufficient root set for
+// Model.Collect. Meant for tests, after an Update.
 func (c *Checker) CheckRoots() error {
 	check := func(where string, id apkeep.ECID) error {
 		if !c.model.Live(id) {
@@ -559,13 +561,6 @@ func (c *Checker) CheckRoots() error {
 			return err
 		}
 	}
-	for p, set := range c.pairs {
-		for ec := range set {
-			if err := check("pair "+p.Src+"->"+p.Dst, ec); err != nil {
-				return err
-			}
-		}
-	}
 	for _, e := range c.index {
 		for ec := range e.ecs {
 			if err := check("header index", ec); err != nil {
@@ -576,22 +571,14 @@ func (c *Checker) CheckRoots() error {
 	return nil
 }
 
-// addPair and dropPair maintain the pair map: ec is deliverable along p.
-func (c *Checker) addPair(p Pair, ec apkeep.ECID) {
-	set := c.pairs[p]
-	if set == nil {
-		set = make(map[apkeep.ECID]struct{})
-		c.pairs[p] = set
-	}
-	set[ec] = struct{}{}
-}
+// addPair and dropPair count one EC more or less deliverable along p.
+func (c *Checker) addPair(p Pair) { c.pairs[p]++ }
 
-func (c *Checker) dropPair(p Pair, ec apkeep.ECID) {
-	if set := c.pairs[p]; set != nil {
-		delete(set, ec)
-		if len(set) == 0 {
-			delete(c.pairs, p)
-		}
+func (c *Checker) dropPair(p Pair) {
+	if c.pairs[p] <= 1 {
+		delete(c.pairs, p)
+	} else {
+		c.pairs[p]--
 	}
 }
 
@@ -600,7 +587,7 @@ var unwalked = &ecResult{}
 
 // merge installs a freshly walked result for an EC: it carries over the
 // EC's index memberships (computing them for a new EC), refreshes the
-// pair map with the delta and collects the pairs whose paths were
+// pair counts with the delta and collects the pairs whose paths were
 // modified — the end points of every old or new path traversing a device
 // whose behaviour for this EC changed.
 func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []apkeep.DevID, affected map[Pair]struct{}) {
@@ -612,8 +599,8 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []apkeep.DevID, affect
 	} else {
 		r.hdrs = old.hdrs
 	}
-	// Pair map maintenance: a device's delivered pair can change only
-	// where its outcome did.
+	// Pair counts: a device's delivered pair can change only where its
+	// outcome did.
 	name := c.model.DevName
 	for id := range apkeep.DevID(max(len(old.outcomes), len(r.outcomes))) {
 		was, now := old.outcome(id), r.outcome(id)
@@ -621,10 +608,10 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []apkeep.DevID, affect
 			continue
 		}
 		if was.Kind == Delivered {
-			c.dropPair(Pair{Src: name(id), Dst: was.At}, ec)
+			c.dropPair(Pair{Src: name(id), Dst: was.At})
 		}
 		if now.Kind == Delivered {
-			c.addPair(Pair{Src: name(id), Dst: now.At}, ec)
+			c.addPair(Pair{Src: name(id), Dst: now.At})
 		}
 	}
 	if len(devs) == 0 {

@@ -338,15 +338,20 @@ func TestSplitAndMergeBackKeepsEC(t *testing.T) {
 }
 
 // PairECs returns the predicates of the ECs deliverable from src to dst
-// (nil when there are none).
+// (nil when there are none), read off the walk results.
 func (c *Checker) PairECs(src, dst string) map[bdd.Node]struct{} {
-	set := c.pairs[Pair{Src: src, Dst: dst}]
-	if set == nil {
-		return nil
-	}
-	out := make(map[bdd.Node]struct{}, len(set))
-	for id := range set {
-		out[c.model.Node(id)] = struct{}{}
+	var out map[bdd.Node]struct{}
+	s := c.model.DevOf(src)
+	for id, r := range c.ecs {
+		if r == nil {
+			continue
+		}
+		if o := r.outcome(s); o.Kind == Delivered && o.At == dst {
+			if out == nil {
+				out = make(map[bdd.Node]struct{})
+			}
+			out[c.model.Node(apkeep.ECID(id))] = struct{}{}
+		}
 	}
 	return out
 }

@@ -85,12 +85,12 @@ type journal struct {
 
 	// base is the compacted-through sequence number: entries 1..base were
 	// folded into a durable snapshot and their segments deleted, so the
-	// chain on disk holds exactly entries base+1..lastSeq. firstSeg is the
-	// lowest segment index still part of the chain; both are persisted in
-	// the .compact sidecar before any segment is removed, so a crash
-	// mid-compaction is resumed (stale segments re-deleted) at open.
-	base     uint64
-	firstSeg int
+	// chain on disk holds exactly entries base+1..lastSeq. It is persisted
+	// in the .compact sidecar, with the lowest segment index still part of
+	// the chain (compactMeta.FirstSeg), before any segment is removed, so
+	// a crash mid-compaction is resumed (stale segments re-deleted) at
+	// open.
+	base uint64
 
 	// appended counts bytes durably appended since open (the snapshot
 	// subsystem's size trigger reads it).
@@ -347,7 +347,6 @@ func openJournal(path string, segBytes int64) (*journal, []Entry, error) {
 		size:      good,
 		nextSeg:   nextSeg,
 		base:      cm.CompactedThrough,
-		firstSeg:  cm.FirstSeg,
 		lastSeq:   cm.CompactedThrough + uint64(len(entries)),
 		tornBytes: tornBytes,
 		f:         f,
@@ -712,7 +711,6 @@ func (j *journal) compactThrough(seq uint64, retain int) (int, error) {
 		return 0, err
 	}
 	j.base = cum
-	j.firstSeg = firstSeg
 	for i := 0; i < cut; i++ {
 		if err := os.Remove(segPaths[i]); err != nil {
 			// The sidecar already committed; the next open re-deletes.
@@ -766,7 +764,6 @@ func (j *journal) resetTo(seq uint64) error {
 		return err
 	}
 	j.base = seq
-	j.firstSeg = j.nextSeg
 	j.lastSeq = seq
 	for _, sp := range segPaths {
 		if err := os.Remove(sp); err != nil && !os.IsNotExist(err) {
