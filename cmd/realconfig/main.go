@@ -255,7 +255,6 @@ func cmdPlan(args []string) error {
 	netDir := fs.String("net", "", "snapshot directory (required)")
 	polFile := fs.String("policies", "", "policy specification file")
 	batchFile := fs.String("changes", "", "JSON change-batch file (required)")
-	workers := fs.Int("workers", 0, "probe worker-pool size (0 = min(4, GOMAXPROCS))")
 	maxProbes := fs.Int("max-probes", 0, "probe budget (0 = default)")
 	deleteFirst := fs.Bool("delete-first", false, "apply deletions before insertions in model updates")
 	if err := fs.Parse(args); err != nil {
@@ -280,7 +279,7 @@ func cmdPlan(args []string) error {
 	if err := addPolicies(v, *polFile); err != nil {
 		return err
 	}
-	res, err := plan.Search(v, batch, plan.Options{Workers: *workers, MaxProbes: *maxProbes})
+	res, err := plan.Search(v, batch, plan.Options{MaxProbes: *maxProbes})
 	if err != nil {
 		return err
 	}
@@ -319,8 +318,8 @@ func wavesLine(p *plan.Plan) string {
 }
 
 func printPlanStats(st plan.Stats) {
-	fmt.Printf("search: %d probes, %d memo hits, %d fork rebuilds, %d workers, %s\n",
-		st.Probes, st.MemoHits, st.Rebuilds, st.Workers, st.Elapsed.Round(time.Microsecond))
+	fmt.Printf("search: %d probes, %d memo hits, %d fork rebuilds, %s\n",
+		st.Probes, st.MemoHits, st.Rebuilds, st.Elapsed.Round(time.Microsecond))
 }
 
 // loadBatch reads a {"changes":[...]} JSON batch file.

@@ -145,20 +145,25 @@ func TestCLIErrors(t *testing.T) {
 	}
 }
 
-// TestBackendFlagRemoved: the model is not selectable, so an old
-// -backend flag fails startup instead of being ignored.
+// TestBackendFlagRemoved: the model is not selectable and the planner
+// has no worker pool, so an old -backend or plan -workers flag fails
+// startup instead of being ignored.
 func TestBackendFlagRemoved(t *testing.T) {
 	net, _ := topology.Line(2, topology.OSPF)
 	dir := t.TempDir()
 	writeSnapshot(t, net.Network, dir)
-	for _, args := range [][]string{
-		{"verify", "-net", dir, "-backend", "atom"},
-		{"check", "-net", dir, "-backend", "bdd", dir},
-		{"plan", "-net", dir, "-changes", "batch.json", "-backend", "atom"},
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"verify", "-net", dir, "-backend", "atom"}, "-backend"},
+		{[]string{"check", "-net", dir, "-backend", "bdd", dir}, "-backend"},
+		{[]string{"plan", "-net", dir, "-changes", "batch.json", "-backend", "atom"}, "-backend"},
+		{[]string{"plan", "-net", dir, "-changes", "batch.json", "-workers", "2"}, "-workers"},
 	} {
-		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -backend") {
-			t.Errorf("run(%v) = %v, want an unknown-flag error", args, err)
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+tc.flag) {
+			t.Errorf("run(%v) = %v, want an unknown-flag error", tc.args, err)
 		}
 	}
 }

@@ -270,7 +270,8 @@ func TestTrace(t *testing.T) {
 
 // TestPlanCLIMatchesDaemon plans the rollout example through both front
 // ends, the realconfig CLI and a live daemon's POST /v1/plan, and
-// requires the same wave ordering.
+// requires the same wave ordering and the same search effort (probes,
+// memo hits and fork rebuilds; not the elapsed time).
 func TestPlanCLIMatchesDaemon(t *testing.T) {
 	bin := binary(t, "realconfig")
 	out, err := exec.Command(bin, "plan", "-net", rollout, "-policies", rollout+"/policies.txt",
@@ -278,14 +279,18 @@ func TestPlanCLIMatchesDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatalf("realconfig plan: %v\n%s", err, out)
 	}
-	cli := ""
+	cli, cliSearch := "", ""
 	for _, line := range strings.Split(string(out), "\n") {
 		if strings.HasPrefix(line, "waves:") {
 			cli = line
 		}
+		if strings.HasPrefix(line, "search:") {
+			// Drop the trailing elapsed time.
+			cliSearch = line[:strings.LastIndex(line, ",")]
+		}
 	}
-	if cli == "" {
-		t.Fatalf("realconfig plan printed no waves line:\n%s", out)
+	if cli == "" || cliSearch == "" {
+		t.Fatalf("realconfig plan printed no waves or search line:\n%s", out)
 	}
 
 	d := startDaemon(t, "-net", rollout, "-policies", rollout+"/policies.txt")
@@ -300,6 +305,11 @@ func TestPlanCLIMatchesDaemon(t *testing.T) {
 				Index int `json:"index"`
 			} `json:"waves"`
 		} `json:"plan"`
+		Stats struct {
+			Probes   int `json:"probes"`
+			MemoHits int `json:"memoHits"`
+			Rebuilds int `json:"rebuilds"`
+		} `json:"stats"`
 	}
 	decode(t, ok(t, "POST", d.url+"/v1/plan", string(batch)), &resp)
 	if !resp.Planned {
@@ -315,6 +325,11 @@ func TestPlanCLIMatchesDaemon(t *testing.T) {
 	}
 	if cli != srv {
 		t.Errorf("CLI and daemon disagree:\n cli    %s\n daemon %s", cli, srv)
+	}
+	st := resp.Stats
+	srvSearch := fmt.Sprintf("search: %d probes, %d memo hits, %d fork rebuilds", st.Probes, st.MemoHits, st.Rebuilds)
+	if cliSearch != srvSearch {
+		t.Errorf("CLI and daemon searched differently:\n cli    %s\n daemon %s", cliSearch, srvSearch)
 	}
 }
 

@@ -14,13 +14,13 @@
 //
 // Algorithm: depth-first search over single-change extensions of the
 // safe prefix. At every state the planner probes all remaining
-// candidates (fanned out over a bounded worker pool, each worker owning
-// one fork), descends into safe extensions in index order, and
-// backtracks when a state admits none. Probe results are memoized under
-// a canonical change-set key, and states proven to admit no safe
-// completion are remembered, so backtracking never re-explores. A found
-// linearization is grouped into waves (see Result) and re-validated
-// step by step on a fresh fork before being returned.
+// candidates in index order on its one warm fork, descends into safe
+// extensions in index order, and backtracks when a state admits none.
+// Probe results are memoized under a canonical change-set key, and
+// states proven to admit no safe completion are remembered, so
+// backtracking never re-explores. A found linearization is grouped into
+// waves (see Result) and re-validated step by step on a fresh fork
+// before being returned.
 //
 // The planner assumes the batch's changes commute: the network reached
 // by applying a subset is taken to be independent of application order
@@ -52,10 +52,6 @@ var ErrProbeBudget = errors.New("plan: probe budget exhausted")
 
 // Options configures a Search.
 type Options struct {
-	// Workers is the probe worker-pool size; each worker owns one fork
-	// of the base verifier (<=0 = min(4, GOMAXPROCS), capped at the
-	// batch size).
-	Workers int
 	// MaxProbes bounds the number of oracle probes (0 = DefaultMaxProbes).
 	MaxProbes int
 	// Metrics receives the planner's instruments (nil = uninstrumented).
@@ -148,9 +144,7 @@ type Stats struct {
 	// another state and was moved by a SetNetwork of the probe's
 	// canonical network first.
 	Rebuilds int
-	// Workers is the pool size used.
-	Workers int
-	Elapsed time.Duration
+	Elapsed  time.Duration
 }
 
 // Result is a completed search: exactly one of Plan (a safe ordering
@@ -171,12 +165,6 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 	baseNet := base.Network()
 	if baseNet == nil {
 		return nil, core.ErrNotLoaded
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = defaultWorkers()
-	}
-	if opts.Workers > len(batch) {
-		opts.Workers = len(batch)
 	}
 	if opts.MaxProbes <= 0 {
 		opts.MaxProbes = DefaultMaxProbes
@@ -211,16 +199,12 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 		m:        m,
 		tr:       tr,
 	}
-	pool, err := newPool(s, opts.Workers)
-	if err != nil {
-		return nil, err
+	var order []int
+	err := s.forkProbe()
+	if err == nil {
+		order, err = s.dfs(nil, make(map[int]bool))
 	}
-	s.pool = pool
-	defer pool.close()
-
-	order, err := s.dfs(nil, make(map[int]bool))
 	res := &Result{Stats: s.stats}
-	res.Stats.Workers = opts.Workers
 	outcome := "error"
 	switch {
 	case err != nil:
@@ -244,7 +228,6 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 		}
 		res.Plan = p
 		res.Stats = s.stats // waves() adds memo hits
-		res.Stats.Workers = opts.Workers
 		outcome = fmt.Sprintf("planned %d waves", len(p.Waves))
 		m.Planned.Inc()
 	default:
@@ -270,18 +253,22 @@ func Search(base *core.Verifier, batch []netcfg.Change, opts Options) (*Result, 
 	return res, nil
 }
 
-// searcher carries one Search invocation's state. All fields are owned
-// by the coordinating goroutine; workers only see immutable inputs
-// (baseNet, batch, baseViol) and their own forks.
+// searcher carries one Search invocation's state. It only reads the
+// base verifier and mutates its own forks: the warm probe fork, and the
+// fresh ones of validate and explainViolation.
 type searcher struct {
 	base     *core.Verifier
 	baseNet  *netcfg.Network
 	batch    []netcfg.Change
 	baseViol map[string]bool
-	pool     *pool
 	opts     Options
 	m        *Metrics
 	tr       *trace.Apply
+
+	// fork is the warm probe verifier; at is the sorted change set it
+	// currently sits on.
+	fork *core.Verifier
+	at   []int
 
 	// memo caches probe outcomes per (canonical state key, candidate);
 	// deadSet marks states proven to admit no safe completion.
@@ -368,8 +355,8 @@ func (s *searcher) dfs(path []int, set map[int]bool) ([]int, error) {
 }
 
 // probeAll returns the probe result for every candidate at the state,
-// serving known results from the memo and fanning the rest out over the
-// worker pool.
+// serving known results from the memo and probing the rest in index
+// order on the warm fork.
 func (s *searcher) probeAll(set map[int]bool, key string, cands []int) (map[int]probeResult, error) {
 	mm := s.memo[key]
 	if mm == nil {
@@ -394,34 +381,16 @@ func (s *searcher) probeAll(set map[int]bool, key string, cands []int) (map[int]
 		return nil, fmt.Errorf("%w (%d executed, budget %d)", ErrProbeBudget, s.stats.Probes, s.opts.MaxProbes)
 	}
 	state := sortedSet(set)
-	reply := make(chan probeReply, len(todo))
 	for _, c := range todo {
-		s.pool.jobs <- probeJob{state: state, cand: c, reply: reply}
-	}
-	var firstErr error
-	for range todo {
-		r := <-reply
-		if r.err != nil {
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			continue
+		r, err := s.probe(state, c)
+		if err != nil {
+			return nil, err
 		}
-		mm[r.cand] = r.res
-		results[r.cand] = r.res
+		mm[c] = r
+		results[c] = r
 		s.stats.Probes++
 		s.m.Probes.Inc()
-		if r.rebuilt {
-			s.stats.Rebuilds++
-			s.m.Rebuilds.Inc()
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if s.tr != nil {
-		for _, c := range todo { // deterministic event order
-			r := results[c]
+		if s.tr != nil {
 			outcome := "safe"
 			if r.applyErr != "" {
 				outcome = "apply-error: " + r.applyErr

@@ -163,9 +163,9 @@ func TestSearchCounterexample(t *testing.T) {
 	}
 }
 
-// TestSearchRing plans the generator's order-dependent ring batch with a
-// parallel worker pool: the cost change must land in a wave of its own
-// before everything else (exercised under -race in make check).
+// TestSearchRing plans the generator's order-dependent ring batch: the
+// cost change must land in a wave of its own before everything else,
+// with the same effort on every run.
 func TestSearchRing(t *testing.T) {
 	net, err := topology.Ring(6, topology.OSPF)
 	if err != nil {
@@ -179,7 +179,7 @@ func TestSearchRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := plan.Search(v, batch, plan.Options{Workers: 4})
+	res, err := plan.Search(v, batch, plan.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,8 +197,11 @@ func TestSearchRing(t *testing.T) {
 	if res.Stats.MemoHits != 4 {
 		t.Fatalf("memo hits = %d, want 4", res.Stats.MemoHits)
 	}
-	if res.Stats.Workers != 4 {
-		t.Fatalf("workers = %d, want 4", res.Stats.Workers)
+	// No change fails to apply, so each probe leaves the one fork on its
+	// state plus its candidate, and every probe after the first
+	// repositions it.
+	if res.Stats.Rebuilds != 20 {
+		t.Fatalf("rebuilds = %d, want 20", res.Stats.Rebuilds)
 	}
 }
 
@@ -286,7 +289,7 @@ func TestSearchElapsedIsSpan(t *testing.T) {
 	rec := trace.NewRecorder(1)
 	var tick int64
 	rec.SetClock(func() int64 { tick++; return tick })
-	res, err := plan.Search(v, batch, plan.Options{Recorder: rec, Workers: 1})
+	res, err := plan.Search(v, batch, plan.Options{Recorder: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,15 @@
-// The planner's oracle: a bounded pool of workers, each owning one fork
-// of the base verifier, answering "is change c safe at state S?".
-//
-// Concurrency contract: the coordinator (Search) owns all bookkeeping;
-// workers only read the immutable inputs captured in the searcher
-// (baseNet, batch, baseViol) plus the base verifier — which Search
-// never mutates — and mutate exclusively their own forks. Probe jobs
-// and replies travel over channels, so the pool is race-free without
-// locks.
+// The planner's oracle: one warm fork of the base verifier, owned by
+// the searcher, answering "is change c safe at state S?". Candidates are
+// probed one at a time in index order, so the states the fork visits,
+// and with them Stats.Rebuilds, are fixed by the batch.
 
 package plan
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
 
-	"realconfig/internal/core"
 	"realconfig/internal/netcfg"
 )
-
-func defaultWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n < 4 {
-		return n
-	}
-	return 4
-}
-
-type probeJob struct {
-	// state is the sorted index set of the already-applied prefix.
-	state []int
-	// cand is the batch index of the candidate change to probe.
-	cand  int
-	reply chan<- probeReply
-}
-
-type probeReply struct {
-	cand    int
-	res     probeResult
-	rebuilt bool
-	err     error // oracle infrastructure failure, not an unsafe probe
-}
 
 type probeResult struct {
 	safe bool
@@ -50,96 +19,54 @@ type probeResult struct {
 	applyErr string
 }
 
-type pool struct {
-	jobs chan probeJob
-	wg   sync.WaitGroup
-}
-
-// newPool forks the base verifier once per worker (sequentially — fork
-// construction reads the base's BDD table) and starts the worker loops.
-func newPool(s *searcher, n int) (*pool, error) {
-	p := &pool{jobs: make(chan probeJob, len(s.batch))}
+// forkProbe builds the searcher's warm fork at the base state (s.at
+// empty). Probe applies are disposable, so the fork is not traced.
+func (s *searcher) forkProbe() error {
 	opts := s.base.Options()
-	opts.TraceApplies = 0 // probe forks are disposable; don't trace them
-	for i := 0; i < n; i++ {
-		fork, err := s.base.ForkSameAt(s.baseNet, opts)
-		if err != nil {
-			close(p.jobs)
-			return nil, fmt.Errorf("plan: forking probe worker: %w", err)
+	opts.TraceApplies = 0
+	fork, err := s.base.ForkSameAt(s.baseNet, opts)
+	if err != nil {
+		return fmt.Errorf("plan: forking the probe verifier: %w", err)
+	}
+	s.fork = fork
+	return nil
+}
+
+// probe answers whether the candidate is safe at the state. The fork
+// steps forward with one copy-on-write Apply of the candidate and stays
+// on state+cand; a later probe at another state repositions it. Apply
+// is all or nothing, so a candidate that fails to apply or to verify
+// leaves the fork at the state. The error is an oracle failure, not an
+// unsafe probe.
+func (s *searcher) probe(state []int, cand int) (probeResult, error) {
+	if !sameSet(s.at, state) {
+		if err := s.reposition(state); err != nil {
+			return probeResult{}, err
 		}
-		w := &worker{s: s, fork: fork, at: []int{}}
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for job := range p.jobs {
-				res, rebuilt, err := w.probe(job)
-				job.reply <- probeReply{cand: job.cand, res: res, rebuilt: rebuilt, err: err}
-			}
-		}()
 	}
-	return p, nil
-}
-
-func (p *pool) close() {
-	close(p.jobs)
-	p.wg.Wait()
-}
-
-type worker struct {
-	s *searcher
-	// fork is the worker's warm verifier; at is the sorted change set it
-	// currently sits on.
-	fork *core.Verifier
-	at   []int
-}
-
-// probe answers whether the candidate is safe at the state, and whether
-// the fork had to be repositioned there first. The fork steps forward
-// with one copy-on-write Apply of the candidate and stays on
-// state+cand; a later probe at another state repositions it. Apply is
-// all or nothing, so a candidate that fails to apply or to verify
-// leaves the fork at the state.
-func (w *worker) probe(job probeJob) (probeResult, bool, error) {
-	rebuilt := false
-	if !sameSet(w.at, job.state) {
-		if err := w.reposition(job.state); err != nil {
-			return probeResult{}, false, err
-		}
-		rebuilt = true
+	if _, err := s.fork.Apply(s.batch[cand]); err != nil {
+		return probeResult{applyErr: err.Error()}, nil
 	}
-	if _, err := w.fork.Apply(w.s.batch[job.cand]); err != nil {
-		return probeResult{applyErr: err.Error()}, rebuilt, nil
-	}
-	w.at = sortedInsert(job.state, job.cand)
-	return w.evaluate(), rebuilt, nil
+	s.at = sortedInsert(state, cand)
+	violated := s.newViolations(s.fork.Verdicts())
+	return probeResult{safe: len(violated) == 0, violated: violated}, nil
 }
 
 // reposition moves the warm fork to the canonical network of the state
 // by one SetNetwork: an incremental diff, however the fork got where it
-// is.
-func (w *worker) reposition(state []int) error {
-	net, err := canonicalNet(w.s.baseNet, w.s.batch, state)
+// is. Each one counts as a rebuild.
+func (s *searcher) reposition(state []int) error {
+	net, err := canonicalNet(s.baseNet, s.batch, state)
 	if err != nil {
 		return err
 	}
-	if _, err := w.fork.SetNetwork(net); err != nil {
+	if _, err := s.fork.SetNetwork(net); err != nil {
 		return fmt.Errorf("plan: repositioning probe fork at %v: %w", state, err)
 	}
-	w.at = append([]int(nil), state...)
+	s.at = append([]int(nil), state...)
+	s.stats.Rebuilds++
+	s.m.Rebuilds.Inc()
 	return nil
-}
-
-// evaluate compares the fork's verdicts to the base state's: the probe
-// is safe iff it introduces no new violation.
-func (w *worker) evaluate() probeResult {
-	var violated []string
-	for name, sat := range w.fork.Verdicts() {
-		if !sat && !w.s.baseViol[name] {
-			violated = append(violated, name)
-		}
-	}
-	sort.Strings(violated)
-	return probeResult{safe: len(violated) == 0, violated: violated}
 }
 
 // canonicalNet builds the canonical network of a change set: the base

@@ -17,12 +17,10 @@ import (
 var errPlanStale = errors.New("server: state changed while planning; retry")
 
 // planRequest is the body of POST /v1/plan: the change batch to order,
-// plus optional search knobs.
+// plus an optional probe budget.
 type planRequest struct {
 	Changes []json.RawMessage `json:"changes"`
-	// Workers sizes the probe pool (0 = planner default); MaxProbes
-	// bounds the search (0 = planner default).
-	Workers   int `json:"workers,omitempty"`
+	// MaxProbes bounds the search (0 = planner default).
 	MaxProbes int `json:"maxProbes,omitempty"`
 }
 
@@ -61,7 +59,6 @@ type planStatsJSON struct {
 	Probes    int   `json:"probes"`
 	MemoHits  int   `json:"memoHits"`
 	Rebuilds  int   `json:"rebuilds"`
-	Workers   int   `json:"workers"`
 	ElapsedUS int64 `json:"elapsedUs"`
 }
 
@@ -127,7 +124,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res, err := plan.Search(base, batch, plan.Options{
-		Workers:   req.Workers,
 		MaxProbes: req.MaxProbes,
 		Metrics:   t.planM,
 		Recorder:  t.verifier.Recorder(),
@@ -147,7 +143,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			Probes:    res.Stats.Probes,
 			MemoHits:  res.Stats.MemoHits,
 			Rebuilds:  res.Stats.Rebuilds,
-			Workers:   res.Stats.Workers,
 			ElapsedUS: res.Stats.Elapsed.Microseconds(),
 		},
 	}

@@ -113,6 +113,9 @@ func TestPlanEndpoint(t *testing.T) {
 	if pr.Stats.Probes != 21 {
 		t.Errorf("probes = %d, want 21 (deterministic search)", pr.Stats.Probes)
 	}
+	if pr.Stats.Rebuilds != 20 {
+		t.Errorf("rebuilds = %d, want 20 (one fork, probed in index order)", pr.Stats.Rebuilds)
+	}
 	if pr.Seq != 1 {
 		t.Errorf("seq after planning = %d, want 1", pr.Seq)
 	}
@@ -161,6 +164,7 @@ func TestPlanEndpoint(t *testing.T) {
 	for _, name := range []string{
 		"realconfig_plan_searches_total 1",
 		"realconfig_plan_probes_total 21",
+		"realconfig_plan_fork_rebuilds_total 20",
 		"realconfig_server_plan_seconds_count 1",
 	} {
 		if !strings.Contains(string(metrics), name) {

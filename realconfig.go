@@ -16,9 +16,9 @@
 //     FIB rule changes;
 //  2. an incremental data plane model updater: an APKeep-style
 //     equivalence-class model over BDD predicates, applied in batch;
-//  3. an incremental policy checker: per-EC forwarding walks and
-//     pair/EC maps, rechecking only policies registered on affected
-//     packets.
+//  3. an incremental policy checker: per-EC forwarding walks and a
+//     count of deliverable ECs per (src, dst) pair, rechecking only
+//     policies registered on affected packets.
 //
 // # Quick start
 //
