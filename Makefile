@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzStreamFrame$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/repl
 	$(GO) test -fuzz '^FuzzResumeToken$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/repl
 	$(GO) test -fuzz '^FuzzIncrementalEqualsBootstrap$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz '^FuzzBatchEqualsOneByOne$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/apkeep
 
 # cover measures per-package statement coverage and fails if any package
 # listed in coverage.txt dropped below its recorded floor. After

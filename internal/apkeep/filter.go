@@ -110,9 +110,6 @@ func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 // semantics with implicit trailing deny) and reclassifies ECs whose
 // status flips.
 func (m *Model) refreshFilter(fs *filterState) {
-	if m.tr != nil {
-		m.curRule = "filter " + m.filterLabel(fs.key)
-	}
 	if len(fs.lines) == 0 {
 		// Binding removed: everything allowed again.
 		for _, id := range m.byNodeIfTraced(fs.blocked.appendTo(nil)) {
@@ -131,8 +128,12 @@ func (m *Model) refreshFilter(fs *filterState) {
 	deny := m.H.Not(allow)
 	// Split so every EC is pure w.r.t. the new boundary, then flip
 	// statuses that changed.
+	var label string
+	if m.tr != nil {
+		label = "filter " + m.filterLabel(fs.key)
+	}
 	var blockedNow idSet
-	for _, id := range m.byNodeIfTraced(m.split(deny, fullRange)) {
+	for _, id := range m.byNodeIfTraced(m.split(deny, fullRange, label)) {
 		blockedNow.add(id)
 		if !fs.blocked.has(id) {
 			m.flipFilter(fs, id, true)

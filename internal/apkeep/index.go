@@ -309,6 +309,22 @@ func (t *prefixTrie) owner(p netcfg.Prefix) ([]Port, netcfg.Prefix) {
 	return best, q
 }
 
+// hasLonger reports whether a strictly longer prefix inside p has
+// rules: an O(p.Len) walk.
+func (t *prefixTrie) hasLonger(p netcfg.Prefix) bool {
+	n := &t.root
+	for d := 0; d < int(p.Len); d++ {
+		if n = n.child[addrBit(p.Addr, d)]; n == nil {
+			return false
+		}
+	}
+	self := 0
+	if n.stack != nil {
+		self = 1
+	}
+	return n.n > self
+}
+
 // longerWithin visits every strictly longer prefix inside p that has
 // rules, in trie order. visit returning false stops the walk early
 // (used once the effective predicate is already empty).

@@ -68,7 +68,7 @@ func verifyAgainstReference(t *testing.T, m *Model, rng *rand.Rand, step int) {
 		p := randomPrefix(rng)
 		for i := range m.devs {
 			dev, ds := m.devs[i].name, &m.devs[i]
-			eff, _ := m.effective(ds, p)
+			eff := m.effective(ds, p)
 			if ref := m.refEffective(ds, p); eff != ref {
 				t.Fatalf("step %d: effective(%s, %s) disagrees with reference", step, dev, p)
 			}
@@ -185,9 +185,12 @@ func TestAutoMergeKeepsIndexConsistent(t *testing.T) {
 // candidate set bounded by the rule's footprint, not the partition.
 func TestSplitExaminesCandidatesOnly(t *testing.T) {
 	m := New()
-	// 40 devices x 100 prefixes: a few hundred ECs.
-	if _, err := m.ApplyBatch(fibBatch(40, 100), InsertFirst); err != nil {
-		t.Fatal(err)
+	// 40 devices x 100 prefixes: a few hundred ECs. One rule per batch:
+	// in one batch a device's adjacent /24s move as a few blocks.
+	for _, e := range fibBatch(40, 100) {
+		if _, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{e}, InsertFirst); err != nil {
+			t.Fatal(err)
+		}
 	}
 	total := m.NumECs()
 	if total < 100 {
@@ -285,6 +288,14 @@ func TestPrefixTrieQueries(t *testing.T) {
 	for _, q := range longer {
 		if q.Len != 24 {
 			t.Errorf("longerWithin yielded %s, want only /24s", q)
+		}
+	}
+
+	// hasLonger agrees with longerWithin, with or without rules at p.
+	for p, want := range map[string]bool{"10.1.0.0/16": true, "10.0.0.0/8": true, "10.1.0.0/17": true,
+		"10.1.2.0/24": false, "10.1.4.0/24": false, "10.1.2.0/23": true, "10.1.2.0/25": false, "11.0.0.0/8": false} {
+		if got := tr.hasLonger(netcfg.MustPrefix(p)); got != want {
+			t.Errorf("hasLonger(%s) = %v, want %v", p, got, want)
 		}
 	}
 

@@ -86,13 +86,14 @@ func TestMergeDoesNotCollapseDistinctBehaviour(t *testing.T) {
 func TestMergeIdenticalRulesOnTwoPrefixes(t *testing.T) {
 	// Two disjoint prefixes with identical behaviour everywhere MUST
 	// merge into one class.
+	// Two batches: in one, 10/8 and 11/8 tile 10/7 and move as one
+	// block, so nothing splits and nothing merges.
 	m := New()
 	m.AutoMerge = true
-	batch := []dd.Entry[dataplane.Rule]{
-		{Val: rule("r1", "10.0.0.0/8", "a"), Diff: 1},
-		{Val: rule("r1", "11.0.0.0/8", "a"), Diff: 1},
+	if _, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{{Val: rule("r1", "10.0.0.0/8", "a"), Diff: 1}}, InsertFirst); err != nil {
+		t.Fatal(err)
 	}
-	res, err := m.ApplyBatch(batch, InsertFirst)
+	res, err := m.ApplyBatch([]dd.Entry[dataplane.Rule]{{Val: rule("r1", "11.0.0.0/8", "a"), Diff: 1}}, InsertFirst)
 	if err != nil {
 		t.Fatal(err)
 	}

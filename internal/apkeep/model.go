@@ -30,7 +30,9 @@
 // (insertion-first or deletion-first). As the paper's Table 3 shows, the
 // order matters: insertion-first moves ECs directly from old to new
 // ports, while deletion-first detours them through the drop port and
-// touches roughly twice as many ECs.
+// touches roughly twice as many ECs. Within each order class, adjacent
+// prefixes that one device hands to one port move as aligned blocks,
+// once per block instead of once per rule (batch.go).
 package apkeep
 
 import (
@@ -217,10 +219,11 @@ type Model struct {
 	preds map[dataplane.Match]bdd.Node
 
 	// tr is the provenance trace of the in-flight apply (nil = tracing
-	// off); curRule labels the rule or filter binding driving the
-	// current update, the "rule" attribute of split/transfer events.
-	tr      *trace.Apply
-	curRule string
+	// off).
+	tr *trace.Apply
+	// run holds the exact rule moves queued for one block move
+	// (batch.go).
+	run moveRun
 
 	// cands and inside are split's scratch.
 	cands, inside []ECID
@@ -313,8 +316,9 @@ func (m *Model) portID(p Port) uint32 {
 // inherit the original EC's port on every device and its status at
 // every filter binding. The hint bounds pred's destination footprint so
 // only the index's candidate ECs are examined; use fullRange when pred
-// is not destination-bounded.
-func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
+// is not destination-bounded. label is the "rule" attribute of the
+// split events (traced applies only).
+func (m *Model) split(pred bdd.Node, hint dstHint, label string) []ECID {
 	if pred == bdd.False {
 		return nil
 	}
@@ -351,7 +355,7 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECSplit,
 				trace.U("ec", uint64(ec)), trace.U("in", uint64(in)), trace.U("out", uint64(out)),
-				trace.S("rule", m.curRule))
+				trace.S("rule", label))
 		}
 		inID, outID := m.alloc(in), m.alloc(out)
 		inside = append(inside, inID)
@@ -380,14 +384,15 @@ func (m *Model) split(pred bdd.Node, hint dstHint) []ECID {
 }
 
 // moveECs retargets every EC inside pred to newPort on dev, recording
-// transfers for those that actually change port.
-func (m *Model) moveECs(dev DevID, pred bdd.Node, newPort Port, hint dstHint) {
+// transfers for those that actually change port. label names the rules
+// behind the move, the "rule" attribute of its events.
+func (m *Model) moveECs(dev DevID, pred bdd.Node, newPort Port, hint dstHint, label string) {
 	if pred == bdd.False {
 		return
 	}
 	pid := m.portID(newPort)
 	newFact := portFact(dev, pid)
-	for _, id := range m.split(pred, hint) {
+	for _, id := range m.split(pred, hint, label) {
 		row := m.slots[id].row
 		var oldID uint32
 		if int(dev) < len(row) {
@@ -407,25 +412,23 @@ func (m *Model) moveECs(dev DevID, pred bdd.Node, newPort Port, hint dstHint) {
 		if m.tr != nil {
 			m.tr.Event(obs.TrackModel, obs.EventECTransfer,
 				trace.S("device", m.devs[dev].name), trace.U("ec", uint64(m.slots[id].node)),
-				trace.S("rule", m.curRule),
+				trace.S("rule", label),
 				trace.S("from", old.String()), trace.S("to", newPort.String()))
 		}
 	}
 }
 
 // effective returns rule prefix p's effective packet space on the
-// device — its destination predicate minus every strictly longer prefix
-// that has rules installed — together with the destination hint for the
-// subsequent split. The hint is exact when nothing was subtracted.
-func (m *Model) effective(ds *devState, p netcfg.Prefix) (bdd.Node, dstHint) {
+// device: its destination predicate minus every strictly longer prefix
+// that has rules installed. (A move with no such prefix is exact and
+// needs no predicate until its block is flushed; see move.)
+func (m *Model) effective(ds *devState, p netcfg.Prefix) bdd.Node {
 	eff := m.H.DstPrefix(p)
-	hint := dstHint{dstRange: prefixRange(p), exact: true}
 	ds.rules.longerWithin(p, func(q netcfg.Prefix, _ []Port) bool {
-		hint.exact = false
 		eff = m.H.Diff(eff, m.H.DstPrefix(q))
 		return eff != bdd.False
 	})
-	return eff, hint
+	return eff
 }
 
 // owner returns the port currently owning prefix p's packet space when p
@@ -438,11 +441,25 @@ func (m *Model) owner(ds *devState, p netcfg.Prefix) Port {
 }
 
 // InsertRule adds a forwarding rule to the model, moving the affected
-// ECs to the rule's port.
+// ECs to the rule's port: a batch of one.
 func (m *Model) InsertRule(r dataplane.Rule) {
-	if m.tr != nil {
-		m.curRule = ruleLabel("insert", r)
-	}
+	m.insertRule(r)
+	m.flushMoves()
+}
+
+// DeleteRule removes a forwarding rule. If the rule owned its prefix's
+// packet space, the space falls back to the remaining owner: a duplicate
+// rule for the prefix, else the longest covering prefix, else drop.
+// Deleting a rule the model does not hold returns ErrAbsentRule.
+func (m *Model) DeleteRule(r dataplane.Rule) error {
+	err := m.deleteRule(r)
+	m.flushMoves()
+	return err
+}
+
+// insertRule updates the device's trie for an inserted rule and hands
+// the rule's effective space to its port (move, which may queue it).
+func (m *Model) insertRule(r dataplane.Rule) {
 	dev := m.Intern(r.Device)
 	ds := &m.devs[dev]
 	port := portOf(r)
@@ -452,18 +469,11 @@ func (m *Model) InsertRule(r dataplane.Rule) {
 		return // same owner, nothing moves
 	}
 	// The new rule owns the prefix's effective space now.
-	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(dev, eff, port, hint)
+	m.move(dev, r, port, "insert")
 }
 
-// DeleteRule removes a forwarding rule. If the rule owned its prefix's
-// packet space, the space falls back to the remaining owner: a duplicate
-// rule for the prefix, else the longest covering prefix, else drop.
-// Deleting a rule the model does not hold returns ErrAbsentRule.
-func (m *Model) DeleteRule(r dataplane.Rule) error {
-	if m.tr != nil {
-		m.curRule = ruleLabel("delete", r)
-	}
+// deleteRule is DeleteRule's trie update; the heir's move may queue.
+func (m *Model) deleteRule(r dataplane.Rule) error {
 	dev := m.Intern(r.Device)
 	ds := &m.devs[dev]
 	port := portOf(r)
@@ -496,8 +506,7 @@ func (m *Model) DeleteRule(r dataplane.Rule) error {
 	if heir == port {
 		return nil
 	}
-	eff, hint := m.effective(ds, r.Prefix)
-	m.moveECs(dev, eff, heir, hint)
+	m.move(dev, r, heir, "delete")
 	return nil
 }
 

@@ -43,6 +43,47 @@ func applyPair(tb testing.TB, v *Verifier, edit [2]netcfg.Change) {
 	}
 }
 
+// blockStatics is staticBlock's route count: 16 /28s fill a host /24.
+const blockStatics = 32
+
+// staticBlock loads FatTree(k,BGP) and returns the verifier with an
+// add/remove pair of 32 drop /28 statics on its first switch that fill
+// the next two switches' host /24s: the acl-static-edits workload's
+// static half as it applies them, one Apply per direction.
+func staticBlock(tb testing.TB, k int) (*Verifier, [2][]netcfg.Change) {
+	tb.Helper()
+	net, err := topology.FatTree(k, topology.BGP)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	v := New(Options{})
+	if _, err := v.Load(net.Network); err != nil {
+		tb.Fatal(err)
+	}
+	dev := net.NodeNames[0]
+	var edit [2][]netcfg.Change
+	for i := 0; i < blockStatics; i++ {
+		host := net.HostPrefix[net.NodeNames[1+i/16]]
+		r := netcfg.StaticRoute{Prefix: netcfg.Prefix{Addr: host.Addr + netcfg.Addr(i%16)<<4, Len: 28}, Drop: true}
+		edit[0] = append(edit[0], netcfg.AddStaticRoute{Device: dev, Route: r})
+		edit[1] = append(edit[1], netcfg.RemoveStaticRoute{Device: dev, Route: r})
+	}
+	return v, edit
+}
+
+// applyBlockPair applies the 32 adds and then the 32 removes.
+func applyBlockPair(tb testing.TB, v *Verifier, edit [2][]netcfg.Change) {
+	for _, chs := range edit {
+		rep, err := v.Apply(chs...)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rep.RulesInserted+rep.RulesDeleted != blockStatics {
+			tb.Fatalf("%d statics changed %d rules, want %d", len(chs), rep.RulesInserted+rep.RulesDeleted, blockStatics)
+		}
+	}
+}
+
 // aclLines is the line count of aclEdit's ACL: 16 tcp dst-port denies
 // and the final permit.
 const aclLines = 17
@@ -101,6 +142,16 @@ func BenchmarkApplyStaticEdit(b *testing.B) {
 	}
 }
 
+func BenchmarkApplyStaticBlock(b *testing.B) {
+	v, edit := staticBlock(b, 6)
+	applyBlockPair(b, v, edit)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		applyBlockPair(b, v, edit)
+	}
+}
+
 func BenchmarkApplyACLEdit(b *testing.B) {
 	v, edit := aclEdit(b, 6)
 	applyACLPair(b, v, edit)
@@ -112,8 +163,9 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 }
 
 // TestApplyAllocationCeilings pins the heap allocations of one
-// add-static/remove-static Apply pair and one ACL bind/unbind Apply pair
-// on FatTree(6,BGP), 45 devices.
+// add-static/remove-static Apply pair, one add/remove pair of 32 drop
+// /28 statics and one ACL bind/unbind Apply pair on FatTree(6,BGP), 45
+// devices.
 // Before copy-on-write applies, each Apply cloned every device, formatted
 // and diffed every device on both sides, and cloned the network again.
 // Before per-device compile units, each Apply compiled every device and
@@ -130,6 +182,7 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 //	ACL bind + unbind:    1087 allocs before dense EC ids, 1074 after
 //	ACL bind + unbind:    1074 allocs before the on-demand diff, 339 after
 //	ACL bind + unbind:     339 allocs before pair counts, 163 after
+//	32 statics add + remove: 471 allocs before block moves, 301 after
 //
 // Each ceiling is the last "after" figure plus 20 %. Under the race
 // detector sync.Pool is off; the eager diff's fmt printers made the race
@@ -138,11 +191,12 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 // time and 340 for the ACL pair every time; the race ceilings are those
 // maxima plus 20 %. With pair counts, six race runs measured 106,
 // 106, 106, 106, 106, 106 for the static pair and 164, 164, 164, 164,
-// 164, 164 for the ACL pair.
+// 164, 164 for the ACL pair. With block moves, four race runs measured
+// 301 for the 32 statics every time, as without the race detector.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling, aclCeiling := 127.0, 195.0
+	pairCeiling, aclCeiling, blockCeiling := 127.0, 195.0, 361.0
 	if raceEnabled {
-		pairCeiling, aclCeiling = 127, 196
+		pairCeiling, aclCeiling, blockCeiling = 127, 196, 361
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)
@@ -150,6 +204,14 @@ func TestApplyAllocationCeilings(t *testing.T) {
 	t.Logf("allocs: static add + remove Apply pair %.0f", perPair)
 	if perPair > pairCeiling {
 		t.Errorf("static add + remove Apply pair allocates %.0f objects, ceiling %.0f", perPair, pairCeiling)
+	}
+
+	bv, bedit := staticBlock(t, 6)
+	applyBlockPair(t, bv, bedit)
+	perBlock := testing.AllocsPerRun(10, func() { applyBlockPair(t, bv, bedit) })
+	t.Logf("allocs: 32 statics add + remove Apply pair %.0f", perBlock)
+	if perBlock > blockCeiling {
+		t.Errorf("32 statics add + remove Apply pair allocates %.0f objects, ceiling %.0f", perBlock, blockCeiling)
 	}
 
 	av, aedit := aclEdit(t, 6)

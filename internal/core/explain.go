@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"realconfig/internal/apkeep"
 	"realconfig/internal/obs"
 	"realconfig/internal/trace"
 )
@@ -133,6 +134,12 @@ func (v *Verifier) Explain(policyID string) (*Explanation, error) {
 		seenRules[r] = struct{}{}
 		out.Rules = append(out.Rules, r)
 	}
+	// A block move's events list all its rules.
+	addRules := func(list string) {
+		for _, r := range strings.Split(list, apkeep.RuleSep) {
+			addRule(r)
+		}
+	}
 
 	// Walk the earlier events backwards, growing the EC set through
 	// merge/split ancestry and collecting the rules that touched it.
@@ -150,13 +157,13 @@ func (v *Verifier) Explain(policyID string) (*Explanation, error) {
 			if inSet(e, "in") || inSet(e, "out") {
 				addEC(e, "ec")
 				if r, ok := trace.Get(e.Attrs, "rule"); ok {
-					addRule(r)
+					addRules(r)
 				}
 			}
 		case obs.EventECTransfer:
 			if inSet(e, "ec") {
 				rule, _ := trace.Get(e.Attrs, "rule")
-				addRule(rule)
+				addRules(rule)
 				dev, _ := trace.Get(e.Attrs, "device")
 				ecID, _ := trace.Get(e.Attrs, "ec")
 				from, _ := trace.Get(e.Attrs, "from")
