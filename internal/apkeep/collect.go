@@ -42,7 +42,7 @@ func (m *Model) Collect() {
 
 // NumIntervals returns the destination index's interval count: one per
 // rule-prefix boundary ever installed, plus one.
-func (m *Model) NumIntervals() int { return len(m.idx.starts) }
+func (m *Model) NumIntervals() int { return len(m.idx.ivls) }
 
 // NumColumns returns the device table's size, the row width: one
 // column per device a rule update, a filter update or a checker's
@@ -100,7 +100,7 @@ func (m *Model) CheckRoots() error {
 			held = append(held, "a merge-pass mark")
 		}
 		m.eachFilter(func(fs *filterState) {
-			if fs.blocked.has(id) {
+			if fs.blocked.Has(id) {
 				held = append(held, "filter "+m.filterLabel(fs.key)+"'s mark")
 			}
 		})
@@ -141,11 +141,11 @@ func (m *Model) CheckRoots() error {
 		}
 	}
 	for _, iv := range m.idx.ivls {
-		for id := range iv.ecs {
+		iv.ecs.Each(func(id ECID) {
 			if !m.Live(id) {
 				errs = append(errs, fmt.Errorf("apkeep: index interval %d holds id %d, which is not an EC", iv.start, id))
 			}
-		}
+		})
 	}
 	return errors.Join(errs...)
 }

@@ -118,11 +118,11 @@ func TestCheckRootsReportsDeadNode(t *testing.T) {
 		"bySig": func(m *Model, dead, _ ECID) { m.indexSig(dead, 7) },
 		"dirty": func(m *Model, dead, _ ECID) { m.markDirty(dead) },
 		"byEC":  func(m *Model, dead, _ ECID) { m.idx.setMember(dead, []*ivl{m.idx.ivls[0]}) },
-		"ivl":   func(m *Model, dead, _ ECID) { m.idx.ivls[0].ecs[dead] = struct{}{} },
+		"ivl":   func(m *Model, dead, _ ECID) { m.idx.ivls[0].ecs.Add(dead) },
 		"filter": func(m *Model, dead, _ ECID) {
 			r1 := m.Intern("r1")
 			fs := &filterState{key: FilterKey{Device: r1}, lines: permit, allow: bdd.True}
-			fs.blocked.add(dead)
+			fs.blocked.Add(dead)
 			m.devs[r1].filters = append(m.devs[r1].filters, fs)
 		},
 		"allow": func(m *Model, _, _ ECID) {

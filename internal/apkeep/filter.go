@@ -33,7 +33,7 @@ type filterState struct {
 	fact uint64
 	// blocked holds the ECs the binding denies (ECs are split so each is
 	// entirely allowed or entirely blocked).
-	blocked idSet
+	blocked ECSet
 }
 
 // FilterTransfer records one EC changing filter status at one binding.
@@ -47,7 +47,7 @@ type FilterTransfer struct {
 // do not exist permit everything.
 func (m *Model) BlockedAt(dev DevID, intf string, dir dataplane.Direction, id ECID) bool {
 	if fs := m.binding(dev, intf, dir); fs != nil {
-		return fs.blocked.has(id)
+		return fs.blocked.Has(id)
 	}
 	return false
 }
@@ -112,9 +112,7 @@ func (m *Model) UpdateFilters(changes []dd.Entry[dataplane.FilterRule]) error {
 func (m *Model) refreshFilter(fs *filterState) {
 	if len(fs.lines) == 0 {
 		// Binding removed: everything allowed again.
-		for _, id := range m.byNodeIfTraced(fs.blocked.appendTo(nil)) {
-			m.flipFilter(fs, id, false)
-		}
+		fs.blocked.Each(func(id ECID) { m.flipFilter(fs, id, false) })
 		ds := &m.devs[fs.key.Device]
 		ds.filters = slices.DeleteFunc(ds.filters, func(b *filterState) bool { return b == fs })
 		return
@@ -132,17 +130,15 @@ func (m *Model) refreshFilter(fs *filterState) {
 	if m.tr != nil {
 		label = "filter " + m.filterLabel(fs.key)
 	}
-	var blockedNow idSet
-	for _, id := range m.byNodeIfTraced(m.split(deny, fullRange, label)) {
-		blockedNow.add(id)
-		if !fs.blocked.has(id) {
+	var blockedNow ECSet
+	for _, id := range m.split(deny, fullRange, label) {
+		blockedNow.Add(id)
+		if !fs.blocked.Has(id) {
 			m.flipFilter(fs, id, true)
 		}
-		fs.blocked.del(id)
+		fs.blocked.Del(id)
 	}
-	for _, id := range m.byNodeIfTraced(fs.blocked.appendTo(nil)) {
-		m.flipFilter(fs, id, false)
-	}
+	fs.blocked.Each(func(id ECID) { m.flipFilter(fs, id, false) })
 	fs.blocked = blockedNow
 }
 

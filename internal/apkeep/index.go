@@ -1,6 +1,7 @@
 package apkeep
 
 import (
+	"slices"
 	"sort"
 
 	"realconfig/internal/netcfg"
@@ -58,24 +59,23 @@ func prefixRange(p netcfg.Prefix) dstRange {
 // ecs holds every EC that may have a destination inside it.
 type ivl struct {
 	start uint32
-	ecs   map[ECID]struct{}
+	ecs   ECSet
 }
 
 // ecIndex maps destination intervals to candidate ECs and back.
 type ecIndex struct {
-	starts []uint32 // sorted interval start points; starts[0] == 0
-	ivls   map[uint32]*ivl
+	ivls []*ivl // sorted by start; ivls[0].start == 0
 	// byEC lists each EC's intervals, indexed by ECID (nil for an id
 	// that is no EC); an interval appears at most once.
 	byEC [][]*ivl
-	// seen stamps the ECs candidates has listed: seen[id] == stamp.
-	seen  []uint32
-	stamp uint32
+	// union is candidates' scratch.
+	union ECSet
 }
 
 func newECIndex(root ECID) *ecIndex {
-	iv := &ivl{start: 0, ecs: map[ECID]struct{}{root: {}}}
-	x := &ecIndex{starts: []uint32{0}, ivls: map[uint32]*ivl{0: iv}}
+	iv := &ivl{start: 0}
+	iv.ecs.Add(root)
+	x := &ecIndex{ivls: []*ivl{iv}}
 	x.setMember(root, []*ivl{iv})
 	return x
 }
@@ -99,36 +99,27 @@ func (x *ecIndex) setMember(id ECID, ivs []*ivl) {
 // findIdx returns the index of the interval containing address a.
 func (x *ecIndex) findIdx(a uint32) int {
 	// First start strictly greater than a, minus one.
-	return sort.Search(len(x.starts), func(i int) bool { return x.starts[i] > a }) - 1
+	return sort.Search(len(x.ivls), func(i int) bool { return x.ivls[i].start > a }) - 1
 }
 
 // at returns the candidate ECs for one concrete destination address
-// (live map; do not modify).
-func (x *ecIndex) at(a uint32) map[ECID]struct{} {
-	return x.ivls[x.starts[x.findIdx(a)]].ecs
+// (live set; do not modify).
+func (x *ecIndex) at(a uint32) ECSet {
+	return x.ivls[x.findIdx(a)].ecs
 }
 
 // ensureBoundary makes b an interval start point, splitting the
 // covering interval. Boundaries are never removed; their number is
 // bounded by the distinct rule-prefix edges ever installed.
 func (x *ecIndex) ensureBoundary(b uint32) {
-	if b == 0 {
-		return
-	}
 	idx := x.findIdx(b)
-	if x.starts[idx] == b {
+	cover := x.ivls[idx]
+	if cover.start == b {
 		return
 	}
-	cover := x.ivls[x.starts[idx]]
-	iv := &ivl{start: b, ecs: make(map[ECID]struct{}, len(cover.ecs))}
-	for id := range cover.ecs {
-		iv.ecs[id] = struct{}{}
-		x.byEC[id] = append(x.byEC[id], iv)
-	}
-	x.ivls[b] = iv
-	x.starts = append(x.starts, 0)
-	copy(x.starts[idx+2:], x.starts[idx+1:])
-	x.starts[idx+1] = b
+	iv := &ivl{start: b, ecs: slices.Clone(cover.ecs)}
+	iv.ecs.Each(func(id ECID) { x.byEC[id] = append(x.byEC[id], iv) })
+	x.ivls = slices.Insert(x.ivls, idx+1, iv)
 }
 
 // prepare aligns interval boundaries with r so every interval is fully
@@ -141,24 +132,21 @@ func (x *ecIndex) prepare(r dstRange) {
 }
 
 // candidates appends to out the distinct ECs registered on intervals
-// inside r. prepare(r) must have been called.
+// inside r, ascending. prepare(r) must have been called.
 func (x *ecIndex) candidates(out []ECID, r dstRange) []ECID {
-	x.stamp++
-	if x.stamp == 0 { // wrapped: no stale stamp may match
-		clear(x.seen)
-		x.stamp = 1
-	}
-	if n := len(x.byEC); len(x.seen) < n {
-		x.seen = append(x.seen, make([]uint32, n-len(x.seen))...)
-	}
-	for idx := x.findIdx(r.lo); idx < len(x.starts) && x.starts[idx] <= r.hi; idx++ {
-		for id := range x.ivls[x.starts[idx]].ecs {
-			if x.seen[id] != x.stamp {
-				x.seen[id] = x.stamp
-				out = append(out, id)
-			}
+	u := x.union[:0]
+	for idx := x.findIdx(r.lo); idx < len(x.ivls) && x.ivls[idx].start <= r.hi; idx++ {
+		ecs := x.ivls[idx].ecs
+		if len(u) < len(ecs) {
+			u = append(u, make([]uint64, len(ecs)-len(u))...)
+		}
+		for w, word := range ecs {
+			u[w] |= word
 		}
 	}
+	out = u.AppendTo(out)
+	clear(u)
+	x.union = u
 	return out
 }
 
@@ -175,14 +163,14 @@ func (x *ecIndex) splitEC(parent, in, out ECID, hint dstHint) {
 	inSet := ivs[:0]
 	outSet := make([]*ivl, 0, len(ivs))
 	for _, iv := range ivs {
-		delete(iv.ecs, parent)
+		iv.ecs.Del(parent)
 		inside := iv.start >= hint.lo && iv.start <= hint.hi
 		if inside {
-			iv.ecs[in] = struct{}{}
+			iv.ecs.Add(in)
 			inSet = append(inSet, iv)
 		}
 		if !inside || !hint.exact {
-			iv.ecs[out] = struct{}{}
+			iv.ecs.Add(out)
 			outSet = append(outSet, iv)
 		}
 	}
@@ -199,9 +187,9 @@ func (x *ecIndex) replace(old, merged ECID) {
 		dst = ivs[:0] // merged takes old's list, filtered in place
 	}
 	for _, iv := range ivs {
-		delete(iv.ecs, old)
-		if _, dup := iv.ecs[merged]; !dup {
-			iv.ecs[merged] = struct{}{}
+		iv.ecs.Del(old)
+		if !iv.ecs.Has(merged) {
+			iv.ecs.Add(merged)
 			dst = append(dst, iv)
 		}
 	}

@@ -114,7 +114,7 @@ func (m *Model) behaviourEqual(a, b ECID) bool {
 	}
 	for i := range m.devs {
 		for _, fs := range m.devs[i].filters {
-			if fs.blocked.has(a) != fs.blocked.has(b) {
+			if fs.blocked.Has(a) != fs.blocked.Has(b) {
 				return false
 			}
 		}
@@ -129,18 +129,9 @@ func (m *Model) MergeECs() []MergeEvent {
 	var events []MergeEvent
 	defer func() { m.graveyard = nil }()
 	for len(m.dirty) > 0 {
-		// Take one dirty EC and try to find a partner. Under tracing the
-		// picks are lowest-node-first so event order is deterministic.
-		i := len(m.dirty) - 1
-		if m.tr != nil {
-			for j, id := range m.dirty {
-				if m.slots[id].node < m.slots[m.dirty[i]].node {
-					i = j
-				}
-			}
-		}
-		id := m.dirty[i]
-		m.dirty[i] = m.dirty[len(m.dirty)-1]
+		// Take the last dirty EC and merge it with the first identical
+		// class in its signature's bucket.
+		id := m.dirty[len(m.dirty)-1]
 		m.dirty = m.dirty[:len(m.dirty)-1]
 		m.slots[id].dirty = false
 		if m.slots[id].state != slotLive {
@@ -148,13 +139,8 @@ func (m *Model) MergeECs() []MergeEvent {
 		}
 		partner := noID
 		for other := m.bySig[m.slots[id].sig]; other != noID; other = m.slots[other].sigNext {
-			if other == id || !m.behaviourEqual(id, other) {
-				continue
-			}
-			if partner == noID || (m.tr != nil && m.slots[other].node < m.slots[partner].node) {
+			if other != id && m.behaviourEqual(id, other) {
 				partner = other
-			}
-			if m.tr == nil {
 				break
 			}
 		}
@@ -197,10 +183,10 @@ func (m *Model) mergePair(a, b ECID) ECID {
 	m.indexSig(merged, s)
 	m.slots[merged].row = m.slots[a].row
 	m.eachFilter(func(fs *filterState) {
-		if fs.blocked.has(a) {
-			fs.blocked.del(a)
-			fs.blocked.del(b)
-			fs.blocked.add(merged)
+		if fs.blocked.Has(a) {
+			fs.blocked.Del(a)
+			fs.blocked.Del(b)
+			fs.blocked.Add(merged)
 		}
 	})
 	m.retire(a)

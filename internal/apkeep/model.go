@@ -15,6 +15,11 @@
 // drops one, and comparing two compares their rows, however many devices
 // the network has.
 //
+// Every loop of the model runs in one defined order: EC sets (ECSet)
+// iterate by ascending id, and rules and filter bindings are sorted. A
+// run is therefore a function of its inputs alone, and an attached
+// provenance trace (trace.go) only records it.
+//
 // Longest-prefix-match semantics are handled structurally: a rule's
 // effective packet space is its prefix minus all longer prefixes with
 // rules on the same device, and deleting a rule hands its space back to
@@ -336,9 +341,6 @@ func (m *Model) split(pred bdd.Node, hint dstHint, label string) []ECID {
 	m.cands = cands
 	m.ops.SplitCandidates += len(cands)
 	m.metrics.SplitCandidates.Add(uint64(len(cands)))
-	if m.tr != nil {
-		m.sortByNode(cands) // deterministic split order => deterministic events
-	}
 
 	inside := m.inside[:0]
 	for _, id := range cands {
@@ -371,10 +373,10 @@ func (m *Model) split(pred bdd.Node, hint dstHint, label string) []ECID {
 			m.markDirty(child)
 		}
 		m.eachFilter(func(fs *filterState) {
-			if fs.blocked.has(id) {
-				fs.blocked.del(id)
-				fs.blocked.add(inID)
-				fs.blocked.add(outID)
+			if fs.blocked.Has(id) {
+				fs.blocked.Del(id)
+				fs.blocked.Add(inID)
+				fs.blocked.Add(outID)
 			}
 		})
 		m.retire(id)
@@ -572,8 +574,8 @@ func (m *Model) CheckPartition() error {
 }
 
 // CheckIndex verifies the destination-index invariants: the index knows
-// exactly the live ECs, interval structure is sorted and consistent,
-// and every interval's EC set covers the interval's destination slice
+// exactly the live ECs, intervals are sorted from address 0, and
+// every interval's EC set covers the interval's destination slice
 // of the packet space (no EC intersecting an interval is missing from
 // it). Like CheckPartition it is exhaustive and meant for tests.
 func (m *Model) CheckIndex() error {
@@ -587,44 +589,37 @@ func (m *Model) CheckIndex() error {
 			return fmt.Errorf("apkeep: index tracks id %d, which is no EC", id)
 		}
 	}
-	if len(x.starts) != len(x.ivls) || x.starts[0] != 0 {
-		return fmt.Errorf("apkeep: malformed interval structure")
+	for i, iv := range x.ivls {
+		if i == 0 && iv.start != 0 || i > 0 && x.ivls[i-1].start >= iv.start {
+			return fmt.Errorf("apkeep: interval starts do not ascend from 0")
+		}
 	}
-	for i, s := range x.starts {
-		if i > 0 && x.starts[i-1] >= s {
-			return fmt.Errorf("apkeep: interval starts out of order")
+	for i, iv := range x.ivls {
+		hi := ^uint32(0)
+		if i+1 < len(x.ivls) {
+			hi = x.ivls[i+1].start - 1
 		}
-		iv := x.ivls[s]
-		if iv == nil || iv.start != s {
-			return fmt.Errorf("apkeep: interval table inconsistent at %d", s)
-		}
-		for id := range iv.ecs {
+		// Members must cover the interval's slice of the packet space:
+		// since the ECs partition everything, any EC absent from the
+		// set but intersecting [start, hi] would leave a hole here.
+		rangePred := m.H.DstRange(iv.start, hi)
+		covered := bdd.False
+		for _, id := range iv.ecs.AppendTo(nil) {
 			if !m.Live(id) {
 				return fmt.Errorf("apkeep: interval holds dead EC")
 			}
 			if !slices.Contains(x.member(id), iv) {
 				return fmt.Errorf("apkeep: missing reverse membership")
 			}
-		}
-		hi := ^uint32(0)
-		if i+1 < len(x.starts) {
-			hi = x.starts[i+1] - 1
-		}
-		// Members must cover the interval's slice of the packet space:
-		// since the ECs partition everything, any EC absent from the
-		// set but intersecting [s, hi] would leave a hole here.
-		rangePred := m.H.DstRange(s, hi)
-		covered := bdd.False
-		for id := range iv.ecs {
 			covered = m.H.Or(covered, m.H.And(m.slots[id].node, rangePred))
 		}
 		if covered != rangePred {
-			return fmt.Errorf("apkeep: interval [%d,%d] candidate set misses an EC", s, hi)
+			return fmt.Errorf("apkeep: interval [%d,%d] candidate set misses an EC", iv.start, hi)
 		}
 	}
 	for id := range m.slots {
 		for _, iv := range x.member(ECID(id)) {
-			if _, ok := iv.ecs[ECID(id)]; !ok {
+			if !iv.ecs.Has(ECID(id)) {
 				return fmt.Errorf("apkeep: EC %d lists an interval that does not hold it", id)
 			}
 		}

@@ -149,23 +149,32 @@ func (m *Model) AppendLive(dst []ECID) []ECID {
 // ECOf returns the class containing a concrete packet: only the ECs
 // indexed on its destination interval are examined.
 func (m *Model) ECOf(pkt bdd.Packet) (ECID, bool) {
-	for id := range m.idx.at(uint32(pkt.Dst)) {
-		if m.H.Contains(m.slots[id].node, pkt) {
-			return id, true
+	found := noID
+	m.idx.at(uint32(pkt.Dst)).Each(func(id ECID) {
+		if found == noID && m.H.Contains(m.slots[id].node, pkt) {
+			found = id
 		}
+	})
+	if found == noID {
+		return 0, false
 	}
-	return 0, false
+	return found, true
 }
 
-// idSet is a set of ids as a bitset: a filter binding's blocked classes.
-type idSet []uint64
+// ECSet is a set of EC ids as a bitset, the one set type of the model
+// and its checker: an interval's candidates, a filter binding's blocked
+// classes, a policy header's overlapping classes. Its iteration order
+// is ascending ids, so every loop over one is deterministic.
+type ECSet []uint64
 
-func (s idSet) has(id ECID) bool {
+// Has reports whether id is in the set.
+func (s ECSet) Has(id ECID) bool {
 	w := int(id >> 6)
 	return w < len(s) && s[w]&(1<<(id&63)) != 0
 }
 
-func (s *idSet) add(id ECID) {
+// Add puts id in the set.
+func (s *ECSet) Add(id ECID) {
 	w := int(id >> 6)
 	if w >= len(*s) {
 		*s = append(*s, make([]uint64, w+1-len(*s))...)
@@ -173,19 +182,35 @@ func (s *idSet) add(id ECID) {
 	(*s)[w] |= 1 << (id & 63)
 }
 
-func (s idSet) del(id ECID) {
+// Del takes id out of the set.
+func (s ECSet) Del(id ECID) {
 	if w := int(id >> 6); w < len(s) {
 		s[w] &^= 1 << (id & 63)
 	}
 }
 
-// appendTo appends the set's ids to dst, ascending.
-func (s idSet) appendTo(dst []ECID) []ECID {
+// Len counts the set's ids.
+func (s ECSet) Len() int {
+	n := 0
+	for _, word := range s {
+		n += bits.OnesCount64(word)
+	}
+	return n
+}
+
+// Each calls f on every id in the set, ascending. f must not add to or
+// delete from the set.
+func (s ECSet) Each(f func(ECID)) {
 	for w, word := range s {
 		for word != 0 {
-			dst = append(dst, ECID(w)<<6|ECID(bits.TrailingZeros64(word)))
+			f(ECID(w)<<6 | ECID(bits.TrailingZeros64(word)))
 			word &= word - 1
 		}
 	}
+}
+
+// AppendTo appends the set's ids to dst, ascending.
+func (s ECSet) AppendTo(dst []ECID) []ECID {
+	s.Each(func(id ECID) { dst = append(dst, id) })
 	return dst
 }

@@ -3,6 +3,7 @@ package apkeep
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"realconfig/internal/bdd"
@@ -98,4 +99,108 @@ func TestRetiredIDsWaitForRelease(t *testing.T) {
 func sortIDs(ids []ECID) []ECID {
 	slices.Sort(ids)
 	return ids
+}
+
+// TestECSet holds the set type to a map over seeded adds and deletes:
+// membership, size, and ascending iteration.
+func TestECSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s ECSet
+	ref := map[ECID]bool{}
+	for i := 0; i < 2000; i++ {
+		id := ECID(rng.Intn(300))
+		if rng.Intn(3) == 0 {
+			s.Del(id)
+			delete(ref, id)
+		} else {
+			s.Add(id)
+			ref[id] = true
+		}
+		if s.Has(id) != ref[id] {
+			t.Fatalf("op %d: Has(%d) = %v, want %v", i, id, s.Has(id), ref[id])
+		}
+	}
+	want := make([]ECID, 0, len(ref))
+	for id := range ref {
+		want = append(want, id)
+	}
+	slices.Sort(want)
+	if got := s.AppendTo(nil); !slices.Equal(got, want) {
+		t.Fatalf("AppendTo = %v, want %v", got, want)
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+	}
+	if s.Has(1 << 20) {
+		t.Fatal("Has past the last word")
+	}
+	s.Del(1 << 20) // past the last word: a no-op
+}
+
+// TestCheckIndexReportsCorruption breaks each invariant CheckIndex
+// checks, one at a time, on a model whose index is sound, and requires
+// each to be reported.
+func TestCheckIndexReportsCorruption(t *testing.T) {
+	want := map[string]string{
+		"live EC missing": "missing from index",
+		"dead id tracked": "which is no EC",
+		"first start":     "ascend from 0",
+		"order":           "ascend from 0",
+		"dead EC held":    "dead EC",
+		"reverse":         "reverse membership",
+		"hole":            "misses an EC",
+		"forward":         "does not hold it",
+	}
+	for name, plant := range map[string]func(m *Model){
+		"live EC missing": func(m *Model) { m.idx.byEC[m.AppendLive(nil)[0]] = nil },
+		"dead id tracked": func(m *Model) {
+			m.slots = append(m.slots, ecSlot{sigPrev: noID, sigNext: noID}) // a free slot
+			m.idx.setMember(ECID(len(m.slots)-1), []*ivl{m.idx.ivls[0]})
+		},
+		"first start":  func(m *Model) { m.idx.ivls[0].start = 1 },
+		"order":        func(m *Model) { m.idx.ivls[1], m.idx.ivls[2] = m.idx.ivls[2], m.idx.ivls[1] },
+		"dead EC held": func(m *Model) { m.idx.ivls[0].ecs.Add(ECID(m.NumSlots())) },
+		"reverse": func(m *Model) {
+			for _, id := range m.AppendLive(nil) {
+				if ivs := m.idx.byEC[id]; len(ivs) > 1 {
+					m.idx.byEC[id] = ivs[:len(ivs)-1]
+					return
+				}
+			}
+		},
+		"hole": func(m *Model) {
+			for _, iv := range m.idx.ivls {
+				if ids := iv.ecs.AppendTo(nil); len(ids) > 0 {
+					iv.ecs.Del(ids[0])
+					m.idx.byEC[ids[0]] = slices.DeleteFunc(m.idx.byEC[ids[0]], func(x *ivl) bool { return x == iv })
+					return
+				}
+			}
+		},
+		"forward": func(m *Model) {
+			id := m.AppendLive(nil)[0]
+			for _, iv := range m.idx.ivls {
+				if !iv.ecs.Has(id) {
+					m.idx.byEC[id] = append(m.idx.byEC[id], iv)
+					return
+				}
+			}
+		},
+	} {
+		m := New()
+		m.AutoMerge = true
+		for _, r := range []dataplane.Rule{rule("r1", "10.0.0.0/8", "r2"), rule("r1", "10.1.0.0/16", "r3"), rule("r2", "10.2.0.0/16", "r3")} {
+			m.InsertRule(r)
+		}
+		if m.NumIntervals() < 4 {
+			t.Fatalf("%s: %d intervals, want at least 4", name, m.NumIntervals())
+		}
+		if err := m.CheckIndex(); err != nil {
+			t.Fatalf("%s: sound index: %v", name, err)
+		}
+		plant(m)
+		if err := m.CheckIndex(); err == nil || !strings.Contains(err.Error(), want[name]) {
+			t.Errorf("%s: CheckIndex = %v, want an error containing %q", name, err, want[name])
+		}
+	}
 }

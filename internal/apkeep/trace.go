@@ -11,10 +11,12 @@ import (
 // Provenance tracing for the EC model. When a trace is attached, every
 // split, transfer, merge and filter flip is recorded on the model track
 // tagged with the rule (or filter binding) that caused it, so a verdict
-// flip can be walked back to the exact config change. Tracing also
-// switches the model's few map iterations to sorted order, making event
-// sequences — and hence exported traces — deterministic; with no trace
-// attached the hot paths are untouched (one nil check each).
+// flip can be walked back to the exact config change. Tracing only
+// records: every loop of the model runs in one defined order (ascending
+// ids, sorted rules and bindings) whether or not a trace is attached,
+// so a traced apply does exactly the untraced one's work, and its
+// events come in the same order on every run. With no trace attached
+// the hot paths pay one nil check each.
 
 // SetTrace attaches a provenance trace to subsequent model updates.
 // Pass nil to detach.
@@ -29,21 +31,6 @@ func ruleLabel(verb string, r dataplane.Rule) string {
 // filterLabel renders a filter binding for event attributes.
 func (m *Model) filterLabel(k FilterKey) string {
 	return m.devs[k.Device].name + ":" + k.Intf + ":" + k.Dir.String()
-}
-
-// sortByNode orders ECs by ascending predicate node, the order traced
-// updates visit them in (tracing-mode determinism: ids depend on the
-// free list, nodes on the predicates alone).
-func (m *Model) sortByNode(ids []ECID) {
-	slices.SortFunc(ids, func(a, b ECID) int { return cmp.Compare(m.slots[a].node, m.slots[b].node) })
-}
-
-// byNodeIfTraced sorts ids by node when tracing, and returns them.
-func (m *Model) byNodeIfTraced(ids []ECID) []ECID {
-	if m.tr != nil {
-		m.sortByNode(ids)
-	}
-	return ids
 }
 
 // sortFilters orders bindings by device name, interface, direction.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -162,21 +163,115 @@ func TestExplainNamesEveryBlockRule(t *testing.T) {
 	}
 }
 
+// sameModelWork requires a traced and an untraced verification to have
+// done the same model work: the same transfers, filter transfers and
+// merges, ids and order included, and the same EC table length.
+func sameModelWork(t *testing.T, where string, plain, traced *Verifier, rp, rt *Report) {
+	t.Helper()
+	a, b := rp.Model, rt.Model
+	for _, msg := range []string{
+		firstDiff("transfer", a.Transfers, b.Transfers),
+		firstDiff("filter transfer", a.FilterTransfers, b.FilterTransfers),
+		firstDiff("merge", a.Merges, b.Merges),
+	} {
+		if msg != "" {
+			t.Fatalf("%s: %s", where, msg)
+		}
+	}
+	if a.Inserted != b.Inserted || a.Deleted != b.Deleted {
+		t.Fatalf("%s: rule counts differ untraced and traced", where)
+	}
+	if a, b := plain.Model().NumSlots(), traced.Model().NumSlots(); a != b {
+		t.Fatalf("%s: %d EC slots untraced, %d traced", where, a, b)
+	}
+}
+
+// firstDiff describes the first difference between an untraced list a
+// and a traced list b ("" when they are equal).
+func firstDiff[T comparable](what string, a, b []T) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("%s %d is %+v untraced, %+v traced", what, i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d %ss untraced, %d traced", len(a), what, len(b))
+	}
+	return ""
+}
+
+// aclStaticRound returns one acl-static-edits-shaped round on net, four
+// batches: a 16-line ACL bound, then unbound, and 32 drop statics of
+// length plen (/28 or longer) that tile host /24s from the first,
+// added, then removed.
+func aclStaticRound(net *topology.Net, rng *rand.Rand, plen uint8) [][]netcfg.Change {
+	devs := net.NodeNames
+	a, d := devs[rng.Intn(len(devs))], rng.Intn(len(devs))
+	dst := net.HostPrefix[devs[(d+3)%len(devs)]]
+	lines := []netcfg.ACLLine{}
+	for i := 0; i < 16; i++ {
+		p := uint16(1024 + 16*i)
+		lines = append(lines, netcfg.ACLLine{Seq: 10 * (i + 1), Action: netcfg.Deny, Proto: netcfg.ProtoTCP, Dst: dst, DstPortLo: p, DstPortHi: p})
+	}
+	lines = append(lines, netcfg.ACLLine{Seq: 170, Action: netcfg.Permit})
+	intf := net.Devices[a].Interfaces[1].Name
+	var add, remove []netcfg.Change
+	per := 1 << (plen - 24) // statics per /24
+	for i := 0; i < 32; i++ {
+		host := net.HostPrefix[devs[(d+1+i/per)%len(devs)]]
+		r := netcfg.StaticRoute{Prefix: netcfg.Prefix{Addr: host.Addr + netcfg.Addr(i%per)<<(32-plen), Len: plen}, Drop: true}
+		add = append(add, netcfg.AddStaticRoute{Device: devs[d], Route: r})
+		remove = append(remove, netcfg.RemoveStaticRoute{Device: devs[d], Route: r})
+	}
+	return [][]netcfg.Change{
+		{netcfg.SetACL{Device: a, Name: "edit", Lines: lines}, netcfg.BindACL{Device: a, Intf: intf, Name: "edit"}},
+		{netcfg.BindACL{Device: a, Intf: intf}, netcfg.SetACL{Device: a, Name: "edit"}},
+		add, remove,
+	}
+}
+
+// aclWideRound returns three batches on net: a port-only deny bound on
+// one device, which splits every EC, then another on a second device,
+// which splits every half again, then both unbound.
+func aclWideRound(net *topology.Net, rng *rand.Rand) [][]netcfg.Change {
+	devs := net.NodeNames
+	a, b := devs[rng.Intn(len(devs))], devs[rng.Intn(len(devs))]
+	ia, ib := net.Devices[a].Interfaces[1].Name, net.Devices[b].Interfaces[2].Name
+	acl := func(proto netcfg.IPProto, port uint16) []netcfg.ACLLine {
+		return []netcfg.ACLLine{
+			{Seq: 10, Action: netcfg.Deny, Proto: proto, DstPortLo: port, DstPortHi: port},
+			{Seq: 20, Action: netcfg.Permit},
+		}
+	}
+	return [][]netcfg.Change{
+		{netcfg.SetACL{Device: a, Name: "wide", Lines: acl(netcfg.ProtoTCP, 22)}, netcfg.BindACL{Device: a, Intf: ia, Name: "wide"}},
+		{netcfg.SetACL{Device: b, Name: "wide2", Lines: acl(netcfg.ProtoUDP, 53)}, netcfg.BindACL{Device: b, Intf: ib, Name: "wide2"}},
+		{netcfg.BindACL{Device: a, Intf: ia}, netcfg.SetACL{Device: a, Name: "wide"},
+			netcfg.BindACL{Device: b, Intf: ib}, netcfg.SetACL{Device: b, Name: "wide2"}},
+	}
+}
+
 // TestTracedTransfersEqualUntraced runs acl-static-edits-shaped rounds
 // (a 16-line ACL bound and unbound, 32 drop /28 statics that fill two
 // host /24s added and removed) through a traced and an untraced
-// verifier: tracing sorts the model's work but must not change it, so
-// every apply reports the same EC transfers and verdicts on both.
+// verifier: tracing only records, so the load and every apply do the
+// same model work on both (sameModelWork) and give the same verdicts.
 func TestTracedTransfersEqualUntraced(t *testing.T) {
 	net, err := topology.FatTree(4, topology.BGP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain, traced := New(Options{}), New(Options{TraceApplies: 2})
+	rp, err := plain.Load(net.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := traced.Load(net.Network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModelWork(t, "load", plain, traced, rp, rt)
 	for _, v := range []*Verifier{plain, traced} {
-		if _, err := v.Load(net.Network); err != nil {
-			t.Fatal(err)
-		}
 		for i, src := range net.NodeNames {
 			dst := net.NodeNames[(i+1)%len(net.NodeNames)]
 			v.AddPolicy(policy.Reachability{PolicyName: "reach-" + src, Src: src, Dst: dst,
@@ -184,29 +279,8 @@ func TestTracedTransfersEqualUntraced(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(1))
-	devs := net.NodeNames
 	for round := 0; round < 8; round++ {
-		a, d := devs[rng.Intn(len(devs))], rng.Intn(len(devs))
-		dst := net.HostPrefix[devs[(d+3)%len(devs)]]
-		lines := []netcfg.ACLLine{}
-		for i := 0; i < 16; i++ {
-			p := uint16(1024 + 16*i)
-			lines = append(lines, netcfg.ACLLine{Seq: 10 * (i + 1), Action: netcfg.Deny, Proto: netcfg.ProtoTCP, Dst: dst, DstPortLo: p, DstPortHi: p})
-		}
-		lines = append(lines, netcfg.ACLLine{Seq: 170, Action: netcfg.Permit})
-		intf := net.Devices[a].Interfaces[1].Name
-		var add, remove []netcfg.Change
-		for i := 0; i < 32; i++ {
-			host := net.HostPrefix[devs[(d+1+i/16)%len(devs)]]
-			r := netcfg.StaticRoute{Prefix: netcfg.Prefix{Addr: host.Addr + netcfg.Addr(i%16)<<4, Len: 28}, Drop: true}
-			add = append(add, netcfg.AddStaticRoute{Device: devs[d], Route: r})
-			remove = append(remove, netcfg.RemoveStaticRoute{Device: devs[d], Route: r})
-		}
-		for i, chs := range [][]netcfg.Change{
-			{netcfg.SetACL{Device: a, Name: "edit", Lines: lines}, netcfg.BindACL{Device: a, Intf: intf, Name: "edit"}},
-			{netcfg.BindACL{Device: a, Intf: intf}, netcfg.SetACL{Device: a, Name: "edit"}},
-			add, remove,
-		} {
+		for i, chs := range aclStaticRound(net, rng, 28) {
 			rp, err := plain.Apply(chs...)
 			if err != nil {
 				t.Fatal(err)
@@ -218,8 +292,69 @@ func TestTracedTransfersEqualUntraced(t *testing.T) {
 			if len(rp.Model.Transfers) != len(rt.Model.Transfers) {
 				t.Fatalf("round %d apply %d: %d transfers untraced, %d traced", round, i, len(rp.Model.Transfers), len(rt.Model.Transfers))
 			}
+			sameModelWork(t, fmt.Sprintf("round %d apply %d", round, i), plain, traced, rp, rt)
 			if !reflect.DeepEqual(plain.Verdicts(), traced.Verdicts()) {
 				t.Fatalf("round %d apply %d: verdicts differ traced and untraced", round, i)
+			}
+		}
+	}
+}
+
+// TestTracedRunEqualsUntraced drives a traced and an untraced verifier
+// through the same steps on FatTree(6): under BGP, acl-static-edits-
+// shaped rounds with /28 and /29 statics, and under both OSPF and BGP,
+// port-only ACLs that split and merge every EC (aclWideRound) and
+// seeded link flaps, collecting both node tables every other step. The
+// load and every step must do the same model work on both
+// (sameModelWork): an attached trace records events and never reorders
+// or re-chooses the model's work.
+func TestTracedRunEqualsUntraced(t *testing.T) {
+	for _, mode := range []topology.Mode{topology.OSPF, topology.BGP} {
+		net, err := topology.FatTree(6, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, traced := New(Options{}), New(Options{TraceApplies: 2})
+		rp, err := plain.Load(net.Network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := traced.Load(net.Network)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameModelWork(t, fmt.Sprintf("%v load", mode), plain, traced, rp, rt)
+		rng := rand.New(rand.NewSource(2))
+		var steps [][]netcfg.Change
+		if mode == topology.BGP {
+			for _, plen := range []uint8{28, 29, 28, 29} {
+				steps = append(steps, aclStaticRound(net, rng, plen)...)
+			}
+		}
+		for range 2 {
+			steps = append(steps, aclWideRound(net, rng)...)
+		}
+		for range 12 {
+			l := net.Topology.Links[rng.Intn(len(net.Topology.Links))]
+			steps = append(steps,
+				[]netcfg.Change{netcfg.ShutdownInterface{Device: l.DevA, Intf: l.IntfA, Shutdown: true}},
+				[]netcfg.Change{netcfg.ShutdownInterface{Device: l.DevA, Intf: l.IntfA}})
+		}
+		for i, chs := range steps {
+			rp, err := plain.Apply(chs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := traced.Apply(chs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameModelWork(t, fmt.Sprintf("%v step %d", mode, i), plain, traced, rp, rt)
+			if i%2 == 1 {
+				// New nodes reuse the freed handles, so node order
+				// stops following id order.
+				plain.Model().Collect()
+				traced.Model().Collect()
 			}
 		}
 	}

@@ -421,8 +421,8 @@ func (v *Verifier) verify(c stageClock, net *netcfg.Network, seq uint64) (*Repor
 
 // rollback follows a verification that failed part way: the generator
 // may have stepped and the model and checker may have taken part of the
-// update. It rebuilds all three over v.cur with the registered policies,
-// the path ForkSameAt takes, and instruments them on the verifier's
+// update. It rebuilds all three over v.cur with the registered policies
+// (Build, which v.cur may share) and instruments them on the verifier's
 // registry. Before the first successful Load there is no network to
 // rebuild over, and the verifier stays unloaded with its policies. So
 // does a v.cur that no longer loads, which the incremental == fresh
@@ -430,16 +430,11 @@ func (v *Verifier) verify(c stageClock, net *netcfg.Network, seq uint64) (*Repor
 func (v *Verifier) rollback() error {
 	opts := v.opts
 	opts.TraceApplies = 0 // the recorder stays with v
-	fresh := New(opts)
-	var err error
-	if v.cur != nil {
-		if _, err = fresh.pipeline(fresh.startClock(""), v.cur, 0); err != nil {
-			fresh = New(opts)
-			err = fmt.Errorf("core: rolling back to the last verified network: %w", err)
-		}
-	}
-	for _, p := range v.checker.Policies() {
-		fresh.AddPolicy(p)
+	ps := v.checker.Policies()
+	fresh, _, err := Build(opts, v.cur, ps)
+	if err != nil {
+		fresh, _, _ = Build(opts, nil, ps)
+		err = fmt.Errorf("core: rolling back to the last verified network: %w", err)
 	}
 	v.gen, v.model, v.checker = fresh.gen, fresh.model, fresh.checker
 	v.cur, v.liveNodes = fresh.cur, fresh.liveNodes
@@ -638,29 +633,35 @@ func (v *Verifier) Options() Options { return v.opts }
 // with it, and benchmarks use it to price a from-scratch verification
 // of an arbitrary state.
 func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, error) {
-	fork := New(opts)
-	if _, err := fork.Load(net); err != nil {
-		return nil, err
-	}
-	for _, p := range v.checker.Policies() {
-		fork.AddPolicy(p)
-	}
-	return fork, nil
+	fork, _, err := Build(opts, net.Clone(), v.checker.Policies())
+	return fork, err
 }
 
 // Bootstrap builds a verifier over a network snapshot with policies
-// parsed from a specification text: the construction path shared by
-// daemon startup, journal replay and what-if forks. Like Load, it keeps
-// a copy of the network, so the caller may go on using it.
+// parsed from a specification text. Like Load, it keeps a copy of the
+// network, so the caller may go on using it.
 func Bootstrap(opts Options, net *netcfg.Network, policyText string) (*Verifier, *Report, error) {
-	v := New(opts)
-	rep, err := v.Load(net)
-	if err != nil {
-		return nil, nil, err
-	}
 	ps, err := ParsePolicies(policyText)
 	if err != nil {
 		return nil, nil, err
+	}
+	return Build(opts, net.Clone(), ps)
+}
+
+// Build is the one construction path of a loaded verifier: Bootstrap,
+// ForkSameAt, rollback and the daemon's what-if and plan forks take it.
+// It verifies net under opts from scratch and then registers ps in
+// order. The verifier adopts net, so net must be the caller's alone
+// and never written again (see the invariant on Verifier.cur). A nil
+// net leaves the verifier unloaded, with ps registered.
+func Build(opts Options, net *netcfg.Network, ps []policy.Policy) (*Verifier, *Report, error) {
+	v := New(opts)
+	var rep *Report
+	if net != nil {
+		var err error
+		if rep, err = v.pipeline(v.startClock(""), net, 0); err != nil {
+			return nil, nil, err
+		}
 	}
 	for _, p := range ps {
 		v.AddPolicy(p)

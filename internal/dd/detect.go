@@ -23,9 +23,14 @@ type Detector struct {
 	name string
 	seed uint64
 
-	pend    map[int]Diff // iteration -> additive fingerprint delta
-	applied int          // iterations < applied are folded into fp
-	fp      uint64
+	// sums[j] is the fingerprint delta at iteration j summed over every
+	// epoch so far. In differential dataflow's product order the
+	// collection's state at epoch e, iteration i is the sum of sums[j]
+	// over j <= i once epoch e's deltas at those iterations are in, so
+	// an earlier epoch's deltas at deeper iterations stay out of it.
+	sums    []Diff
+	applied int    // this epoch's fp sums sums[j] for j < applied
+	fp      uint64 // the state at iteration applied-1
 	lastFP  uint64
 	seen    map[uint64]int // fingerprint -> first iteration seen this epoch
 }
@@ -48,7 +53,6 @@ func Watch[T comparable](c Collection[T], name string, hash func(T) uint64) *Det
 	d := &Detector{
 		name: name,
 		seed: rand.Uint64(),
-		pend: make(map[int]Diff),
 		seen: make(map[uint64]int),
 	}
 	c.p.subscribe(func(iter int, batch []Entry[T]) {
@@ -59,27 +63,27 @@ func Watch[T comparable](c Collection[T], name string, hash func(T) uint64) *Det
 		for _, e := range batch {
 			delta += Diff(Mix(d.seed, hash(e.Val))) * e.Diff
 		}
-		d.pend[iter] += delta
+		for len(d.sums) <= iter {
+			d.sums = append(d.sums, 0)
+		}
+		d.sums[iter] += delta
 	})
 	c.g.detectors = append(c.g.detectors, d)
 	c.g.resetters = append(c.g.resetters, func() {
 		clear(d.seen)
-		d.lastFP = d.fp
+		d.applied, d.fp, d.lastFP = 0, 0, 0
 	})
 	return d
 }
 
 // observe is called by the scheduler when iteration iter begins; all
-// differences at earlier iterations are final at that point.
+// differences at earlier iterations are final at that point, so fp
+// becomes the state the epoch has reached: the sum of sums[j], j < iter.
 func (d *Detector) observe(iter int) error {
-	for j := d.applied; j < iter; j++ {
-		if delta, ok := d.pend[j]; ok {
-			d.fp += uint64(delta)
-			delete(d.pend, j)
+	for ; d.applied < iter; d.applied++ {
+		if d.applied < len(d.sums) {
+			d.fp += uint64(d.sums[d.applied])
 		}
-	}
-	if iter > d.applied {
-		d.applied = iter
 	}
 	if d.fp == d.lastFP {
 		return nil // quiescent or unchanged since last look

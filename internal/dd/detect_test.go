@@ -3,6 +3,7 @@ package dd
 import (
 	"errors"
 	"hash/maphash"
+	"reflect"
 	"testing"
 )
 
@@ -80,5 +81,83 @@ func TestFingerprintCancelsRetraction(t *testing.T) {
 	}
 	if kept.fp == 0 {
 		t.Error("standing values left the fingerprint at 0")
+	}
+}
+
+// oscillator adds the AntiJoin oscillator of TestDetectorCatchesOscillation
+// to g, watched, and returns its seed input.
+func oscillator(g *Graph) *Input[KV[string, string]] {
+	seed := NewInput[KV[string, string]](g)
+	var watched Collection[KV[string, string]]
+	Fixpoint(g, func(x Collection[KV[string, string]]) Collection[KV[string, string]] {
+		watched = AntiJoin(seed.Collection(), Map(x, func(kv KV[string, string]) string { return kv.K }))
+		return watched
+	})
+	Watch(watched, "oscillator", hashStrings)
+	return seed
+}
+
+// TestDetectorLaterEpochMatchesFresh starts the oscillator in a second
+// epoch, after a first epoch whose shortest-path fixpoint ran 16
+// iterations deep: the oscillation must be reported at the same
+// iterations as on a fresh graph, not once the second epoch passes the
+// first one's depth.
+func TestDetectorLaterEpochMatchesFresh(t *testing.T) {
+	g := NewGraph()
+	fresh := oscillator(g)
+	fresh.Insert(MkKV("k", "v"))
+	_, want := g.Advance()
+	if !errors.Is(want, ErrRecurringState) {
+		t.Fatalf("fresh graph: err = %v, want ErrRecurringState", want)
+	}
+
+	p := newSPProgram(0)
+	Watch(p.distC, "sp", hashInts)
+	later := oscillator(p.g)
+	for i := 1; i <= 15; i++ {
+		p.edges.Insert(spEdge{i, i - 1, 1})
+	}
+	st, err := p.g.Advance()
+	if err != nil {
+		t.Fatalf("first epoch: %v", err)
+	}
+	if st.Iterations < 15 {
+		t.Fatalf("first epoch ran %d iterations, want a deep one", st.Iterations)
+	}
+	later.Insert(MkKV("k", "v"))
+	_, got := p.g.Advance()
+	if got == nil || got.Error() != want.Error() {
+		t.Fatalf("second epoch: err = %v, want %v", got, want)
+	}
+}
+
+// TestDetectorLaterEpochTransient: a second epoch that reaches a node
+// two iterations earlier than the first did retracts, at the first
+// epoch's iteration, the entry the first epoch added there. The state
+// never recurs, so the epoch must converge; a fingerprint that started
+// the epoch from the first one's final state would see it return to
+// the state of iteration 2 at iteration 5.
+func TestDetectorLaterEpochTransient(t *testing.T) {
+	p := newSPProgram(0)
+	Watch(p.distC, "sp", hashInts)
+	for i := 1; i <= 4; i++ {
+		p.edges.Insert(spEdge{i, i - 1, 1})
+	}
+	if _, err := p.g.Advance(); err != nil {
+		t.Fatalf("first epoch: %v", err)
+	}
+	// 5 is one hop from 0, and 4 two hops (via 5) at the cost it had.
+	p.edges.Insert(spEdge{5, 0, 1})
+	p.edges.Insert(spEdge{4, 5, 3})
+	if _, err := p.g.Advance(); err != nil {
+		t.Fatalf("converging second epoch rejected: %v", err)
+	}
+	got := map[int]int{}
+	for _, kv := range p.out.Values() {
+		got[kv.K] = kv.V
+	}
+	want := map[int]int{0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("distances %v, want %v", got, want)
 	}
 }

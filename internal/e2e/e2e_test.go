@@ -1,8 +1,8 @@
 // Package e2e drives the real rcserved and realconfig binaries as
 // separate processes: flag wiring, process start-up, the structured log
 // on stderr and replication between two daemons are exercised here and
-// by no in-process test. TestMain builds both commands once; every test
-// is skipped under -short.
+// by no in-process test. The first test to run one builds both commands
+// once; every test is skipped under -short.
 package e2e
 
 import (
@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,39 +32,61 @@ const (
 	rollout        = "../../examples/rollout/net"
 )
 
-// binDir holds the built rcserved and realconfig ("" under -short).
-var binDir string
+var (
+	binDir   string // holds the built rcserved and realconfig
+	buildErr error
+	once     sync.Once
+)
 
 func TestMain(m *testing.M) {
 	flag.Parse()
-	if testing.Short() {
-		os.Exit(m.Run())
-	}
-	dir, err := os.MkdirTemp("", "realconfig-e2e-")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "e2e:", err)
-		os.Exit(1)
-	}
-	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
-	out, err := exec.Command(gobin, "build", "-o", dir+string(filepath.Separator),
-		"realconfig/cmd/rcserved", "realconfig/cmd/realconfig").CombinedOutput()
-	if err != nil {
-		os.RemoveAll(dir)
-		fmt.Fprintf(os.Stderr, "e2e: go build: %v\n%s", err, out)
-		os.Exit(1)
-	}
-	binDir = dir
 	code := m.Run()
-	os.RemoveAll(dir)
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
 	os.Exit(code)
 }
 
-// binary returns the path of a built command, skipping the test under
-// -short.
+// build builds both commands into binDir, once per test binary run.
+// First it reads every Go file of the module's packages the commands
+// link: go test caches a result under the files a test opens, so an
+// edit to any of them re-runs this package, which its own build graph
+// (it imports none of them) would not.
+func build() error {
+	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmds := []string{"realconfig/cmd/rcserved", "realconfig/cmd/realconfig"}
+	out, err := exec.Command(gobin, append([]string{"list", "-deps", "-f",
+		`{{if not .Standard}}{{range .GoFiles}}{{$.Dir}}/{{.}}{{"\n"}}{{end}}{{end}}`}, cmds...)...).Output()
+	if err != nil {
+		return fmt.Errorf("go list: %v", err)
+	}
+	for _, f := range strings.Fields(string(out)) {
+		if _, err := os.ReadFile(f); err != nil {
+			return err
+		}
+	}
+	dir, err := os.MkdirTemp("", "realconfig-e2e-")
+	if err != nil {
+		return err
+	}
+	binDir = dir
+	out, err = exec.Command(gobin, append([]string{"build", "-o", dir + string(filepath.Separator)}, cmds...)...).CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	return nil
+}
+
+// binary returns the path of a built command, building both on first
+// use and skipping the test under -short.
 func binary(t *testing.T, name string) string {
 	t.Helper()
-	if binDir == "" {
+	if testing.Short() {
 		t.Skip("builds and runs the real binaries; skipped under -short")
+	}
+	once.Do(func() { buildErr = build() })
+	if buildErr != nil {
+		t.Fatal(buildErr)
 	}
 	return filepath.Join(binDir, name)
 }

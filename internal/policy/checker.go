@@ -530,7 +530,7 @@ func (c *Checker) retire(ec apkeep.ECID, affected map[Pair]struct{}) {
 	}
 	c.ecs[ec] = nil
 	for _, e := range r.hdrs {
-		delete(e.ecs, ec)
+		e.ecs.Del(ec)
 	}
 	for id, o := range r.outcomes {
 		if o.Kind == Delivered {
@@ -562,7 +562,7 @@ func (c *Checker) CheckRoots() error {
 		}
 	}
 	for _, e := range c.index {
-		for ec := range e.ecs {
+		for _, ec := range e.ecs.AppendTo(nil) {
 			if err := check("header index", ec); err != nil {
 				return err
 			}

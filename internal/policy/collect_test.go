@@ -17,7 +17,7 @@ func TestCheckRootsReportsDeadNode(t *testing.T) {
 		"ecs": func(c *Checker) { c.ecs = append(c.ecs, unwalked) },
 		"index": func(c *Checker) {
 			for _, e := range c.index {
-				e.ecs[dead] = struct{}{}
+				e.ecs.Add(dead)
 			}
 		},
 	} {

@@ -21,8 +21,8 @@ import (
 // hdrEntry is one registered header space.
 type hdrEntry struct {
 	hdr  dataplane.Match
-	recs []*registered            // policies registered on hdr
-	ecs  map[apkeep.ECID]struct{} // walked ECs overlapping hdr
+	recs []*registered // policies registered on hdr
+	ecs  apkeep.ECSet  // walked ECs overlapping hdr
 }
 
 // registered is a policy's registration record: everything a recheck
@@ -67,21 +67,19 @@ func (c *Checker) eval(rec *registered, rs []*ecResult) bool {
 	return rec.kind.check(rec.src, rec.via, rs)
 }
 
-// results lists the walked results of a set of ECs.
-func (c *Checker) results(ecs map[apkeep.ECID]struct{}) []*ecResult {
-	rs := make([]*ecResult, 0, len(ecs))
-	for ec := range ecs {
-		rs = append(rs, c.ecs[ec])
-	}
+// results lists the walked results of a set of ECs, ascending by id.
+func (c *Checker) results(ecs apkeep.ECSet) []*ecResult {
+	rs := make([]*ecResult, 0, ecs.Len())
+	ecs.Each(func(ec apkeep.ECID) { rs = append(rs, c.ecs[ec]) })
 	return rs
 }
 
 // overlapping returns the walked ECs whose packets intersect hdr.
-func (c *Checker) overlapping(hdr dataplane.Match) map[apkeep.ECID]struct{} {
-	out := make(map[apkeep.ECID]struct{})
+func (c *Checker) overlapping(hdr dataplane.Match) apkeep.ECSet {
+	var out apkeep.ECSet
 	for id, r := range c.ecs {
 		if r != nil && c.model.MatchOverlaps(hdr, c.model.Node(apkeep.ECID(id))) {
-			out[apkeep.ECID(id)] = struct{}{}
+			out.Add(apkeep.ECID(id))
 		}
 	}
 	return out
@@ -89,7 +87,7 @@ func (c *Checker) overlapping(hdr dataplane.Match) map[apkeep.ECID]struct{} {
 
 // headerECs returns the walked ECs overlapping hdr: the index entry's
 // set when hdr is registered (live; do not modify), else a fresh scan.
-func (c *Checker) headerECs(hdr dataplane.Match) map[apkeep.ECID]struct{} {
+func (c *Checker) headerECs(hdr dataplane.Match) apkeep.ECSet {
 	if e := c.index[hdr]; e != nil {
 		return e.ecs
 	}
@@ -103,10 +101,10 @@ func (c *Checker) register(rec *registered) {
 	e := c.index[hdr]
 	if e == nil {
 		e = &hdrEntry{hdr: hdr, ecs: c.overlapping(hdr)}
-		for ec := range e.ecs {
+		e.ecs.Each(func(ec apkeep.ECID) {
 			r := c.ecs[ec]
 			r.hdrs = append(r.hdrs, e)
-		}
+		})
 		c.index[hdr] = e
 	}
 	e.recs = append(e.recs, rec)
@@ -124,10 +122,10 @@ func (c *Checker) unregister(rec *registered) {
 		return
 	}
 	delete(c.index, e.hdr)
-	for ec := range e.ecs {
+	e.ecs.Each(func(ec apkeep.ECID) {
 		r := c.ecs[ec]
 		r.hdrs = dropEntry(r.hdrs, e)
-	}
+	})
 }
 
 // join computes a newly walked EC's memberships.
@@ -135,7 +133,7 @@ func (c *Checker) join(ec apkeep.ECID, r *ecResult) {
 	node := c.model.Node(ec)
 	for _, e := range c.index {
 		if c.model.MatchOverlaps(e.hdr, node) {
-			e.ecs[ec] = struct{}{}
+			e.ecs.Add(ec)
 			r.hdrs = append(r.hdrs, e)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -229,14 +230,14 @@ func checkIndex(t *testing.T, where string, c *Checker) {
 		if len(recs) != len(e.recs) || !reflect.DeepEqual(recs, names[hdr]) {
 			t.Fatalf("%s: entry %+v records %v, want %v", where, hdr, recs, names[hdr])
 		}
-		if want := c.overlapping(hdr); !reflect.DeepEqual(e.ecs, want) {
-			t.Fatalf("%s: entry %+v holds %d ECs, want %d", where, hdr, len(e.ecs), len(want))
+		if want := c.overlapping(hdr); !slices.Equal(e.ecs.AppendTo(nil), want.AppendTo(nil)) {
+			t.Fatalf("%s: entry %+v holds %d ECs, want %d", where, hdr, e.ecs.Len(), want.Len())
 		}
-		members += len(e.ecs)
+		members += e.ecs.Len()
 	}
 	for ec, r := range snapshot(c) {
 		for _, e := range r.hdrs {
-			if _, ok := e.ecs[ec]; !ok || c.index[e.hdr] != e {
+			if !e.ecs.Has(ec) || c.index[e.hdr] != e {
 				t.Fatalf("%s: EC %d lists a stale entry %+v", where, ec, e.hdr)
 			}
 		}
@@ -589,7 +590,7 @@ func TestExplainDeterministic(t *testing.T) {
 	// lowest renders the account of the lowest-id EC overlapping hdr.
 	lowest := func(hdr dataplane.Match) string {
 		var ids []bdd.Node
-		for ec := range c.overlapping(hdr) {
+		for _, ec := range c.overlapping(hdr).AppendTo(nil) {
 			ids = append(ids, c.model.Node(ec))
 		}
 		if len(ids) < 2 {

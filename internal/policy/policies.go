@@ -237,13 +237,9 @@ func (*BlackholeFree) check(_, _ apkeep.DevID, rs []*ecResult) bool {
 // several ECs in the header fail, the one with the lowest predicate
 // node is reported, so the account is deterministic.
 func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
-	set := c.headerECs(hdr)
-	if len(set) == 0 {
+	ecs := c.headerECs(hdr).AppendTo(nil)
+	if len(ecs) == 0 {
 		return "no packets in the header space"
-	}
-	ecs := make([]apkeep.ECID, 0, len(set))
-	for ec := range set {
-		ecs = append(ecs, ec)
 	}
 	node := c.model.Node
 	sort.Slice(ecs, func(i, j int) bool { return node(ecs[i]) < node(ecs[j]) })

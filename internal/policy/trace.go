@@ -16,8 +16,10 @@ import (
 // verdict transition and the affected ECs that made the policy relevant
 // (those overlapping its header, including ECs split away within the
 // batch) — the last link of the config change → rule → EC → verdict
-// chain. Tracing switches the recheck loop to sorted policy order so
-// event sequences are deterministic; untraced checks pay one nil test.
+// chain. Tracing switches the recheck loop to policy name order so
+// event sequences are deterministic. The order decides nothing else:
+// each recheck reads its entry's results and writes only its own
+// record. Untraced checks pay one nil test.
 
 // tracedRecheck is Update's recheck of the touched entries' records
 // under tracing: in policy name order, each recorded with the affected

@@ -87,9 +87,7 @@ func planSteps(steps []plan.Step) []planStepJSON {
 // against a bootstrapped fork. A found plan is journaled (with its wave
 // grouping, as an audit record) and bumps the sequence number.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	t := s.tenantFrom(r)

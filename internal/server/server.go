@@ -569,6 +569,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// allowOnly reports whether r uses method, and otherwise answers 405
+// with method as the Allow header.
+func allowOnly(w http.ResponseWriter, r *http.Request, method string) bool {
+	if r.Method == method {
+		return true
+	}
+	w.Header().Set("Allow", method)
+	http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	return false
+}
+
 // badRequest answers 400 with the message and the request id.
 func badRequest(w http.ResponseWriter, r *http.Request, msg string) {
 	writeJSON(w, http.StatusBadRequest, errorResponse{Error: msg, ReqID: reqIDFrom(r)})
@@ -608,18 +619,14 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // handleTenantDetail serves GET /v1/tenants/{id} (the bare tenant path,
 // handled in the routing middleware before path rewriting).
 func (s *Server) handleTenantDetail(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	writeJSON(w, http.StatusOK, summarize(t))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	t := s.tenantFrom(r)
@@ -655,9 +662,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // measure a daemon that is still rebuilding state. handleHealthz stays
 // pure liveness: it answers 200 whenever the process serves requests.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	t := s.tenantFrom(r)
@@ -682,9 +687,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	snap, ok := s.gateMinSeq(w, r)
@@ -695,9 +698,7 @@ func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	snap, ok := s.gateMinSeq(w, r)
@@ -732,9 +733,7 @@ func decodeChangesBody(w http.ResponseWriter, r *http.Request) ([]netcfg.Change,
 }
 
 func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	t := s.tenantFrom(r)
@@ -780,9 +779,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	changes, ok := decodeChangesBody(w, r)
@@ -819,9 +816,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	t := s.tenantFrom(r)
@@ -908,9 +903,7 @@ type traceHop struct {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodGet) {
 		return
 	}
 	q := r.URL.Query()

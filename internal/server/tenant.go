@@ -15,6 +15,7 @@ import (
 	"realconfig/internal/netcfg"
 	"realconfig/internal/obs"
 	"realconfig/internal/plan"
+	"realconfig/internal/policy"
 	"realconfig/internal/repl"
 	"realconfig/internal/snap"
 )
@@ -443,7 +444,7 @@ func (t *Tenant) findPolicy(name string) int {
 }
 
 // registeredLines returns the registered policies' source lines in
-// registration order: the fork and snapshot capture input. Apply
+// registration order: the snapshot capture input. Apply
 // goroutine only.
 func (t *Tenant) registeredLines() []string {
 	lines := make([]string, 0, len(t.policies))
@@ -516,25 +517,25 @@ func (t *Tenant) commit(es ...Entry) (*ReportJSON, error) {
 	return last, nil
 }
 
-// fork captures the live network, policies and seq on the apply
-// goroutine (cheap: the network is shared copy-on-write) and bootstraps
-// a fresh verifier over them on the caller's goroutine, so what-ifs and
-// plans run off the write path and never touch the live engine.
+// fork captures a copy of the live network, the compiled policies and
+// seq on the apply goroutine, and builds a fresh verifier over them on
+// the caller's goroutine, so what-ifs and plans run off the write path
+// and never touch the live engine.
 func (t *Tenant) fork(ctx context.Context) (*core.Verifier, uint64, error) {
 	type capture struct {
-		net   *netcfg.Network
-		lines []string
-		opts  core.Options
-		seq   uint64
+		net  *netcfg.Network
+		ps   []policy.Policy
+		opts core.Options
+		seq  uint64
 	}
 	res, err := t.do(ctx, func() (any, error) {
-		return capture{t.verifier.Network(), t.registeredLines(), t.verifier.Options(), t.seq}, nil
+		return capture{t.verifier.Network(), t.verifier.Checker().Policies(), t.verifier.Options(), t.seq}, nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
 	c := res.(capture)
-	v, _, err := core.Bootstrap(c.opts, c.net, strings.Join(c.lines, "\n"))
+	v, _, err := core.Build(c.opts, c.net, c.ps)
 	return v, c.seq, err
 }
 

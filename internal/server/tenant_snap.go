@@ -241,9 +241,7 @@ func (t *Tenant) promote() (uint64, error) {
 // replicas too: a follower checkpointing locally speeds up its own
 // restarts and lets it seed further replicas.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	t := s.tenantFrom(r)
@@ -300,9 +298,7 @@ func (s *Server) handleSnapshotLatest(w http.ResponseWriter, r *http.Request) {
 // that is disconnected or lagging — promotion must never lose
 // acknowledged writes silently.
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if !allowOnly(w, r, http.MethodPost) {
 		return
 	}
 	if s.follow == "" {
