@@ -41,7 +41,7 @@ func forkSameFixture(t *testing.T) *Verifier {
 // policy text.
 func TestForkSameCarriesCompiledPolicies(t *testing.T) {
 	v := forkSameFixture(t)
-	fork, err := v.ForkSameAt(v.Network(), v.Options())
+	fork, _, err := Build(v.Options(), v.Network(), v.Checker().Policies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestForkSameCarriesCompiledPolicies(t *testing.T) {
 		}
 	}
 	if _, ok := got["prog-tcp-none"]; !ok {
-		t.Fatal("programmatically registered policy did not survive ForkSameAt")
+		t.Fatal("programmatically registered policy did not survive the fork")
 	}
 }
 
@@ -64,7 +64,7 @@ func TestForkSameCarriesCompiledPolicies(t *testing.T) {
 // checks neither sees the other's changes.
 func TestForkSameIndependence(t *testing.T) {
 	v := forkSameFixture(t)
-	fork, err := v.ForkSameAt(v.Network(), v.Options())
+	fork, _, err := Build(v.Options(), v.Network(), v.Checker().Policies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +97,11 @@ func TestForkSameIndependence(t *testing.T) {
 // snapshot than the parent's current one.
 func TestForkSameAtLoadsArbitraryState(t *testing.T) {
 	v := forkSameFixture(t)
-	net := v.Network()
-	if err := (netcfg.ShutdownInterface{Device: "r03", Intf: "eth0", Shutdown: true}).Apply(net); err != nil {
+	net, err := v.Network().With(netcfg.ShutdownInterface{Device: "r03", Intf: "eth0", Shutdown: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	fork, err := v.ForkSameAt(net, v.Options())
+	fork, _, err := Build(v.Options(), net, v.Checker().Policies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestForkSameAtLoadsArbitraryState(t *testing.T) {
 		t.Fatal("fork at degraded snapshot still satisfies r0-to-r3")
 	}
 	if !v.Verdicts()["r0-to-r3"] {
-		t.Fatal("parent was affected by ForkSameAt")
+		t.Fatal("parent was affected by the fork")
 	}
 }
 
@@ -123,7 +123,7 @@ func TestForkSameNotLoaded(t *testing.T) {
 	}
 	v := New(Options{})
 	v.AddPolicy(policy.LoopFree{PolicyName: "no-loops", Scope: dataplane.MatchAll})
-	fork, err := v.ForkSameAt(net.Network, v.Options())
+	fork, _, err := Build(v.Options(), net.Network, v.Checker().Policies())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,6 +131,6 @@ func TestForkSameNotLoaded(t *testing.T) {
 		t.Fatalf("fork verdicts = %v, want no-loops satisfied", got)
 	}
 	if _, err := v.Apply(netcfg.SetOSPFCost{Device: "r00", Intf: "eth0", Cost: 7}); err != ErrNotLoaded {
-		t.Fatalf("parent Apply after ForkSameAt = %v, want ErrNotLoaded", err)
+		t.Fatalf("parent Apply after the fork = %v, want ErrNotLoaded", err)
 	}
 }

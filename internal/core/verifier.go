@@ -15,7 +15,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -52,10 +51,11 @@ type Verifier struct {
 	gen     *routing.Generator
 	model   *apkeep.Model
 	checker *policy.Checker
-	// cur is the verified network. Successive networks share every
-	// *Config and the *Topology that no change touched, so the verifier
-	// never mutates a *Config or *Topology it holds, and hands callers
-	// deep copies only (Network).
+	// cur is the verified network, immutable under the ownership rule on
+	// netcfg.Network: successive networks share every *Config and the
+	// *Topology that no change touched, Network hands cur out as it is,
+	// and forks and snapshots read it from other goroutines. So the
+	// verifier never writes a *Config or *Topology it holds.
 	cur *netcfg.Network
 
 	// metrics are the verifier's own instruments (nil until Instrument;
@@ -130,10 +130,11 @@ func (v *Verifier) Instrument(reg *obs.Registry) {
 // back on one clock (see stageClock), so Netcfg through Collect add up
 // to Total exactly.
 type Timing struct {
-	// Netcfg covers building the next network (the copy-on-write apply
-	// or the snapshot copy), diffing its links against the current
-	// one's and naming the devices to recompile. The line diff is part
-	// of it only on a traced verification (see Report.Diff).
+	// Netcfg covers building the next network (the copy-on-write apply,
+	// or the copy of what a snapshot does not share with the current
+	// network), diffing its links against the current one's and naming
+	// the devices to recompile. The line diff is part of it only on a
+	// traced verification (see Report.Diff).
 	Netcfg time.Duration
 	// Generate covers compiling configurations and incrementally
 	// computing data plane (FIB) changes.
@@ -347,14 +348,14 @@ func (v *Verifier) takeTraceContext() (string, uint64) {
 var ErrNotLoaded = errors.New("core: no network loaded (call Load first)")
 
 // Load performs the initial full verification of a network snapshot.
-// The verifier keeps a copy of net, so the caller may go on using it.
-// A Load that fails leaves the verifier unloaded.
+// Like SetNetwork, it keeps a copy of net, so the caller may go on
+// using it. A Load that fails leaves the verifier unloaded.
 func (v *Verifier) Load(net *netcfg.Network) (*Report, error) { return v.SetNetwork(net) }
 
 // Apply applies typed configuration changes to the current network and
-// re-verifies incrementally. The next network is built copy-on-write
-// (see applyShared), so neither building nor diffing it costs more than
-// the devices the changes touch. A batch that fails, to apply or to
+// re-verifies incrementally. The next network is derived copy-on-write
+// (netcfg.Network.With), so neither building nor diffing it costs more
+// than the devices the changes touch. A batch that fails, to apply or to
 // verify, leaves the verifier as it was (see verify).
 func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
@@ -362,45 +363,40 @@ func (v *Verifier) Apply(changes ...netcfg.Change) (*Report, error) {
 		return nil, ErrNotLoaded
 	}
 	c := v.startClock(reqID)
-	next, err := applyShared(v.cur, changes)
+	next, err := v.cur.With(changes...)
 	if err != nil {
 		return nil, err
 	}
 	return v.verify(c, next, seq)
 }
 
-// applyShared returns cur with changes applied, sharing with cur every
-// *Config no change touches and the *Topology unless one edits links.
-// Each touched device is cloned once, before the first change that
-// touches it; cur itself is never written.
-func applyShared(cur *netcfg.Network, changes []netcfg.Change) (*netcfg.Network, error) {
-	next := &netcfg.Network{Devices: maps.Clone(cur.Devices), Topology: cur.Topology}
-	for _, ch := range changes {
-		devs, links := ch.Touches()
-		for _, d := range devs {
-			if cfg := next.Devices[d]; cfg != nil && cfg == cur.Devices[d] {
-				next.Devices[d] = cfg.Clone()
-			}
-		}
-		if links && next.Topology == cur.Topology {
-			next.Topology = cur.Topology.Clone()
-		}
-		if err := ch.Apply(next); err != nil {
-			return nil, err
-		}
-	}
-	return next, nil
-}
-
 // SetNetwork verifies an arbitrary new snapshot, reusing all state valid
 // since the previous one: the cost is proportional to the semantic
 // change, not the network size. The verifier keeps a copy of net, so the
-// caller may go on using it. A snapshot that fails to verify leaves the
+// caller may go on using it: it shares every *Config and the *Topology
+// that it already holds under the same name, which no one writes, and
+// clones the rest. So a snapshot derived from Network by With
+// recompiles only the devices it changed, where one parsed from files
+// recompiles every device. A snapshot that fails to verify leaves the
 // verifier as it was.
 func (v *Verifier) SetNetwork(net *netcfg.Network) (*Report, error) {
 	reqID, seq := v.takeTraceContext()
 	c := v.startClock(reqID)
-	return v.verify(c, net.Clone(), seq)
+	var held netcfg.Network
+	if v.cur != nil {
+		held = *v.cur
+	}
+	next := &netcfg.Network{Devices: make(map[string]*netcfg.Config, len(net.Devices)), Topology: held.Topology}
+	for name, cfg := range net.Devices {
+		if cfg != held.Devices[name] {
+			cfg = cfg.Clone()
+		}
+		next.Devices[name] = cfg
+	}
+	if next.Topology == nil || net.Topology != next.Topology {
+		next.Topology = net.Topology.Clone()
+	}
+	return v.verify(c, next, seq)
 }
 
 // verify runs the pipeline over net, on the clock c started before net
@@ -624,19 +620,6 @@ func recordDiff(tr *trace.Apply, diff *netcfg.NetworkDiff) {
 // sessions, journal replay) can build an equivalently configured fork.
 func (v *Verifier) Options() Options { return v.opts }
 
-// ForkSameAt builds an independent verifier: the fork loads a copy of
-// the given network snapshot under the given options, then registers
-// this verifier's compiled policies. Policies are plain values with
-// model-independent Match headers, so they register on the fork
-// directly, programmatic ones included, with no specification to
-// re-parse. The planner builds its probe, validation and tracing forks
-// with it, and benchmarks use it to price a from-scratch verification
-// of an arbitrary state.
-func (v *Verifier) ForkSameAt(net *netcfg.Network, opts Options) (*Verifier, error) {
-	fork, _, err := Build(opts, net.Clone(), v.checker.Policies())
-	return fork, err
-}
-
 // Bootstrap builds a verifier over a network snapshot with policies
 // parsed from a specification text. Like Load, it keeps a copy of the
 // network, so the caller may go on using it.
@@ -649,11 +632,14 @@ func Bootstrap(opts Options, net *netcfg.Network, policyText string) (*Verifier,
 }
 
 // Build is the one construction path of a loaded verifier: Bootstrap,
-// ForkSameAt, rollback and the daemon's what-if and plan forks take it.
-// It verifies net under opts from scratch and then registers ps in
-// order. The verifier adopts net, so net must be the caller's alone
-// and never written again (see the invariant on Verifier.cur). A nil
-// net leaves the verifier unloaded, with ps registered.
+// rollback, the planner's forks and the daemon's what-if and plan forks
+// take it. It verifies net under opts from scratch and then registers
+// ps in order. Policies are plain values with model-independent Match
+// headers, so another verifier's (Checker().Policies()) register
+// directly, programmatic ones included. The verifier adopts net as it
+// is, so net must never be written again (the ownership rule on
+// netcfg.Network); another verifier's Network qualifies. A nil net
+// leaves the verifier unloaded, with ps registered.
 func Build(opts Options, net *netcfg.Network, ps []policy.Policy) (*Verifier, *Report, error) {
 	v := New(opts)
 	var rep *Report
@@ -669,17 +655,14 @@ func Build(opts Options, net *netcfg.Network, ps []policy.Policy) (*Verifier, *R
 	return v, rep, nil
 }
 
-// Network returns a copy of the currently verified snapshot (nil before
-// Load).
-func (v *Verifier) Network() *netcfg.Network {
-	if v.cur == nil {
-		return nil
-	}
-	return v.cur.Clone()
-}
+// Network returns the currently verified snapshot itself (nil before
+// Load), shared by pointer and read-only: the ownership rule on
+// netcfg.Network. A caller that wants to edit it derives a new network
+// with With, or clones it. It stays as it is after later verifications.
+func (v *Verifier) Network() *netcfg.Network { return v.cur }
 
 // NumDevices returns the verified snapshot's device count (0 before
-// Load) without copying it.
+// Load).
 func (v *Verifier) NumDevices() int {
 	if v.cur == nil {
 		return 0

@@ -353,7 +353,7 @@ func TestForkIsIndependent(t *testing.T) {
 			t.Fatal("reachability should hold initially")
 		}
 	}
-	fork, err := v.ForkSameAt(v.Network(), v.Options())
+	fork, _, err := Build(v.Options(), v.Network(), v.Checker().Policies())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,11 @@ func (r *Result) Mined() []policy.Policy {
 // real specifications. Candidates are produced by the builder AGAINST
 // MINE'S OWN VERIFIER, because policy header predicates are BDD nodes
 // tied to one verifier's table and must not cross verifiers. The input
-// network is not modified (a clone is used).
+// network is not modified: the verifier loads its own copy (Load).
 func Mine(net *netcfg.Network, buildCandidates func(*core.Verifier) []policy.Policy, fm FailureModel, opts core.Options) (*Result, error) {
 	start := time.Now()
-	work := net.Clone()
 	v := core.New(opts)
-	if _, err := v.Load(work); err != nil {
+	if _, err := v.Load(net); err != nil {
 		return nil, err
 	}
 	candidates := buildCandidates(v)
@@ -84,7 +83,7 @@ func Mine(net *netcfg.Network, buildCandidates func(*core.Verifier) []policy.Pol
 	}
 
 	if fm.MaxLinkFailures > 0 {
-		links := append([]netcfg.Link(nil), work.Topology.Links...)
+		links := append([]netcfg.Link(nil), net.Topology.Links...)
 		if fm.Limit > 0 && fm.Limit < len(links) {
 			links = links[:fm.Limit]
 		}

@@ -126,3 +126,21 @@ func TestMineDoesNotMutateInput(t *testing.T) {
 		t.Error("Mine mutated the input network")
 	}
 }
+
+func TestReachabilityCandidatesSkipUnknownDestinations(t *testing.T) {
+	// A device without a host prefix can be a source but never a
+	// destination: there is no header space to ask about.
+	net, err := topology.Line(3, topology.OSPF)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := core.New(core.Options{})
+	var names []string
+	for _, p := range ReachabilityCandidates(v, net.HostPrefix, []string{"r02", "ghost", "r00"}) {
+		names = append(names, p.Name())
+	}
+	want := "reach/ghost->r00 reach/ghost->r02 reach/r00->r02 reach/r02->r00"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("candidates = %s, want %s", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package netcfg
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -56,7 +57,10 @@ const DefaultOSPFCost = 1
 const DefaultLocalPref = 100
 
 // Config is one device's configuration. The zero value is an unnamed
-// device with no interfaces and no routing processes.
+// device with no interfaces and no routing processes. A Config holds no
+// lazily written field (no cache, no memo), so a Config that no one
+// writes is safe for any number of concurrent readers; the ownership
+// rule on Network relies on it.
 type Config struct {
 	Hostname     string
 	Interfaces   []*Interface
@@ -334,13 +338,12 @@ func (c *Config) Neighbor(addr Addr) *Neighbor {
 // Network is a complete network: device configurations plus the physical
 // topology connecting them.
 //
-// Networks may share structure. A copy-on-write successor is a fresh
-// Devices map that holds the predecessor's *Config pointers, with clones
-// in place of only the devices some Change touches (Change.Touches), and
-// the predecessor's *Topology unless a change edits links. That is sound
-// only while no holder mutates a shared *Config or *Topology: whoever
-// keeps a network that others may share treats it as immutable and hands
-// out deep copies (Clone) to callers that may write.
+// Networks share structure by pointer, under one ownership rule: a
+// network that a verifier holds, or that was derived from one, is
+// immutable, and whoever holds it may hand it to any reader, on any
+// goroutine, as it is. A caller that wants to edit derives a new
+// network with With, which copies only what the changes touch, or
+// deep-copies it with Clone and owns the copy.
 type Network struct {
 	Devices  map[string]*Config
 	Topology *Topology
@@ -360,6 +363,31 @@ func (n *Network) Clone() *Network {
 	}
 	out.Topology = n.Topology.Clone()
 	return out
+}
+
+// With derives the network that changes make of n, copy-on-write: the
+// result holds every *Config of n that no change touches
+// (Change.Touches) and n's *Topology unless a change edits links, and a
+// clone of each touched device, taken before the first change that
+// touches it. n itself is never written. It returns the first change's
+// error that fails to apply.
+func (n *Network) With(changes ...Change) (*Network, error) {
+	next := &Network{Devices: maps.Clone(n.Devices), Topology: n.Topology}
+	for _, ch := range changes {
+		devs, links := ch.Touches()
+		for _, d := range devs {
+			if cfg := next.Devices[d]; cfg != nil && cfg == n.Devices[d] {
+				next.Devices[d] = cfg.Clone()
+			}
+		}
+		if links && next.Topology == n.Topology {
+			next.Topology = n.Topology.Clone()
+		}
+		if err := ch.Apply(next); err != nil {
+			return nil, err
+		}
+	}
+	return next, nil
 }
 
 // DeviceNames returns the device names in sorted order.

@@ -3,6 +3,7 @@ package netcfg
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"sort"
 )
 
@@ -131,57 +132,29 @@ func (op *LineOp) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// changeKinds maps the wire discriminator to a decoder for that concrete
-// change type. Encoding uses the same table in reverse via kindOf.
-var changeKinds = map[string]func(json.RawMessage) (Change, error){
-	"shutdown_interface":   decodeInto[ShutdownInterface],
-	"set_ospf_cost":        decodeInto[SetOSPFCost],
-	"set_local_pref":       decodeInto[SetLocalPref],
-	"add_static_route":     decodeInto[AddStaticRoute],
-	"remove_static_route":  decodeInto[RemoveStaticRoute],
-	"set_acl":              decodeInto[SetACL],
-	"bind_acl":             decodeInto[BindACL],
-	"set_prefix_list":      decodeInto[SetPrefixList],
-	"bind_neighbor_filter": decodeInto[BindNeighborFilter],
-	"set_aggregate":        decodeInto[SetAggregate],
-	"add_link":             decodeInto[AddLink],
-	"remove_link":          decodeInto[RemoveLink],
+// changeKinds maps each wire discriminator to its concrete change type:
+// the one table that DecodeChange reads forwards and kindOf in reverse.
+var changeKinds = map[string]reflect.Type{
+	"shutdown_interface":   reflect.TypeFor[ShutdownInterface](),
+	"set_ospf_cost":        reflect.TypeFor[SetOSPFCost](),
+	"set_local_pref":       reflect.TypeFor[SetLocalPref](),
+	"add_static_route":     reflect.TypeFor[AddStaticRoute](),
+	"remove_static_route":  reflect.TypeFor[RemoveStaticRoute](),
+	"set_acl":              reflect.TypeFor[SetACL](),
+	"bind_acl":             reflect.TypeFor[BindACL](),
+	"set_prefix_list":      reflect.TypeFor[SetPrefixList](),
+	"bind_neighbor_filter": reflect.TypeFor[BindNeighborFilter](),
+	"set_aggregate":        reflect.TypeFor[SetAggregate](),
+	"add_link":             reflect.TypeFor[AddLink](),
+	"remove_link":          reflect.TypeFor[RemoveLink](),
 }
 
-func decodeInto[T Change](raw json.RawMessage) (Change, error) {
-	var c T
-	if err := json.Unmarshal(raw, &c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
+// kindOf returns c's wire discriminator.
 func kindOf(c Change) (string, error) {
-	switch c.(type) {
-	case ShutdownInterface:
-		return "shutdown_interface", nil
-	case SetOSPFCost:
-		return "set_ospf_cost", nil
-	case SetLocalPref:
-		return "set_local_pref", nil
-	case AddStaticRoute:
-		return "add_static_route", nil
-	case RemoveStaticRoute:
-		return "remove_static_route", nil
-	case SetACL:
-		return "set_acl", nil
-	case BindACL:
-		return "bind_acl", nil
-	case SetPrefixList:
-		return "set_prefix_list", nil
-	case BindNeighborFilter:
-		return "bind_neighbor_filter", nil
-	case SetAggregate:
-		return "set_aggregate", nil
-	case AddLink:
-		return "add_link", nil
-	case RemoveLink:
-		return "remove_link", nil
+	for kind, t := range changeKinds {
+		if t == reflect.TypeOf(c) {
+			return kind, nil
+		}
 	}
 	return "", fmt.Errorf("netcfg: change type %T has no JSON encoding", c)
 }
@@ -225,15 +198,15 @@ func DecodeChange(raw json.RawMessage) (Change, error) {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return nil, fmt.Errorf("netcfg: bad change object: %w", err)
 	}
-	dec, ok := changeKinds[env.Kind]
+	t, ok := changeKinds[env.Kind]
 	if !ok {
 		return nil, fmt.Errorf("netcfg: unknown change kind %q (want one of %v)", env.Kind, ChangeKinds())
 	}
-	c, err := dec(raw)
-	if err != nil {
+	c := reflect.New(t)
+	if err := json.Unmarshal(raw, c.Interface()); err != nil {
 		return nil, fmt.Errorf("netcfg: bad %s change: %w", env.Kind, err)
 	}
-	return c, nil
+	return c.Elem().Interface().(Change), nil
 }
 
 // EncodeChanges marshals a batch of changes.

@@ -7,7 +7,11 @@
 // The search uses forked verifiers as its oracle. Probing "is change c
 // safe at intermediate state S" costs one copy-on-write incremental
 // Apply on a warm fork, which then stays on S+c, plus one SetNetwork
-// repositioning when the fork sits elsewhere. So the planner can afford
+// repositioning when the fork sits elsewhere. The forks share the
+// base's network by pointer (the ownership rule on netcfg.Network), and
+// a state's network is derived from it copy-on-write, so a
+// repositioning recompiles only the devices that the two states'
+// changes touch. So the planner can afford
 // thousands of probes where per-probe full re-verification could not:
 // exactly the workload the paper's incremental pipeline was built to
 // open up.
@@ -463,7 +467,7 @@ func (s *searcher) waves(order []int) [][]int {
 // catches non-commuting batches that slipped past the canonical-state
 // construction).
 func (s *searcher) validate(order []int) ([]*core.Report, error) {
-	fork, err := s.base.ForkSameAt(s.baseNet, s.base.Options())
+	fork, _, err := core.Build(s.base.Options(), s.baseNet, s.base.Checker().Policies())
 	if err != nil {
 		return nil, err
 	}
@@ -529,7 +533,7 @@ func (s *searcher) explainViolation(prefix []int, failing int, policyName string
 	}
 	opts := s.base.Options()
 	opts.TraceApplies = 2
-	fork, err := s.base.ForkSameAt(net, opts)
+	fork, _, err := core.Build(opts, net, s.base.Checker().Policies())
 	if err != nil {
 		return ""
 	}

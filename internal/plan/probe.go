@@ -8,6 +8,7 @@ package plan
 import (
 	"fmt"
 
+	"realconfig/internal/core"
 	"realconfig/internal/netcfg"
 )
 
@@ -24,7 +25,7 @@ type probeResult struct {
 func (s *searcher) forkProbe() error {
 	opts := s.base.Options()
 	opts.TraceApplies = 0
-	fork, err := s.base.ForkSameAt(s.baseNet, opts)
+	fork, _, err := core.Build(opts, s.baseNet, s.base.Checker().Policies())
 	if err != nil {
 		return fmt.Errorf("plan: forking the probe verifier: %w", err)
 	}
@@ -54,7 +55,8 @@ func (s *searcher) probe(state []int, cand int) (probeResult, error) {
 
 // reposition moves the warm fork to the canonical network of the state
 // by one SetNetwork: an incremental diff, however the fork got where it
-// is. Each one counts as a rebuild.
+// is, over the devices the two states' changes touch. Each one counts
+// as a rebuild.
 func (s *searcher) reposition(state []int) error {
 	net, err := canonicalNet(s.baseNet, s.batch, state)
 	if err != nil {
@@ -69,17 +71,19 @@ func (s *searcher) reposition(state []int) error {
 	return nil
 }
 
-// canonicalNet builds the canonical network of a change set: the base
-// snapshot with the set's changes applied in index order. A failure
-// here means the batch's changes do not commute (a change's
-// applicability depended on the order the set was assembled in), which
-// the planner rejects.
+// canonicalNet derives the canonical network of a change set from the
+// base snapshot, copy-on-write: the set's changes applied in index
+// order. A failure here means the batch's changes do not commute (a
+// change's applicability depended on the order the set was assembled
+// in), which the planner rejects.
 func canonicalNet(base *netcfg.Network, batch []netcfg.Change, state []int) (*netcfg.Network, error) {
-	net := base.Clone()
+	net := base
 	for _, i := range state {
-		if err := batch[i].Apply(net); err != nil {
+		next, err := net.With(batch[i])
+		if err != nil {
 			return nil, fmt.Errorf("plan: batch changes do not commute: %v fails at canonical state %v: %w", batch[i], state, err)
 		}
+		net = next
 	}
 	return net, nil
 }

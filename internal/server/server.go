@@ -20,8 +20,8 @@
 //     each journal entry through applyEntry, the path replay and
 //     followers take, appends it, and advances the sequence number.
 //   - What-if sessions fork cheaply: the apply goroutine captures the
-//     current network (shared copy-on-write) plus the registered policy
-//     lines (fast), and the speculative verification runs on the request
+//     current network (a pointer; no copy) plus the compiled policies,
+//     and the speculative verification runs on the request
 //     goroutine against a brand-new verifier, leaving both the live
 //     engine and the apply queue untouched.
 //

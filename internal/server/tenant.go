@@ -517,10 +517,11 @@ func (t *Tenant) commit(es ...Entry) (*ReportJSON, error) {
 	return last, nil
 }
 
-// fork captures a copy of the live network, the compiled policies and
-// seq on the apply goroutine, and builds a fresh verifier over them on
-// the caller's goroutine, so what-ifs and plans run off the write path
-// and never touch the live engine.
+// fork captures the live network (a pointer: the ownership rule on
+// netcfg.Network), the compiled policies and seq on the apply
+// goroutine, and builds a fresh verifier over them on the caller's
+// goroutine, so what-ifs and plans run off the write path and never
+// touch the live engine.
 func (t *Tenant) fork(ctx context.Context) (*core.Verifier, uint64, error) {
 	type capture struct {
 		net  *netcfg.Network
