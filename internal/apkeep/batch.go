@@ -1,8 +1,9 @@
 package apkeep
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"realconfig/internal/bdd"
@@ -66,7 +67,15 @@ func (r *BatchResult) DistinctECs() int {
 // EC's row is the one rule-by-rule application gives, with fewer
 // splits.
 func (m *Model) ApplyBatch(changes []dd.Entry[dataplane.Rule], order Order) (*BatchResult, error) {
-	var ins, del []dataplane.Rule
+	var nIns, nDel int
+	for _, e := range changes {
+		if e.Diff > 0 {
+			nIns += int(e.Diff)
+		} else {
+			nDel -= int(e.Diff)
+		}
+	}
+	ins, del := make([]dataplane.Rule, 0, nIns), make([]dataplane.Rule, 0, nDel)
 	for _, e := range changes {
 		switch {
 		case e.Diff > 0:
@@ -79,11 +88,9 @@ func (m *Model) ApplyBatch(changes []dd.Entry[dataplane.Rule], order Order) (*Ba
 			}
 		}
 	}
-	sortRules(ins)
-	sortRules(del)
-
 	res := &BatchResult{Inserted: len(ins), Deleted: len(del)}
 	apply := func(rules []dataplane.Rule, insert bool) error {
+		sortRules(rules)
 		defer m.flushMoves() // no move crosses the order boundary
 		for _, r := range rules {
 			if insert {
@@ -95,12 +102,15 @@ func (m *Model) ApplyBatch(changes []dd.Entry[dataplane.Rule], order Order) (*Ba
 		return nil
 	}
 	var err error
-	if order == InsertFirst {
+	switch {
+	case m.sweeps(ins, del):
+		m.sweep(ins)
+	case order == InsertFirst:
 		err = apply(ins, true)
 		if err == nil {
 			err = apply(del, false)
 		}
-	} else {
+	default:
 		err = apply(del, false)
 		if err == nil {
 			err = apply(ins, true)
@@ -127,21 +137,17 @@ func (m *Model) ApplyBatch(changes []dd.Entry[dataplane.Rule], order Order) (*Ba
 // sortRules orders rules longest-prefix first, then by device and
 // next-hop, for deterministic batches.
 func sortRules(rules []dataplane.Rule) {
-	sort.Slice(rules, func(i, j int) bool {
-		a, b := rules[i], rules[j]
+	slices.SortFunc(rules, func(a, b dataplane.Rule) int {
 		if a.Prefix.Len != b.Prefix.Len {
-			return a.Prefix.Len > b.Prefix.Len
+			return cmp.Compare(b.Prefix.Len, a.Prefix.Len)
 		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
+		if c := strings.Compare(a.Device, b.Device); c != 0 {
+			return c
 		}
 		if a.Prefix.Addr != b.Prefix.Addr {
-			return a.Prefix.Addr < b.Prefix.Addr
+			return cmp.Compare(a.Prefix.Addr, b.Prefix.Addr)
 		}
-		if a.NextHop != b.NextHop {
-			return a.NextHop < b.NextHop
-		}
-		return a.OutIntf < b.OutIntf
+		return cmp.Or(strings.Compare(a.NextHop, b.NextHop), strings.Compare(a.OutIntf, b.OutIntf))
 	})
 }
 

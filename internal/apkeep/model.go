@@ -409,13 +409,10 @@ func (m *Model) moveECs(dev DevID, pred bdd.Node, newPort Port, hint dstHint, la
 		}
 		row[dev] = pid
 		m.bumpSig(id, newFact-portFact(dev, oldID))
-		old := m.portTab[oldID]
-		m.transfers = append(m.transfers, Transfer{Device: dev, EC: id, Old: old, New: newPort})
+		t := Transfer{Device: dev, EC: id, Old: m.portTab[oldID], New: newPort}
+		m.transfers = append(m.transfers, t)
 		if m.tr != nil {
-			m.tr.Event(obs.TrackModel, obs.EventECTransfer,
-				trace.S("device", m.devs[dev].name), trace.U("ec", uint64(m.slots[id].node)),
-				trace.S("rule", label),
-				trace.S("from", old.String()), trace.S("to", newPort.String()))
+			m.traceTransfer(t, label)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package bdd
 
 import (
 	"fmt"
+	"sort"
 
 	"realconfig/internal/dataplane"
 	"realconfig/internal/netcfg"
@@ -39,6 +40,25 @@ func (h *Headers) SrcPrefix(p netcfg.Prefix) Node { return h.ipPrefixOn(srcIPOff
 // (inclusive). Used by the model's destination-interval index checks.
 func (h *Headers) DstRange(lo, hi uint32) Node {
 	return h.And(h.geq(dstIPOff, 32, lo), h.leq(dstIPOff, 32, hi))
+}
+
+// DstBlocks returns the predicate "destination IP in one of blocks",
+// for disjoint prefixes sorted by address. It builds the union top-down,
+// one node per branch of the address trie the blocks span, where an Or
+// per block would rebuild the growing union each time.
+func (h *Headers) DstBlocks(blocks []netcfg.Prefix) Node { return h.dstBlocks(blocks, 0) }
+
+// dstBlocks is DstBlocks for blocks inside one depth-bit prefix.
+func (h *Headers) dstBlocks(blocks []netcfg.Prefix, depth int) Node {
+	switch {
+	case len(blocks) == 0:
+		return False
+	case int(blocks[0].Len) == depth:
+		return True // the one block, covering the whole branch
+	}
+	bit := uint32(1) << (31 - depth)
+	i := sort.Search(len(blocks), func(i int) bool { return uint32(blocks[i].Addr)&bit != 0 })
+	return h.mk(int32(dstIPOff+depth), h.dstBlocks(blocks[:i], depth+1), h.dstBlocks(blocks[i:], depth+1))
 }
 
 // ipPrefixOn returns "the IP field at off is in p, and then" below:

@@ -230,3 +230,39 @@ func TestLPMShadowAlgebra(t *testing.T) {
 		t.Error("shadow algebra does not reassemble")
 	}
 }
+
+// TestDstBlocksEqualsOrChain builds seeded unions of disjoint sorted
+// prefixes inside 10.0.0.0/16, plus the empty union, the whole space,
+// and two siblings that fill their parent, and requires DstBlocks to
+// give the node an Or over DstPrefix gives.
+func TestDstBlocksEqualsOrChain(t *testing.T) {
+	h := NewHeaders()
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]netcfg.Prefix{nil, {{}}, {netcfg.MustPrefix("10.0.0.0/25"), netcfg.MustPrefix("10.0.0.128/25")}}
+	base := uint32(netcfg.MustAddr("10.0.0.0"))
+	for range 200 {
+		var blocks []netcfg.Prefix
+		for off := uint32(0); off < 1<<16; {
+			ln := uint8(20 + rng.Intn(13)) // a block of 2^(32-ln) addresses
+			size := uint32(1) << (32 - ln)
+			off = (off + size - 1) &^ (size - 1) // aligned
+			if off >= 1<<16 {
+				break
+			}
+			if rng.Intn(2) == 0 {
+				blocks = append(blocks, netcfg.Prefix{Addr: netcfg.Addr(base + off), Len: ln})
+			}
+			off += size * uint32(1+rng.Intn(3))
+		}
+		cases = append(cases, blocks)
+	}
+	for i, blocks := range cases {
+		want := False
+		for _, b := range blocks {
+			want = h.Or(want, h.DstPrefix(b))
+		}
+		if got := h.DstBlocks(blocks); got != want {
+			t.Fatalf("case %d (%d blocks): DstBlocks differs from the Or chain", i, len(blocks))
+		}
+	}
+}

@@ -501,9 +501,11 @@ func (v *Verifier) pipeline(c stageClock, net *netcfg.Network, seq uint64) (*Rep
 			trace.I("iterations", int64(stats.Iterations))}
 	})
 
-	// Stage 2: incremental data plane model update.
-	err = v.model.UpdateFilters(filterChanges)
-	if err == nil {
+	// Stage 2: incremental data plane model update (loadModel for a
+	// load into the fresh model, cur being nil).
+	if v.cur == nil {
+		rep.Model, err = v.loadModel(ruleChanges, filterChanges)
+	} else if err = v.model.UpdateFilters(filterChanges); err == nil {
 		rep.Model, err = v.model.ApplyBatch(ruleChanges, v.opts.Order)
 	}
 	if err != nil {
@@ -560,6 +562,27 @@ func (v *Verifier) pipeline(c stageClock, net *netcfg.Network, seq uint64) (*Rep
 		tr.Finish(seq)
 	}
 	return rep, nil
+}
+
+// loadModel is the model update of a load into the fresh model. The
+// rules go first, so the model sweeps its partition from atoms
+// (apkeep.Model.ApplyBatch); the ACL bindings then split it, and an
+// empty batch collects their flips and merges into the one result.
+func (v *Verifier) loadModel(rules []dd.Entry[dataplane.Rule], filters []dd.Entry[dataplane.FilterRule]) (*apkeep.BatchResult, error) {
+	res, err := v.model.ApplyBatch(rules, v.opts.Order)
+	if err != nil {
+		return nil, err
+	}
+	if err := v.model.UpdateFilters(filters); err != nil {
+		return nil, err
+	}
+	flips, err := v.model.ApplyBatch(nil, v.opts.Order)
+	if err != nil {
+		return nil, err
+	}
+	res.FilterTransfers = flips.FilterTransfers
+	res.Merges = append(res.Merges, flips.Merges...)
+	return res, nil
 }
 
 // changedDevices names the devices whose compile units an apply from

@@ -369,11 +369,11 @@ func (n *Network) Clone() *Network {
 // result holds every *Config of n that no change touches
 // (Change.Touches) and n's *Topology unless a change edits links, and a
 // clone of each touched device, taken before the first change that
-// touches it. n itself is never written. It returns the first change's
-// error that fails to apply.
+// touches it. n itself is never written. When a change fails to apply,
+// it returns a *ChangeError naming the first that failed.
 func (n *Network) With(changes ...Change) (*Network, error) {
 	next := &Network{Devices: maps.Clone(n.Devices), Topology: n.Topology}
-	for _, ch := range changes {
+	for i, ch := range changes {
 		devs, links := ch.Touches()
 		for _, d := range devs {
 			if cfg := next.Devices[d]; cfg != nil && cfg == n.Devices[d] {
@@ -384,11 +384,22 @@ func (n *Network) With(changes ...Change) (*Network, error) {
 			next.Topology = n.Topology.Clone()
 		}
 		if err := ch.Apply(next); err != nil {
-			return nil, err
+			return nil, &ChangeError{Index: i, Err: err}
 		}
 	}
 	return next, nil
 }
+
+// ChangeError is With's error: change Index of its arguments failed to
+// apply with Err, whose message it keeps.
+type ChangeError struct {
+	Index int
+	Err   error
+}
+
+func (e *ChangeError) Error() string { return e.Err.Error() }
+
+func (e *ChangeError) Unwrap() error { return e.Err }
 
 // DeviceNames returns the device names in sorted order.
 func (n *Network) DeviceNames() []string {

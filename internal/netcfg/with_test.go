@@ -62,3 +62,19 @@ func TestWithSharesWhatItDoesNotTouch(t *testing.T) {
 		}
 	}
 }
+
+// TestWithNamesFailingChange derives three changes of which the second
+// fails: With's error is a *ChangeError with that index, whose message
+// and unwrapped error are the change's own.
+func TestWithNamesFailingChange(t *testing.T) {
+	n := NewNetwork()
+	n.Devices["a"] = &Config{Hostname: "a"}
+	r := StaticRoute{Prefix: MustPrefix("198.18.0.0/24"), Drop: true}
+	changes := []Change{AddStaticRoute{Device: "a", Route: r}, RemoveStaticRoute{Device: "b", Route: r}, AddStaticRoute{Device: "a", Route: r}}
+	_, err := n.With(changes...)
+	cause := changes[1].Apply(n)
+	ce, ok := err.(*ChangeError)
+	if !ok || ce.Index != 1 || err.Error() != cause.Error() || ce.Unwrap().Error() != cause.Error() {
+		t.Fatalf("With = %#v, want a *ChangeError at index 1 saying %q", err, cause)
+	}
+}

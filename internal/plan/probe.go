@@ -6,6 +6,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 
 	"realconfig/internal/core"
@@ -72,20 +73,21 @@ func (s *searcher) reposition(state []int) error {
 }
 
 // canonicalNet derives the canonical network of a change set from the
-// base snapshot, copy-on-write: the set's changes applied in index
-// order. A failure here means the batch's changes do not commute (a
-// change's applicability depended on the order the set was assembled
+// base snapshot in one copy-on-write step: the set's changes applied in
+// index order. A failure here means the batch's changes do not commute
+// (a change's applicability depended on the order the set was assembled
 // in), which the planner rejects.
 func canonicalNet(base *netcfg.Network, batch []netcfg.Change, state []int) (*netcfg.Network, error) {
-	net := base
-	for _, i := range state {
-		next, err := net.With(batch[i])
-		if err != nil {
-			return nil, fmt.Errorf("plan: batch changes do not commute: %v fails at canonical state %v: %w", batch[i], state, err)
-		}
-		net = next
+	changes := make([]netcfg.Change, len(state))
+	for j, i := range state {
+		changes[j] = batch[i]
 	}
-	return net, nil
+	net, err := base.With(changes...)
+	var ce *netcfg.ChangeError
+	if errors.As(err, &ce) {
+		return nil, fmt.Errorf("plan: batch changes do not commute: %v fails at canonical state %v: %w", changes[ce.Index], state, ce.Err)
+	}
+	return net, err
 }
 
 func sameSet(a, b []int) bool {

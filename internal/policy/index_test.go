@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -568,8 +569,9 @@ func checkTracedRecheck(t *testing.T, c *Checker, before map[apkeep.ECID]*ecResu
 }
 
 // TestExplainDeterministic repeats each Explain case 20 times: when
-// several ECs in the header fail, the lowest-id one is reported, and a
-// header overlapping no EC gets its own message.
+// several ECs in the header fail, the one holding the header's lowest
+// packet is reported, and a header overlapping no EC gets its own
+// message.
 func TestExplainDeterministic(t *testing.T) {
 	m, c := lineModel(t)
 	// c delivers each /26 of 10.9.0.0/24 on its own interface (four
@@ -587,18 +589,20 @@ func TestExplainDeterministic(t *testing.T) {
 	whole := dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.0/24")}
 	upper := dataplane.Match{Dst: netcfg.MustPrefix("10.9.0.128/25")}
 	c.AddPolicy(Reachability{PolicyName: "whole", Src: "a", Dst: "c", Hdr: whole, Mode: ReachAll})
-	// lowest renders the account of the lowest-id EC overlapping hdr.
+	// lowest renders the account of the EC overlapping hdr that holds
+	// its lowest packet.
 	lowest := func(hdr dataplane.Match) string {
-		var ids []bdd.Node
+		var pkts []bdd.Packet
 		for _, ec := range c.overlapping(hdr).AppendTo(nil) {
-			ids = append(ids, c.model.Node(ec))
+			pkt, _ := c.model.WitnessIn(hdr, c.model.Node(ec))
+			pkts = append(pkts, pkt)
 		}
-		if len(ids) < 2 {
-			t.Fatalf("%+v overlaps %d ECs; the test needs several failing", hdr, len(ids))
+		if len(pkts) < 2 {
+			t.Fatalf("%+v overlaps %d ECs; the test needs several failing", hdr, len(pkts))
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		pkt, _ := c.model.WitnessIn(hdr, ids[0])
-		return fmt.Sprintf("packet %v: dropped at b (path [a b])", pkt)
+		return fmt.Sprintf("packet %v: dropped at b (path [a b])", slices.MinFunc(pkts, func(a, b bdd.Packet) int {
+			return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.DstPort, b.DstPort))
+		}))
 	}
 
 	_, healthy := lineModel(t)

@@ -1,10 +1,12 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
 	"realconfig/internal/apkeep"
+	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 )
 
@@ -234,25 +236,40 @@ func (*BlackholeFree) check(_, _ apkeep.DevID, rs []*ecResult) bool {
 
 // Explain renders a human-readable account of why a reachability-style
 // check currently fails between src and dst for packets in hdr. When
-// several ECs in the header fail, the one with the lowest predicate
-// node is reported, so the account is deterministic.
+// several ECs in the header fail, the one holding the lowest failing
+// packet of the header is reported (a witness is the lowest packet of
+// its predicate), so the account depends on the partition alone, not
+// on the ids or nodes the history of updates gave its classes.
 func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
 	ecs := c.headerECs(hdr).AppendTo(nil)
 	if len(ecs) == 0 {
 		return "no packets in the header space"
 	}
-	node := c.model.Node
-	sort.Slice(ecs, func(i, j int) bool { return node(ecs[i]) < node(ecs[j]) })
-	for _, ec := range ecs {
-		o, ok := c.Outcome(ec, src)
-		if ok && o.Kind == Delivered && o.At == dst {
+	found := false
+	var ec apkeep.ECID
+	var pkt bdd.Packet
+	for _, id := range ecs {
+		if o, ok := c.Outcome(id, src); ok && o.Kind == Delivered && o.At == dst {
 			continue
 		}
-		pkt, _ := c.model.WitnessIn(hdr, node(ec))
-		if !ok {
-			return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
+		w, _ := c.model.WitnessIn(hdr, c.model.Node(id))
+		if !found || packetLess(w, pkt) {
+			found, ec, pkt = true, id, w
 		}
-		return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, c.TracePath(ec, c.model.DevOf(src)))
 	}
-	return "all packets delivered"
+	if !found {
+		return "all packets delivered"
+	}
+	o, ok := c.Outcome(ec, src)
+	if !ok {
+		return fmt.Sprintf("packet %v: no outcome at %s", pkt, src)
+	}
+	return fmt.Sprintf("packet %v: %s at %s (path %v)", pkt, o.Kind, o.At, c.TracePath(ec, c.model.DevOf(src)))
+}
+
+// packetLess orders packets by their header fields in BDD variable
+// order, the order of Witness.
+func packetLess(a, b bdd.Packet) bool {
+	return cmp.Or(cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Src, b.Src),
+		cmp.Compare(a.Proto, b.Proto), cmp.Compare(a.DstPort, b.DstPort)) < 0
 }

@@ -11,11 +11,12 @@ import (
 	"realconfig/internal/netcfg"
 )
 
-// relations holds interned tuples of the eight dataflow inputs. Every
+// relations holds interned tuples of the nine dataflow inputs. Every
 // compile unit keeps its own share of them, so a change recompiles only
 // the units it can reach and stages their difference; the expensive
 // route computation stays incremental behind the inputs.
 type relations struct {
+	ospfRouters []sym
 	ospfAdj     []dd.KV[sym, ospfHop]
 	ospfSeeds   []dd.KV[rkey, ospfRt]
 	bgpSess     []dd.KV[sym, bgpSess]
@@ -27,6 +28,7 @@ type relations struct {
 }
 
 func (r *relations) reset() {
+	r.ospfRouters = r.ospfRouters[:0]
 	r.ospfAdj = r.ospfAdj[:0]
 	r.ospfSeeds = r.ospfSeeds[:0]
 	r.bgpSess = r.bgpSess[:0]
@@ -218,6 +220,7 @@ func (gen *Generator) stage(u *unit, next *relations) {
 		gen.refFilters(next.bgpSess, 1)
 		gen.refFilters(u.rel.bgpSess, -1)
 	}
+	restage(gen.ospfRouters, &u.rel.ospfRouters, next.ospfRouters)
 	restage(gen.ospfAdj, &u.rel.ospfAdj, next.ospfAdj)
 	restage(gen.ospfSeeds, &u.rel.ospfSeeds, next.ospfSeeds)
 	restage(gen.bgpSess, &u.rel.bgpSess, next.bgpSess)
@@ -353,6 +356,7 @@ func (gen *Generator) compileUnit(net *netcfg.Network, name string, cfg *netcfg.
 			dd.MkKV(rkey{Dev: dev, Prefix: p}, bgpRt{LocalPref: netcfg.DefaultLocalPref}))
 	}
 	if o := cfg.OSPF; o != nil {
+		rel.ospfRouters = append(rel.ospfRouters, dev)
 		for _, i := range cfg.Interfaces {
 			if i.Shutdown || i.Addr.IsZero() {
 				continue

@@ -433,6 +433,7 @@ func dumpRelations(gen *Generator) map[string]map[string]dd.Diff {
 	}
 	rk := func(k rkey) string { return fmt.Sprintf("%v", gen.syms.routeKey(k)) }
 	out := make(map[string]map[string]dd.Diff)
+	dumpInput(out, "ospfRouters", gen.ospfRouters, func(o sym) string { return n(o) })
 	dumpInput(out, "ospfAdj", gen.ospfAdj, func(kv dd.KV[sym, ospfHop]) string {
 		return fmt.Sprintf("%s<-%s/%s cost %d", n(kv.K), n(kv.V.Dev), n(kv.V.Intf), kv.V.Cost)
 	})

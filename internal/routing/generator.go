@@ -44,14 +44,15 @@ type Generator struct {
 	syms *symtab
 
 	// Inputs (compiled relations).
-	ospfAdj   *dd.Input[dd.KV[sym, ospfHop]]
-	ospfSeeds *dd.Input[dd.KV[rkey, ospfRt]]
-	bgpSess   *dd.Input[dd.KV[sym, bgpSess]]
-	bgpOrigin *dd.Input[dd.KV[rkey, bgpRt]]
-	ribDirect *dd.Input[dd.KV[rkey, ribEnt]]
-	ospfFromB *dd.Input[dd.KV[sym, uint32]]        // device -> metric (OSPF redistributes BGP)
-	bgpFromO  *dd.Input[dd.KV[sym, struct{}]]      // device set (BGP redistributes OSPF)
-	bgpAgg    *dd.Input[dd.KV[sym, netcfg.Prefix]] // device -> aggregate-address
+	ospfRouters *dd.Input[sym] // devices that run OSPF
+	ospfAdj     *dd.Input[dd.KV[sym, ospfHop]]
+	ospfSeeds   *dd.Input[dd.KV[rkey, ospfRt]]
+	bgpSess     *dd.Input[dd.KV[sym, bgpSess]]
+	bgpOrigin   *dd.Input[dd.KV[rkey, bgpRt]]
+	ribDirect   *dd.Input[dd.KV[rkey, ribEnt]]
+	ospfFromB   *dd.Input[dd.KV[sym, uint32]]        // device -> metric (OSPF redistributes BGP)
+	bgpFromO    *dd.Input[dd.KV[sym, struct{}]]      // device set (BGP redistributes OSPF)
+	bgpAgg      *dd.Input[dd.KV[sym, netcfg.Prefix]] // device -> aggregate-address
 
 	// Prefix lists referenced by session tuples, content-addressed: the
 	// same entries always map to the same id while some session uses
@@ -140,64 +141,95 @@ func New(Options) *Generator {
 	g := dd.NewGraph()
 	syms := newSymtab()
 	gen := &Generator{
-		g:          g,
-		syms:       syms,
-		ospfAdj:    dd.NewInput[dd.KV[sym, ospfHop]](g),
-		ospfSeeds:  dd.NewInput[dd.KV[rkey, ospfRt]](g),
-		bgpSess:    dd.NewInput[dd.KV[sym, bgpSess]](g),
-		bgpOrigin:  dd.NewInput[dd.KV[rkey, bgpRt]](g),
-		ribDirect:  dd.NewInput[dd.KV[rkey, ribEnt]](g),
-		ospfFromB:  dd.NewInput[dd.KV[sym, uint32]](g),
-		bgpFromO:   dd.NewInput[dd.KV[sym, struct{}]](g),
-		bgpAgg:     dd.NewInput[dd.KV[sym, netcfg.Prefix]](g),
-		filterIDs:  make(map[string]uint32),
-		filterDefs: make(map[uint32]*filterDef),
-		filters:    make(map[dataplane.FilterRule]bool),
-		units:      make(map[string]*unit),
-		incident:   make(map[string][]netcfg.Link),
-		dirty:      make(map[string]bool),
+		g:           g,
+		syms:        syms,
+		ospfRouters: dd.NewInput[sym](g),
+		ospfAdj:     dd.NewInput[dd.KV[sym, ospfHop]](g),
+		ospfSeeds:   dd.NewInput[dd.KV[rkey, ospfRt]](g),
+		bgpSess:     dd.NewInput[dd.KV[sym, bgpSess]](g),
+		bgpOrigin:   dd.NewInput[dd.KV[rkey, bgpRt]](g),
+		ribDirect:   dd.NewInput[dd.KV[rkey, ribEnt]](g),
+		ospfFromB:   dd.NewInput[dd.KV[sym, uint32]](g),
+		bgpFromO:    dd.NewInput[dd.KV[sym, struct{}]](g),
+		bgpAgg:      dd.NewInput[dd.KV[sym, netcfg.Prefix]](g),
+		filterIDs:   make(map[string]uint32),
+		filterDefs:  make(map[uint32]*filterDef),
+		filters:     make(map[dataplane.FilterRule]bool),
+		units:       make(map[string]*unit),
+		incident:    make(map[string][]netcfg.Link),
+		dirty:       make(map[string]bool),
 	}
 
 	// The two protocol fixpoints feed each other through redistribution,
 	// so both loop variables are declared first and closed after.
-	ospfVar := dd.NewVar[dd.KV[rkey, ospfRt]](g)
+	rdistVar := dd.NewVar[dd.KV[rdkey, ospfRt]](g)
 	bgpVar := dd.NewVar[dd.KV[rkey, bgpRt]](g)
 
 	// --- OSPF ------------------------------------------------------------
-	// Seeds: compiled announcements plus BGP bests redistributed into
-	// OSPF at devices configured to do so.
+	// RFC 2328's shape: shortest paths over routers, then prefixes
+	// attached at the routers that announce them. The router loop holds
+	// each device's best route to every OSPF router (the origin): the
+	// origin reaches itself at distance 0, and a route at device v
+	// reaches each OSPF neighbor u at cost(u->v) more.
+	routerSeeds := dd.Map(gen.ospfRouters.Collection(), func(o sym) dd.KV[rdkey, ospfRt] {
+		return dd.MkKV(rdkey{Dev: o, Origin: o}, ospfRt{})
+	})
+	rdistByDev := dd.Map(rdistVar.Collection(),
+		func(kv dd.KV[rdkey, ospfRt]) dd.KV[sym, dd.KV[sym, uint32]] {
+			return dd.MkKV(kv.K.Dev, dd.MkKV(kv.K.Origin, kv.V.Dist))
+		})
+	rdistCands := dd.Join(rdistByDev, gen.ospfAdj.Collection(),
+		func(v sym, od dd.KV[sym, uint32], hop ospfHop) dd.KV[rdkey, ospfRt] {
+			return dd.MkKV(
+				rdkey{Dev: hop.Dev, Origin: od.K},
+				ospfRt{Dist: od.V + hop.Cost, NextHop: v, OutIntf: hop.Intf},
+			)
+		})
+	rdistCands = dd.Filter(rdistCands, func(kv dd.KV[rdkey, ospfRt]) bool {
+		return kv.V.Dist < maxOSPFDist
+	})
+	rdist := dd.ReduceMin(dd.Concat(routerSeeds, rdistCands), syms.ospfBetter)
+	rdistVar.Feedback(rdist)
+
+	// Stubs: each origin's announced prefixes and metrics, compiled
+	// seeds plus BGP bests redistributed into OSPF at devices configured
+	// to do so.
 	bgpByDev := dd.Map(bgpVar.Collection(),
 		func(kv dd.KV[rkey, bgpRt]) dd.KV[sym, netcfg.Prefix] {
 			return dd.MkKV(kv.K.Dev, kv.K.Prefix)
 		})
-	ospfRedistSeeds := dd.Join(bgpByDev, gen.ospfFromB.Collection(),
-		func(dev sym, prefix netcfg.Prefix, metric uint32) dd.KV[rkey, ospfRt] {
-			return dd.MkKV(rkey{Dev: dev, Prefix: prefix}, ospfRt{Dist: metric})
+	redistStubs := dd.Join(bgpByDev, gen.ospfFromB.Collection(),
+		func(dev sym, prefix netcfg.Prefix, metric uint32) dd.KV[sym, dd.KV[netcfg.Prefix, uint32]] {
+			return dd.MkKV(dev, dd.MkKV(prefix, metric))
 		})
-	// Propagation: a route at device v reaches each OSPF neighbor u at
-	// cost(u->v) more.
-	ospfByDev := dd.Map(ospfVar.Collection(),
+	seedStubs := dd.Map(gen.ospfSeeds.Collection(),
 		func(kv dd.KV[rkey, ospfRt]) dd.KV[sym, dd.KV[netcfg.Prefix, uint32]] {
 			return dd.MkKV(kv.K.Dev, dd.MkKV(kv.K.Prefix, kv.V.Dist))
 		})
-	ospfCands := dd.Join(ospfByDev, gen.ospfAdj.Collection(),
-		func(v sym, pd dd.KV[netcfg.Prefix, uint32], hop ospfHop) dd.KV[rkey, ospfRt] {
-			return dd.MkKV(
-				rkey{Dev: hop.Dev, Prefix: pd.K},
-				ospfRt{Dist: pd.V + hop.Cost, NextHop: v, OutIntf: hop.Intf},
-			)
+	// Attach: a device's route to a prefix goes to one of its origins,
+	// at the distance to the origin plus the origin's metric. Route order
+	// is lexicographic on (Dist, NextHop, OutIntf) and adding a metric
+	// keeps it, so the minimum over origins of each origin's minimum is
+	// the per-prefix fixpoint's minimum, tie-breaks included.
+	rdistByOrigin := dd.Map(rdist,
+		func(kv dd.KV[rdkey, ospfRt]) dd.KV[sym, dd.KV[sym, ospfRt]] {
+			return dd.MkKV(kv.K.Origin, dd.MkKV(kv.K.Dev, kv.V))
 		})
-	ospfCands = dd.Filter(ospfCands, func(kv dd.KV[rkey, ospfRt]) bool {
-		return kv.V.Dist < maxOSPFDist
+	ospfAll := dd.Join(rdistByOrigin, dd.Concat(seedStubs, redistStubs),
+		func(_ sym, dr dd.KV[sym, ospfRt], stub dd.KV[netcfg.Prefix, uint32]) dd.KV[rkey, ospfRt] {
+			r := dr.V
+			r.Dist += stub.V
+			return dd.MkKV(rkey{Dev: dr.K, Prefix: stub.K}, r)
+		})
+	ospfAll = dd.Filter(ospfAll, func(kv dd.KV[rkey, ospfRt]) bool {
+		return kv.V.NextHop == 0 || kv.V.Dist < maxOSPFDist // an origin keeps its own metric
 	})
-	ospfAll := dd.Concat(gen.ospfSeeds.Collection(), ospfRedistSeeds, ospfCands)
 	ospfBest, ospfArr := dd.ReduceMinArranged(ospfAll, syms.ospfBetter)
-	ospfVar.Feedback(ospfBest)
 
 	// --- BGP --------------------------------------------------------------
 	// Origins: compiled network statements / compile-time redistributions
 	// plus OSPF bests redistributed into BGP.
-	ospfBestByDev := dd.Map(ospfVar.Collection(),
+	ospfBestByDev := dd.Map(ospfBest,
 		func(kv dd.KV[rkey, ospfRt]) dd.KV[sym, netcfg.Prefix] {
 			return dd.MkKV(kv.K.Dev, kv.K.Prefix)
 		})

@@ -70,6 +70,13 @@ type rkey struct {
 	Prefix netcfg.Prefix
 }
 
+// rdkey keys the OSPF router loop: device Dev's route to the OSPF
+// router Origin.
+type rdkey struct {
+	Dev    sym
+	Origin sym
+}
+
 // ospfRt is an interned dataplane.OSPFRoute.
 type ospfRt struct {
 	Dist    uint32
