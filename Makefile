@@ -37,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzResumeToken$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/repl
 	$(GO) test -fuzz '^FuzzIncrementalEqualsBootstrap$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz '^FuzzBatchEqualsOneByOne$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/apkeep
+	$(GO) test -fuzz '^FuzzAllowOfEqualsFirstMatch$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/apkeep
 
 # cover measures per-package statement coverage and fails if any package
 # listed in coverage.txt dropped below its recorded floor. After

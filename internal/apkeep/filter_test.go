@@ -2,6 +2,8 @@ package apkeep
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"realconfig/internal/bdd"
@@ -162,6 +164,90 @@ func TestFilterChangeEmitsOnlyFlippedECs(t *testing.T) {
 	if len(tr) == 0 {
 		t.Fatal("no transfers for extended deny")
 	}
+
+	// Differential case: on a model with destination structure, every
+	// EC's status must be what the binding's lines say of its packets
+	// after a bind, after a rebind to another /24 (whose old region
+	// unblocks) and after the unbind.
+	m = New()
+	for _, r := range []dataplane.Rule{
+		rule("r1", "10.0.0.0/8", "r2"), rule("r1", "10.1.2.0/24", "r3"),
+		rule("r1", "10.1.3.0/24", "r3"), rule("r2", "10.1.0.0/16", ""),
+	} {
+		m.InsertRule(r)
+	}
+	acl := func(dst string) []dataplane.FilterRule {
+		var lines []dataplane.FilterRule
+		for i := 0; i < 16; i++ {
+			p := uint16(1024 + 16*i)
+			lines = append(lines, filterRule("r1", "eth0", dataplane.Out, 10*(i+1), netcfg.Deny,
+				dataplane.Match{Proto: netcfg.ProtoTCP, Dst: netcfg.MustPrefix(dst), DstPortLo: p, DstPortHi: p}))
+		}
+		return append(lines, filterRule("r1", "eth0", dataplane.Out, 170, netcfg.Permit, dataplane.MatchAll))
+	}
+	a, b := acl("10.1.2.0/24"), acl("10.1.3.0/24")
+	check := func(step string, lines []dataplane.FilterRule) {
+		t.Helper()
+		deny := bdd.False
+		if len(lines) > 0 {
+			deny = m.H.Not(firstMatchFold(m.H, lines))
+		}
+		for _, id := range m.AppendLive(nil) {
+			ec := m.Node(id)
+			if in := m.H.And(ec, deny); in != bdd.False && in != ec {
+				t.Fatalf("%s: EC %d straddles the binding's deny", step, id)
+			}
+			pkt, _ := m.H.Witness(ec)
+			if got, want := m.BlockedAt(m.DevOf("r1"), "eth0", dataplane.Out, id), evalDenies(lines, pkt); got != want {
+				t.Fatalf("%s: EC %d (packet %v) blocked = %v, its lines say %v", step, id, pkt, got, want)
+			}
+		}
+		for _, inv := range []func() error{m.CheckPartition, m.CheckIndex} {
+			if err := inv(); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+	}
+	edit := func(del, ins []dataplane.FilterRule) {
+		t.Helper()
+		var batch []dd.Entry[dataplane.FilterRule]
+		for _, l := range del {
+			batch = append(batch, dd.Entry[dataplane.FilterRule]{Val: l, Diff: -1})
+		}
+		if err := m.UpdateFilters(append(batch, insAll(ins...)...)); err != nil {
+			t.Fatal(err)
+		}
+		m.TakeFilterTransfers()
+	}
+	edit(nil, a)
+	check("bind", a)
+	edit(a, b)
+	check("rebind", b)
+	old := bdd.Packet{Dst: netcfg.MustAddr("10.1.2.9"), Proto: netcfg.ProtoTCP, DstPort: 1024}
+	if m.BlockedAt(m.DevOf("r1"), "eth0", dataplane.Out, mustEC(t, m, old)) {
+		t.Error("the old /24 stayed blocked after the rebind")
+	}
+	edit(b, nil)
+	check("unbind", nil)
+}
+
+// evalDenies evaluates a binding's lines on one packet: the first line
+// by sequence that matches decides, and no match denies. No lines is no
+// binding, which permits everything.
+func evalDenies(lines []dataplane.FilterRule, pkt bdd.Packet) bool {
+	if len(lines) == 0 {
+		return false
+	}
+	sorted := slices.Clone(lines)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Seq < sorted[j].Seq })
+	for _, l := range sorted {
+		x := l.Match
+		if (x.Proto == netcfg.ProtoIPAny || x.Proto == pkt.Proto) && x.Src.Contains(pkt.Src) && x.Dst.Contains(pkt.Dst) &&
+			(x.DstPortLo == 0 && x.DstPortHi == 0 || x.DstPortLo <= pkt.DstPort && pkt.DstPort <= x.DstPortHi) {
+			return l.Action == netcfg.Deny
+		}
+	}
+	return true
 }
 
 func TestFiltersSurviveForwardingSplits(t *testing.T) {

@@ -232,6 +232,8 @@ type Model struct {
 
 	// cands and inside are split's scratch.
 	cands, inside []ECID
+	// matches is allowOf's scratch.
+	matches []dataplane.Match
 }
 
 // New creates a model whose packet space is a single EC (everything

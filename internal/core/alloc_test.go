@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"realconfig/internal/bdd"
@@ -92,9 +93,16 @@ const aclLines = 17
 // pair of a 16-line deny ACL, outbound on its first switch's first
 // interface, towards the next switch's host /24: the acl-static-edits
 // workload's ACL half. Unlike staticEdit, which splits one EC, binding
-// it splits the partition with a full-range boundary and unbinding it
+// it splits the partition along a filter boundary and unbinding it
 // merges the pieces back.
 func aclEdit(tb testing.TB, k int) (*Verifier, [2][]netcfg.Change) {
+	v, at := aclEditAt(tb, k)
+	return v, at(1024)
+}
+
+// aclEditAt is aclEdit with the deny ports left open: at(base) is the
+// pair whose 16 denies name the ports base, base+16, ..., base+240.
+func aclEditAt(tb testing.TB, k int) (*Verifier, func(base uint16) [2][]netcfg.Change) {
 	tb.Helper()
 	net, err := topology.FatTree(k, topology.BGP)
 	if err != nil {
@@ -107,16 +115,29 @@ func aclEdit(tb testing.TB, k int) (*Verifier, [2][]netcfg.Change) {
 	dev := net.NodeNames[0]
 	intf := net.Devices[dev].Interfaces[0].Name
 	dst := net.HostPrefix[net.NodeNames[1]]
-	lines := make([]netcfg.ACLLine, 0, aclLines)
-	for i := 0; i < aclLines-1; i++ {
-		p := uint16(1024 + 16*i)
-		lines = append(lines, netcfg.ACLLine{Seq: 10 * (i + 1), Action: netcfg.Deny, Proto: netcfg.ProtoTCP, Dst: dst, DstPortLo: p, DstPortHi: p})
+	return v, func(base uint16) [2][]netcfg.Change {
+		lines := make([]netcfg.ACLLine, 0, aclLines)
+		for i := 0; i < aclLines-1; i++ {
+			p := base + uint16(16*i)
+			lines = append(lines, netcfg.ACLLine{Seq: 10 * (i + 1), Action: netcfg.Deny, Proto: netcfg.ProtoTCP, Dst: dst, DstPortLo: p, DstPortHi: p})
+		}
+		lines = append(lines, netcfg.ACLLine{Seq: 10 * aclLines, Action: netcfg.Permit})
+		return [2][]netcfg.Change{
+			{netcfg.SetACL{Device: dev, Name: "edit", Lines: lines}, netcfg.BindACL{Device: dev, Intf: intf, Name: "edit"}},
+			{netcfg.BindACL{Device: dev, Intf: intf}, netcfg.SetACL{Device: dev, Name: "edit"}},
+		}
 	}
-	lines = append(lines, netcfg.ACLLine{Seq: 10 * aclLines, Action: netcfg.Permit})
-	return v, [2][]netcfg.Change{
-		{netcfg.SetACL{Device: dev, Name: "edit", Lines: lines}, netcfg.BindACL{Device: dev, Intf: intf, Name: "edit"}},
-		{netcfg.BindACL{Device: dev, Intf: intf}, netcfg.SetACL{Device: dev, Name: "edit"}},
-	}
+}
+
+// aclEditVaried returns aclEdit's verifier and a function that applies
+// one bind/unbind pair whose deny ports start at a base drawn from a
+// seeded rng, as the acl-static-edits workload draws them: unlike
+// aclEdit's fixed pair, whose repeats the BDD caches answer, every
+// pair builds new predicates.
+func aclEditVaried(tb testing.TB, k int) (*Verifier, func()) {
+	v, at := aclEditAt(tb, k)
+	rng := rand.New(rand.NewSource(1))
+	return v, func() { applyACLPair(tb, v, at(uint16(1024+rng.Intn(30000)))) }
 }
 
 // applyACLPair applies the bind and then the unbind, one Apply each.
@@ -162,10 +183,20 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 	}
 }
 
+func BenchmarkApplyACLEditVaried(b *testing.B) {
+	_, pair := aclEditVaried(b, 6)
+	pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
+	}
+}
+
 // TestApplyAllocationCeilings pins the heap allocations of one
 // add-static/remove-static Apply pair, one add/remove pair of 32 drop
-// /28 statics and one ACL bind/unbind Apply pair on FatTree(6,BGP), 45
-// devices.
+// /28 statics and one ACL bind/unbind Apply pair, with fixed and with
+// varied deny ports, on FatTree(6,BGP), 45 devices.
 // Before copy-on-write applies, each Apply cloned every device, formatted
 // and diffed every device on both sides, and cloned the network again.
 // Before per-device compile units, each Apply compiled every device and
@@ -193,10 +224,16 @@ func BenchmarkApplyACLEdit(b *testing.B) {
 // 106, 106, 106, 106, 106 for the static pair and 164, 164, 164, 164,
 // 164, 164 for the ACL pair. With block moves, four race runs measured
 // 301 for the 32 statics every time, as without the race detector.
+//
+// The varied-port ACL pair binds and unbinds the same ACL with deny
+// ports drawn from a seeded rng each time, so the BDD caches cannot
+// answer it: 170 allocs before ACL predicates were built field by
+// field, 169 after; its ceilings are 169 and, from four race runs that
+// measured 171 every time, 171, each plus 20 %.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling, aclCeiling, blockCeiling := 127.0, 195.0, 361.0
+	pairCeiling, aclCeiling, blockCeiling, variedCeiling := 127.0, 195.0, 361.0, 203.0
 	if raceEnabled {
-		pairCeiling, aclCeiling, blockCeiling = 127, 196, 361
+		pairCeiling, aclCeiling, blockCeiling, variedCeiling = 127, 196, 361, 206
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)
@@ -220,6 +257,14 @@ func TestApplyAllocationCeilings(t *testing.T) {
 	t.Logf("allocs: ACL bind + unbind Apply pair %.0f", perACL)
 	if perACL > aclCeiling {
 		t.Errorf("ACL bind + unbind Apply pair allocates %.0f objects, ceiling %.0f", perACL, aclCeiling)
+	}
+
+	_, varied := aclEditVaried(t, 6)
+	varied()
+	perVaried := testing.AllocsPerRun(10, varied)
+	t.Logf("allocs: varied-port ACL bind + unbind Apply pair %.0f", perVaried)
+	if perVaried > variedCeiling {
+		t.Errorf("varied-port ACL bind + unbind Apply pair allocates %.0f objects, ceiling %.0f", perVaried, variedCeiling)
 	}
 }
 

@@ -4,7 +4,7 @@
 // the Go equivalent built from scratch).
 //
 // A dataflow graph is built once from collections and operators (Map,
-// Filter, Join, Reduce, Distinct, Iterate, ...). Inputs then receive
+// Filter, Join, ReduceMin, Distinct, Iterate, ...). Inputs then receive
 // insertions and deletions, and each call to Graph.Advance runs one epoch
 // that propagates only the *differences* through the graph. Work is
 // proportional to the amount of change, not to the total data size, which
@@ -70,7 +70,7 @@ type Entry[T comparable] struct {
 	Diff Diff
 }
 
-// KV is a keyed record, the shape consumed by Join and Reduce.
+// KV is a keyed record, the shape consumed by Join and the reductions.
 type KV[K comparable, V comparable] struct {
 	K K
 	V V
@@ -81,8 +81,8 @@ type KV[K comparable, V comparable] struct {
 func MkKV[K comparable, V comparable](k K, v V) KV[K, V] { return KV[K, V]{K: k, V: v} }
 
 // processor is a scheduled graph node. Stateless operators (Map, Filter,
-// Concat, Negate) are fused into subscriptions and never become
-// processors; only stateful operators (Join, Reduce, Distinct, sinks) do.
+// Concat) are fused into subscriptions and never become processors; only
+// stateful operators (Join, the reductions, Distinct, sinks) do.
 type processor interface {
 	// process drains the node's pending work at the given iteration.
 	process(iter int)

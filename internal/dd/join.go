@@ -152,24 +152,3 @@ func (j *joinNode[K, A, B, R]) process(iter int) {
 	}
 	j.later = j.later[:0]
 }
-
-// JoinKeys is Join retaining both values under their key.
-func JoinKeys[K comparable, A comparable, B comparable](
-	a Collection[KV[K, A]], b Collection[KV[K, B]],
-) Collection[KV[K, KV[A, B]]] {
-	return Join(a, b, func(k K, av A, bv B) KV[K, KV[A, B]] {
-		return KV[K, KV[A, B]]{K: k, V: KV[A, B]{K: av, V: bv}}
-	})
-}
-
-// SemiJoin keeps the records of a whose key appears in keys (made
-// distinct first, so multiplicities of keys do not inflate the result).
-func SemiJoin[K comparable, A comparable](a Collection[KV[K, A]], keys Collection[K]) Collection[KV[K, A]] {
-	marked := Map(Distinct(keys), func(k K) KV[K, struct{}] { return KV[K, struct{}]{K: k} })
-	return Join(a, marked, func(k K, av A, _ struct{}) KV[K, A] { return KV[K, A]{K: k, V: av} })
-}
-
-// AntiJoin keeps the records of a whose key does NOT appear in keys.
-func AntiJoin[K comparable, A comparable](a Collection[KV[K, A]], keys Collection[K]) Collection[KV[K, A]] {
-	return Concat(a, Negate(SemiJoin(a, keys)))
-}

@@ -41,24 +41,6 @@ func Map[T comparable, U comparable](c Collection[T], f func(T) U) Collection[U]
 	return out
 }
 
-// FlatMap transforms each element into zero or more elements. f must be
-// pure; the multiplicity of each produced element follows the source.
-func FlatMap[T comparable, U comparable](c Collection[T], f func(T) []U) Collection[U] {
-	out, p := newCollection[U](c.g)
-	var buf []Entry[U]
-	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		for _, e := range batch {
-			for _, u := range f(e.Val) {
-				buf = append(buf, Entry[U]{Val: u, Diff: e.Diff})
-			}
-		}
-		p.emit(iter, buf)
-		buf = buf[:0]
-	})
-	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
-	return out
-}
-
 // Filter keeps the elements for which pred returns true.
 func Filter[T comparable](c Collection[T], pred func(T) bool) Collection[T] {
 	out, p := newCollection[T](c.g)
@@ -87,22 +69,6 @@ func Filter[T comparable](c Collection[T], pred func(T) bool) Collection[T] {
 	return out
 }
 
-// Negate flips the sign of every multiplicity. Combined with Concat it
-// expresses subtraction.
-func Negate[T comparable](c Collection[T]) Collection[T] {
-	out, p := newCollection[T](c.g)
-	var buf []Entry[T]
-	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		for _, e := range batch {
-			buf = append(buf, Entry[T]{Val: e.Val, Diff: -e.Diff})
-		}
-		p.emit(iter, buf)
-		buf = buf[:0]
-	})
-	c.g.trimmers = append(c.g.trimmers, func() { buf = trim(buf) })
-	return out
-}
-
 // Concat merges any number of collections (multiset union; multiplicities
 // add).
 func Concat[T comparable](cs ...Collection[T]) Collection[T] {
@@ -118,17 +84,5 @@ func Concat[T comparable](cs ...Collection[T]) Collection[T] {
 			p.emit(iter, batch)
 		})
 	}
-	return out
-}
-
-// Inspect invokes f on every difference batch flowing through c, for
-// debugging and instrumentation, and passes the batch on unchanged. f
-// must not retain the batch: operators reuse their buffers.
-func Inspect[T comparable](c Collection[T], f func(iter int, batch []Entry[T])) Collection[T] {
-	out, p := newCollection[T](c.g)
-	c.p.subscribe(func(iter int, batch []Entry[T]) {
-		f(iter, batch)
-		p.emit(iter, batch)
-	})
 	return out
 }

@@ -7,30 +7,18 @@ type Group[V comparable] struct {
 	Count Diff
 }
 
-// Reduce groups the records of c by key and applies f to each group's
-// accumulated contents, producing zero or more results per key (each with
-// multiplicity one; return a value twice for multiplicity two). f must be
-// pure and order-independent: the group slice is in unspecified order.
+// reduceInto groups the records of c by key and applies f to each
+// group's accumulated contents (in unspecified order); f appends the
+// key's results to dst and returns it, so the reductions run without
+// allocating a result slice per key. It also returns the node, whose
+// output groups Arranged reads.
 //
-// Reduce is the non-monotonic operator that makes incremental control
-// plane simulation hard (best-route selection *replaces* results rather
-// than accumulating them). It is exact under retraction: when a key's
-// input changes at some iteration, the key is re-evaluated at that
-// iteration and additionally at every later iteration where it has
-// history, the "interesting times" rule of differential dataflow.
-func Reduce[K comparable, V comparable, R comparable](
-	c Collection[KV[K, V]], f func(k K, group []Group[V]) []R,
-) Collection[KV[K, R]] {
-	out, _ := reduceInto(c, func(k K, group []Group[V], dst []R) []R {
-		return append(dst, f(k, group)...)
-	})
-	return out
-}
-
-// reduceInto is Reduce with an appending reduction function: f appends
-// the key's results to dst and returns it, so built-in reductions run
-// without allocating a result slice per key. It also returns the node,
-// whose output groups Arranged reads.
+// Reduction is the non-monotonic operation that makes incremental
+// control plane simulation hard (best-route selection *replaces*
+// results rather than accumulating them). It is exact under retraction:
+// when a key's input changes at some iteration, the key is re-evaluated
+// at that iteration and additionally at every later iteration where it
+// has history, the "interesting times" rule of differential dataflow.
 //
 // Arriving differences are merged into their keys' input groups at once
 // (a batch is consumed before its emitter returns), and only the key's
@@ -229,18 +217,6 @@ func Distinct[T comparable](c Collection[T]) Collection[T] {
 		return append(dst, struct{}{})
 	})
 	return Map(reduced, func(kv KV[T, struct{}]) T { return kv.K })
-}
-
-// Count reduces each key to the total multiplicity of its group.
-func Count[K comparable, V comparable](c Collection[KV[K, V]]) Collection[KV[K, Diff]] {
-	out, _ := reduceInto(c, func(_ K, group []Group[V], dst []Diff) []Diff {
-		var n Diff
-		for _, g := range group {
-			n += g.Count
-		}
-		return append(dst, n)
-	})
-	return out
 }
 
 // ReduceMin keeps, per key, the single least value according to less.
