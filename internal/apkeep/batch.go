@@ -2,7 +2,6 @@ package apkeep
 
 import (
 	"cmp"
-	"math/bits"
 	"slices"
 	"strings"
 
@@ -215,18 +214,21 @@ func (m *Model) move(dev DevID, r dataplane.Rule, port Port, verb string) {
 	m.moveECs(dev, eff, port, dstHint{dstRange: prefixRange(r.Prefix)}, label)
 }
 
-// flushMoves runs the queued run as block moves and empties it. A block
-// of one member moves as that rule would; the events of a larger block
-// name all its rules.
+// flushMoves runs the queued run as block moves and empties it: each
+// maximal aligned CIDR block of the run's range moves once, with the
+// members it holds. A block ends where a member does, since a member
+// crossing its end would have made the block larger. A block of one
+// member moves as that rule would; the events of a larger block name
+// all its rules.
 func (m *Model) flushMoves() {
 	q := &m.run
 	moves := q.moves
 	if len(moves) == 0 {
 		return
 	}
-	hi := prefixRange(moves[len(moves)-1].p).hi
-	for i := 0; i < len(moves); {
-		b := alignedBlock(uint32(moves[i].p.Addr), hi)
+	var buf [62]netcfg.Prefix // a range decomposes into at most 2*32-2 blocks
+	i := 0
+	for _, b := range netcfg.AppendRangeBlocks(buf[:0], uint32(moves[0].p.Addr), prefixRange(moves[len(moves)-1].p).hi, 32) {
 		r := prefixRange(b)
 		j := i + 1
 		for j < len(moves) && uint32(moves[j].p.Addr) <= r.hi {
@@ -244,11 +246,4 @@ func (m *Model) flushMoves() {
 		i = j
 	}
 	q.moves = moves[:0]
-}
-
-// alignedBlock returns the largest CIDR block that starts at lo and
-// ends at or before hi (lo <= hi).
-func alignedBlock(lo, hi uint32) netcfg.Prefix {
-	n := min(bits.TrailingZeros32(lo), bits.Len64(uint64(hi-lo)+1)-1)
-	return netcfg.Prefix{Addr: netcfg.Addr(lo), Len: uint8(32 - n)}
 }

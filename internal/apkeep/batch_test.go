@@ -314,8 +314,8 @@ func FuzzBatchEqualsOneByOne(f *testing.F) {
 	})
 }
 
-// TestAlignedBlock pins the CIDR cover's block choice at the edges of
-// the address space.
+// TestAlignedBlock pins the first block of a range's CIDR cover, the
+// one a run's flush starts with, at the edges of the address space.
 func TestAlignedBlock(t *testing.T) {
 	for _, tc := range []struct {
 		lo, hi uint32
@@ -329,8 +329,8 @@ func TestAlignedBlock(t *testing.T) {
 		{^uint32(0), ^uint32(0), "255.255.255.255/32"},
 		{uint32(netcfg.MustAddr("10.0.0.64")), uint32(netcfg.MustAddr("10.0.0.191")), "10.0.0.64/26"},
 	} {
-		if got := alignedBlock(tc.lo, tc.hi); got != netcfg.MustPrefix(tc.want) {
-			t.Errorf("alignedBlock(%d, %d) = %v, want %s", tc.lo, tc.hi, got, tc.want)
+		if got := netcfg.AppendRangeBlocks(nil, tc.lo, tc.hi, 32)[0]; got != netcfg.MustPrefix(tc.want) {
+			t.Errorf("first block of [%d, %d] = %v, want %s", tc.lo, tc.hi, got, tc.want)
 		}
 	}
 }

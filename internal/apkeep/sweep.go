@@ -197,7 +197,7 @@ func (m *Model) sweep(ins []dataplane.Rule) {
 		if a+1 < n {
 			hi = bounds[a+1] - 1
 		}
-		blocks[ecOf[a]] = appendBlocks(blocks[ecOf[a]], bounds[a], hi)
+		blocks[ecOf[a]] = netcfg.AppendRangeBlocks(blocks[ecOf[a]], bounds[a], hi, 32)
 	}
 	ids := make([]ECID, len(rows))
 	for c, row := range rows {
@@ -276,19 +276,6 @@ func bucket(keys []int32, n int, rev bool) (off, idx []int32) {
 		next[keys[i]]++
 	}
 	return off, idx
-}
-
-// appendBlocks appends the aligned CIDR blocks that tile [lo, hi].
-func appendBlocks(dst []netcfg.Prefix, lo, hi uint32) []netcfg.Prefix {
-	for {
-		b := alignedBlock(lo, hi)
-		dst = append(dst, b)
-		end := prefixRange(b).hi
-		if end == hi {
-			return dst
-		}
-		lo = end + 1
-	}
 }
 
 // ownerLabels joins the labels of the distinct rules that own the given

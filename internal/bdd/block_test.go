@@ -75,7 +75,7 @@ func TestRangeBlocksEqualGeqLeq(t *testing.T) {
 		}
 		for _, c := range cases {
 			want := h.And(h.geq(f.off, f.width, c[0]), h.leq(f.off, f.width, c[1]))
-			if got := h.blocks(f.off, appendRangeBlocks(nil, c[0], c[1], f.width), 0); got != want {
+			if got := h.blocks(f.off, netcfg.AppendRangeBlocks(nil, c[0], c[1], f.width), 0); got != want {
 				t.Fatalf("%s [%d, %d]: aligned blocks %d, And(geq, leq) %d", f.name, c[0], c[1], got, want)
 			}
 			if f.width == 32 {

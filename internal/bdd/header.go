@@ -3,7 +3,6 @@ package bdd
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -45,7 +44,7 @@ func (h *Headers) SrcPrefix(p netcfg.Prefix) Node { return h.ipPrefixOn(srcIPOff
 // (inclusive). Used by the model's destination-interval index checks.
 func (h *Headers) DstRange(lo, hi uint32) Node {
 	var buf [62]netcfg.Prefix // [lo, hi] decomposes into at most 2*32-2 blocks
-	return h.blocks(dstIPOff, appendRangeBlocks(buf[:0], lo, hi, 32), 0)
+	return h.blocks(dstIPOff, netcfg.AppendRangeBlocks(buf[:0], lo, hi, 32), 0)
 }
 
 // DstBlocks returns the predicate "destination IP in one of blocks",
@@ -69,26 +68,6 @@ func (h *Headers) blocks(off int, bs []netcfg.Prefix, depth int) Node {
 	bit := uint32(1) << (31 - depth)
 	i := sort.Search(len(bs), func(i int) bool { return uint32(bs[i].Addr)&bit != 0 })
 	return h.mk(int32(off+depth), h.blocks(off, bs[:i], depth+1), h.blocks(off, bs[i:], depth+1))
-}
-
-// appendRangeBlocks appends the maximal aligned blocks of the
-// width-bit values [lo, hi] to out, ascending, in blocks' left-aligned
-// form; lo > hi appends none.
-func appendRangeBlocks(out []netcfg.Prefix, lo, hi uint32, width int) []netcfg.Prefix {
-	for v, end := uint64(lo), uint64(hi)+1; v < end; {
-		// The largest block starting at v that v's alignment allows and
-		// that ends inside the range.
-		k := width
-		if v != 0 {
-			k = min(k, bits.TrailingZeros64(v))
-		}
-		for v+1<<k > end {
-			k--
-		}
-		out = append(out, netcfg.Prefix{Addr: netcfg.Addr(v << (32 - width)), Len: uint8(width - k)})
-		v += 1 << k
-	}
-	return out
 }
 
 // ipPrefixOn returns "the IP field at off is in p, and then" below:
@@ -140,7 +119,7 @@ func (h *Headers) DstPortRange(lo, hi uint16) Node {
 		return True
 	}
 	var buf [30]netcfg.Prefix // [lo, hi] decomposes into at most 2*16-2 blocks
-	return h.blocks(dstPortOff, appendRangeBlocks(buf[:0], uint32(lo), uint32(hi), 16), 0)
+	return h.blocks(dstPortOff, netcfg.AppendRangeBlocks(buf[:0], uint32(lo), uint32(hi), 16), 0)
 }
 
 // Match returns the predicate for a filter-rule match. The fields
@@ -196,7 +175,7 @@ func (h *Headers) groupMatch(g []dataplane.Match) Node {
 			case mlo > mhi: // matches no port
 			case mlo > hi+1:
 				if lo <= hi {
-					bs = appendRangeBlocks(bs, uint32(lo), uint32(hi), 16)
+					bs = netcfg.AppendRangeBlocks(bs, uint32(lo), uint32(hi), 16)
 				}
 				lo, hi = mlo, mhi
 			default:
@@ -204,7 +183,7 @@ func (h *Headers) groupMatch(g []dataplane.Match) Node {
 			}
 		}
 		if lo <= hi {
-			bs = appendRangeBlocks(bs, uint32(lo), uint32(hi), 16)
+			bs = netcfg.AppendRangeBlocks(bs, uint32(lo), uint32(hi), 16)
 		}
 		h.portBlocks = bs
 		n = h.blocks(dstPortOff, bs, 0)

@@ -230,10 +230,15 @@ func BenchmarkApplyACLEditVaried(b *testing.B) {
 // answer it: 170 allocs before ACL predicates were built field by
 // field, 169 after; its ceilings are 169 and, from four race runs that
 // measured 171 every time, 171, each plus 20 %.
+//
+// Re-measured with the checker's forward pass for modified paths: 105,
+// 285, 162 and 169 without the race detector, and four race runs of
+// 106, 289, 164 and 171 every time. The static and block ceilings
+// tightened to those figures plus 20 %; the others stand.
 func TestApplyAllocationCeilings(t *testing.T) {
-	pairCeiling, aclCeiling, blockCeiling, variedCeiling := 127.0, 195.0, 361.0, 203.0
+	pairCeiling, aclCeiling, blockCeiling, variedCeiling := 126.0, 195.0, 342.0, 203.0
 	if raceEnabled {
-		pairCeiling, aclCeiling, blockCeiling, variedCeiling = 127, 196, 361, 206
+		pairCeiling, aclCeiling, blockCeiling, variedCeiling = 127, 196, 347, 206
 	}
 	v, edit := staticEdit(t, 6)
 	applyPair(t, v, edit)

@@ -8,6 +8,7 @@ package netcfg
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -105,6 +106,19 @@ func (p Prefix) String() string { return fmt.Sprintf("%s/%d", p.Addr, p.Len) }
 
 // IsDefault reports whether p is 0.0.0.0/0.
 func (p Prefix) IsDefault() bool { return p == Prefix{} }
+
+// AppendRangeBlocks appends the maximal aligned blocks of the width-bit
+// values [lo, hi] to out, ascending, as prefixes left-aligned in 32
+// bits (a block of 2^k values has length width-k); lo > hi appends none.
+func AppendRangeBlocks(out []Prefix, lo, hi uint32, width int) []Prefix {
+	for v, end := uint64(lo), uint64(hi)+1; v < end; {
+		// The largest block that v's alignment allows and the range holds.
+		k := min(bits.TrailingZeros64(v), bits.Len64(end-v)-1)
+		out = append(out, Prefix{Addr: Addr(v << (32 - width)), Len: uint8(width - k)})
+		v += 1 << k
+	}
+	return out
+}
 
 // InterfaceAddr is an address with its subnet length, e.g. 10.0.0.1/24 on
 // an interface (the host bits are preserved, unlike Prefix).

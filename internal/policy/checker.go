@@ -118,10 +118,10 @@ type Checker struct {
 	// walks (a device has a handful, so a scan beats a hash).
 	links [][]link
 
-	// scratch is walk's scratch; reach is merge's; aff is Update's. All
-	// are reused across batches.
+	// scratch is walk's scratch; through is merge's; aff is Update's.
+	// All are reused across batches.
 	scratch walkScratch
-	reach   reach
+	through through
 	aff     affected
 
 	// ecs holds each walked EC's result, indexed by its model id (nil
@@ -599,112 +599,94 @@ func (c *Checker) merge(ec apkeep.ECID, r *ecResult, devs []apkeep.DevID, affect
 	} else {
 		r.hdrs = old.hdrs
 	}
-	// Pair counts: a device's delivered pair can change only where its
-	// outcome did.
+	// met is nil for a pure split: behaviour unchanged, no modified paths.
+	met := c.through.of(devs, old.next, r.next)
 	name := c.model.DevName
 	for id := range apkeep.DevID(max(len(old.outcomes), len(r.outcomes))) {
 		was, now := old.outcome(id), r.outcome(id)
-		if was == now {
-			continue
+		// A device's delivered pair can change only where its outcome did.
+		if was != now {
+			if was.Kind == Delivered {
+				c.dropPair(Pair{Src: name(id), Dst: was.At})
+			}
+			if now.Kind == Delivered {
+				c.addPair(Pair{Src: name(id), Dst: now.At})
+			}
+		}
+		if met == nil || !met[id] {
+			continue // neither its old nor its new path meets a changed device
 		}
 		if was.Kind == Delivered {
-			c.dropPair(Pair{Src: name(id), Dst: was.At})
+			affected[Pair{Src: name(id), Dst: was.At}] = struct{}{}
 		}
 		if now.Kind == Delivered {
-			c.addPair(Pair{Src: name(id), Dst: now.At})
-		}
-	}
-	if len(devs) == 0 {
-		return // pure split: behaviour unchanged, no modified paths
-	}
-	// Sources whose old or new walk traverses a changed device.
-	for _, s := range c.reach.sources(devs, old.next, r.next) {
-		if o := old.outcome(s); o.Kind == Delivered {
-			affected[Pair{Src: name(s), Dst: o.At}] = struct{}{}
-		}
-		if o := r.outcome(s); o.Kind == Delivered {
-			affected[Pair{Src: name(s), Dst: o.At}] = struct{}{}
+			affected[Pair{Src: name(id), Dst: now.At}] = struct{}{}
 		}
 	}
 }
 
-// reach finds the devices whose walk traverses a changed device, by a
-// reverse traversal of each EC forwarding graph over a CSR (compressed
-// sparse row) reverse adjacency. Its slices are scratch, reused from
-// call to call.
-type reach struct {
-	// pred[off[d]:off[d+1]] are the devices whose next is d.
-	off   []int32
-	pred  []apkeep.DevID
-	seen  []bool // visited in the current graph
-	in    []bool // in out
-	stack []apkeep.DevID
-	out   []apkeep.DevID
+// through finds the devices whose walk traverses a changed device by
+// following each EC forwarding graph's next forward, with the chain
+// memo walk uses: every device on a chain shares the chain's end, and a
+// chain that closes on itself without meeting a target misses. Its
+// slices are scratch, reused from call to call.
+type through struct {
+	hit   []bool  // by device: meets in some graph
+	state []uint8 // by device, in the graph being followed
+	chain []apkeep.DevID
 }
 
-// sources returns every device that reaches one of targets by following
-// next in any of graphs, targets included. The slice is valid until the
-// next call.
-func (s *reach) sources(targets []apkeep.DevID, graphs ...[]apkeep.DevID) []apkeep.DevID {
-	for _, id := range s.out {
-		s.in[id] = false
+// of reports, for every device below the longest of graphs, whether
+// following next from it in one of graphs meets one of targets, itself
+// included. It returns nil when there are no targets; the slice is
+// valid until the next call.
+func (t *through) of(targets []apkeep.DevID, graphs ...[]apkeep.DevID) []bool {
+	if len(targets) == 0 {
+		return nil
 	}
-	s.out = s.out[:0]
-	for _, t := range targets {
-		s.add(t)
-	}
+	// A device's state in the graph being followed.
+	const (
+		unresolved uint8 = iota
+		meets            // its path meets a target
+		misses           // its path ends, or loops, without meeting one
+		onChain          // on the chain being followed
+	)
+	n := 0
 	for _, next := range graphs {
-		n := len(next)
-		s.off = zeroed(s.off, n+1)
-		for _, d := range next {
-			if d >= 0 {
-				s.off[d]++
+		n = max(n, len(next))
+	}
+	t.hit = zeroed(t.hit, n)
+	for _, next := range graphs {
+		t.state = zeroed(t.state, len(next))
+		for _, d := range targets {
+			if int(d) < len(next) {
+				t.state[d] = meets
 			}
 		}
-		for d := 1; d <= n; d++ {
-			s.off[d] += s.off[d-1]
-		}
-		// off[d] now ends d's run; filling each run backwards leaves it
-		// at the run's start.
-		s.pred = zeroed(s.pred, int(s.off[n]))
-		for v, d := range next {
-			if d >= 0 {
-				s.off[d]--
-				s.pred[s.off[d]] = apkeep.DevID(v)
-			}
-		}
-		s.seen = zeroed(s.seen, n)
-		s.stack = s.stack[:0]
-		for _, t := range targets {
-			if int(t) < n && !s.seen[t] {
-				s.seen[t] = true
-				s.stack = append(s.stack, t)
-			}
-		}
-		for len(s.stack) > 0 {
-			d := s.stack[len(s.stack)-1]
-			s.stack = s.stack[:len(s.stack)-1]
-			for _, v := range s.pred[s.off[d]:s.off[d+1]] {
-				if !s.seen[v] {
-					s.seen[v] = true
-					s.add(v)
-					s.stack = append(s.stack, v)
+		for start := range next {
+			chain, end := t.chain[:0], misses
+			for cur := apkeep.DevID(start); cur >= 0; cur = next[cur] {
+				if s := t.state[cur]; s != unresolved {
+					if s == meets {
+						end = meets
+					}
+					break
 				}
+				t.state[cur] = onChain
+				chain = append(chain, cur)
+			}
+			for _, id := range chain {
+				t.state[id] = end
+			}
+			t.chain = chain
+		}
+		for id, s := range t.state {
+			if s == meets {
+				t.hit[id] = true
 			}
 		}
 	}
-	return s.out
-}
-
-// add puts a device in out once.
-func (s *reach) add(id apkeep.DevID) {
-	if int(id) >= len(s.in) {
-		s.in = append(s.in, make([]bool, int(id)+1-len(s.in))...)
-	}
-	if !s.in[id] {
-		s.in[id] = true
-		s.out = append(s.out, id)
-	}
+	return t.hit
 }
 
 // zeroed returns buf resized to n zero elements, reusing its array when

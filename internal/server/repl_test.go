@@ -24,9 +24,9 @@ func newReplicaServer(t *testing.T, leaderURL, journalPath string) (*Server, *ht
 		Options:        core.Options{},
 		JournalPath:    journalPath,
 		FollowURL:      leaderURL,
-		ReplHeartbeat:  20 * time.Millisecond,
-		ReplBackoff:    5 * time.Millisecond,
-		ReplMaxBackoff: 50 * time.Millisecond,
+		replHeartbeat:  20 * time.Millisecond,
+		replBackoff:    5 * time.Millisecond,
+		replMaxBackoff: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

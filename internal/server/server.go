@@ -87,13 +87,6 @@ type Config struct {
 	// replica must be started from the same base snapshot and policy
 	// text as the leader — replication ships only the journal.
 	FollowURL string
-	// ReplHeartbeat is the leader's idle-stream heartbeat interval
-	// (0 = repl.DefaultHeartbeat).
-	ReplHeartbeat time.Duration
-	// ReplBackoff/ReplMaxBackoff tune the follower's jittered reconnect
-	// backoff (0 = repl defaults; mostly for tests).
-	ReplBackoff    time.Duration
-	ReplMaxBackoff time.Duration
 	// SnapshotEvery captures an automatic state snapshot (and compacts
 	// the journal behind it) every N journaled entries (0 = only on
 	// explicit POST /v1/snapshot). Applies to every journal-backed
@@ -122,6 +115,11 @@ type Config struct {
 	// Logger receives the daemon's structured logs (nil = discard). Every
 	// request-scoped line carries the req_id the middleware assigned.
 	Logger *slog.Logger
+
+	// replHeartbeat is the leader's idle-stream heartbeat interval, and
+	// replBackoff and replMaxBackoff bound the follower's jittered
+	// reconnect backoff (0 = the repl defaults). Tests shorten them.
+	replHeartbeat, replBackoff, replMaxBackoff time.Duration
 }
 
 // Server is the daemon engine. Create with New, serve via Handler, stop
@@ -224,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		tenants:   make(map[string]*Tenant, 1+len(cfg.Tenants)),
 		start:     time.Now(),
 		follow:    cfg.FollowURL,
-		heartbeat: cfg.ReplHeartbeat,
+		heartbeat: cfg.replHeartbeat,
 		log:       cfg.Logger,
 		reg:       obs.NewRegistry(),
 	}
@@ -802,17 +800,8 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.m.whatifs.Inc()
-	verdicts := fork.Verdicts()
-	names := make([]string, 0, len(verdicts))
-	for name := range verdicts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := applyResponse{Seq: seq, WhatIf: true, Report: reportJSON(rep)}
-	for _, name := range names {
-		out.Verdicts = append(out.Verdicts, Verdict{Policy: name, Satisfied: verdicts[name]})
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, applyResponse{Seq: seq, WhatIf: true, Report: reportJSON(rep),
+		Verdicts: appendVerdicts(nil, fork.Verdicts())})
 }
 
 func (s *Server) handlePolicies(w http.ResponseWriter, r *http.Request) {

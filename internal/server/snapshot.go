@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"realconfig/internal/core"
 )
@@ -95,11 +96,6 @@ type Snapshot struct {
 // owning tenant's apply goroutine (it reads live verifier state).
 func buildSnapshot(v *core.Verifier, seq uint64, rep *ReportJSON) *Snapshot {
 	verdicts := v.Verdicts()
-	names := make([]string, 0, len(verdicts))
-	for name := range verdicts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	s := &Snapshot{
 		Seq:        seq,
 		Policies:   len(verdicts),
@@ -107,16 +103,25 @@ func buildSnapshot(v *core.Verifier, seq uint64, rep *ReportJSON) *Snapshot {
 		Pairs:      v.NumPairs(),
 		FIBRules:   v.NumFIBRules(),
 		Devices:    v.NumDevices(),
-		Verdicts:   make([]Verdict, 0, len(names)),
+		Verdicts:   appendVerdicts(make([]Verdict, 0, len(verdicts)), verdicts),
 		Violations: []string{},
 		LastReport: rep,
 	}
-	for _, name := range names {
-		sat := verdicts[name]
-		s.Verdicts = append(s.Verdicts, Verdict{Policy: name, Satisfied: sat})
-		if !sat {
-			s.Violations = append(s.Violations, name)
+	for _, vd := range s.Verdicts {
+		if !vd.Satisfied {
+			s.Violations = append(s.Violations, vd.Policy)
 		}
 	}
 	return s
+}
+
+// appendVerdicts appends each policy's satisfaction to out, sorted by
+// name.
+func appendVerdicts(out []Verdict, verdicts map[string]bool) []Verdict {
+	start := len(out)
+	for name, sat := range verdicts {
+		out = append(out, Verdict{Policy: name, Satisfied: sat})
+	}
+	slices.SortFunc(out[start:], func(a, b Verdict) int { return strings.Compare(a.Policy, b.Policy) })
+	return out
 }

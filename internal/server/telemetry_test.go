@@ -114,8 +114,8 @@ func TestReadyzFollower(t *testing.T) {
 	orphan, err := New(Config{
 		Net: net1, PolicyText: pol,
 		FollowURL:      "http://127.0.0.1:9",
-		ReplBackoff:    10 * time.Millisecond,
-		ReplMaxBackoff: 50 * time.Millisecond,
+		replBackoff:    10 * time.Millisecond,
+		replMaxBackoff: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

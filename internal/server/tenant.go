@@ -330,8 +330,8 @@ func (t *Tenant) startFollower(cfg Config, reg *obs.Registry) error {
 		From:        func() uint64 { return t.Snapshot().Seq },
 		Apply:       t.applyReplicated,
 		Rebootstrap: t.bootstrapFromLeader,
-		Backoff:     cfg.ReplBackoff,
-		MaxBackoff:  cfg.ReplMaxBackoff,
+		Backoff:     cfg.replBackoff,
+		MaxBackoff:  cfg.replMaxBackoff,
 		Log:         t.log.With("role", "follower"),
 		Metrics:     repl.NewFollowerMetrics(reg),
 	}

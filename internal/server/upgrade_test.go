@@ -66,9 +66,9 @@ func newRingReplica(t *testing.T, leaderURL string) (*Server, *httptest.Server) 
 		PolicyText:     policyText,
 		Options:        core.Options{},
 		FollowURL:      leaderURL,
-		ReplHeartbeat:  20 * time.Millisecond,
-		ReplBackoff:    5 * time.Millisecond,
-		ReplMaxBackoff: 50 * time.Millisecond,
+		replHeartbeat:  20 * time.Millisecond,
+		replBackoff:    5 * time.Millisecond,
+		replMaxBackoff: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
